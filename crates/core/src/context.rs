@@ -23,9 +23,7 @@
 
 use bdm_alloc::MemoryManager;
 use bdm_diffusion::DiffusionGrid;
-use bdm_env::{
-    Environment, NeighborQueryScratch, PointCloud, SliceCloud, StencilRuns, UniformGridEnvironment,
-};
+use bdm_env::{Environment, NeighborQueryScratch, PointCloud, StencilRuns, UniformGridEnvironment};
 use bdm_util::{Real3, SimRng};
 
 use crate::agent::{new_agent_box, Agent, AgentBox, AgentHandle, AgentUid};
@@ -34,9 +32,7 @@ use crate::rng_stream;
 /// Which per-neighbor snapshot arrays a kernel reads — the capability a
 /// force/behavior kernel (or a custom
 /// [`Operation`](crate::scheduler::Operation)) declares so the engine can
-/// skip gathering and streaming arrays nobody will touch, analogous to
-/// [`Operation::requires_box_lists`](crate::scheduler::Operation::requires_box_lists)
-/// for the grid's linked lists.
+/// skip gathering and streaming arrays nobody will touch.
 ///
 /// `POSITIONS` and `DIAMETERS` are always gathered (the snapshot's position
 /// array feeds the index rebuild and the max-diameter reduction needs every
@@ -330,10 +326,10 @@ pub(crate) struct StencilCache {
     build: u64,
     /// Box coordinates the runs belong to.
     bc: [u32; 3],
-    /// Shard grid the runs were resolved against (`u32::MAX` for the global
-    /// grid). The K shard grids have *independent* build counters, so
-    /// `(build, bc)` alone could collide across them.
-    shard: u32,
+    /// [`GridView::cache_key`] of the grid the runs were resolved against.
+    /// The K shard grids have *independent* build counters, so `(build,
+    /// bc)` alone could collide across them.
+    key: u32,
     /// The resolved runs.
     runs: StencilRuns,
 }
@@ -369,25 +365,35 @@ impl ExecutionContext {
     }
 }
 
-/// The per-agent view of sharded execution (see
-/// [`crate::sharded`]): neighbor queries run against the owning shard's
-/// windowed grid instead of the global environment, and the grid's
-/// shard-local indices are remapped to global ones before any kernel sees
-/// them — behaviors and forces are shard-oblivious.
+/// The uniform grid the current agent's neighbor queries run against,
+/// resolved once per agent: the global index, or under sharded execution
+/// (see [`crate::sharded`]) the owning shard's windowed grid — which is the
+/// same view with a `remap`, not a second code path. Shard-local indices are
+/// remapped to global ones before any kernel sees them, so behaviors and
+/// forces are shard-oblivious.
 #[derive(Clone, Copy)]
-pub(crate) struct ShardView<'a> {
-    /// The owning shard's windowed grid (built over owned + halo members).
+pub(crate) struct GridView<'a> {
+    /// The grid to query.
     pub grid: &'a UniformGridEnvironment,
-    /// Shard-local → global index map (ascending).
-    pub members: &'a [u32],
-    /// Shard-local member positions — the point cloud behind the
-    /// trait-object query fallback when the SoA cache is off.
-    pub positions: &'a [Real3],
-    /// Shard-local index of the current agent (the query's self-exclusion).
-    pub self_local: u32,
-    /// Shard id — discriminates the per-worker stencil cache across shard
-    /// grids, whose build counters are independent.
-    pub shard: u32,
+    /// Index of the current agent in `grid`'s cloud (the self-exclusion).
+    pub self_index: usize,
+    /// Grid-cloud index → global index (a shard's ascending member list);
+    /// `None` when the grid indexes the global cloud.
+    pub remap: Option<&'a [u32]>,
+    /// Discriminates grids in the per-worker stencil cache: the shard id,
+    /// or `u32::MAX` for the global grid.
+    pub cache_key: u32,
+}
+
+impl GridView<'_> {
+    /// Global index of the grid-cloud index `idx`.
+    #[inline]
+    fn global(&self, idx: usize) -> usize {
+        match self.remap {
+            Some(members) => members[idx] as usize,
+            None => idx,
+        }
+    }
 }
 
 /// Everything a behavior may touch while its agent is being processed.
@@ -395,9 +401,9 @@ pub struct AgentContext<'a> {
     pub(crate) exec: &'a mut ExecutionContext,
     pub(crate) env: &'a dyn Environment,
     pub(crate) snapshot: &'a Snapshot,
-    /// Sharded execution: the owning shard's grid + index remap. `None` on
-    /// the single-engine path.
-    pub(crate) shard: Option<ShardView<'a>>,
+    /// The uniform grid serving this agent's queries; `None` when `env` is
+    /// a kd-tree, octree or brute-force index.
+    pub(crate) grid: Option<GridView<'a>>,
     pub(crate) mm: &'a MemoryManager,
     pub(crate) diffusion: &'a [DiffusionGrid],
     /// NUMA domain new agents are allocated on (the worker's domain).
@@ -451,7 +457,7 @@ impl<'a> AgentContext<'a> {
     /// agent. The callback receives `(global index, neighbor, distance²)` —
     /// all reads go to the immutable snapshot, never to live agents. The
     /// [`Neighbor`] view carries the position the index already streamed
-    /// from its contiguous SoA run; diameter/payload load lazily, only when
+    /// from its contiguous slot run; diameter/payload load lazily, only when
     /// the kernel calls the accessor. Queries reuse this thread's
     /// [`NeighborQueryScratch`], so they allocate nothing in steady state
     /// (hence `&mut self`).
@@ -462,98 +468,39 @@ impl<'a> AgentContext<'a> {
         mut f: impl FnMut(usize, Neighbor<'_>, f64),
     ) {
         let snapshot = self.snapshot;
-        if let Some(sv) = self.shard {
-            // Sharded path: query the owning shard's windowed grid and remap
-            // its local indices to global before the kernel sees them. The
-            // shard grid holds exactly the within-radius agents the global
-            // grid holds (halo completeness) in the same relative order
-            // (ascending-global member insertion), so the visit sequence is
-            // bitwise that of the single-engine query.
-            let members = sv.members;
-            let exclude = Some(sv.self_local as usize);
-            let served = sv
-                .grid
-                .for_each_neighbor_soa(pos, exclude, radius, |idx, p, d2| {
-                    let g = members[idx] as usize;
-                    f(
-                        g,
-                        Neighbor {
-                            snapshot,
-                            index: g,
-                            position: p,
-                        },
-                        d2,
-                    )
+        let mut visit = |index: usize, position: Real3, d2: f64| {
+            let neighbor = Neighbor {
+                snapshot,
+                index,
+                position,
+            };
+            f(index, neighbor, d2)
+        };
+        if let Some(view) = self.grid {
+            // The kernel closure monomorphizes straight into the nine-run
+            // scan — no virtual call per query or per neighbor (the
+            // dominant cost at 10⁶ agents). A shard grid holds exactly the
+            // within-radius agents the global grid holds (halo
+            // completeness) in the same relative order (ascending-global
+            // member insertion), so its remapped visit sequence is bitwise
+            // that of the single-engine query.
+            view.grid
+                .for_each_neighbor_soa(pos, Some(view.self_index), radius, |idx, p, d2| {
+                    visit(view.global(idx), p, d2)
                 });
-            if !served {
-                let cloud = SliceCloud(sv.positions);
-                let scratch = &mut self.exec.query_scratch;
-                Environment::for_each_neighbor(
-                    sv.grid,
-                    &cloud,
-                    pos,
-                    exclude,
-                    radius,
-                    scratch,
-                    &mut |idx, p, d2| {
-                        let g = members[idx] as usize;
-                        f(
-                            g,
-                            Neighbor {
-                                snapshot,
-                                index: g,
-                                position: p,
-                            },
-                            d2,
-                        )
-                    },
-                );
-            }
-            return;
+        } else {
+            self.env.for_each_neighbor(
+                &SnapshotCloud(snapshot),
+                pos,
+                Some(self.self_global),
+                radius,
+                &mut self.exec.query_scratch,
+                &mut visit,
+            );
         }
-        // Fast path: the uniform grid's SoA cache with the kernel closure
-        // monomorphized straight into the nine-run scan — no virtual call
-        // per query or per neighbor (the dominant cost at 10⁶ agents).
-        if let Some(grid) = self.env.as_uniform_grid() {
-            let served =
-                grid.for_each_neighbor_soa(pos, Some(self.self_global), radius, |idx, p, d2| {
-                    f(
-                        idx,
-                        Neighbor {
-                            snapshot,
-                            index: idx,
-                            position: p,
-                        },
-                        d2,
-                    )
-                });
-            if served {
-                return;
-            }
-        }
-        let cloud = SnapshotCloud(self.snapshot);
-        let scratch = &mut self.exec.query_scratch;
-        self.env.for_each_neighbor(
-            &cloud,
-            pos,
-            Some(self.self_global),
-            radius,
-            scratch,
-            &mut |idx, p, d2| {
-                f(
-                    idx,
-                    Neighbor {
-                        snapshot,
-                        index: idx,
-                        position: p,
-                    },
-                    d2,
-                )
-            },
-        );
     }
 
-    /// Box-batched mechanics neighbor scan — the grid fast path of
+    /// Box-batched mechanics neighbor scan — the grid query of
     /// [`AgentContext::for_each_neighbor`] specialized for the force
     /// kernel. The visitor receives `(index, position, diameter,
     /// distance²)`:
@@ -575,9 +522,9 @@ impl<'a> AgentContext<'a> {
     /// Visit order, the accepted set, and every visited value are bitwise
     /// those of the per-agent path (same shared stencil traversal, copied
     /// diameters). Returns `false` without visiting anything when the
-    /// batched path cannot serve the query — non-grid environment, sparse
-    /// cloud, diameters not scattered this iteration, or a radius beyond
-    /// the build radius — and the caller falls back to
+    /// batched path cannot serve the query — non-grid environment,
+    /// diameters not scattered this iteration, or a radius beyond the
+    /// build radius — and the caller falls back to
     /// [`AgentContext::for_each_neighbor`] plus the lazy diameter load.
     pub(crate) fn for_each_neighbor_mech(
         &mut self,
@@ -585,42 +532,26 @@ impl<'a> AgentContext<'a> {
         radius: f64,
         f: &mut impl FnMut(usize, Real3, f64, f64),
     ) -> bool {
-        // Sharded execution scans the owning shard's grid (local indices,
-        // remapped to global on accept); the single-engine path scans the
-        // global grid (indices already global, marked by the `u32::MAX`
-        // shard key in the stencil cache).
-        let (grid, exclude, shard_key, members): (
-            &UniformGridEnvironment,
-            usize,
-            u32,
-            Option<&[u32]>,
-        ) = match self.shard {
-            Some(sv) => (sv.grid, sv.self_local as usize, sv.shard, Some(sv.members)),
-            None => {
-                let Some(grid) = self.env.as_uniform_grid() else {
-                    return false;
-                };
-                (grid, self.self_global, u32::MAX, None)
-            }
+        let Some(view) = self.grid else {
+            return false;
         };
+        let grid = view.grid;
         if !grid.radius_within_build(radius) {
             return false;
         }
-        let (Some(slots), Some(diameters)) = (grid.slots(), grid.scattered_diameters()) else {
+        let Some(diameters) = grid.scattered_diameters() else {
             return false;
         };
+        let slots = grid.slots();
         let bc = grid.box_coordinates(pos);
         let build = grid.build_count();
         let cache = &mut self.exec.mech_stencil;
-        if cache.build != build || cache.bc != bc || cache.shard != shard_key {
-            let Some(runs) = grid.stencil_runs(bc) else {
-                return false;
-            };
+        if cache.build != build || cache.bc != bc || cache.key != view.cache_key {
             *cache = StencilCache {
                 build,
                 bc,
-                shard: shard_key,
-                runs,
+                key: view.cache_key,
+                runs: grid.stencil_runs(bc),
             };
         }
         let r2 = radius * radius;
@@ -637,14 +568,10 @@ impl<'a> AgentContext<'a> {
                 let d2 = pos.distance_sq(&s.position);
                 if d2 <= r2 {
                     let idx = s.index as usize;
-                    if idx != exclude {
+                    if idx != view.self_index {
                         // SAFETY: same bound as `slots` above.
                         let diameter = unsafe { *diameters.get_unchecked(i) };
-                        let g = match members {
-                            Some(m) => m[idx] as usize,
-                            None => idx,
-                        };
-                        f(g, s.position, diameter, d2);
+                        f(view.global(idx), s.position, diameter, d2);
                     }
                 }
             }

@@ -151,9 +151,9 @@ pub(crate) fn run_mechanics(
     if batched {
         ctx.exec.batched_force_queries += 1;
     } else {
-        // Fallback (sparse clouds, non-grid environments, unscattered
-        // diameters): the neighbor position the index streamed (free) plus
-        // one lazy diameter load per accepted neighbor — never the payload.
+        // Fallback (non-grid environments, unscattered diameters): the
+        // neighbor position the index streamed (free) plus one lazy diameter
+        // load per accepted neighbor — never the payload.
         ctx.for_each_neighbor(pos_now, cfg.search_radius, |idx, nd, d2| {
             let f =
                 cfg.force

@@ -152,35 +152,14 @@ pub trait Operation: Send {
         false
     }
 
-    /// Whether this operation walks the uniform grid's per-box *linked
-    /// lists* (`box_head` / `successor`). The scheduler aggregates this over
-    /// the registered operations each iteration — counting an operation as
-    /// a consumer if it becomes due any time before the **next**
-    /// `environment_update` run, so the request also covers operations
-    /// placed ahead of the rebuild in the pipeline (they read the previous
-    /// build) — and hands the result to
-    /// [`Environment::update_with`](bdm_env::Environment::update_with) as a
-    /// capability hint: when no consumer requires the lists, dense clouds
-    /// skip the CAS list insertion and serve all consumers from the SoA
-    /// cache. The built-in operations — including `agent_sorting`, which
-    /// reads the SoA box order directly — never need them, so the default is
-    /// `false`; override it in a custom operation that calls `box_head` or
-    /// `successor` on the grid. (`for_each_in_box` and `box_slots` are
-    /// served from the SoA cache and need no override.) If a declaring
-    /// operation appears *between* the rebuilds of a re-timed environment
-    /// pipeline, the engine forces one extra rebuild so the lists exist on
-    /// the first iteration the operation runs; only explicitly *disabling*
-    /// the `environment_update` op leaves the request unsatisfiable.
-    fn requires_box_lists(&self) -> bool {
-        false
-    }
-
     /// Which per-neighbor snapshot arrays this operation reads (via
     /// [`Simulation::snapshot`](crate::simulation::Simulation::snapshot) or
     /// neighbor queries). Aggregated by the scheduler over the operations
-    /// due before the next `snapshot` gather — exactly like
-    /// [`Operation::requires_box_lists`] — and combined with the agent
-    /// kernels' declaration
+    /// due before the next `snapshot` gather — counting an operation as a
+    /// consumer if it becomes due any time before then, so the request also
+    /// covers operations placed ahead of the gather in the pipeline (they
+    /// read the previous one) — and combined with the agent kernels'
+    /// declaration
     /// ([`Param::neighbor_access`](crate::param::Param::neighbor_access) +
     /// the interaction force): when the union excludes
     /// [`NeighborAccess::PAYLOADS`], the gather skips the payload array
@@ -510,35 +489,6 @@ impl Scheduler {
             && (iteration.is_multiple_of(entry.frequency) || (entry.due_at_first && iteration == 1))
     }
 
-    /// Whether any operation declaring [`Operation::requires_box_lists`]
-    /// will run before the *next* `environment_update` — the
-    /// scheduler-side half of the environment capability hint, computed by
-    /// `Simulation::step` before the pipeline runs. The window spans this
-    /// iteration plus one environment-update period: an index built now is
-    /// read until the next rebuild, including by consumers positioned
-    /// *before* `environment_update` in the pipeline (they see the
-    /// previous build) and by consumers whose frequency makes them due
-    /// only on a later iteration of a slow-rebuilding pipeline.
-    pub(crate) fn due_ops_require_box_lists(entries: &[ScheduledOp], iteration: u64) -> bool {
-        let env_freq = entries
-            .iter()
-            .find(|e| e.op.name() == builtin::ENVIRONMENT)
-            .map(|e| e.frequency)
-            .unwrap_or(1);
-        let window_end = iteration.saturating_add(env_freq);
-        entries.iter().any(|e| {
-            // O(1) "due within [iteration, window_end]" — frequencies are
-            // arbitrary u64s, so scanning the window would not terminate in
-            // reasonable time for a slow-rebuilding pipeline.
-            let next_due = if e.due_at_first && iteration == 1 {
-                1
-            } else {
-                iteration.div_ceil(e.frequency).saturating_mul(e.frequency)
-            };
-            e.enabled && e.op.requires_box_lists() && next_due <= window_end
-        })
-    }
-
     /// Union of the [`Operation::neighbor_access`] declarations of every
     /// operation due before the *next* `snapshot` gather — the
     /// scheduler-side half of the payload-skip capability, computed by
@@ -546,11 +496,11 @@ impl Scheduler {
     /// substitutes for the built-in `agent_ops` operation, whose kernels
     /// (behaviors + interaction force) declare their access through
     /// [`Param::neighbor_access`](crate::param::Param::neighbor_access)
-    /// rather than the trait method. The window mirrors
-    /// [`Scheduler::due_ops_require_box_lists`]: a snapshot gathered now is
-    /// read until the next gather, including by consumers positioned before
-    /// the `snapshot` op in the pipeline and by consumers of a
-    /// slow-regathering pipeline that become due later in its period.
+    /// rather than the trait method. The window spans this iteration plus
+    /// one snapshot period: a snapshot gathered now is read until the next
+    /// gather, including by consumers positioned before the `snapshot` op in
+    /// the pipeline and by consumers of a slow-regathering pipeline that
+    /// become due later in its period.
     pub(crate) fn due_ops_neighbor_access(
         entries: &[ScheduledOp],
         iteration: u64,
@@ -564,6 +514,9 @@ impl Scheduler {
         let window_end = iteration.saturating_add(snapshot_freq);
         let mut access = NeighborAccess::NONE;
         for e in entries {
+            // O(1) "due within [iteration, window_end]" — frequencies are
+            // arbitrary u64s, so scanning the window would not terminate in
+            // reasonable time for a slow-regathering pipeline.
             let next_due = if e.due_at_first && iteration == 1 {
                 1
             } else {
@@ -582,23 +535,10 @@ impl Scheduler {
 
     /// Executes one iteration over a detached op list (see
     /// [`Scheduler::take_entries`]): for each due op, time it, run it.
-    ///
-    /// `force_environment` additionally runs the (enabled)
-    /// `environment_update` op even when its frequency says it is not due —
-    /// used when a box-list-requiring consumer appeared after the last
-    /// rebuild of a slow-rebuilding pipeline, so the index it reads this
-    /// iteration actually has the lists (an explicit `set_enabled(false)`
-    /// on the environment op is still respected).
-    pub(crate) fn run_iteration(
-        entries: &mut [ScheduledOp],
-        ctx: &mut SimulationCtx<'_>,
-        force_environment: bool,
-    ) {
+    pub(crate) fn run_iteration(entries: &mut [ScheduledOp], ctx: &mut SimulationCtx<'_>) {
         let iteration = ctx.sim.iteration();
         for entry in entries.iter_mut() {
-            let forced =
-                force_environment && entry.enabled && entry.op.name() == builtin::ENVIRONMENT;
-            if !Scheduler::is_due(entry, iteration) && !forced {
+            if !Scheduler::is_due(entry, iteration) {
                 continue;
             }
             // Named injection site: a planned fault scheduled before this

@@ -19,10 +19,12 @@
 //! invariants deliver that:
 //!
 //! 1. **Box membership** — every shard grid is built inside a
-//!    [`GridFrame`] pinning the *global* anchor and lattice, so an agent
-//!    lands in exactly the box the single-engine grid would assign (the
-//!    box-coordinate computation is floating point; the frame keeps the
-//!    expression and its inputs identical).
+//!    [`GridFrame`] pinning the *global* anchor, lattice and box edge (one
+//!    [`UniformGridEnvironment::lattice_for`] decision over the whole
+//!    population, coarsened or not), so an agent lands in exactly the box
+//!    the single-engine grid would assign (the box-coordinate computation
+//!    is floating point; the frame keeps the expression and its inputs
+//!    identical).
 //! 2. **Halo completeness** — a shard's cloud contains every agent whose
 //!    box lies within Chebyshev distance `halo_width` of a box the shard
 //!    owns, so every box a neighbor query from an owned agent can visit
@@ -42,9 +44,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use bdm_env::{
-    BoxListPolicy, Environment, GridFrame, PointCloud, UniformGridEnvironment, UpdateHint,
-};
+use bdm_env::{Environment, GridFrame, PointCloud, UniformGridEnvironment, UpdateHint};
 use bdm_sfc::{morton3_encode, shard_of, split_ranges, ShardRange};
 use bdm_util::{Real3, Timer};
 
@@ -144,8 +144,8 @@ pub(crate) struct ShardedState {
     /// (the grid window); `None` for an empty shard.
     windows: Vec<Option<([u32; 3], [u32; 3])>>,
     /// Global frame of the current exchange: anchor, global lattice dims,
-    /// and the global SoA-cache decision forced onto every shard build.
-    frame: Option<(Real3, [u32; 3], bool)>,
+    /// and the global box edge pinned onto every shard build.
+    frame: Option<(Real3, [u32; 3], f64)>,
     /// Iteration the exchange last ran for; the environment and agent
     /// phases take the sharded path only when this matches the current
     /// iteration (0 = never ran / deactivated).
@@ -159,9 +159,8 @@ pub(crate) struct ShardedState {
     /// Monotonic stamp incremented on every full exchange; grid builds are
     /// keyed on it so unchanged clouds skip the K rebuilds too.
     exchange_stamp: u64,
-    /// `(exchange_stamp, box-list policy, diameter scatter)` the grids were
-    /// last built for.
-    grids_built_for: Option<(u64, BoxListPolicy, bool)>,
+    /// `(exchange_stamp, diameter scatter)` the grids were last built for.
+    grids_built_for: Option<(u64, bool)>,
     /// Full exchanges performed.
     pub exchanges: u64,
     /// Exchanges skipped (generation/radius/population unchanged).
@@ -264,10 +263,10 @@ impl ShardedState {
             let (min, max) = snapshot
                 .bounds
                 .expect("a non-empty snapshot carries bounds");
-            let global_dims = UniformGridEnvironment::global_dims_for(min, max, radius);
-            let inv = 1.0 / radius;
-            let build_cache = UniformGridEnvironment::global_build_cache(global_dims, n);
-            self.frame = Some((min, global_dims, build_cache));
+            let (box_length, global_dims) =
+                UniformGridEnvironment::lattice_for(min, max, radius, n);
+            let inv = 1.0 / box_length;
+            self.frame = Some((min, global_dims, box_length));
 
             // Pass 1: every agent's global box Morton code (ascending
             // global index — the deterministic migration order).
@@ -359,21 +358,19 @@ impl ShardedState {
     /// that of the single-engine grid.
     pub fn build_grids(
         &mut self,
-        policy: BoxListPolicy,
         scatter_diameters: bool,
         radius: f64,
         bounds: Option<(Real3, Real3)>,
     ) {
-        if self.grids_built_for == Some((self.exchange_stamp, policy, scatter_diameters)) {
+        if self.grids_built_for == Some((self.exchange_stamp, scatter_diameters)) {
             return;
         }
         let frame = self.frame;
         for t in 0..self.shards {
             let timer = Timer::start();
             match (self.windows[t], frame) {
-                (Some((lo, hi)), Some((anchor, global_dims, build_cache))) => {
+                (Some((lo, hi)), Some((anchor, global_dims, box_length))) => {
                     let hint = UpdateHint {
-                        build_box_lists: policy,
                         known_bounds: bounds,
                         scatter_diameters,
                         grid_frame: Some(GridFrame {
@@ -381,7 +378,7 @@ impl ShardedState {
                             global_dims,
                             box_offset: lo,
                             dims: [hi[0] - lo[0] + 1, hi[1] - lo[1] + 1, hi[2] - lo[2] + 1],
-                            build_cache,
+                            box_length,
                         }),
                     };
                     self.grids[t].update_with(&self.clouds[t], radius, hint);
@@ -392,7 +389,7 @@ impl ShardedState {
             }
             self.grid_build[t] = timer.elapsed();
         }
-        self.grids_built_for = Some((self.exchange_stamp, policy, scatter_diameters));
+        self.grids_built_for = Some((self.exchange_stamp, scatter_diameters));
     }
 
     /// Aggregate report of the current sharded state.

@@ -22,7 +22,7 @@
 
 use bdm_alloc::{MemoryManager, MemoryStats, PoolConfig};
 use bdm_diffusion::DiffusionGrid;
-use bdm_env::{BoxListPolicy, Environment, UpdateHint};
+use bdm_env::{Environment, UpdateHint};
 use bdm_numa::{NumaThreadPool, NumaTopology, StealStats};
 use bdm_util::send_ptr::SendMut;
 use bdm_util::{Real3, TimeBuckets};
@@ -30,7 +30,7 @@ use bdm_util::{Real3, TimeBuckets};
 use crate::agent::{new_agent_box, Agent, AgentHandle, AgentUid};
 use crate::builder::SimulationBuilder;
 use crate::context::{
-    agent_rng, AgentContext, ExecutionContext, NeighborAccess, ShardView, Snapshot, SnapshotCloud,
+    agent_rng, AgentContext, ExecutionContext, GridView, NeighborAccess, Snapshot, SnapshotCloud,
 };
 use crate::faults::{FaultKind, FaultPlan, FaultSite};
 use crate::force::InteractionForce;
@@ -107,12 +107,6 @@ pub struct Simulation {
     /// read by `agent_sorting` (a changed population forces an index
     /// rebuild before sorting).
     step_commit: CommitStats,
-    /// Whether any operation due this iteration requires the uniform grid's
-    /// per-box linked lists (aggregated from
-    /// [`Operation::requires_box_lists`](crate::scheduler::Operation::requires_box_lists)
-    /// by `step`); `environment_update` forwards it as the index's
-    /// [`UpdateHint`].
-    step_box_lists: bool,
     /// Union of the snapshot arrays the kernels due this iteration read
     /// (aggregated by `step` from [`Param::neighbor_access`], the
     /// interaction force, and every due operation's
@@ -203,7 +197,6 @@ impl Simulation {
             param,
             step_radius: 0.0,
             step_commit: CommitStats::default(),
-            step_box_lists: false,
             step_access: NeighborAccess::ALL,
             snapshot_iteration: 0,
             snapshot_generation: 0,
@@ -497,11 +490,8 @@ impl Simulation {
 
     /// The neighbor-search index of the current iteration (rebuilt by the
     /// `environment_update` operation). Custom operations can downcast via
-    /// [`Environment::as_uniform_grid`] for grid-specific reads; an
-    /// operation that walks the grid's linked lists (`box_head` /
-    /// `successor`) must also override
-    /// [`Operation::requires_box_lists`](crate::scheduler::Operation::requires_box_lists)
-    /// so the lazy rebuild materializes them.
+    /// [`Environment::as_uniform_grid`] for grid-specific reads (box runs,
+    /// stencil runs).
     pub fn environment(&self) -> &dyn Environment {
         &*self.env
     }
@@ -796,11 +786,6 @@ impl Simulation {
         // ops registered during the iteration land in the (empty) scheduler
         // and are merged back afterwards.
         let mut entries = self.scheduler.take_entries();
-        // Scheduler → environment capability hint: does anything due this
-        // iteration walk the grid's linked lists? (The built-ins never do —
-        // sorting reads the SoA box order — so this is `false` unless a
-        // custom operation opts in.)
-        self.step_box_lists = Scheduler::due_ops_require_box_lists(&entries, self.iteration);
         // Scheduler → snapshot capability: which per-neighbor arrays will
         // anything read before the next gather? The built-in agent kernels
         // (behaviors + mechanics) declare through Param and the force;
@@ -812,24 +797,13 @@ impl Simulation {
         };
         self.step_access =
             Scheduler::due_ops_neighbor_access(&entries, self.iteration, agent_kernel_access);
-        // A consumer can appear between the rebuilds of a re-timed
-        // (frequency > 1) environment pipeline — via add_op, set_enabled,
-        // or a frequency change — in which case the build it would read
-        // this iteration lacks the lists. Force one rebuild so the
-        // documented `requires_box_lists` contract holds unconditionally
-        // while the environment op is enabled.
-        let force_environment = self.step_box_lists
-            && self
-                .env
-                .as_uniform_grid()
-                .is_some_and(|g| g.soa_active() && !g.lists_active());
         // A panicking operation must not leak the detached list (the
         // pipeline would be empty forever if the caller catches the
         // unwind), so restore it before re-raising.
         let result = {
             let mut ctx = SimulationCtx { sim: self };
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Scheduler::run_iteration(&mut entries, &mut ctx, force_environment)
+                Scheduler::run_iteration(&mut entries, &mut ctx)
             }))
         };
         self.scheduler.put_entries(entries);
@@ -866,7 +840,8 @@ impl Simulation {
         let snapshot_fresh = self.snapshot_iteration == self.iteration
             && self.snapshot_generation == self.rm.generation()
             && self.snapshot.len() == n;
-        // Halo width in boxes (box length == interaction radius):
+        // Halo width in boxes (box length ≥ interaction radius; counting a
+        // coarsened box as one radius only widens the halo):
         //   * ring 1 — the query stencil around the query center's box;
         //   * ring 2 — behaviors may move an agent before mechanics
         //     queries at its live position (division offset, chemotaxis,
@@ -895,59 +870,49 @@ impl Simulation {
     }
 
     /// The `environment_update` operation: rebuilds the neighbor index
-    /// (Algorithm 1 L3–5). The rebuild reads positions from the snapshot
-    /// gathered this iteration (contiguous memory, bounds already known)
-    /// whenever it is fresh; without a fresh snapshot — e.g. a custom
-    /// pipeline that dropped the snapshot op — it falls back to reading the
-    /// agents directly. Under sharded execution with a completed halo
-    /// exchange, the K per-shard windowed grids are built instead of the
-    /// global index.
+    /// (Algorithm 1 L3–5) — see [`Simulation::rebuild_index`]. Under sharded
+    /// execution with a completed halo exchange, the K per-shard windowed
+    /// grids are built instead of the global index.
     pub(crate) fn phase_environment(&mut self) {
         self.fire_grid_fault();
-        let n = self.rm.num_agents();
-        if n == 0 {
+        if self.rm.num_agents() == 0 {
             return;
         }
-        let box_lists = if self.step_box_lists {
-            BoxListPolicy::Always
-        } else {
-            BoxListPolicy::IfNeeded
-        };
         let scatter = self.step_access.contains(NeighborAccess::DIAMETERS);
         let (radius, bounds, iteration) = (self.step_radius, self.snapshot.bounds, self.iteration);
         if let Some(st) = self.sharded.as_mut() {
             if st.active_iteration == iteration {
-                st.build_grids(box_lists, scatter, radius, bounds);
+                st.build_grids(scatter, radius, bounds);
                 return;
             }
         }
         let snapshot_fresh = self.snapshot_iteration == self.iteration
             && self.snapshot_generation == self.rm.generation()
-            && self.snapshot.len() == n;
-        if snapshot_fresh {
+            && self.snapshot.len() == self.rm.num_agents();
+        self.rebuild_index(snapshot_fresh);
+    }
+
+    /// Rebuilds the global neighbor index. With `from_snapshot` it reads the
+    /// snapshot gathered this iteration (contiguous positions, bounds
+    /// already known, diameters scattered box-sorted next to the query slots
+    /// when some due kernel reads them — the mechanics force always does);
+    /// otherwise — a custom pipeline that dropped the snapshot op, or a
+    /// population the commit just changed — it reads the agents directly
+    /// (through pointers: no bounds, no diameter slice to scatter from, so
+    /// readers use the lazy per-index load).
+    fn rebuild_index(&mut self, from_snapshot: bool) {
+        if from_snapshot {
             let hint = UpdateHint {
-                build_box_lists: box_lists,
                 known_bounds: self.snapshot.bounds,
-                // Some due kernel reads neighbor diameters (the mechanics
-                // force always does) → the grid scatters them box-sorted
-                // next to its query slots so those reads stream.
                 scatter_diameters: self.step_access.contains(NeighborAccess::DIAMETERS),
                 grid_frame: None,
             };
             let cloud = SnapshotCloud(&self.snapshot);
             self.env.update_with(&cloud, self.step_radius, hint);
         } else {
-            let hint = UpdateHint {
-                build_box_lists: box_lists,
-                known_bounds: None,
-                // Without a fresh snapshot there is no diameter slice to
-                // scatter from (the resource-manager cloud reads agents
-                // through pointers); readers use the lazy fallback.
-                scatter_diameters: false,
-                grid_frame: None,
-            };
             let cloud = ResourceManagerCloud::new(&self.rm);
-            self.env.update_with(&cloud, self.step_radius, hint);
+            self.env
+                .update_with(&cloud, self.step_radius, UpdateHint::default());
         }
     }
 
@@ -1004,51 +969,28 @@ impl Simulation {
         // If the commit of this iteration added or removed agents, the index
         // built at the start of the iteration no longer matches the
         // resource manager and must be rebuilt: the sort's memory safety
-        // depends on the box lists referencing current agent indices.
+        // depends on the box runs referencing current agent indices.
         // Without population changes the index is merely position-stale,
         // which is harmless — the sort only needs *a* consistent spatial
         // binning of the current index set.
-        let box_lists = if self.step_box_lists {
-            BoxListPolicy::Always
-        } else {
-            BoxListPolicy::IfNeeded
-        };
-        if (self.step_commit.added > 0 || self.step_commit.removed > 0) && self.rm.num_agents() > 0
-        {
-            let cloud = ResourceManagerCloud::new(&self.rm);
-            // The sort itself reads the SoA box order on dense clouds and
-            // the lists only on sparse ones (where the grid builds them
-            // anyway) — but a due operation that declared
-            // `requires_box_lists` may still run after this rebuild, so
-            // its capability request carries over.
-            let hint = UpdateHint {
-                build_box_lists: box_lists,
-                known_bounds: None,
-                scatter_diameters: false,
-                grid_frame: None,
-            };
-            self.env.update_with(&cloud, self.step_radius, hint);
-        } else if self.rm.num_agents() > 0
-            && self
+        if self.rm.num_agents() > 0 {
+            if self.step_commit.added > 0 || self.step_commit.removed > 0 {
+                self.rebuild_index(false);
+            } else if self
                 .sharded
                 .as_ref()
                 .is_some_and(|s| s.active_iteration == self.iteration)
-        {
-            // Sharded iteration without population changes: the K shard
-            // grids served the agent phase and the *global* index was never
-            // built. The sort needs a global index over the iteration's
-            // agents — rebuild it from the same snapshot with the same hint
-            // the single-engine `environment_update` would have used, so
-            // the resulting box order (and therefore the sorted agent
-            // permutation) is bitwise that of the single-engine run.
-            let hint = UpdateHint {
-                build_box_lists: box_lists,
-                known_bounds: self.snapshot.bounds,
-                scatter_diameters: self.step_access.contains(NeighborAccess::DIAMETERS),
-                grid_frame: None,
-            };
-            let cloud = SnapshotCloud(&self.snapshot);
-            self.env.update_with(&cloud, self.step_radius, hint);
+            {
+                // Sharded iteration without population changes: the K shard
+                // grids served the agent phase and the *global* index was
+                // never built. The sort needs a global index over the
+                // iteration's agents — rebuild it from the same snapshot
+                // with the same hint the single-engine `environment_update`
+                // would have used, so the resulting box order (and therefore
+                // the sorted agent permutation) is bitwise that of the
+                // single-engine run.
+                self.rebuild_index(true);
+            }
         }
         if let Some(grid) = self.env.as_uniform_grid() {
             let moved = sort_and_balance(
@@ -1189,12 +1131,13 @@ impl Simulation {
         // single-engine one (same splitter, same blocks, same per-thread
         // contexts) — only the per-agent neighbor-query target differs.
         // Each agent queries its owning shard's windowed grid through a
-        // `ShardView` that remaps shard-local hits back to global indices,
+        // `GridView` that remaps shard-local hits back to global indices,
         // so kernels (and FP summation order) never see the partition.
         let shard_state = self
             .sharded
             .as_ref()
             .filter(|s| s.active_iteration == self.iteration);
+        let global_grid = env.as_uniform_grid();
         let snapshot = &self.snapshot;
         let mm = &self.mm;
         let diffusion = &self.diffusion[..];
@@ -1224,21 +1167,28 @@ impl Simulation {
                     let agent: &mut dyn Agent = &mut **agent_box;
                     let global = offsets_ref[domain] + i;
                     let uid = agent.uid();
-                    let shard = shard_state.map(|st| {
-                        let s = st.owner[global] as usize;
-                        ShardView {
-                            grid: &st.grids[s],
-                            members: &st.clouds[s].members,
-                            positions: &st.clouds[s].positions,
-                            self_local: st.local_of[global],
-                            shard: s as u32,
+                    let grid = match shard_state {
+                        Some(st) => {
+                            let s = st.owner[global] as usize;
+                            Some(GridView {
+                                grid: &st.grids[s],
+                                self_index: st.local_of[global] as usize,
+                                remap: Some(&st.clouds[s].members),
+                                cache_key: s as u32,
+                            })
                         }
-                    });
+                        None => global_grid.map(|grid| GridView {
+                            grid,
+                            self_index: global,
+                            remap: None,
+                            cache_key: u32::MAX,
+                        }),
+                    };
                     let mut actx = AgentContext {
                         exec,
                         env,
                         snapshot,
-                        shard,
+                        grid,
                         mm,
                         diffusion,
                         alloc_domain: worker.domain,

@@ -7,7 +7,8 @@
 //! 1. Enumerate the grid boxes in Morton order using the linear-time
 //!    gap-offset table of `bdm-sfc` (Figure 3 D/E) — no sorting, no visits
 //!    to out-of-domain codes.
-//! 2. Count agents per box, prefix-sum, and partition agents among NUMA
+//! 2. Count agents per box (O(1) each: the grid's box-sorted slot runs are
+//!    already the grouping), prefix-sum, and partition agents among NUMA
 //!    domains proportionally to their thread counts (Figure 3 F).
 //! 3. Copy every agent into **freshly allocated pool memory** of its target
 //!    domain in the new order (Figure 3 G) — the copy is what turns spatial
@@ -81,13 +82,10 @@ pub(crate) fn sort_and_balance(
     };
 
     // --- Step 2 (Figure 3 F): agents per box + prefix sum + partition. ---
-    // On dense clouds the grid's SoA cache *is* the box-grouped order the
-    // sort needs (its counting sort already grouped the agents), so both
-    // passes read it directly — O(1) counts and slice copies — instead of
-    // chasing the per-box linked lists, which the lazy rebuild does not
-    // even materialize unless the cloud is sparse.
-    let use_soa = grid.soa_active();
-    let mut counts = box_counts(grid, &flats, pool, use_soa);
+    // The grid's box-sorted slot array *is* the box-grouped order the sort
+    // needs (its counting sort already grouped the agents), so both passes
+    // read it directly — O(1) counts and slice copies.
+    let mut counts: Vec<usize> = flats.iter().map(|&f| grid.box_slots(f).len()).collect();
     // A real assert, not a debug one: the unsafe copy loop below relies on
     // `new_order` being a permutation of all current agent indices, which
     // only holds if the grid was rebuilt after the last add/remove commit.
@@ -99,7 +97,7 @@ pub(crate) fn sort_and_balance(
     );
 
     // New order: global old indices arranged by Morton-ordered boxes.
-    let new_order = box_grouped_order(grid, &flats, &counts, total, pool, use_soa);
+    let new_order = box_grouped_order(grid, &flats, &counts, total, pool);
 
     // Domain shares proportional to thread counts (Figure 3 F: "each NUMA
     // domain receives a share corresponding to its number of threads").
@@ -226,63 +224,23 @@ pub(crate) fn sort_and_balance(
     total
 }
 
-/// Agents per box, in `flats` order — read from the SoA cache's offset
-/// table (O(1) per box) or counted by walking the per-box linked lists.
-fn box_counts(
-    grid: &UniformGridEnvironment,
-    flats: &[usize],
-    pool: &NumaThreadPool,
-    use_soa: bool,
-) -> Vec<usize> {
-    let mut counts: Vec<usize> = vec![0; flats.len()];
-    let counts_ptr = SendMut::new(counts.as_mut_ptr());
-    pool.parallel_for(flats.len(), 256, &|_c, range| {
-        for b in range {
-            let n = if use_soa {
-                grid.box_slots(flats[b]).expect("SoA cache active").len()
-            } else {
-                let mut n = 0usize;
-                grid.for_each_in_box(flats[b], &mut |_| n += 1);
-                n
-            };
-            // SAFETY: slot b written exactly once.
-            unsafe { counts_ptr.write(b, n) };
-        }
-    });
-    counts
-}
-
 /// Old global agent indices grouped by the boxes of `flats`, box `b`'s
-/// agents starting at `offsets[b]` — copied from the SoA cache's sorted
-/// index runs or gathered from the linked lists. Both sources group the
-/// same agents into the same ranges; only the within-box order differs
-/// (ascending agent index vs. reverse insertion order), which the sort is
-/// insensitive to.
+/// agents starting at `offsets[b]` — copied from the grid's sorted slot
+/// runs (ascending agent index within a box).
 fn box_grouped_order(
     grid: &UniformGridEnvironment,
     flats: &[usize],
     offsets: &[usize],
     total: usize,
     pool: &NumaThreadPool,
-    use_soa: bool,
 ) -> Vec<u32> {
     let mut new_order: Vec<u32> = vec![0; total];
     let order_ptr = SendMut::new(new_order.as_mut_ptr());
     pool.parallel_for(flats.len(), 256, &|_c, range| {
         for b in range {
-            let mut w = offsets[b];
-            if use_soa {
-                for slot in grid.box_slots(flats[b]).expect("SoA cache active") {
-                    // SAFETY: box ranges [offsets[b], offsets[b+1]) are disjoint.
-                    unsafe { order_ptr.write(w, slot.index) };
-                    w += 1;
-                }
-            } else {
-                grid.for_each_in_box(flats[b], &mut |agent| {
-                    // SAFETY: box ranges [offsets[b], offsets[b+1]) are disjoint.
-                    unsafe { order_ptr.write(w, agent) };
-                    w += 1;
-                });
+            for (k, slot) in grid.box_slots(flats[b]).iter().enumerate() {
+                // SAFETY: box ranges [offsets[b], offsets[b+1]) are disjoint.
+                unsafe { order_ptr.write(offsets[b] + k, slot.index) };
             }
         }
     });
@@ -295,59 +253,35 @@ mod tests {
     use bdm_env::{Environment, SliceCloud};
     use bdm_util::{Real3, SimRng};
 
-    /// Grid over a dense random cloud, built under the standalone default
-    /// hint so BOTH structures (linked lists and SoA cache) are live.
     fn dense_grid() -> (UniformGridEnvironment, usize) {
         let mut rng = SimRng::new(2024);
         let points: Vec<Real3> = (0..700).map(|_| rng.point_in_cube(0.0, 22.0)).collect();
         let n = points.len();
         let mut grid = UniformGridEnvironment::new();
         grid.update(&SliceCloud(&points), 3.0);
-        assert!(grid.soa_active() && grid.lists_active());
         (grid, n)
     }
 
-    fn morton_flats(grid: &UniformGridEnvironment) -> Vec<usize> {
-        let dims = grid.dims();
-        let gap = GapOffsets::compute_3d(dims[0], dims[1], dims[2]);
-        gap.iter_coords()
-            .map(|(x, y, z)| grid.flat_index([x, y, z]))
-            .collect()
-    }
-
     #[test]
-    fn soa_and_list_paths_agree_on_counts_and_grouping() {
+    fn grouped_order_is_a_permutation_grouped_by_morton_box() {
         let (grid, total) = dense_grid();
         let pool = NumaThreadPool::new(NumaTopology::new(2, 2));
-        let flats = morton_flats(&grid);
-
-        let counts_soa = box_counts(&grid, &flats, &pool, true);
-        let counts_list = box_counts(&grid, &flats, &pool, false);
-        assert_eq!(counts_soa, counts_list);
-
-        let mut offsets = counts_soa;
-        let counted = prefix_sum_exclusive(&mut offsets);
-        assert_eq!(counted, total);
-
-        let order_soa = box_grouped_order(&grid, &flats, &offsets, total, &pool, true);
-        let order_list = box_grouped_order(&grid, &flats, &offsets, total, &pool, false);
-        // Same Morton-ordered grouping from both sources: every box range
-        // holds the same agent set (within-box order may differ — the SoA
-        // run is ascending by agent index, the list is reverse insertion).
-        for b in 0..flats.len() {
-            let end = if b + 1 < flats.len() {
-                offsets[b + 1]
-            } else {
-                total
-            };
-            let mut seg_soa = order_soa[offsets[b]..end].to_vec();
-            let mut seg_list = order_list[offsets[b]..end].to_vec();
-            seg_soa.sort_unstable();
-            seg_list.sort_unstable();
-            assert_eq!(seg_soa, seg_list, "box {b} groups different agents");
+        let dims = grid.dims();
+        let flats: Vec<usize> = GapOffsets::compute_3d(dims[0], dims[1], dims[2])
+            .iter_coords()
+            .map(|(x, y, z)| grid.flat_index([x, y, z]))
+            .collect();
+        let mut offsets: Vec<usize> = flats.iter().map(|&f| grid.box_slots(f).len()).collect();
+        assert_eq!(prefix_sum_exclusive(&mut offsets), total);
+        let order = box_grouped_order(&grid, &flats, &offsets, total, &pool);
+        for (b, &flat) in flats.iter().enumerate() {
+            let expected: Vec<u32> = grid.box_slots(flat).iter().map(|s| s.index).collect();
+            assert_eq!(
+                &order[offsets[b]..offsets[b] + expected.len()],
+                &expected[..]
+            );
         }
-        // And each is a permutation of all agents.
-        let mut sorted = order_soa;
+        let mut sorted = order;
         sorted.sort_unstable();
         assert!(sorted.iter().enumerate().all(|(i, &a)| a as usize == i));
     }
@@ -356,7 +290,7 @@ mod tests {
     fn soa_order_within_box_is_ascending_agent_index() {
         let (grid, _) = dense_grid();
         for flat in 0..grid.num_boxes() {
-            let slots = grid.box_slots(flat).expect("SoA active");
+            let slots = grid.box_slots(flat);
             assert!(
                 slots.windows(2).all(|w| w[0].index < w[1].index),
                 "box {flat} not ascending: {:?}",

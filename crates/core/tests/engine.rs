@@ -503,6 +503,35 @@ fn sorting_preserves_agents_and_orders_by_morton_code() {
 }
 
 #[test]
+fn far_apart_clusters_sort_every_iteration_in_bounded_memory() {
+    // Two 500-cell clusters 10⁴ interaction radii apart: a radius-sized
+    // lattice would hold 10¹² boxes (the rebuild used to abort allocating
+    // them, and the sort enumerated every one). The coarsened lattice keeps
+    // rebuild and per-iteration sort proportional to the 1000 agents.
+    let mut param = small_param(2);
+    param.agent_sort_frequency = Some(1);
+    let mut sim = Simulation::new(param);
+    let mut rng = SimRng::new(29);
+    for i in 0..1000 {
+        let uid = sim.new_uid();
+        let cluster = Real3::splat((i % 2) as f64 * 10.0 * 1e4);
+        sim.add_agent(
+            Cell::new(uid)
+                .with_position(cluster + rng.point_in_cube(0.0, 60.0))
+                .with_diameter(10.0),
+        );
+    }
+    sim.simulate(20);
+    assert_eq!(sim.num_agents(), 1000);
+    assert_eq!(sim.stats().sorts, 20);
+    assert!(sim.stats().force_calculations > 0);
+    let grid = sim.environment().as_uniform_grid().unwrap();
+    assert!(grid.box_length() > 10.0);
+    assert!(grid.num_boxes() <= bdm_env::uniform_grid::MAX_BOXES_PER_POINT * 1000);
+    sim.for_each_agent(|_, a| assert!(a.position().is_finite()));
+}
+
+#[test]
 fn hilbert_sorting_preserves_agents_and_improves_locality() {
     // The Section 4.2 ablation: Hilbert-ordered sorting must be a valid
     // permutation (no agent lost, no duplicate) and, like Morton, must

@@ -5,9 +5,10 @@
 //! BioDynaMo exposes a common `Environment` interface with three
 //! implementations compared in the paper's Figure 11:
 //!
-//! * [`UniformGridEnvironment`] — the paper's optimized uniform grid with
-//!   timestamped boxes (O(#agents) rebuild) and an array-based linked list;
-//!   the engine's default and the fastest choice for the agent workload.
+//! * [`UniformGridEnvironment`] — the paper's optimized uniform grid as one
+//!   box-sorted slot array behind a prefix-sum offset table, on a lattice
+//!   that coarsens for sparse clouds (O(#agents) rebuild and memory); the
+//!   engine's default and the fastest choice for the agent workload.
 //! * [`KdTreeEnvironment`] — a from-scratch kd-tree standing in for the
 //!   `nanoflann` backend (serial build, bucketed leaves).
 //! * [`OctreeEnvironment`] — a from-scratch octree standing in for the
@@ -185,12 +186,6 @@ impl EnvironmentKind {
 /// gathering the iteration snapshot. The hint lets an index skip work that
 /// nobody will read:
 ///
-/// * `build_box_lists` — whether any consumer will walk the uniform grid's
-///   per-box linked lists (`box_head` / `successor` / `for_each_in_box`)
-///   this iteration. When `false` *and* the cloud is dense enough for the
-///   SoA query cache, the grid skips the CAS linked-list insertion entirely;
-///   sparse clouds build the lists regardless because queries fall back to
-///   them. Environments without box lists ignore the flag.
 /// * `known_bounds` — axis-aligned bounds of `cloud`, if the caller already
 ///   computed them (the engine derives them during the snapshot gather, so
 ///   the index build saves a full pass over the agents). Must enclose every
@@ -199,21 +194,20 @@ impl EnvironmentKind {
 /// * `scatter_diameters` — whether some consumer will read neighbor
 ///   *diameters* this iteration (the scheduler's due-kernel
 ///   `NeighborAccess` union declares it). The uniform grid then scatters a
-///   box-sorted diameter array alongside its query cache in the same pass
-///   — if the cloud carries diameters ([`PointCloud::diameters`]) — so the
-///   force kernel streams them with the positions instead of gathering
+///   box-sorted diameter array alongside its slots in the same pass — if
+///   the cloud carries diameters ([`PointCloud::diameters`]) — so the force
+///   kernel streams them with the positions instead of gathering
 ///   `diameters[idx]` per accepted neighbor. Purely an optimization:
 ///   readers fall back to the lazy per-index load when the scatter was
 ///   skipped, and the scattered values are bitwise copies.
+/// * `grid_frame` — pins the uniform grid's lattice instead of deriving it
+///   from the cloud (sharded execution).
 ///
-/// [`UpdateHint::default`] is the conservative standalone contract: build
-/// everything the cloud supports, compute bounds from the cloud — except
-/// the diameter scatter, which defaults off because plain position clouds
-/// carry no diameters and no reader requires it for correctness.
+/// [`UpdateHint::default`] is the standalone contract: compute bounds and
+/// lattice from the cloud, no diameter scatter (plain position clouds carry
+/// no diameters and no reader requires it for correctness).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpdateHint {
-    /// Request the per-box linked lists even if queries will not need them.
-    pub build_box_lists: BoxListPolicy,
     /// Precomputed tight bounds of the cloud, if the caller has them.
     pub known_bounds: Option<(Real3, Real3)>,
     /// Request the box-sorted diameter scatter (uniform grid only; requires
@@ -232,13 +226,14 @@ pub struct UpdateHint {
 /// invariance requires each agent to land in **exactly** the box the
 /// single-engine global grid would assign — the box coordinate computation
 /// `((pos - anchor) * inv_box_length) as i64` is floating point, so the
-/// anchor must be the *global* anchor, not the shard cloud's own minimum.
+/// anchor must be the *global* anchor, not the shard cloud's own minimum,
+/// and the box edge the *global* edge.
 ///
-/// A frame pins: the global anchor, the shard's window into the global box
-/// lattice (`box_offset` + `dims`, so a shard only allocates boxes for its
-/// own region), and the global SoA-cache decision (`build_cache`), which
-/// must not flip per shard because the SoA and linked-list query paths
-/// enumerate neighbors along different (equally valid) orders.
+/// A frame pins: the global anchor, the global lattice and its box edge
+/// (one [`UniformGridEnvironment::lattice_for`] decision over the whole
+/// population — a shard deciding alone could coarsen differently), and the
+/// shard's window into that lattice (`box_offset` + `dims`, so a shard only
+/// allocates boxes for its own region).
 ///
 /// Box coordinates are computed against the global frame first and then
 /// shifted by `box_offset` in exact integer arithmetic, so membership is
@@ -256,22 +251,10 @@ pub struct GridFrame {
     /// Window dimensions in boxes; the build allocates only
     /// `dims[0]·dims[1]·dims[2]` boxes.
     pub dims: [u32; 3],
-    /// The *global* grid's SoA-cache decision, forced onto this build.
-    pub build_cache: bool,
-}
-
-/// Whether [`Environment::update_with`] must materialize the uniform grid's
-/// per-box linked lists (see [`UpdateHint::build_box_lists`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BoxListPolicy {
-    /// Build the lists unconditionally (standalone/default contract: all
-    /// grid accessors stay usable).
-    #[default]
-    Always,
-    /// Build the lists only when the index needs them itself (the uniform
-    /// grid's sparse fallback); dense clouds serve every registered
-    /// consumer from the SoA cache.
-    IfNeeded,
+    /// Box edge of the *global* lattice (≥ the interaction radius), as
+    /// returned by [`UniformGridEnvironment::lattice_for`] for the whole
+    /// population.
+    pub box_length: f64,
 }
 
 /// A rebuildable fixed-radius neighbor-search index.
@@ -279,8 +262,8 @@ pub trait Environment: Send + Sync {
     /// Rebuilds the index over `cloud` for fixed-radius queries up to
     /// `interaction_radius` (known at the start of each iteration; paper
     /// Section 3.1 exploits exactly this). Equivalent to
-    /// [`Environment::update_with`] under [`UpdateHint::default`] — every
-    /// auxiliary structure is built, bounds are computed from the cloud.
+    /// [`Environment::update_with`] under [`UpdateHint::default`] — bounds
+    /// are computed from the cloud.
     fn update(&mut self, cloud: &dyn PointCloud, interaction_radius: f64) {
         self.update_with(cloud, interaction_radius, UpdateHint::default());
     }
@@ -288,8 +271,8 @@ pub trait Environment: Send + Sync {
     /// Rebuilds the index like [`Environment::update`], with an engine
     /// [`UpdateHint`] describing which capabilities this iteration's
     /// consumers actually need. Implementations may use the hint to skip
-    /// work (the uniform grid's lazy linked list) but must stay correct if
-    /// they ignore it.
+    /// work (the uniform grid's conditional diameter scatter) but must stay
+    /// correct if they ignore it.
     fn update_with(&mut self, cloud: &dyn PointCloud, interaction_radius: f64, hint: UpdateHint);
 
     /// Visits every point within `radius` of `pos` (`radius` must not exceed

@@ -1,36 +1,34 @@
 //! The optimized uniform grid of paper Section 3.1.
 //!
-//! Key properties reproduced from the paper:
+//! The grid keeps **one** structure: a box-sorted array of interleaved
+//! 32-byte `(position, index)` slots delimited by a prefix-sum offset table
+//! — contiguous per-box runs instead of a linked list through
+//! array-of-structs agents (the layout the GPU port, arXiv 2105.00039,
+//! restructures its kernels around). Every consumer reads it: the per-agent
+//! queries, the box-batched force kernel, the sharded engine and the agent
+//! sort.
 //!
-//! * **O(#agents) rebuild** — every box carries a timestamp; a box is empty
-//!   unless its timestamp equals the grid's current one, so boxes are never
-//!   zeroed ("we can build the grid in O(#agents) time instead of
-//!   O(#agents + #boxes), which is relevant for large simulation spaces that
-//!   are not fully populated").
+//! * **O(#agents) rebuild, sort and memory by construction** — the lattice
+//!   never holds more than [`MAX_BOXES_PER_POINT`]` · n` boxes. While the
+//!   cloud is dense enough the box edge equals the interaction radius; a
+//!   sparser cloud gets a **coarsened lattice** whose edge is the smallest
+//!   one that fits the budget ([`UniformGridEnvironment::lattice_for`]).
+//!   The paper bounds the rebuild with timestamped boxes that are never
+//!   zeroed; bounding the box count bounds the same work without a second
+//!   structure, and bounds memory too.
 //! * **Single fused build pass** — one sweep over the cloud computes each
-//!   agent's flat box index, accumulates the per-box histogram of the SoA
-//!   counting sort into chunk-private count rows (no shared atomics), and —
-//!   only when requested — pushes the agent onto its box's linked list. The
+//!   agent's flat box index and accumulates the per-box histogram of the
+//!   counting sort into chunk-private count rows (no shared atomics). The
 //!   rows are merged by a prefix sum into the offset table *and* into exact
 //!   per-(chunk, box) write cursors, which makes the subsequent scatter both
 //!   contention-free and deterministic: agents of a box land in ascending
 //!   agent-index order regardless of thread scheduling.
-//! * **Lazy array-based linked list** — agents in a box form a singly-linked
-//!   list through the `successors` array (the paper's layout; the box stores
-//!   only the list head). On dense clouds the SoA cache serves every query
-//!   and every box-enumeration consumer, so the CAS insertion is skipped
-//!   entirely unless the caller's [`UpdateHint`] requests the lists; sparse
-//!   clouds always build them because queries fall back to the list walk.
 //! * **3×3×3 search** — a fixed-radius query visits the query box and its 26
-//!   surrounding boxes.
-//! * **SoA query cache** — when the box table is dense enough, the rebuild
-//!   produces a per-box-sorted copy of the cloud as **interleaved 32-byte
-//!   `(position, index)` slots** delimited by a prefix-sum offset table.
-//!   Queries then stream ONE contiguous array instead of chasing the
-//!   `successors` linked list through array-of-structs agents, and because
-//!   boxes adjacent in x are adjacent in the sorted slots, the 3×3×3
-//!   stencil collapses into nine contiguous runs ([`StencilRuns`] exposes
-//!   them for box-batched callers). When the caller's [`UpdateHint`]
+//!   surrounding boxes; complete because the box edge is never smaller than
+//!   the build radius. Boxes adjacent in x are adjacent in the sorted slots,
+//!   so the stencil collapses into nine contiguous runs ([`StencilRuns`]
+//!   exposes them for box-batched callers).
+//! * **Conditional diameter scatter** — when the caller's [`UpdateHint`]
 //!   declares that this iteration's kernels read neighbor diameters, a
 //!   box-sorted diameter array is scattered alongside the slots in the same
 //!   pass, so the force kernel's diameter load is a streamed neighbor of
@@ -38,17 +36,14 @@
 //!   over box ranges so each pass writes into a bounded window of the
 //!   sorted arrays instead of spraying the whole allocation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use bdm_util::prefix_sum::inclusive_prefix_sum_parallel_u32;
 use bdm_util::send_ptr::SendMut;
 use bdm_util::Real3;
 use rayon::prelude::*;
 
-use crate::{BoxListPolicy, Environment, NeighborQueryScratch, PointCloud, UpdateHint};
-
-/// Sentinel for "no agent" in box heads and the successors list.
-const NIL: u32 = u32::MAX;
+use crate::{Environment, NeighborQueryScratch, PointCloud, UpdateHint};
 
 /// Below this point count the build runs serially: the fork-join overhead of
 /// the parallel path costs more than the whole serial build (measured with
@@ -56,12 +51,19 @@ const NIL: u32 = u32::MAX;
 /// populations, where the parallel path wins).
 const PARALLEL_BUILD_THRESHOLD: usize = 1 << 16;
 
-/// The SoA query cache is built only when the box table is at most this many
-/// boxes per indexed point. Beyond it the cloud is so sparse that the
-/// per-box passes of the cache build (O(#boxes)) would break the grid's
-/// O(#agents) rebuild guarantee — those clouds keep the linked-list query
-/// path, whose lazy timestamps never touch empty boxes.
-const SOA_MAX_BOXES_PER_POINT: usize = 4;
+/// Box budget of the lattice: at most this many boxes per indexed point.
+/// Beyond it the per-box passes of the rebuild (offset table, count rows,
+/// occupancy bitmap — all O(#boxes)) would dominate the O(#agents) work, so
+/// [`UniformGridEnvironment::lattice_for`] coarsens the box edge instead.
+/// A constant, not an option: the smallest value of the measured sweep in
+/// docs/PERFORMANCE.md ("The box budget") that leaves every benchmark
+/// workload on radius-sized boxes — query time is flat across the sweep
+/// while rebuild time and memory grow with the box count.
+pub const MAX_BOXES_PER_POINT: usize = 8;
+
+/// Per-axis lattice cap: box coordinates must fit the 21-bit Morton range
+/// the agent sort encodes them into.
+const MAX_BOXES_PER_AXIS: u64 = 1 << 20;
 
 /// Upper bound on the number of chunk-private count rows of the fused
 /// counting pass. More rows mean less parallel imbalance but O(rows × boxes)
@@ -81,10 +83,10 @@ const SCATTER_TILE_BYTES: usize = 4 << 20;
 /// per-agent box indices, so the pass count stays bounded.
 const MAX_SCATTER_TILES: usize = 8;
 
-/// Bytes one agent occupies in the SoA cache (one interleaved slot).
+/// Bytes one agent occupies in the slot array (one interleaved slot).
 const SOA_SLOT_BYTES: usize = std::mem::size_of::<SortedSlot>();
 
-/// One slot of the box-sorted SoA query cache: the point's position and its
+/// One slot of the box-sorted array: the point's position and its
 /// cloud index interleaved into a single record, so the stencil scan streams
 /// ONE contiguous array — the index that follows an accepted position sits
 /// on the same cache line instead of in a second parallel array.
@@ -125,18 +127,6 @@ impl StencilRuns {
     }
 }
 
-/// Packs a box's `(timestamp, head)` into one atomic word so that the lazy
-/// reset-on-first-touch and the list push are a single CAS.
-#[inline]
-fn pack(ts: u32, head: u32) -> u64 {
-    ((ts as u64) << 32) | head as u64
-}
-
-#[inline]
-fn unpack(word: u64) -> (u32, u32) {
-    ((word >> 32) as u32, word as u32)
-}
-
 /// The uniform grid environment (`UniformGridEnvironment` in BioDynaMo).
 ///
 /// # Example
@@ -168,14 +158,6 @@ fn unpack(word: u64) -> (u32, u32) {
 /// assert_eq!(hits, vec![(1, Real3::new(1.0, 0.0, 0.0), 1.0)]);
 /// ```
 pub struct UniformGridEnvironment {
-    /// Packed `(timestamp, head)` per box. Grown (and written) only on
-    /// updates that build the linked lists.
-    boxes: Vec<AtomicU64>,
-    /// `successors[i]` = next agent in the same box, or `NIL`. Only valid
-    /// while `lists_active`.
-    successors: Vec<u32>,
-    /// Current grid timestamp; a box is valid only if its stamp matches.
-    timestamp: u32,
     /// Number of boxes per axis (the *window* dimensions under an external
     /// [`GridFrame`](crate::GridFrame); equal to `global_dims` otherwise).
     dims: [u32; 3],
@@ -190,52 +172,49 @@ pub struct UniformGridEnvironment {
     box_offset: [i64; 3],
     /// Lower corner of the grid.
     grid_min: Real3,
-    /// Edge length of a cubic box (= interaction radius).
+    /// Edge length of a cubic box: the build radius, or larger on a
+    /// coarsened lattice ([`UniformGridEnvironment::lattice_for`]).
     box_length: f64,
     /// Cached `1 / box_length`: the per-point box computation multiplies
     /// instead of dividing (three divisions per agent dominate the build
     /// otherwise).
     inv_box_length: f64,
+    /// Interaction radius of the last build — the largest query radius the
+    /// 3×3×3 stencil is asserted to serve (`box_length` is never smaller).
+    build_radius: f64,
     /// Number of indexed points.
     num_points: usize,
     /// Bounds of the indexed points.
     bounds: Option<(Real3, Real3)>,
-    /// Exclusive prefix-sum offset table of the SoA cache: box `b`'s agents
-    /// occupy `sorted_*[cell_offsets[b]..cell_offsets[b + 1]]`. `u32` — the
-    /// cache is only built when every offset fits — so the O(#boxes) merge
-    /// passes move half the memory of a `usize` table. Only valid while
-    /// `soa_active`.
+    /// Exclusive prefix-sum offset table: box `b`'s agents occupy
+    /// `sorted_slots[cell_offsets[b]..cell_offsets[b + 1]]`. `u32` — the
+    /// lattice budget guarantees every offset fits — so the O(#boxes) merge
+    /// passes move half the memory of a `usize` table.
     cell_offsets: Vec<u32>,
-    /// Interleaved `(position, index)` slots grouped by box (SoA copy taken
-    /// at `update()` time) — one contiguous array for the stencil scan.
+    /// Interleaved `(position, index)` slots grouped by box (copy taken at
+    /// `update()` time) — one contiguous array for the stencil scan.
     sorted_slots: Vec<SortedSlot>,
     /// Per-point diameters grouped by box, parallel to `sorted_slots`.
     /// Scattered only when the caller's [`UpdateHint`] requested it and the
     /// cloud carries diameters; only valid while `diameters_active`.
     sorted_diameters: Vec<f64>,
     /// Per-agent flat box index recorded during the fused build pass
-    /// (scratch for the counting sort; filled only when the cache is
-    /// built — which guarantees the flat index fits in 32 bits).
+    /// (scratch for the counting sort; the lattice budget guarantees the
+    /// flat index fits in 32 bits).
     agent_boxes: Vec<u32>,
     /// Chunk-private count rows of the fused counting pass, `chunks × boxes`
     /// (scratch, reused). After the merge each entry is the exact scatter
     /// cursor of its `(chunk, box)` pair.
     count_scratch: Vec<u32>,
     /// One bit per box, set iff the box holds at least one agent in the
-    /// current SoA build. At ~0.3 agents/box (typical 10⁶-agent models) a
+    /// current build. At ~0.3 agents/box (typical 10⁶-agent models) a
     /// large fraction of the stencil's nine runs is empty; testing three
     /// bits in this 1-bit/box table (~0.4 MB at 3.4M boxes — cache-resident
     /// where the 4-byte/box `cell_offsets` table is not) skips the offset
-    /// loads for those runs entirely. Only valid while `soa_active`.
+    /// loads for those runs entirely.
     occupancy: Vec<u64>,
-    /// Whether the SoA cache matches the current build (dense clouds only;
-    /// see [`SOA_MAX_BOXES_PER_POINT`]).
-    soa_active: bool,
     /// Whether `sorted_diameters` matches the current build (see the field).
     diameters_active: bool,
-    /// Whether the per-box linked lists match the current build (sparse
-    /// clouds, or dense clouds whose caller requested them).
-    lists_active: bool,
     /// Monotonic count of completed rebuilds — a cheap identity for "the
     /// build these cached values belong to". Externally cached per-build
     /// state (resolved [`StencilRuns`]) is validated with one compare.
@@ -252,15 +231,13 @@ impl UniformGridEnvironment {
     /// Creates an empty grid.
     pub fn new() -> UniformGridEnvironment {
         UniformGridEnvironment {
-            boxes: Vec::new(),
-            successors: Vec::new(),
-            timestamp: 0,
             dims: [0; 3],
             global_dims: [0; 3],
             box_offset: [0; 3],
             grid_min: Real3::ZERO,
             box_length: 1.0,
             inv_box_length: 1.0,
+            build_radius: 1.0,
             num_points: 0,
             bounds: None,
             cell_offsets: Vec::new(),
@@ -269,9 +246,7 @@ impl UniformGridEnvironment {
             agent_boxes: Vec::new(),
             count_scratch: Vec::new(),
             occupancy: Vec::new(),
-            soa_active: false,
             diameters_active: false,
-            lists_active: false,
             build_count: 0,
         }
     }
@@ -286,7 +261,8 @@ impl UniformGridEnvironment {
         self.grid_min
     }
 
-    /// Box edge length the grid was built with.
+    /// Box edge length of the current lattice: the build radius, or larger
+    /// when [`UniformGridEnvironment::lattice_for`] coarsened it.
     pub fn box_length(&self) -> f64 {
         self.box_length
     }
@@ -297,6 +273,9 @@ impl UniformGridEnvironment {
     }
 
     /// Box coordinates containing `pos` (clamped into the grid).
+    ///
+    /// # Panics
+    /// On an empty grid (no box to clamp into).
     ///
     /// Under an external [`GridFrame`](crate::GridFrame) the computation
     /// runs against the *global* anchor and lattice first and the window
@@ -335,35 +314,66 @@ impl UniformGridEnvironment {
         out
     }
 
-    /// The global-lattice dimension formula every build shares (per axis:
-    /// `⌊extent / box_length⌋ + 1`, capped at the Morton range) — exposed
-    /// for the same reason as
-    /// [`UniformGridEnvironment::global_box_coordinates`].
-    #[inline]
-    pub fn global_dims_for(min: Real3, max: Real3, box_length: f64) -> [u32; 3] {
-        let mut dims = [0u32; 3];
-        for a in 0..3 {
-            let extent = (max[a] - min[a]).max(0.0);
-            let d = (extent / box_length).floor() as u32 + 1;
-            // Cap per-axis dimension to the Morton range.
-            dims[a] = d.min(1 << 20);
+    /// The lattice every build over `n` points spanning `[min, max]` uses:
+    /// `(box_length, dims)` with `dims[a] = ⌊extent[a] / box_length⌋ + 1`.
+    ///
+    /// `box_length` equals `radius` while that lattice fits the budget —
+    /// at most [`MAX_BOXES_PER_POINT`]` · n` boxes (and `u32::MAX`, flat box
+    /// indices are 32-bit) and at most 2²⁰ boxes per axis (the Morton range
+    /// of the agent sort). A sparser cloud gets the **smallest larger edge
+    /// that fits**, so rebuild, sort and memory stay O(n) however far apart
+    /// the points are, and the 3×3×3 stencil stays complete because the
+    /// edge never drops below the radius.
+    ///
+    /// A pure function of its arguments, exposed so the sharded engine makes
+    /// the *same* decision once for the global cloud and pins it on every
+    /// shard window ([`GridFrame::box_length`](crate::GridFrame::box_length)).
+    pub fn lattice_for(min: Real3, max: Real3, radius: f64, n: usize) -> (f64, [u32; 3]) {
+        let budget = (n.max(1) as u64)
+            .saturating_mul(MAX_BOXES_PER_POINT as u64)
+            .min(u32::MAX as u64);
+        // NaN and negative extents collapse to 0, infinite ones to f64::MAX.
+        let extent = [0, 1, 2].map(|a| {
+            let e = max[a] - min[a];
+            if e > 0.0 {
+                e.min(f64::MAX)
+            } else {
+                0.0
+            }
+        });
+        let dims_at = |edge: f64| -> Option<[u32; 3]> {
+            let mut dims = [0u32; 3];
+            let mut boxes = 1u64;
+            for a in 0..3 {
+                // Float → int `as` saturates; non-negative, so it floors.
+                let d = ((extent[a] / edge) as u64).saturating_add(1);
+                if d > MAX_BOXES_PER_AXIS {
+                    return None;
+                }
+                dims[a] = d as u32;
+                boxes *= d; // ≤ 2⁶⁰
+            }
+            (boxes <= budget).then_some(dims)
+        };
+        if let Some(dims) = dims_at(radius) {
+            return (radius, dims);
         }
-        dims
-    }
-
-    /// The SoA-cache decision a *self-derived* build over `n` points in a
-    /// `global_dims` lattice would make — exposed so the sharded engine can
-    /// force the global decision onto every shard window
-    /// ([`GridFrame::build_cache`](crate::GridFrame::build_cache)): if shards
-    /// decided independently, a dense global population could split into
-    /// sparse windows whose query paths diverge from the single-engine run.
-    #[inline]
-    pub fn global_build_cache(global_dims: [u32; 3], n: usize) -> bool {
-        let mut nboxes = 1usize;
-        for d in global_dims {
-            nboxes = nboxes.saturating_mul(d as usize);
+        // `dims_at` is monotone in the edge and positive floats order like
+        // their bit patterns, so bisecting the bits finds the exact smallest
+        // fitting edge in ≤ 64 steps. The largest extent always fits (≤ 2
+        // boxes per axis) and exceeds `radius`, which did not fit.
+        let mut lo = radius.to_bits();
+        let mut hi = extent[0].max(extent[1]).max(extent[2]).to_bits();
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if dims_at(f64::from_bits(mid)).is_some() {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
         }
-        nboxes <= n.saturating_mul(SOA_MAX_BOXES_PER_POINT) && nboxes <= u32::MAX as usize
+        let edge = f64::from_bits(hi);
+        (edge, dims_at(edge).expect("bisection keeps `hi` fitting"))
     }
 
     /// Flattened (row-major) index of box `(x, y, z)`.
@@ -372,72 +382,6 @@ impl UniformGridEnvironment {
         (bc[0] as usize)
             + (self.dims[0] as usize)
                 * ((bc[1] as usize) + (self.dims[1] as usize) * bc[2] as usize)
-    }
-
-    /// Head of the agent list of the box at `flat`, or `None` if the box is
-    /// empty this iteration.
-    ///
-    /// # Panics
-    /// If the last update skipped the linked lists (see
-    /// [`UniformGridEnvironment::lists_active`]); enumerate boxes with
-    /// [`UniformGridEnvironment::for_each_in_box`] or
-    /// [`UniformGridEnvironment::box_slots`], which also serve from the SoA
-    /// cache.
-    #[inline]
-    pub fn box_head(&self, flat: usize) -> Option<u32> {
-        assert!(
-            self.lists_active,
-            "the last update skipped the per-box linked lists; request them \
-             via UpdateHint::build_box_lists (or use box_slots/for_each_in_box)"
-        );
-        let (ts, head) = unpack(self.boxes[flat].load(Ordering::Relaxed));
-        (ts == self.timestamp && head != NIL).then_some(head)
-    }
-
-    /// Successor of `agent` within its box list. Like
-    /// [`UniformGridEnvironment::box_head`], only meaningful while the
-    /// linked lists are active.
-    #[inline]
-    pub fn successor(&self, agent: u32) -> Option<u32> {
-        debug_assert!(self.lists_active);
-        let next = self.successors[agent as usize];
-        (next != NIL).then_some(next)
-    }
-
-    /// Iterates the agents of one box, from whichever structure the last
-    /// update built: the linked list when active (standalone/default
-    /// contract), otherwise the SoA cache's box run.
-    pub fn for_each_in_box(&self, flat: usize, visit: &mut dyn FnMut(u32)) {
-        if self.lists_active {
-            let mut cur = self.box_head(flat);
-            while let Some(i) = cur {
-                visit(i);
-                cur = self.successor(i);
-            }
-        } else if self.soa_active {
-            for s in self.soa_box_slots(flat) {
-                visit(s.index);
-            }
-        } else {
-            debug_assert_eq!(
-                self.num_points, 0,
-                "an update builds at least one structure"
-            );
-        }
-    }
-
-    /// Whether the last [`Environment::update_with`] built the SoA query
-    /// cache (dense clouds; see the module docs). When `false`, queries fall
-    /// back to walking the `successors` linked list.
-    pub fn soa_active(&self) -> bool {
-        self.soa_active
-    }
-
-    /// Whether the last [`Environment::update_with`] built the per-box
-    /// linked lists. Dense clouds skip them unless the caller's
-    /// [`UpdateHint`] requests box lists; sparse clouds always build them.
-    pub fn lists_active(&self) -> bool {
-        self.lists_active
     }
 
     /// Number of completed [`Environment::update_with`] calls on this grid.
@@ -449,29 +393,21 @@ impl UniformGridEnvironment {
         self.build_count
     }
 
-    /// The agents of the box at `flat` as a slice of the interleaved SoA
-    /// cache (each [`SortedSlot::index`] is an agent index), in ascending
-    /// agent-index order, or `None` if the last update did not build the
-    /// cache. O(1); the agent-sorting operation reads the box-grouped order
-    /// straight from here (the counting sort *is* the grouping the sort
-    /// would otherwise recompute from the lists).
+    /// The agents of the box at `flat` as a slice of the interleaved slot
+    /// array (each [`SortedSlot::index`] is an agent index), in ascending
+    /// agent-index order. O(1); the agent-sorting operation reads the
+    /// box-grouped order straight from here (the counting sort *is* the
+    /// grouping the sort needs).
     #[inline]
-    pub fn box_slots(&self, flat: usize) -> Option<&[SortedSlot]> {
-        self.soa_active.then(|| self.soa_box_slots(flat))
-    }
-
-    #[inline]
-    fn soa_box_slots(&self, flat: usize) -> &[SortedSlot] {
-        debug_assert!(self.soa_active);
+    pub fn box_slots(&self, flat: usize) -> &[SortedSlot] {
         &self.sorted_slots[self.cell_offsets[flat] as usize..self.cell_offsets[flat + 1] as usize]
     }
 
-    /// The box-sorted interleaved slot array of the current build, or `None`
-    /// while the SoA cache is inactive. [`StencilRuns`] ranges index into
-    /// this slice.
+    /// The box-sorted interleaved slot array of the current build.
+    /// [`StencilRuns`] ranges index into this slice.
     #[inline]
-    pub fn slots(&self) -> Option<&[SortedSlot]> {
-        self.soa_active.then_some(&self.sorted_slots[..])
+    pub fn slots(&self) -> &[SortedSlot] {
+        &self.sorted_slots
     }
 
     /// Box-sorted per-point diameters parallel to
@@ -481,20 +417,16 @@ impl UniformGridEnvironment {
     /// via [`PointCloud::diameters`]).
     #[inline]
     pub fn scattered_diameters(&self) -> Option<&[f64]> {
-        (self.soa_active && self.diameters_active).then_some(&self.sorted_diameters[..])
+        self.diameters_active.then_some(&self.sorted_diameters[..])
     }
 
-    /// Monomorphized SoA fast-path query: identical semantics to
-    /// [`Environment::for_each_neighbor`] but generic over the visitor, so
-    /// the per-candidate distance test and the per-neighbor callback inline
-    /// into one loop — no virtual dispatch anywhere on the hot path. The
-    /// engine's per-agent neighbor queries (the dominant cost at 10⁶+
-    /// agents, paper Fig. 5) call this directly after downcasting via
-    /// [`Environment::as_uniform_grid`].
-    ///
-    /// Returns `false` without visiting anything when the last update did
-    /// not build the SoA cache (sparse clouds) — the caller then falls back
-    /// to the trait-object path, which serves from the linked lists.
+    /// The fixed-radius query, generic over the visitor: identical
+    /// semantics to [`Environment::for_each_neighbor`] (which adapts to it),
+    /// but the per-candidate distance test and the per-neighbor callback
+    /// inline into one loop over the ≤9 stencil runs — no virtual dispatch
+    /// anywhere on the hot path. The engine's per-agent neighbor queries
+    /// (the dominant cost at 10⁶+ agents, paper Fig. 5) call this directly
+    /// after downcasting via [`Environment::as_uniform_grid`].
     #[inline]
     pub fn for_each_neighbor_soa<F: FnMut(usize, Real3, f64)>(
         &self,
@@ -502,13 +434,9 @@ impl UniformGridEnvironment {
         exclude: Option<usize>,
         radius: f64,
         mut visit: F,
-    ) -> bool {
-        if self.num_points == 0 || self.dims[0] == 0 {
-            // Nothing to visit; the query is served either way.
-            return true;
-        }
-        if !self.soa_active {
-            return false;
+    ) {
+        if self.num_points == 0 {
+            return;
         }
         self.assert_query_radius(radius);
         let r2 = radius * radius;
@@ -527,84 +455,36 @@ impl UniformGridEnvironment {
                 }
             }
         });
-        true
-    }
-
-    /// Like [`UniformGridEnvironment::for_each_neighbor_soa`], but the
-    /// visitor additionally receives each accepted neighbor's **box-sorted
-    /// diameter** — streamed from the run the position came from, killing
-    /// the random `diameters[idx]` gather of the lazy snapshot load.
-    ///
-    /// Returns `false` without visiting anything when the last update did
-    /// not scatter diameters (see
-    /// [`UniformGridEnvironment::scattered_diameters`]) — callers fall back
-    /// to the plain query plus the lazy per-index load, which yields the
-    /// bitwise-identical value (the scatter copies, it never recomputes).
-    #[inline]
-    pub fn for_each_neighbor_soa_diam<F: FnMut(usize, Real3, f64, f64)>(
-        &self,
-        pos: Real3,
-        exclude: Option<usize>,
-        radius: f64,
-        mut visit: F,
-    ) -> bool {
-        if self.num_points == 0 || self.dims[0] == 0 {
-            return true;
-        }
-        if !self.soa_active || !self.diameters_active {
-            return false;
-        }
-        self.assert_query_radius(radius);
-        let r2 = radius * radius;
-        let bc = self.box_coordinates(pos);
-        self.for_each_stencil_run(bc, |start, end| {
-            for slot in start..end {
-                // SAFETY: runs lie within the slot array and
-                // `sorted_diameters` is parallel to it while
-                // `diameters_active` (same scatter pass).
-                unsafe {
-                    let s = self.sorted_slots.get_unchecked(slot);
-                    let d2 = pos.distance_sq(&s.position);
-                    if d2 <= r2 {
-                        let idx = s.index as usize;
-                        if Some(idx) != exclude {
-                            let diameter = *self.sorted_diameters.get_unchecked(slot);
-                            visit(idx, s.position, diameter, d2);
-                        }
-                    }
-                }
-            }
-        });
-        true
     }
 
     /// Resolves the 3×3×3 stencil of the box with coordinates `bc` (from
     /// [`UniformGridEnvironment::box_coordinates`]) into its non-empty slot
-    /// runs, or `None` while the SoA cache is inactive. The stencil is a
-    /// pure function of the box, so all agents resident in one box share the
-    /// result — resolve once, query many (the box-batched mechanics path).
+    /// runs (none on an empty grid). The stencil is a pure function of the
+    /// box, so all agents resident in one box share the result — resolve
+    /// once, query many (the box-batched mechanics path).
     #[inline]
-    pub fn stencil_runs(&self, bc: [u32; 3]) -> Option<StencilRuns> {
-        if !self.soa_active || self.num_points == 0 || self.dims[0] == 0 {
-            return None;
-        }
+    pub fn stencil_runs(&self, bc: [u32; 3]) -> StencilRuns {
         let mut out = StencilRuns::default();
-        self.for_each_stencil_run(bc, |start, end| {
-            out.runs[out.len as usize] = (start as u32, end as u32);
-            out.len += 1;
-        });
-        Some(out)
+        if self.num_points > 0 {
+            self.for_each_stencil_run(bc, |start, end| {
+                out.runs[out.len as usize] = (start as u32, end as u32);
+                out.len += 1;
+            });
+        }
+        out
     }
 
-    /// A 3×3×3 box walk only covers queries up to the build radius; anything
-    /// larger would silently miss neighbors, so fail loudly.
+    /// The 3×3×3 box walk is only guaranteed for queries up to the build
+    /// radius (a coarsened lattice would happen to serve more, a dense one
+    /// would silently miss neighbors), so fail loudly beyond it — models
+    /// must declare their largest query via `Param::interaction_radius`.
     #[inline]
     fn assert_query_radius(&self, radius: f64) {
         assert!(
-            radius <= self.box_length * (1.0 + 1e-12),
+            self.radius_within_build(radius),
             "query radius {radius} exceeds the radius the uniform grid was built with ({}); \
              set Param::interaction_radius to the largest query radius of the model",
-            self.box_length
+            self.build_radius
         );
     }
 
@@ -612,7 +492,7 @@ impl UniformGridEnvironment {
     /// (the condition the queries assert).
     #[inline]
     pub fn radius_within_build(&self, radius: f64) -> bool {
-        radius <= self.box_length * (1.0 + 1e-12)
+        radius <= self.build_radius * (1.0 + 1e-12)
     }
 
     /// The single definition of the stencil traversal: visits the ≤9
@@ -799,7 +679,7 @@ impl UniformGridEnvironment {
         }
     }
 
-    /// Scatter pass of the SoA build: every agent's interleaved
+    /// Scatter pass of the build: every agent's interleaved
     /// `(position, index)` slot — and, when requested, its diameter — goes
     /// to the cursor of its `(chunk, box)` pair. Chunks run in parallel; the
     /// cursors make all writes disjoint and the within-box order ascending
@@ -912,18 +792,10 @@ impl Environment for UniformGridEnvironment {
             None => Positions::Cloud(cloud),
         };
         self.num_points = n;
-        self.soa_active = false;
+        self.build_radius = interaction_radius;
         self.diameters_active = false;
-        self.lists_active = false;
-        self.timestamp = self.timestamp.wrapping_add(1);
-        if self.timestamp == 0 {
-            // Extremely rare wrap: all stale stamps become ambiguous; reset.
-            for b in &self.boxes {
-                b.store(pack(0, NIL), Ordering::Relaxed);
-            }
-            self.timestamp = 1;
-        }
         if n == 0 {
+            self.sorted_slots.clear();
             self.bounds = None;
             self.dims = [0; 3];
             self.global_dims = [0; 3];
@@ -931,18 +803,19 @@ impl Environment for UniformGridEnvironment {
             return;
         }
 
-        let build_cache;
-        let mut nboxes = 1usize;
         if let Some(frame) = hint.grid_frame {
             // Externally pinned geometry (sharded execution): the anchor,
-            // the global lattice, the shard's window, and the SoA-cache
-            // decision all come from the frame — never from this cloud —
-            // so box membership and the query path agree bitwise with the
-            // global build. Bounds are informational under a frame; the
-            // caller passes the window's geometric bounds via the hint.
+            // the global lattice with its box edge, and the shard's window
+            // all come from the frame — never from this cloud — so box
+            // membership agrees bitwise with the global build. Bounds are
+            // informational under a frame; the caller passes the window's
+            // geometric bounds via the hint.
+            assert!(
+                frame.box_length >= interaction_radius,
+                "a frame's boxes must cover the interaction radius"
+            );
             self.bounds = hint.known_bounds;
-            self.box_length = interaction_radius;
-            self.inv_box_length = 1.0 / interaction_radius;
+            self.box_length = frame.box_length;
             self.grid_min = frame.anchor;
             self.global_dims = frame.global_dims;
             self.dims = frame.dims;
@@ -953,9 +826,7 @@ impl Environment for UniformGridEnvironment {
                     "frame window must lie inside the global lattice"
                 );
                 self.box_offset[a] = frame.box_offset[a] as i64;
-                nboxes = nboxes.saturating_mul(frame.dims[a] as usize);
             }
-            build_cache = frame.build_cache && nboxes <= u32::MAX as usize;
         } else {
             // Bounding box: taken from the hint when the caller already
             // swept the cloud (the engine's snapshot gather), otherwise one
@@ -978,108 +849,49 @@ impl Environment for UniformGridEnvironment {
                 }
             });
             self.bounds = Some((min, max));
-            self.box_length = interaction_radius;
-            self.inv_box_length = 1.0 / interaction_radius;
             self.grid_min = min;
-            self.dims = Self::global_dims_for(min, max, interaction_radius);
-            for a in 0..3 {
-                nboxes = nboxes.saturating_mul(self.dims[a] as usize);
-            }
+            (self.box_length, self.dims) = Self::lattice_for(min, max, interaction_radius, n);
             self.global_dims = self.dims;
             self.box_offset = [0; 3];
-            // Dense clouds get the SoA query cache; sparse clouds skip it to
-            // preserve the O(#agents) rebuild (module docs). The linked
-            // lists are the inverse: sparse clouds need them for the query
-            // fallback, dense clouds build them only on request (lazy list).
-            build_cache =
-                nboxes <= n.saturating_mul(SOA_MAX_BOXES_PER_POINT) && nboxes <= u32::MAX as usize;
-            // flat indices fit the u32 scratch
         }
-        let build_lists = hint.build_box_lists == BoxListPolicy::Always || !build_cache;
+        self.inv_box_length = 1.0 / self.box_length;
+        let nboxes = self.num_boxes();
+        // The unchecked slot reads rely on flat box indices and offsets
+        // fitting `u32`; `lattice_for` guarantees it, a frame must too.
+        assert!(nboxes <= u32::MAX as usize, "lattice exceeds 2³² boxes");
 
-        if build_lists {
-            // Grow (never shrink) the box array; fresh boxes get timestamp
-            // 0, which is always stale because `timestamp` starts at 1.
-            if self.boxes.len() < nboxes {
-                let additional = nboxes - self.boxes.len();
-                self.boxes.reserve(additional);
-                let start = self.boxes.len();
-                if additional < PARALLEL_BUILD_THRESHOLD {
-                    for _ in 0..additional {
-                        self.boxes.push(AtomicU64::new(pack(0, NIL)));
-                    }
-                } else {
-                    // Parallel-init the new tail (paper Challenge 1:
-                    // resizing a large vector is single-threaded by
-                    // default).
-                    unsafe {
-                        let ptr = BoxesPtr(self.boxes.as_mut_ptr().add(start));
-                        (0..additional).into_par_iter().for_each(|i| {
-                            // SAFETY: each index written exactly once, within capacity.
-                            ptr.write(i, AtomicU64::new(pack(0, NIL)));
-                        });
-                        self.boxes.set_len(nboxes);
-                    }
-                }
-            }
-            // `successors` entries are fully overwritten during insertion,
-            // so only growth needs initialization.
-            if self.successors.len() < n {
-                self.successors.resize(n, NIL);
-            }
+        if self.agent_boxes.len() < n {
+            self.agent_boxes.resize(n, 0);
         }
-
-        let chunks = if build_cache {
-            if self.agent_boxes.len() < n {
-                self.agent_boxes.resize(n, 0);
-            }
-            let chunks = Self::count_chunks(n, nboxes);
-            self.count_scratch.clear();
-            self.count_scratch.resize(chunks * nboxes, 0);
-            self.cell_offsets.clear();
-            self.cell_offsets.resize(nboxes + 1, 0);
-            chunks
-        } else {
-            0
-        };
+        let chunks = Self::count_chunks(n, nboxes);
+        self.count_scratch.clear();
+        self.count_scratch.resize(chunks * nboxes, 0);
+        self.cell_offsets.clear();
+        self.cell_offsets.resize(nboxes + 1, 0);
 
         // The fused build pass: ONE sweep over the cloud computes each
-        // agent's box, feeds the counting sort's histogram, and (only when
-        // requested) pushes the agent onto its box list.
-        let ts = self.timestamp;
+        // agent's box and feeds the counting sort's histogram.
         let workers = rayon::current_num_threads();
         if n < PARALLEL_BUILD_THRESHOLD || (chunks == 1 && workers == 1) {
-            // Single-threaded: plain stores instead of CAS, one count row.
+            // Single-threaded: one count row, plain stores.
             for i in 0..n {
                 let bc = self.box_coordinates(positions.get(i));
                 let flat = self.flat_index(bc);
-                if build_cache {
-                    self.agent_boxes[i] = flat as u32;
-                    self.count_scratch[flat] += 1;
-                }
-                if build_lists {
-                    let b = &self.boxes[flat];
-                    let (bts, bhead) = unpack(b.load(Ordering::Relaxed));
-                    // Lazy reset: a stale box behaves as empty.
-                    let prev = if bts == ts { bhead } else { NIL };
-                    b.store(pack(ts, i as u32), Ordering::Relaxed);
-                    self.successors[i] = prev;
-                }
+                self.agent_boxes[i] = flat as u32;
+                self.count_scratch[flat] += 1;
             }
-        } else if build_cache && chunks == 1 {
+        } else if chunks == 1 {
             // The scratch byte cap limited the histogram to a single count
-            // row (very boxy dense cloud) but real workers exist: keep the
-            // sweep parallel with one relaxed fetch_add per agent on a
-            // shared atomic view of the row — increments commute, so the
-            // merged result is identical to the chunk-private histogram.
-            let boxes = &self.boxes;
-            let successors_ptr = SuccessorsPtr(self.successors.as_mut_ptr());
+            // row (very boxy cloud) but real workers exist: keep the sweep
+            // parallel with one relaxed fetch_add per agent on a shared
+            // atomic view of the row — increments commute, so the merged
+            // result is identical to the chunk-private histogram.
             let agent_boxes_ptr = SendMut::new(self.agent_boxes.as_mut_ptr());
             // SAFETY: u32 and AtomicU32 have identical layout; the row is
             // only accessed through this view inside the parallel region.
             let counts = unsafe {
                 std::slice::from_raw_parts(
-                    self.count_scratch.as_mut_ptr() as *const std::sync::atomic::AtomicU32,
+                    self.count_scratch.as_mut_ptr() as *const AtomicU32,
                     nboxes,
                 )
             };
@@ -1090,17 +902,12 @@ impl Environment for UniformGridEnvironment {
                 // SAFETY: slot `i` is written by exactly one task.
                 unsafe { agent_boxes_ptr.write(i, flat as u32) };
                 counts[flat].fetch_add(1, Ordering::Relaxed);
-                if build_lists {
-                    cas_insert(boxes, flat, ts, i, successors_ptr);
-                }
             });
-        } else if build_cache {
+        } else {
             // Chunked parallel: contiguous agent ranges, one private count
             // row per chunk — merged below by a prefix sum, so the
             // histogram needs no shared atomics.
             let chunk_len = n.div_ceil(chunks);
-            let boxes = &self.boxes;
-            let successors_ptr = SuccessorsPtr(self.successors.as_mut_ptr());
             let agent_boxes_ptr = SendMut::new(self.agent_boxes.as_mut_ptr());
             let counts_ptr = SendMut::new(self.count_scratch.as_mut_ptr());
             let grid = &*self;
@@ -1117,112 +924,38 @@ impl Environment for UniformGridEnvironment {
                         agent_boxes_ptr.write(i, flat as u32);
                         *counts_ptr.ptr_at(row + flat) += 1;
                     }
-                    if build_lists {
-                        cas_insert(boxes, flat, ts, i, successors_ptr);
-                    }
                 }
-            });
-        } else {
-            // Sparse cloud: lists only, one CAS per agent.
-            let boxes = &self.boxes;
-            let successors_ptr = SuccessorsPtr(self.successors.as_mut_ptr());
-            let grid = &*self;
-            (0..n).into_par_iter().for_each(|i| {
-                let bc = grid.box_coordinates(positions.get(i));
-                let flat = grid.flat_index(bc);
-                cas_insert(boxes, flat, ts, i, successors_ptr);
             });
         }
 
-        if build_cache {
-            self.merge_counts(chunks, nboxes, n);
-            self.build_occupancy(nboxes);
-            // Box-sorted diameters ride along in the same scatter pass, but
-            // only when this iteration's due kernels declared they read
-            // neighbor diameters (the hint) and the cloud carries them (the
-            // engine's snapshot does; raw position clouds do not).
-            let diameters = if hint.scatter_diameters {
-                cloud.diameters().filter(|d| d.len() == n)
-            } else {
-                None
-            };
-            self.scatter_soa(positions, diameters, n, nboxes, chunks);
-            self.soa_active = true;
-            self.diameters_active = diameters.is_some();
-        }
-        self.lists_active = build_lists;
+        self.merge_counts(chunks, nboxes, n);
+        self.build_occupancy(nboxes);
+        // Box-sorted diameters ride along in the same scatter pass, but
+        // only when this iteration's due kernels declared they read
+        // neighbor diameters (the hint) and the cloud carries them (the
+        // engine's snapshot does; raw position clouds do not).
+        let diameters = if hint.scatter_diameters {
+            cloud.diameters().filter(|d| d.len() == n)
+        } else {
+            None
+        };
+        self.scatter_soa(positions, diameters, n, nboxes, chunks);
+        self.diameters_active = diameters.is_some();
     }
 
     fn for_each_neighbor(
         &self,
-        cloud: &dyn PointCloud,
+        _cloud: &dyn PointCloud,
         pos: Real3,
         exclude: Option<usize>,
         radius: f64,
         _scratch: &mut NeighborQueryScratch,
         visit: &mut dyn FnMut(usize, Real3, f64),
     ) {
-        // SoA fast path: the nine contiguous runs, via the monomorphized
-        // implementation (here instantiated with the trait's dyn visitor;
-        // the engine's per-agent queries instantiate it with the concrete
-        // kernel closure instead and skip this virtual call entirely).
-        if self.for_each_neighbor_soa(pos, exclude, radius, &mut *visit) {
-            return;
-        }
-        // A 3×3×3 box walk only covers queries up to the build radius;
-        // anything larger would silently miss neighbors, so fail loudly
-        // (models must declare their largest query via
-        // `Param::interaction_radius`).
-        assert!(
-            radius <= self.box_length * (1.0 + 1e-12),
-            "query radius {radius} exceeds the radius the uniform grid was built with ({}); \
-             set Param::interaction_radius to the largest query radius of the model",
-            self.box_length
-        );
-        let r2 = radius * radius;
-        let bc = self.box_coordinates(pos);
-
-        // Fallback (sparse clouds): 3×3×3 cube of boxes around the query
-        // box, chasing the per-box linked list (always built when the SoA
-        // cache is not).
-        debug_assert!(self.lists_active);
-        for dz in -1i64..=1 {
-            let z = bc[2] as i64 + dz;
-            if z < 0 || z >= self.dims[2] as i64 {
-                continue;
-            }
-            for dy in -1i64..=1 {
-                let y = bc[1] as i64 + dy;
-                if y < 0 || y >= self.dims[1] as i64 {
-                    continue;
-                }
-                for dx in -1i64..=1 {
-                    let x = bc[0] as i64 + dx;
-                    if x < 0 || x >= self.dims[0] as i64 {
-                        continue;
-                    }
-                    let flat = self.flat_index([x as u32, y as u32, z as u32]);
-                    let mut cur = self.box_head(flat);
-                    while let Some(i) = cur {
-                        let idx = i as usize;
-                        if Some(idx) != exclude {
-                            debug_assert!(idx < self.num_points);
-                            let p = cloud.position(idx);
-                            let d2 = pos.distance_sq(&p);
-                            if d2 <= r2 {
-                                visit(idx, p, d2);
-                            }
-                        }
-                        cur = self.successor(i);
-                    }
-                }
-            }
-        }
+        self.for_each_neighbor_soa(pos, exclude, radius, visit);
     }
 
     fn clear(&mut self) {
-        self.boxes.clear();
-        self.successors.clear();
         self.num_points = 0;
         self.dims = [0; 3];
         self.global_dims = [0; 3];
@@ -1234,34 +967,21 @@ impl Environment for UniformGridEnvironment {
         self.agent_boxes.clear();
         self.count_scratch.clear();
         self.occupancy.clear();
-        self.soa_active = false;
         self.diameters_active = false;
-        self.lists_active = false;
     }
 
     fn memory_bytes(&self) -> usize {
-        // Only structures the *current* build materialized count (fig09's
-        // memory column): a lazy-skipped linked list costs nothing even if
-        // its buffers linger from an earlier iteration, and vice versa.
-        let mut bytes = 0;
-        if self.lists_active {
-            bytes += self.boxes.capacity() * std::mem::size_of::<AtomicU64>()
-                + self.successors.capacity() * std::mem::size_of::<u32>();
-        }
-        if self.soa_active {
-            // The interleaved slot array replaced the old split
-            // position/index arrays — count it once, at its real (padded)
-            // stride, not as the sum of the former parts.
-            bytes += self.cell_offsets.capacity() * std::mem::size_of::<u32>()
-                + self.sorted_slots.capacity() * std::mem::size_of::<SortedSlot>()
-                + self.agent_boxes.capacity() * std::mem::size_of::<u32>()
-                + self.count_scratch.capacity() * std::mem::size_of::<u32>()
-                + self.occupancy.capacity() * std::mem::size_of::<u64>();
-            // The diameter scatter is conditional; a lingering buffer from
-            // an earlier build costs nothing when this build skipped it.
-            if self.diameters_active {
-                bytes += self.sorted_diameters.capacity() * std::mem::size_of::<f64>();
-            }
+        // The interleaved slot array is counted at its real (padded)
+        // stride; the conditional diameter scatter only when this build
+        // materialized it (a lingering buffer from an earlier build costs
+        // nothing — fig09's memory column).
+        let mut bytes = self.cell_offsets.capacity() * std::mem::size_of::<u32>()
+            + self.sorted_slots.capacity() * std::mem::size_of::<SortedSlot>()
+            + self.agent_boxes.capacity() * std::mem::size_of::<u32>()
+            + self.count_scratch.capacity() * std::mem::size_of::<u32>()
+            + self.occupancy.capacity() * std::mem::size_of::<u64>();
+        if self.diameters_active {
+            bytes += self.sorted_diameters.capacity() * std::mem::size_of::<f64>();
         }
         bytes
     }
@@ -1296,64 +1016,5 @@ impl Positions<'_> {
             Positions::Slice(s) => s[i],
             Positions::Cloud(c) => c.position(i),
         }
-    }
-}
-
-/// One linked-list insertion: CAS the packed `(timestamp, head)` word of the
-/// box, then publish the previous head as the agent's successor.
-#[inline]
-fn cas_insert(boxes: &[AtomicU64], flat: usize, ts: u32, i: usize, successors: SuccessorsPtr) {
-    let b = &boxes[flat];
-    let mut cur = b.load(Ordering::Relaxed);
-    loop {
-        let (bts, bhead) = unpack(cur);
-        // Lazy reset: a stale box behaves as empty.
-        let prev = if bts == ts { bhead } else { NIL };
-        match b.compare_exchange_weak(
-            cur,
-            pack(ts, i as u32),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => {
-                // SAFETY: slot `i` is written by exactly one task.
-                unsafe { successors.write(i, prev) };
-                break;
-            }
-            Err(c) => cur = c,
-        }
-    }
-}
-
-/// Shared mutable pointer into the successors array; each index is written by
-/// exactly one parallel task.
-#[derive(Clone, Copy)]
-struct SuccessorsPtr(*mut u32);
-unsafe impl Send for SuccessorsPtr {}
-unsafe impl Sync for SuccessorsPtr {}
-
-impl SuccessorsPtr {
-    /// # Safety
-    /// `i` must be in bounds and written by exactly one task.
-    #[inline]
-    unsafe fn write(&self, i: usize, v: u32) {
-        self.0.add(i).write(v);
-    }
-}
-
-/// Shared mutable pointer into the boxes array tail during parallel init;
-/// each index is written by exactly one parallel task.
-#[derive(Clone, Copy)]
-struct BoxesPtr(*mut AtomicU64);
-unsafe impl Send for BoxesPtr {}
-unsafe impl Sync for BoxesPtr {}
-
-impl BoxesPtr {
-    /// # Safety (upheld by caller context)
-    /// `i` must be within the reserved capacity and written exactly once.
-    #[inline]
-    fn write(&self, i: usize, v: AtomicU64) {
-        // SAFETY: see above; the only call site iterates disjoint indices.
-        unsafe { self.0.add(i).write(v) };
     }
 }

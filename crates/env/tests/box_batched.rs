@@ -2,11 +2,10 @@
 //! [`StencilRuns`] resolved once per box must reproduce the per-agent
 //! query's visit sequence exactly, the conditional diameter scatter must be
 //! a bitwise copy that only materializes on request, and both must behave
-//! across boundary boxes and sparse/dense regime flips.
+//! across boundary boxes and on coarsened lattices.
 
 use bdm_env::{
-    BoxListPolicy, BruteForceEnvironment, Environment, PointCloud, SliceCloud,
-    UniformGridEnvironment, UpdateHint,
+    BruteForceEnvironment, Environment, PointCloud, SliceCloud, UniformGridEnvironment, UpdateHint,
 };
 use bdm_util::{Real3, SimRng};
 
@@ -42,8 +41,6 @@ fn diam_cloud(seed: u64, n: usize, extent: f64) -> DiamCloud {
 
 fn scatter_hint() -> UpdateHint {
     UpdateHint {
-        build_box_lists: BoxListPolicy::IfNeeded,
-        known_bounds: None,
         scatter_diameters: true,
         ..UpdateHint::default()
     }
@@ -57,11 +54,9 @@ fn batched_neighbors(
     exclude: usize,
     radius: f64,
 ) -> Vec<(usize, Real3, f64, f64)> {
-    let slots = grid.slots().expect("SoA cache active");
+    let slots = grid.slots();
     let diams = grid.scattered_diameters().expect("diameters scattered");
-    let runs = grid
-        .stencil_runs(grid.box_coordinates(pos))
-        .expect("stencil resolvable while the cache is active");
+    let runs = grid.stencil_runs(grid.box_coordinates(pos));
     let r2 = radius * radius;
     let mut out = Vec::new();
     for &(start, end) in runs.runs() {
@@ -92,26 +87,15 @@ fn stencil_runs_reproduce_the_per_agent_visit_sequence() {
     let radius = 3.0;
     let mut grid = UniformGridEnvironment::new();
     grid.update_with(&cloud, radius, scatter_hint());
-    assert!(grid.soa_active());
 
     for (i, &p) in cloud.positions.iter().enumerate() {
-        // Per-agent reference: the engine's scalar fast path, in order.
+        // Per-agent reference: the engine's scalar query, in order.
         let mut scalar = Vec::new();
-        assert!(
-            grid.for_each_neighbor_soa(p, Some(i), radius, |idx, pos, d2| {
-                scalar.push((idx, pos, d2));
-            })
-        );
-        // Streamed-diameter variant: same sequence plus the diameter.
-        let mut streamed = Vec::new();
-        assert!(
-            grid.for_each_neighbor_soa_diam(p, Some(i), radius, |idx, pos, diam, d2| {
-                streamed.push((idx, pos, diam, d2));
-            })
-        );
+        grid.for_each_neighbor_soa(p, Some(i), radius, |idx, pos, d2| {
+            scalar.push((idx, pos, d2));
+        });
         let batched = batched_neighbors(&grid, p, i, radius);
         assert_eq!(batched.len(), scalar.len(), "query {i}");
-        assert_eq!(streamed, batched, "query {i}");
         for (k, &(idx, pos, diam, d2)) in batched.iter().enumerate() {
             let (sidx, spos, sd2) = scalar[k];
             assert_eq!((idx, pos), (sidx, spos), "query {i} visit {k}");
@@ -152,21 +136,8 @@ fn diameter_scatter_is_conditional() {
 
     // Hint off → no scatter, even though the cloud carries diameters.
     let mut grid = UniformGridEnvironment::new();
-    grid.update_with(
-        &cloud,
-        3.0,
-        UpdateHint {
-            build_box_lists: BoxListPolicy::IfNeeded,
-            ..UpdateHint::default()
-        },
-    );
-    assert!(grid.soa_active());
+    grid.update(&cloud, 3.0);
     assert!(grid.scattered_diameters().is_none());
-    assert!(
-        !grid.for_each_neighbor_soa_diam(cloud.positions[0], Some(0), 3.0, |_, _, _, _| {
-            panic!("must not visit without the scatter")
-        })
-    );
     let without = grid.memory_bytes();
 
     // Hint on → scattered, and the memory report reflects exactly the
@@ -180,50 +151,46 @@ fn diameter_scatter_is_conditional() {
 
     // Hint on but the cloud has no diameters → graceful skip.
     grid.update_with(&SliceCloud(&cloud.positions), 3.0, scatter_hint());
-    assert!(grid.soa_active());
     assert!(grid.scattered_diameters().is_none());
 
     // A later scatter-free rebuild must deactivate a previous scatter.
     grid.update_with(&cloud, 3.0, scatter_hint());
     assert!(grid.scattered_diameters().is_some());
-    grid.update_with(
-        &cloud,
-        3.0,
-        UpdateHint {
-            build_box_lists: BoxListPolicy::IfNeeded,
-            ..UpdateHint::default()
-        },
-    );
+    grid.update(&cloud, 3.0);
     assert!(grid.scattered_diameters().is_none());
 }
 
 #[test]
-fn sparse_regime_declines_the_batched_surface() {
-    // Sparse cloud in a huge space: no SoA cache, so the whole batched
-    // surface reports unavailable instead of panicking — and a dense
-    // rebuild of the same instance restores it (regime flip).
+fn coarsened_lattice_serves_the_batched_surface() {
+    // Sparse cloud in a huge space (~3·10⁵ radius-sized boxes for 40
+    // points): the lattice coarsens, and the whole batched surface —
+    // slots, scattered diameters, stencil runs — keeps serving, in the
+    // per-agent query's order. A dense rebuild of the same instance then
+    // returns to radius-sized boxes.
     let mut sparse = diam_cloud(41, 40, 2000.0);
-    sparse.diameters.truncate(40);
+    for k in 0..20 {
+        // Companions within the radius, so queries are not vacuous.
+        sparse
+            .positions
+            .push(sparse.positions[k] + Real3::splat(5.0));
+        sparse.diameters.push(2.0);
+    }
     let mut grid = UniformGridEnvironment::new();
-    grid.update_with(&sparse, 30.0, scatter_hint());
-    assert!(!grid.soa_active());
-    assert!(grid.slots().is_none());
-    assert!(grid.scattered_diameters().is_none());
-    assert!(grid
-        .stencil_runs(grid.box_coordinates(sparse.positions[0]))
-        .is_none());
-    assert!(!grid.for_each_neighbor_soa_diam(sparse.positions[0], Some(0), 30.0, |_, _, _, _| {}));
-
     let dense = diam_cloud(42, 600, 24.0);
-    grid.update_with(&dense, 3.0, scatter_hint());
-    assert!(grid.soa_active());
-    assert!(grid.scattered_diameters().is_some());
-    let hits = batched_neighbors(&grid, dense.positions[7], 7, 3.0);
-    let mut scalar = Vec::new();
-    grid.for_each_neighbor_soa(dense.positions[7], Some(7), 3.0, |idx, _, _| {
-        scalar.push(idx)
-    });
-    assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), scalar);
+    for (cloud, radius, coarsened) in [(&sparse, 30.0, true), (&dense, 3.0, false)] {
+        grid.update_with(cloud, radius, scatter_hint());
+        assert_eq!(grid.box_length() > radius, coarsened);
+        let mut visited = 0;
+        for (i, &p) in cloud.positions.iter().enumerate() {
+            let mut scalar = Vec::new();
+            grid.for_each_neighbor_soa(p, Some(i), radius, |idx, pos, d2| {
+                scalar.push((idx, pos, cloud.diameters[idx], d2));
+            });
+            assert_eq!(batched_neighbors(&grid, p, i, radius), scalar, "query {i}");
+            visited += scalar.len();
+        }
+        assert!(visited > 0);
+    }
 }
 
 #[test]

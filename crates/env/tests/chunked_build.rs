@@ -7,8 +7,7 @@
 //! path they exercise nondeterministic.
 
 use bdm_env::{
-    neighbors_of, BoxListPolicy, BruteForceEnvironment, Environment, SliceCloud,
-    UniformGridEnvironment, UpdateHint,
+    neighbors_of, BruteForceEnvironment, Environment, SliceCloud, UniformGridEnvironment,
 };
 use bdm_util::{Real3, SimRng};
 
@@ -17,7 +16,7 @@ fn chunked_count_merge_and_tiled_scatter_match_brute() {
     // Force the multi-chunk counting sort (4 chunk-private count rows) and
     // a multi-tile scatter: 320k points cross the parallel threshold AND
     // the ~4 MB tile window (320k × 32 B ≈ 10 MB → 3 tiles), so the
-    // tile-boundary partitioning really runs. The SoA order must stay the
+    // tile-boundary partitioning really runs. The slot order must stay the
     // deterministic ascending-agent-index grouping, and sampled queries
     // must match brute force. (On machines with more worker threads this
     // path also runs without the override; the env var pins it
@@ -27,20 +26,12 @@ fn chunked_count_merge_and_tiled_scatter_match_brute() {
     let mut rng = SimRng::new(73);
     let points: Vec<Real3> = (0..n).map(|_| rng.point_in_cube(0.0, 200.0)).collect();
     let mut grid = UniformGridEnvironment::new();
-    grid.update_with(
-        &SliceCloud(&points),
-        4.0,
-        UpdateHint {
-            build_box_lists: BoxListPolicy::IfNeeded,
-            ..UpdateHint::default()
-        },
-    );
-    assert!(grid.soa_active() && !grid.lists_active());
+    grid.update(&SliceCloud(&points), 4.0);
 
     // Deterministic grouping: ascending agent index within every box.
     let mut total = 0usize;
     for flat in 0..grid.num_boxes() {
-        let slots = grid.box_slots(flat).unwrap();
+        let slots = grid.box_slots(flat);
         assert!(
             slots.windows(2).all(|w| w[0].index < w[1].index),
             "box {flat}"

@@ -2,21 +2,16 @@
 //! the neighbors the brute-force reference returns, for arbitrary point sets
 //! and radii (the correctness contract behind paper Figure 11's comparison).
 
+use bdm_env::uniform_grid::MAX_BOXES_PER_POINT;
 use bdm_env::{
-    neighbors_of, BoxListPolicy, BruteForceEnvironment, Environment, KdTreeEnvironment,
-    OctreeEnvironment, SliceCloud, UniformGridEnvironment, UpdateHint,
+    neighbors_of, BruteForceEnvironment, Environment, KdTreeEnvironment, OctreeEnvironment,
+    SliceCloud, UniformGridEnvironment, UpdateHint,
 };
 use bdm_util::{Real3, SimRng};
 use proptest::prelude::*;
 
-/// Hint of the engine's steady state: no consumer wants the linked lists,
-/// bounds unknown.
-fn lazy_hint() -> UpdateHint {
-    UpdateHint {
-        build_box_lists: BoxListPolicy::IfNeeded,
-        ..UpdateHint::default()
-    }
-}
+mod common;
+use common::clumped_points;
 
 /// Views a position slice as a `PointCloud`.
 fn pc(points: &[Real3]) -> SliceCloud<'_> {
@@ -121,16 +116,16 @@ fn dense_uniform_cube() {
 
 #[test]
 fn sparse_points_in_large_space() {
-    // Large empty space exercises the grid's timestamp-based lazy clearing:
-    // many boxes exist, few are populated.
+    // Large empty space: far more radius-sized boxes than points, so the
+    // grid coarsens its lattice.
     let points = random_points(8, 50, 1000.0);
     check_against_brute(&points, 30.0);
 }
 
 #[test]
 fn grid_reuse_across_updates_does_not_leak_stale_agents() {
-    // First build a dense cloud, then a tiny one; stale boxes must not
-    // resurface old indices (the timestamp mechanism under test).
+    // First build a dense cloud, then a tiny one; the previous build's
+    // buffers must not resurface old indices.
     let mut grid = UniformGridEnvironment::new();
     let dense = random_points(21, 500, 50.0);
     grid.update(&pc(&dense), 5.0);
@@ -144,7 +139,7 @@ fn grid_reuse_across_updates_does_not_leak_stale_agents() {
 }
 
 #[test]
-fn grid_many_updates_timestamp_progression() {
+fn grid_many_updates_stay_consistent() {
     let mut grid = UniformGridEnvironment::new();
     let points = random_points(3, 64, 20.0);
     let mut brute = BruteForceEnvironment::new();
@@ -167,10 +162,11 @@ fn grid_box_accessors_enumerate_all_agents() {
     grid.update(&pc(&points), 3.0);
     let mut seen = vec![false; points.len()];
     for flat in 0..grid.num_boxes() {
-        grid.for_each_in_box(flat, &mut |i| {
-            assert!(!seen[i as usize], "agent {i} listed twice");
-            seen[i as usize] = true;
-        });
+        for slot in grid.box_slots(flat) {
+            let i = slot.index as usize;
+            assert!(!seen[i], "agent {i} listed twice");
+            seen[i] = true;
+        }
     }
     assert!(seen.iter().all(|&s| s), "every agent is in exactly one box");
 }
@@ -179,7 +175,7 @@ fn grid_box_accessors_enumerate_all_agents() {
 fn points_exactly_on_box_boundaries() {
     // Points at exact multiples of the interaction radius sit exactly on
     // box edges; binning must stay consistent between the insert and the
-    // query side (and between the SoA and linked-list paths).
+    // query side.
     let radius = 1.0;
     let mut points = Vec::new();
     for x in 0..5 {
@@ -198,7 +194,7 @@ fn points_exactly_on_box_boundaries() {
 #[test]
 fn interaction_radius_change_between_updates() {
     // The same grid instance rebuilt with a different radius must fully
-    // re-bin: box length, dims, and the SoA cache all change shape.
+    // re-bin: box length, dims, and the slot runs all change shape.
     let points = random_points(31, 400, 20.0);
     let mut grid = UniformGridEnvironment::new();
     let mut brute = BruteForceEnvironment::new();
@@ -218,78 +214,104 @@ fn interaction_radius_change_between_updates() {
 #[test]
 fn degenerate_all_points_in_one_box() {
     // The whole cloud falls into a single grid box (extent < radius): the
-    // 3×3×3 stencil degenerates to that one box and the SoA cache is one
+    // 3×3×3 stencil degenerates to that one box and the slot array is one
     // run covering every point.
     let mut rng = SimRng::new(77);
     let points: Vec<Real3> = (0..120).map(|_| rng.point_in_cube(10.0, 10.4)).collect();
     let mut grid = UniformGridEnvironment::new();
     grid.update(&pc(&points), 1.0);
     assert_eq!(grid.dims(), [1, 1, 1]);
-    assert!(grid.soa_active(), "single-box cloud is maximally dense");
     check_against_brute(&points, 1.0);
 }
 
-#[test]
-fn soa_cache_active_on_dense_inactive_on_sparse_with_parity() {
-    // Dense cloud: #boxes ≲ #points, the SoA fast path is taken. Sparse
-    // cloud in a huge space: the cache would cost O(#boxes), so queries
-    // fall back to the linked list. Both must agree with brute force, and
-    // one grid instance must switch safely between the two regimes.
-    let mut grid = UniformGridEnvironment::new();
+/// The single-structure contract at one density, on a grid instance that may
+/// carry any previous build: the lattice respects the box budget and only
+/// coarsens when it must, every query matches brute force, and the resolved
+/// stencil runs stream candidates in exactly the per-agent query order.
+fn check_density(grid: &mut UniformGridEnvironment, points: &[Real3], radius: f64) {
+    let n = points.len();
+    grid.update(&pc(points), radius);
+    assert!(grid.num_boxes() <= MAX_BOXES_PER_POINT * n);
+    assert!(grid.box_length() >= radius);
+    let (lo, hi) = grid.bounds().unwrap();
+    let (edge, dims) = UniformGridEnvironment::lattice_for(lo, hi, radius, n);
+    assert_eq!((grid.box_length(), grid.dims()), (edge, dims));
+    let raw: f64 = (0..3)
+        .map(|a| ((hi[a] - lo[a]) / radius).floor() + 1.0)
+        .product();
+    assert_eq!(
+        edge == radius,
+        raw <= (MAX_BOXES_PER_POINT * n) as f64,
+        "coarsened exactly when the radius-sized lattice exceeds the budget"
+    );
 
-    let dense = random_points(41, 600, 25.0);
-    grid.update(&pc(&dense), 3.0);
-    assert!(grid.soa_active(), "dense cloud must build the SoA cache");
     let mut brute = BruteForceEnvironment::new();
-    brute.update(&pc(&dense), 3.0);
-    for (i, &p) in dense.iter().enumerate() {
-        assert_eq!(
-            neighbors_of(&grid, &pc(&dense), p, Some(i), 3.0),
-            neighbors_of(&brute, &pc(&dense), p, Some(i), 3.0),
-            "SoA path, query {i}"
-        );
+    brute.update(&pc(points), radius);
+    for (i, &p) in points.iter().enumerate() {
+        let mut queried = Vec::new();
+        grid.for_each_neighbor_soa(p, Some(i), radius, |idx, _, _| queried.push(idx));
+        let r2 = radius * radius;
+        let mut streamed = Vec::new();
+        for &(start, end) in grid.stencil_runs(grid.box_coordinates(p)).runs() {
+            for s in &grid.slots()[start as usize..end as usize] {
+                if p.distance_sq(&s.position) <= r2 && s.index as usize != i {
+                    streamed.push(s.index as usize);
+                }
+            }
+        }
+        assert_eq!(streamed, queried, "run order != query order (query {i})");
+        queried.sort_unstable();
+        let expected = neighbors_of(&brute, &pc(points), p, Some(i), radius);
+        assert_eq!(queried, expected, "query {i} at box length {edge}");
     }
+}
 
-    // ~68³ ≈ 314k boxes for 40 points: far beyond the density cutoff.
-    let sparse = random_points(42, 40, 2000.0);
-    grid.update(&pc(&sparse), 30.0);
-    assert!(!grid.soa_active(), "sparse cloud must skip the SoA cache");
-    brute.update(&pc(&sparse), 30.0);
-    for (i, &p) in sparse.iter().enumerate() {
-        assert_eq!(
-            neighbors_of(&grid, &pc(&sparse), p, Some(i), 30.0),
-            neighbors_of(&brute, &pc(&sparse), p, Some(i), 30.0),
-            "fallback path, query {i}"
-        );
+#[test]
+fn far_apart_points_stay_within_the_box_budget() {
+    // Two points 5000 (and 10⁶) radii apart: a radius-sized lattice would
+    // need 1.25·10¹¹ (10¹⁸) boxes; the coarsened one stays within the budget.
+    for separation in [5_000.0, 1e6] {
+        let points = vec![Real3::ZERO, Real3::splat(separation), Real3::splat(0.5)];
+        check_density(&mut UniformGridEnvironment::new(), &points[..2], 1.0);
+        check_density(&mut UniformGridEnvironment::new(), &points, 1.0);
     }
+}
 
-    // Back to dense on the same instance: stale sparse state must not leak.
-    grid.update(&pc(&dense), 3.0);
-    assert!(grid.soa_active());
-    brute.update(&pc(&dense), 3.0);
-    for (i, &p) in dense.iter().enumerate().step_by(7) {
-        assert_eq!(
-            neighbors_of(&grid, &pc(&dense), p, Some(i), 3.0),
-            neighbors_of(&brute, &pc(&dense), p, Some(i), 3.0),
-            "SoA path after sparse rebuild, query {i}"
-        );
+#[test]
+fn density_sweep_on_one_grid_matches_brute_force() {
+    // 0.1 to 10⁸ boxes per point, ordered so consecutive rebuilds of the one
+    // grid instance jump across the coarsening boundary (the budget) in both
+    // directions, including clouds sitting right on it.
+    let mut grid = UniformGridEnvironment::new();
+    let budget = MAX_BOXES_PER_POINT as f64;
+    let densities = [
+        0.1,
+        1e6,
+        4.0,
+        budget * 0.9,
+        budget * 1.1,
+        budget * 0.99,
+        budget * 1.01,
+        1e8,
+        1.0,
+        1e3,
+    ];
+    for (round, &density) in densities.iter().enumerate() {
+        let points = clumped_points(100 + round as u64, 240, 2.5, density);
+        check_density(&mut grid, &points, 2.5);
     }
 }
 
 #[test]
 fn grid_parallel_build_above_threshold_matches_brute() {
     // 70k points crosses the grid's parallel-build threshold (1 << 16):
-    // this exercises the CAS insertion path AND the atomic counting/scatter
-    // passes of the SoA cache build, which smaller tests never reach.
+    // this exercises the parallel counting/scatter passes of the build,
+    // which smaller tests never reach.
     // Queries are sampled (brute force is O(n) per query at this scale).
     let n = 70_000;
     let points = random_points(55, n, 120.0);
     let mut grid = UniformGridEnvironment::new();
     grid.update(&pc(&points), 4.0);
-    assert!(
-        grid.soa_active(),
-        "dense 70k cloud must build the SoA cache"
-    );
     let mut brute = BruteForceEnvironment::new();
     brute.update(&pc(&points), 4.0);
     for (i, &p) in points.iter().enumerate().step_by(997) {
@@ -298,113 +320,6 @@ fn grid_parallel_build_above_threshold_matches_brute() {
             neighbors_of(&brute, &pc(&points), p, Some(i), 4.0),
             "parallel-build path, query {i}"
         );
-    }
-}
-
-#[test]
-fn lazy_lists_skipped_on_dense_hint_with_full_parity() {
-    // Engine steady state: dense cloud + IfNeeded hint. The CAS linked-list
-    // insertion must be skipped, the SoA cache must serve queries AND the
-    // box-enumeration accessors, and results must match brute force.
-    let points = random_points(61, 500, 25.0);
-    let mut grid = UniformGridEnvironment::new();
-    grid.update_with(&pc(&points), 3.0, lazy_hint());
-    assert!(grid.soa_active() && !grid.lists_active());
-
-    let mut brute = BruteForceEnvironment::new();
-    brute.update(&pc(&points), 3.0);
-    for (i, &p) in points.iter().enumerate() {
-        assert_eq!(
-            neighbors_of(&grid, &pc(&points), p, Some(i), 3.0),
-            neighbors_of(&brute, &pc(&points), p, Some(i), 3.0),
-            "lazy-list query {i}"
-        );
-    }
-    // for_each_in_box serves from the SoA cache when the lists are off.
-    let mut seen = vec![false; points.len()];
-    for flat in 0..grid.num_boxes() {
-        let slots = grid.box_slots(flat).expect("SoA cache active");
-        let mut walked = Vec::new();
-        grid.for_each_in_box(flat, &mut |i| walked.push(i));
-        assert_eq!(walked, slots.iter().map(|s| s.index).collect::<Vec<_>>());
-        for s in slots {
-            let i = s.index;
-            assert!(!seen[i as usize], "agent {i} listed twice");
-            seen[i as usize] = true;
-        }
-    }
-    assert!(seen.iter().all(|&s| s), "every agent is in exactly one box");
-    // The grid's memory report reflects only what this build materialized:
-    // SoA yes, linked list no.
-    let lazy_bytes = grid.memory_bytes();
-    grid.update(&pc(&points), 3.0); // default hint: both structures
-    assert!(grid.lists_active());
-    assert!(
-        grid.memory_bytes() > lazy_bytes,
-        "list buffers must count only when the lists were built"
-    );
-}
-
-#[test]
-fn soa_and_linked_list_group_identically_when_both_built() {
-    // Default hint on a dense cloud builds BOTH structures; per box they
-    // must hold exactly the same agent set (the list is reverse insertion
-    // order, the SoA run ascending agent index).
-    let points = random_points(67, 400, 20.0);
-    let mut grid = UniformGridEnvironment::new();
-    grid.update(&pc(&points), 2.5);
-    assert!(grid.soa_active() && grid.lists_active());
-    for flat in 0..grid.num_boxes() {
-        let mut from_soa: Vec<u32> = grid
-            .box_slots(flat)
-            .unwrap()
-            .iter()
-            .map(|s| s.index)
-            .collect();
-        let mut from_list = Vec::new();
-        let mut cur = grid.box_head(flat);
-        while let Some(i) = cur {
-            from_list.push(i);
-            cur = grid.successor(i);
-        }
-        from_soa.sort_unstable();
-        from_list.sort_unstable();
-        assert_eq!(from_soa, from_list, "box {flat}");
-    }
-}
-
-#[test]
-fn regime_flip_dense_sparse_dense_reuses_buffers_without_stale_reads() {
-    // One grid instance under the engine hint, flipped between regimes:
-    // dense (SoA only) → sparse (lists forced despite the hint) → dense
-    // again. Every phase must agree with brute force and the activity
-    // flags must track the regime — stale buffers from the previous
-    // regime must never be read.
-    let mut grid = UniformGridEnvironment::new();
-    let mut brute = BruteForceEnvironment::new();
-    let dense = random_points(71, 600, 25.0);
-    let sparse = random_points(72, 40, 2000.0);
-
-    for (round, (points, radius)) in [(&dense, 3.0), (&sparse, 30.0), (&dense, 3.0)]
-        .into_iter()
-        .enumerate()
-    {
-        grid.update_with(&pc(points), radius, lazy_hint());
-        let dense_round = round != 1;
-        assert_eq!(grid.soa_active(), dense_round, "round {round}");
-        assert_eq!(
-            grid.lists_active(),
-            !dense_round,
-            "sparse rounds must force the lists, dense rounds must skip them"
-        );
-        brute.update(&pc(points), radius);
-        for (i, &p) in points.iter().enumerate() {
-            assert_eq!(
-                neighbors_of(&grid, &pc(points), p, Some(i), radius),
-                neighbors_of(&brute, &pc(points), p, Some(i), radius),
-                "round {round}, query {i}"
-            );
-        }
     }
 }
 
@@ -425,7 +340,6 @@ fn known_bounds_hint_matches_self_computed_bounds() {
         &pc(&points),
         2.0,
         UpdateHint {
-            build_box_lists: BoxListPolicy::Always,
             known_bounds: Some((lo, hi)),
             ..UpdateHint::default()
         },
@@ -521,6 +435,24 @@ proptest! {
                 let got = neighbors_of(env.as_ref(), &pc(&points), p, Some(i), radius);
                 prop_assert_eq!(got, expected, "{} seed={} i={}", env.name(), seed, i);
             }
+        }
+    }
+
+    #[test]
+    fn prop_density_sweep_across_consecutive_rebuilds(
+        seed in any::<u64>(),
+        n in 2usize..160,
+        log_a in -1.0f64..7.0,
+        log_b in -1.0f64..7.0,
+        near_boundary in 0.9f64..1.1,
+    ) {
+        // Two arbitrary densities plus one within 10% of the coarsening
+        // boundary, rebuilt back to back on one grid instance.
+        let mut grid = UniformGridEnvironment::new();
+        let boundary = MAX_BOXES_PER_POINT as f64 * near_boundary;
+        for (round, density) in [10f64.powf(log_a), boundary, 10f64.powf(log_b)].into_iter().enumerate() {
+            let points = clumped_points(seed ^ round as u64, n, 1.5, density);
+            check_density(&mut grid, &points, 1.5);
         }
     }
 

@@ -8,8 +8,7 @@
 //! pinned before anything else touches the thread pool.
 
 use bdm_env::{
-    neighbors_of, BoxListPolicy, BruteForceEnvironment, Environment, SliceCloud,
-    UniformGridEnvironment, UpdateHint,
+    neighbors_of, BruteForceEnvironment, Environment, SliceCloud, UniformGridEnvironment,
 };
 use bdm_util::{Real3, SimRng};
 
@@ -18,7 +17,7 @@ fn atomic_single_row_build_with_parallel_tiles_matches_brute() {
     // Two workers, but the count-chunk override pins a single row: the
     // build must take the shared-atomic histogram branch and the scatter
     // the tile-parallel branch (320k × 32 B ≈ 10 MB → 3 tiles), and the
-    // SoA grouping must still be the deterministic ascending-agent-index
+    // slot grouping must still be the deterministic ascending-agent-index
     // order.
     std::env::set_var("RAYON_NUM_THREADS", "2");
     std::env::set_var("BDM_GRID_COUNT_CHUNKS", "1");
@@ -26,19 +25,11 @@ fn atomic_single_row_build_with_parallel_tiles_matches_brute() {
     let mut rng = SimRng::new(91);
     let points: Vec<Real3> = (0..n).map(|_| rng.point_in_cube(0.0, 200.0)).collect();
     let mut grid = UniformGridEnvironment::new();
-    grid.update_with(
-        &SliceCloud(&points),
-        4.0,
-        UpdateHint {
-            build_box_lists: BoxListPolicy::IfNeeded,
-            ..UpdateHint::default()
-        },
-    );
-    assert!(grid.soa_active() && !grid.lists_active());
+    grid.update(&SliceCloud(&points), 4.0);
 
     let mut total = 0usize;
     for flat in 0..grid.num_boxes() {
-        let slots = grid.box_slots(flat).unwrap();
+        let slots = grid.box_slots(flat);
         assert!(
             slots.windows(2).all(|w| w[0].index < w[1].index),
             "box {flat}"

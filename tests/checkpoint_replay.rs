@@ -23,6 +23,8 @@ use biodynamo::models::all_models;
 use biodynamo::prelude::*;
 use proptest::prelude::*;
 
+mod common;
+
 /// Agent scale for the harness: big enough for real neighbor interactions
 /// and multi-domain partitions, small enough to sweep the full matrix.
 const SCALE: usize = 90;
@@ -86,6 +88,25 @@ fn restore_then_step_is_bitwise_identical_on_every_backend() {
             assert_replay(model.as_ref(), param_for(env, 2, 2), 3, 5, &label);
         }
     }
+}
+
+/// The same contract on a coarsened lattice (sparse scene), single-engine
+/// and sharded: the box edge is recomputed from the restored state, never
+/// stored, so replay cannot drift from the straight run.
+#[test]
+fn restore_then_step_is_bitwise_identical_on_a_coarsened_lattice() {
+    let scene = common::SparseScene { num_agents: SCALE };
+    for shards in [1, 2] {
+        let param = Param {
+            shards,
+            ..param_for(EnvironmentKind::UniformGrid, 2, 2)
+        };
+        let label = format!("sparse scene / K={shards}");
+        assert_replay(&scene, param, 3, 5, &label);
+    }
+    let mut sim = scene.build(param_for(EnvironmentKind::UniformGrid, 2, 2));
+    sim.simulate(3);
+    assert!(common::lattice_is_coarsened(&sim));
 }
 
 /// Both thread settings of the CI matrix: topology is recorded in the

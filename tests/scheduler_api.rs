@@ -322,8 +322,9 @@ fn panicking_op_leaves_pipeline_intact() {
 }
 
 #[test]
-fn lazy_grid_lists_follow_scheduler_capability_hint() {
-    // Dense cloud (few boxes per agent) so the SoA cache is built.
+fn custom_operation_enumerates_agents_through_the_grid_box_runs() {
+    // Grid-specific reads need no capability declaration: the one structure
+    // every rebuild produces serves box enumeration to any operation.
     let mut sim = Simulation::builder().threads(2).numa_domains(2).build();
     let mut rng = SimRng::new(5);
     for _ in 0..60 {
@@ -334,69 +335,30 @@ fn lazy_grid_lists_follow_scheduler_capability_hint() {
                 .with_diameter(8.0),
         );
     }
-
-    // Default pipeline: no due operation requires the linked lists, so the
-    // lazy rebuild skips them and serves everything from the SoA cache.
-    sim.step();
-    let grid = sim.environment().as_uniform_grid().unwrap();
-    assert!(grid.soa_active(), "dense cloud builds the SoA cache");
-    assert!(
-        !grid.lists_active(),
-        "no consumer requested the lists; the CAS insertion must be skipped"
-    );
-
-    // An operation that declares `requires_box_lists` flips the hint: the
-    // next rebuild materializes the lists and `box_head`/`successor` work.
-    struct ListWalker {
+    struct BoxWalker {
         visited: Arc<AtomicUsize>,
     }
-    impl Operation for ListWalker {
+    impl Operation for BoxWalker {
         fn name(&self) -> &str {
-            "list_walker"
+            "box_walker"
         }
         fn kind(&self) -> OpKind {
             OpKind::Standalone
         }
-        fn requires_box_lists(&self) -> bool {
-            true
-        }
         fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
             let grid = ctx.environment().as_uniform_grid().unwrap();
-            assert!(grid.lists_active(), "scheduler must request the lists");
-            let mut n = 0;
-            for flat in 0..grid.num_boxes() {
-                let mut cur = grid.box_head(flat);
-                while let Some(i) = cur {
-                    n += 1;
-                    cur = grid.successor(i);
-                }
-            }
+            let n = (0..grid.num_boxes())
+                .map(|flat| grid.box_slots(flat).len())
+                .sum();
             self.visited.store(n, Ordering::Relaxed);
         }
     }
     let visited = Arc::new(AtomicUsize::new(0));
-    sim.scheduler_mut().add_op(ListWalker {
+    sim.scheduler_mut().add_op(BoxWalker {
         visited: Arc::clone(&visited),
     });
     sim.step();
     assert_eq!(visited.load(Ordering::Relaxed), sim.num_agents());
-
-    // Removing the consumer drops the capability request again.
-    assert!(sim.scheduler_mut().remove_op("list_walker"));
-    sim.step();
-    let grid = sim.environment().as_uniform_grid().unwrap();
-    assert!(grid.soa_active() && !grid.lists_active());
-
-    // A consumer appearing BETWEEN rebuilds of a re-timed environment
-    // pipeline forces one extra rebuild so its first run sees the lists.
-    sim.scheduler_mut().set_frequency("environment_update", 5);
-    sim.step(); // lazy rebuild not due; current build has no lists
-    let visited2 = Arc::new(AtomicUsize::new(0));
-    sim.scheduler_mut().add_op(ListWalker {
-        visited: Arc::clone(&visited2),
-    });
-    sim.step(); // environment_update not due → forced rebuild with lists
-    assert_eq!(visited2.load(Ordering::Relaxed), sim.num_agents());
 }
 
 #[test]

@@ -13,6 +13,8 @@ use biodynamo::core::testing::{fingerprint, first_divergence, SimFingerprint};
 use biodynamo::models::{all_models, BenchmarkModel};
 use biodynamo::prelude::*;
 
+mod common;
+
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 fn run_sharded(model: &dyn BenchmarkModel, shards: usize, iterations: usize) -> SimFingerprint {
@@ -62,6 +64,30 @@ fn all_models_are_bitwise_shard_count_invariant() {
                     model.name()
                 );
             }
+        }
+    }
+}
+
+/// A population sparse enough to coarsen the lattice: the box edge is one
+/// global decision every shard window receives through
+/// `GridFrame::box_length`, so the run stays bitwise K-invariant.
+#[test]
+fn coarsened_lattice_is_bitwise_shard_count_invariant() {
+    let scene = common::SparseScene { num_agents: 120 };
+    let mut single = scene.build(Param {
+        threads: Some(1),
+        numa_domains: Some(1),
+        seed: 77,
+        ..Param::default()
+    });
+    single.simulate(10);
+    assert!(common::lattice_is_coarsened(&single));
+    assert!(single.stats().agents_added > 0 && single.stats().force_calculations > 0);
+    let reference = fingerprint(&single);
+    for shards in SHARD_COUNTS {
+        let candidate = run_sharded(&scene, shards, 10);
+        if let Some(divergence) = first_divergence(&reference, &candidate) {
+            panic!("sparse scene diverges between 1 and {shards} shards: {divergence}");
         }
     }
 }
