@@ -44,6 +44,9 @@ pub struct Args {
     pub proxy: bool,
     /// `--whole` — whole-simulation scalability only (Figure 10a).
     pub whole: bool,
+    /// `--detect-static` — run with static-agent detection on
+    /// (`sharded_scale`: the halo widens from 2 to 3+ rings).
+    pub detect_static: bool,
     /// `--repeats N` — measurement repetitions (median is reported).
     pub repeats: usize,
     /// `--seed S` — base RNG seed.
@@ -71,6 +74,7 @@ impl Default for Args {
             visualize: false,
             proxy: false,
             whole: false,
+            detect_static: false,
             repeats: 1,
             seed: 4357,
             no_subprocess: false,
@@ -102,6 +106,7 @@ Common flags:
   --visualize       dump the Figure 7a point cloud CSV
   --proxy           include the microarchitecture proxy (Figure 5 right)
   --whole           whole-simulation scalability only (Figure 10a)
+  --detect-static   static-agent detection on (sharded_scale: wider halo)
   --no-subprocess   measure in-process instead of in a child process
   -h, --help        this message";
 
@@ -136,6 +141,7 @@ impl Args {
                 "--visualize" => args.visualize = true,
                 "--proxy" => args.proxy = true,
                 "--whole" => args.whole = true,
+                "--detect-static" => args.detect_static = true,
                 "--no-subprocess" => args.no_subprocess = true,
                 flag if flag.starts_with("--") => {
                     let key = flag.trim_start_matches("--").to_string();

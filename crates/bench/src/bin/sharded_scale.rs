@@ -10,13 +10,16 @@
 //!
 //! Default protocol is the ISSUE acceptance run: 10⁷ agents, 10 iterations,
 //! K ∈ {1, 2, 4, 8}. `--shards K` pins a single shard count; `--quick`
-//! drops to a CI-friendly 50k agents.
+//! drops to a CI-friendly 50k agents; `--detect-static` turns static-agent
+//! detection on, which widens the halo from 2 rings to 3 or more.
 //!
-//! Columns: wall-clock per iteration, the `halo_exchange` and
-//! `environment_update` scheduler buckets per iteration, exchanges executed
-//! vs skipped (generation-keyed skip-if-unchanged), and the owned/halo
-//! population spread across shards. A second table details the per-shard
-//! owned/halo counts and grid-build times of the largest K.
+//! Columns: wall-clock per iteration, the `halo_exchange` scheduler bucket
+//! per iteration — also as ns per agent, as a share of the iteration and
+//! relative to the `agent_ops` bucket (a same-run ratio CI gates on) — the
+//! `environment_update` bucket, exchanges executed vs skipped
+//! (generation-keyed skip-if-unchanged), and the owned/halo population
+//! spread across shards. A second table details the per-shard owned/halo
+//! counts and grid-build times of the largest K.
 
 use bdm_bench::{emit, fmt_secs, header, Args};
 use bdm_core::Param;
@@ -35,12 +38,18 @@ fn main() {
         Some(k) => vec![k],
         None => vec![1, 2, 4, 8],
     };
-    println!("agents={agents} iterations={iterations} shards={sweep:?}\n");
+    println!(
+        "agents={agents} iterations={iterations} shards={sweep:?} detect_static={}\n",
+        args.detect_static
+    );
 
     let mut table = Table::new([
         "shards",
         "s/iter",
         "exchange s/iter",
+        "exchange ns/agent",
+        "exchange share",
+        "exchange/agent_ops",
         "env update s/iter",
         "exchanges",
         "skips",
@@ -52,6 +61,7 @@ fn main() {
         let model = bdm_bench::model_or_die("cell_clustering", agents);
         let mut sim = model.build(Param {
             shards: k,
+            detect_static_agents: args.detect_static,
             seed: args.seed,
             threads: args.threads,
             numa_domains: args.domains,
@@ -101,10 +111,14 @@ fn main() {
             let (min, max) = (v.iter().min().unwrap(), v.iter().max().unwrap());
             format!("{min}..{max}")
         };
+        let exchange = bucket("halo_exchange");
         table.row([
             k.to_string(),
             format!("{per_iter:.4}"),
-            fmt_secs(bucket("halo_exchange")),
+            fmt_secs(exchange),
+            format!("{:.1}", exchange * 1e9 / sim.num_agents().max(1) as f64),
+            format!("{:.4}", exchange / per_iter),
+            format!("{:.4}", exchange / bucket("agent_ops")),
             fmt_secs(bucket("environment_update")),
             exchanges.to_string(),
             skips.to_string(),

@@ -41,18 +41,36 @@
 //! execution schedule — which is why a checkpoint can be restored into a
 //! *different* shard count and replay bitwise identically.
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use bdm_env::{Environment, GridFrame, PointCloud, UniformGridEnvironment, UpdateHint};
-use bdm_sfc::{morton3_encode, shard_of, split_ranges, ShardRange};
+use bdm_numa::NumaThreadPool;
+use bdm_sfc::{
+    cube_shard_mask, morton3_encode, shard_of, split_ranges, split_ranges_by, ShardRange,
+};
+use bdm_util::send_ptr::SendMut;
 use bdm_util::{Real3, Timer};
 
 use crate::context::Snapshot;
 
 /// Maximum supported shard count: halo membership is tracked as one `u64`
-/// bitmask per occupied box.
+/// bitmask per agent.
 pub const MAX_SHARDS: usize = 64;
+
+/// Agents per block of the exchange's parallel classification sweep.
+const CLASSIFY_BLOCK: usize = 2048;
+
+/// The shards named by a halo mask, ascending.
+fn shards_in(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let t = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            t
+        })
+    })
+}
 
 /// One shard's slice of the population: owned + halo members in ascending
 /// global-index order, with the snapshot columns copied alongside (the
@@ -171,8 +189,15 @@ pub(crate) struct ShardedState {
     pub grid_build: Vec<Duration>,
     /// Per-shard owned-agent counts of the last exchange.
     pub owned_counts: Vec<usize>,
-    /// Reusable per-agent Morton-code buffer.
-    codes: Vec<u64>,
+    /// Reusable per-agent global box coordinates (classification sweep →
+    /// cloud fill, for the windows).
+    boxes: Vec<[u32; 3]>,
+    /// Reusable per-agent halo masks: bit t set iff shard t's cloud holds
+    /// the agent.
+    masks: Vec<u64>,
+    /// Per-shard member counts (owned + halo) of the current exchange,
+    /// summed by the classification sweep's blocks.
+    member_counts: Vec<AtomicUsize>,
 }
 
 impl ShardedState {
@@ -208,7 +233,9 @@ impl ShardedState {
             last_exchange: Duration::ZERO,
             grid_build: vec![Duration::ZERO; shards],
             owned_counts: vec![0; shards],
-            codes: Vec::new(),
+            boxes: Vec::new(),
+            masks: Vec::new(),
+            member_counts: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
@@ -229,10 +256,20 @@ impl ShardedState {
     /// `halo_width` is the Chebyshev box distance the halo extends past a
     /// shard's owned boxes: 1 covers queries centered inside owned boxes;
     /// static-agent detection needs more because a mover's wake query
-    /// centers on its *post-displacement* position.
+    /// centers on its *post-displacement* position. Any width is safe: a
+    /// width beyond the lattice adds no box, and the cost per agent does
+    /// not depend on it.
+    ///
+    /// Two O(n) sweeps. Classification (parallel on `pool`): box, owner and
+    /// halo mask are pure functions of an agent's position and the ranges,
+    /// and the mask of the agent's halo cube — the boxes within `halo_width`
+    /// of its own, clamped to the lattice — comes from the Morton codes of
+    /// the cube's two corners ([`cube_shard_mask`]). Fill (serial): the K
+    /// clouds are appended in ascending global index (invariant 3).
     pub fn exchange(
         &mut self,
         snapshot: &Snapshot,
+        pool: &NumaThreadPool,
         radius: f64,
         generation: u64,
         iteration: u64,
@@ -267,59 +304,71 @@ impl ShardedState {
                 UniformGridEnvironment::lattice_for(min, max, radius, n);
             let inv = 1.0 / box_length;
             self.frame = Some((min, global_dims, box_length));
+            let positions = &snapshot.positions[..];
+            let box_of = |g: usize| {
+                UniformGridEnvironment::global_box_coordinates(positions[g], min, inv, global_dims)
+            };
+            // The partition reads a stride sample of the codes only, so it
+            // is fixed before the sweep and no code array is kept.
+            self.ranges = split_ranges_by(n, self.shards, |g| {
+                let bc = box_of(g);
+                morton3_encode(bc[0], bc[1], bc[2])
+            });
 
-            // Pass 1: every agent's global box Morton code (ascending
-            // global index — the deterministic migration order).
-            self.codes.clear();
-            self.codes.reserve(n);
-            for pos in &snapshot.positions {
-                let bc =
-                    UniformGridEnvironment::global_box_coordinates(*pos, min, inv, global_dims);
-                self.codes.push(morton3_encode(bc[0], bc[1], bc[2]));
-            }
-            self.ranges = split_ranges(&self.codes, self.shards);
-
-            // Pass 2: ownership + halo membership. Membership is a pure
-            // function of the agent's box, so it is memoized per occupied
-            // box: the mask has bit t set iff some box within Chebyshev
-            // `halo_width` of this box is owned by shard t.
-            let w = halo_width as i64;
-            let mut memo: HashMap<u64, ([u32; 3], u32, u64)> = HashMap::with_capacity(1024.min(n));
             self.owner.resize(n, 0);
             self.local_of.resize(n, 0);
-            for g in 0..n {
-                let code = self.codes[g];
-                let (bc, own, mask) = match memo.get(&code) {
-                    Some(&entry) => entry,
-                    None => {
-                        let bc = UniformGridEnvironment::global_box_coordinates(
-                            snapshot.positions[g],
-                            min,
-                            inv,
-                            global_dims,
-                        );
-                        let own = shard_of(&self.ranges, code) as u32;
-                        let mut mask = 0u64;
-                        for dz in -w..=w {
-                            let z = (bc[2] as i64 + dz).clamp(0, global_dims[2] as i64 - 1);
-                            for dy in -w..=w {
-                                let y = (bc[1] as i64 + dy).clamp(0, global_dims[1] as i64 - 1);
-                                for dx in -w..=w {
-                                    let x = (bc[0] as i64 + dx).clamp(0, global_dims[0] as i64 - 1);
-                                    let c = morton3_encode(x as u32, y as u32, z as u32);
-                                    mask |= 1u64 << shard_of(&self.ranges, c);
-                                }
-                            }
-                        }
-                        memo.insert(code, (bc, own, mask));
-                        (bc, own, mask)
+            self.boxes.resize(n, [0; 3]);
+            self.masks.resize(n, 0);
+            let ranges = &self.ranges[..];
+            let member_counts = &self.member_counts[..];
+            for count in member_counts {
+                count.store(0, Ordering::Relaxed);
+            }
+            // A halo wider than the lattice adds no box; clamped, `bc + w`
+            // cannot overflow.
+            let w = halo_width.min(global_dims[0].max(global_dims[1]).max(global_dims[2]));
+            let owner_ptr = SendMut::new(self.owner.as_mut_ptr());
+            let boxes_ptr = SendMut::new(self.boxes.as_mut_ptr());
+            let masks_ptr = SendMut::new(self.masks.as_mut_ptr());
+            pool.parallel_for(n, CLASSIFY_BLOCK, &|_worker, block| {
+                let mut counts = [0usize; MAX_SHARDS];
+                for g in block {
+                    let bc = box_of(g);
+                    let own = shard_of(ranges, morton3_encode(bc[0], bc[1], bc[2]));
+                    let lo = bc.map(|c| c.saturating_sub(w));
+                    let hi = [0, 1, 2].map(|a| (bc[a] + w).min(global_dims[a] - 1));
+                    let mask = cube_shard_mask(ranges, lo, hi);
+                    for t in shards_in(mask) {
+                        counts[t] += 1;
                     }
-                };
-                self.owner[g] = own;
-                let mut m = mask;
-                while m != 0 {
-                    let t = m.trailing_zeros() as usize;
-                    m &= m - 1;
+                    // SAFETY: the arrays hold n slots, blocks partition
+                    // 0..n, so slot g is written by exactly one task.
+                    unsafe {
+                        owner_ptr.write(g, own as u32);
+                        boxes_ptr.write(g, bc);
+                        masks_ptr.write(g, mask);
+                    }
+                }
+                // Relaxed: plain sums, read only after the pool's
+                // completion barrier.
+                for (total, &count) in member_counts.iter().zip(&counts) {
+                    if count > 0 {
+                        total.fetch_add(count, Ordering::Relaxed);
+                    }
+                }
+            });
+
+            // Fill in ascending global index — the deterministic migration
+            // order — into clouds sized once from the exact member counts.
+            for (cloud, count) in self.clouds.iter_mut().zip(member_counts) {
+                let count = count.load(Ordering::Relaxed);
+                cloud.members.reserve(count);
+                cloud.positions.reserve(count);
+                cloud.diameters.reserve(count);
+            }
+            for g in 0..n {
+                let (bc, own) = (self.boxes[g], self.owner[g]);
+                for t in shards_in(self.masks[g]) {
                     let cloud = &mut self.clouds[t];
                     if t as u32 == own {
                         self.local_of[g] = cloud.members.len() as u32;
@@ -419,11 +468,28 @@ impl ShardedState {
     }
 }
 
+/// The conformance suites' sparse (lattice-coarsening) scene, shared with
+/// the workspace's integration tests.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use bdm_numa::NumaTopology;
+    use bdm_util::SimRng;
+    use biodynamo::models::{BenchmarkModel, CellClustering};
+
     use super::*;
 
-    fn snapshot_of(positions: Vec<Real3>) -> Snapshot {
+    fn pool(threads: usize) -> NumaThreadPool {
+        NumaThreadPool::new(NumaTopology::single_domain(threads))
+    }
+
+    fn snapshot_with(positions: Vec<Real3>, diameters: Vec<f64>) -> Snapshot {
         let n = positions.len();
         let mut lo = Real3::splat(f64::INFINITY);
         let mut hi = Real3::splat(f64::NEG_INFINITY);
@@ -433,13 +499,18 @@ mod tests {
         }
         Snapshot {
             positions,
-            diameters: vec![10.0; n],
+            max_diameter: diameters.iter().copied().fold(0.0, f64::max),
+            diameters,
             payloads: Vec::new(),
             payloads_gathered: false,
             offsets: vec![0, n],
-            max_diameter: 10.0,
             bounds: (n > 0).then_some((lo, hi)),
         }
+    }
+
+    fn snapshot_of(positions: Vec<Real3>) -> Snapshot {
+        let n = positions.len();
+        snapshot_with(positions, vec![10.0; n])
     }
 
     fn line(n: usize, spacing: f64) -> Vec<Real3> {
@@ -448,11 +519,306 @@ mod tests {
             .collect()
     }
 
+    fn random_cloud(n: usize, extent: [f64; 3], seed: u64) -> Vec<Real3> {
+        let mut rng = SimRng::new(seed);
+        (0..n)
+            .map(|_| Real3(extent.map(|e| rng.uniform_in(0.0, e))))
+            .collect()
+    }
+
+    /// The population of `model` after `iterations` single-engine steps.
+    fn scene_of(model: &dyn BenchmarkModel, iterations: usize) -> Snapshot {
+        let mut sim = model.build(biodynamo::prelude::Param {
+            threads: Some(1),
+            numa_domains: Some(1),
+            seed: 4357,
+            ..Default::default()
+        });
+        sim.simulate(iterations);
+        let (mut positions, mut diameters) = (Vec::new(), Vec::new());
+        sim.for_each_agent(|_, agent| {
+            positions.push(agent.position());
+            diameters.push(agent.diameter());
+        });
+        snapshot_with(positions, diameters)
+    }
+
+    /// Everything an exchange decides, floats as bit patterns.
+    #[derive(Debug, PartialEq)]
+    struct Partition {
+        ranges: Vec<ShardRange>,
+        owner: Vec<u32>,
+        local_of: Vec<u32>,
+        members: Vec<Vec<u32>>,
+        positions: Vec<Vec<[u64; 3]>>,
+        diameters: Vec<Vec<u64>>,
+        windows: Vec<Option<([u32; 3], [u32; 3])>>,
+        owned_counts: Vec<usize>,
+    }
+
+    impl Partition {
+        fn of(st: &ShardedState) -> Partition {
+            Partition {
+                ranges: st.ranges.clone(),
+                owner: st.owner.clone(),
+                local_of: st.local_of.clone(),
+                members: st.clouds.iter().map(|c| c.members.clone()).collect(),
+                positions: st
+                    .clouds
+                    .iter()
+                    .map(|c| c.positions.iter().map(|p| p.0.map(f64::to_bits)).collect())
+                    .collect(),
+                diameters: st
+                    .clouds
+                    .iter()
+                    .map(|c| c.diameters.iter().map(|d| d.to_bits()).collect())
+                    .collect(),
+                windows: st.windows.clone(),
+                owned_counts: st.owned_counts.clone(),
+            }
+        }
+    }
+
+    fn exchanged(
+        snapshot: &Snapshot,
+        pool: &NumaThreadPool,
+        shards: usize,
+        radius: f64,
+        halo_width: u32,
+    ) -> ShardedState {
+        let mut st = ShardedState::new(shards);
+        st.exchange(snapshot, pool, radius, 1, 1, halo_width);
+        st
+    }
+
+    /// Brute-force reference for the exchange: every agent's code, the
+    /// ranges from the full code array, and per occupied box a loop over
+    /// the whole clamped `(2w+1)³` stencil asking `shard_of` for each box.
+    fn oracle(snapshot: &Snapshot, shards: usize, radius: f64, halo_width: u32) -> Partition {
+        let n = snapshot.len();
+        let mut out = Partition {
+            ranges: split_ranges(&[], shards),
+            owner: vec![0; n],
+            local_of: vec![0; n],
+            members: vec![Vec::new(); shards],
+            positions: vec![Vec::new(); shards],
+            diameters: vec![Vec::new(); shards],
+            windows: vec![None; shards],
+            owned_counts: vec![0; shards],
+        };
+        let Some((min, max)) = snapshot.bounds else {
+            return out;
+        };
+        let (box_length, global_dims) = UniformGridEnvironment::lattice_for(min, max, radius, n);
+        let inv = 1.0 / box_length;
+        let boxes: Vec<[u32; 3]> = snapshot
+            .positions
+            .iter()
+            .map(|&pos| UniformGridEnvironment::global_box_coordinates(pos, min, inv, global_dims))
+            .collect();
+        let codes: Vec<u64> = boxes
+            .iter()
+            .map(|bc| morton3_encode(bc[0], bc[1], bc[2]))
+            .collect();
+        out.ranges = split_ranges(&codes, shards);
+        let w = halo_width as i64;
+        let mut memo: HashMap<u64, u64> = HashMap::new();
+        for g in 0..n {
+            let bc = boxes[g];
+            let own = shard_of(&out.ranges, codes[g]) as u32;
+            let mask = *memo.entry(codes[g]).or_insert_with(|| {
+                let mut mask = 0u64;
+                for dz in -w..=w {
+                    let z = (bc[2] as i64 + dz).clamp(0, global_dims[2] as i64 - 1);
+                    for dy in -w..=w {
+                        let y = (bc[1] as i64 + dy).clamp(0, global_dims[1] as i64 - 1);
+                        for dx in -w..=w {
+                            let x = (bc[0] as i64 + dx).clamp(0, global_dims[0] as i64 - 1);
+                            let c = morton3_encode(x as u32, y as u32, z as u32);
+                            mask |= 1u64 << shard_of(&out.ranges, c);
+                        }
+                    }
+                }
+                mask
+            });
+            out.owner[g] = own;
+            for t in shards_in(mask) {
+                if t as u32 == own {
+                    out.local_of[g] = out.members[t].len() as u32;
+                    out.owned_counts[t] += 1;
+                }
+                out.members[t].push(g as u32);
+                out.positions[t].push(snapshot.positions[g].0.map(f64::to_bits));
+                out.diameters[t].push(snapshot.diameters[g].to_bits());
+                out.windows[t] = Some(match out.windows[t] {
+                    Some((lo, hi)) => (
+                        [0, 1, 2].map(|a| lo[a].min(bc[a])),
+                        [0, 1, 2].map(|a| hi[a].max(bc[a])),
+                    ),
+                    None => (bc, bc),
+                });
+            }
+        }
+        out
+    }
+
+    /// Asserts the exchange equals the oracle for K ∈ {2, 3, 4, 7, 64} ×
+    /// `halo_width` ∈ {1, 2, 3}; returns the global lattice dims.
+    fn assert_matches_oracle(scene: &str, snapshot: &Snapshot, radius: f64) -> [u32; 3] {
+        let pool = pool(2);
+        for shards in [2, 3, 4, 7, 64] {
+            for halo_width in [1, 2, 3] {
+                let got = Partition::of(&exchanged(snapshot, &pool, shards, radius, halo_width));
+                let want = oracle(snapshot, shards, radius, halo_width);
+                let at = format!("{scene}, K={shards}, halo_width={halo_width}");
+                assert_eq!(got.ranges, want.ranges, "ranges: {at}");
+                assert_eq!(got.owner, want.owner, "owner: {at}");
+                assert_eq!(got.members, want.members, "members: {at}");
+                assert_eq!(got.local_of, want.local_of, "local_of: {at}");
+                assert_eq!(got.windows, want.windows, "windows: {at}");
+                assert_eq!(got.owned_counts, want.owned_counts, "owned_counts: {at}");
+                assert!(got == want, "positions/diameters: {at}");
+            }
+        }
+        let (min, max) = snapshot.bounds.unwrap();
+        UniformGridEnvironment::lattice_for(min, max, radius, snapshot.len()).1
+    }
+
+    #[test]
+    fn oracle_uniform_random_cloud() {
+        let snap = snapshot_of(random_cloud(3000, [250.0; 3], 1));
+        assert_matches_oracle("uniform cloud", &snap, 10.0);
+    }
+
+    #[test]
+    fn oracle_cell_clustering_scene() {
+        let snap = scene_of(&CellClustering::new(2000), 10);
+        assert_eq!(snap.len(), 2000);
+        assert_matches_oracle("cell_clustering", &snap, snap.max_diameter);
+    }
+
+    #[test]
+    fn oracle_positions_on_box_boundaries() {
+        // Every coordinate a multiple of the box edge, the far faces (which
+        // clamp into the last box) included.
+        let positions: Vec<Real3> = (0..12 * 12 * 12)
+            .map(|i| {
+                let (x, y, z) = (i % 12, i / 12 % 12, i / 144);
+                Real3::new(x as f64 * 10.0, y as f64 * 10.0, z as f64 * 10.0)
+            })
+            .collect();
+        let dims = assert_matches_oracle("box boundaries", &snapshot_of(positions), 10.0);
+        assert_eq!(dims, [12; 3]);
+    }
+
+    #[test]
+    fn oracle_all_agents_in_one_box() {
+        let snap = snapshot_of(random_cloud(500, [1.0; 3], 2));
+        let dims = assert_matches_oracle("one box", &snap, 10.0);
+        assert_eq!(dims, [1; 3]);
+    }
+
+    #[test]
+    fn oracle_fewer_agents_than_shards() {
+        let snap = snapshot_of(random_cloud(5, [80.0; 3], 3));
+        assert_matches_oracle("population < K", &snap, 10.0);
+    }
+
+    #[test]
+    fn oracle_duplicated_codes_leave_empty_ranges_between_non_empty_ones() {
+        // 900 agents share one box in the middle of the curve, 50 sit at
+        // either end: the quantile boundaries pile up on the shared code.
+        let mut positions = random_cloud(50, [20.0; 3], 4);
+        positions.extend(
+            random_cloud(900, [5.0; 3], 5)
+                .iter()
+                .map(|p| *p + Real3::splat(52.0)),
+        );
+        positions.extend(
+            random_cloud(50, [20.0; 3], 6)
+                .iter()
+                .map(|p| *p + Real3::splat(90.0)),
+        );
+        let snap = snapshot_of(positions);
+        assert_matches_oracle("duplicated codes", &snap, 10.0);
+        let st = exchanged(&snap, &pool(1), 7, 10.0, 3);
+        let non_empty: Vec<usize> = (0..7)
+            .filter(|&t| st.ranges[t].begin < st.ranges[t].end)
+            .collect();
+        assert!(
+            non_empty.windows(2).any(|w| w[1] - w[0] > 1),
+            "scene must put an empty range between two non-empty ones: {:?}",
+            st.ranges
+        );
+    }
+
+    #[test]
+    fn oracle_coarsened_lattice() {
+        let snap = scene_of(&crate::sharded::common::SparseScene { num_agents: 120 }, 5);
+        let (min, max) = snap.bounds.unwrap();
+        let (box_length, _) = UniformGridEnvironment::lattice_for(min, max, 15.0, snap.len());
+        assert!(box_length > 15.0, "scene must coarsen the lattice");
+        assert_matches_oracle("sparse two clusters", &snap, 15.0);
+    }
+
+    #[test]
+    fn oracle_lattice_dims_not_powers_of_two() {
+        let snap = snapshot_of(random_cloud(2000, [129.0, 69.0, 29.0], 7));
+        let dims = assert_matches_oracle("13 x 7 x 3 lattice", &snap, 10.0);
+        assert_eq!(dims, [13, 7, 3]);
+    }
+
+    /// Regression: a halo width far beyond the lattice (tiny radius under
+    /// static detection) is the whole-lattice halo, at the same cost.
+    #[test]
+    fn halo_wider_than_the_lattice_is_the_whole_lattice_halo() {
+        let snap = snapshot_of(random_cloud(400, [60.0; 3], 8));
+        let pool = pool(1);
+        let whole = Partition::of(&exchanged(&snap, &pool, 4, 10.0, 7));
+        assert!(whole == oracle(&snap, 4, 10.0, 7));
+        for halo_width in [1000, 3_000_000, u32::MAX] {
+            assert!(Partition::of(&exchanged(&snap, &pool, 4, 10.0, halo_width)) == whole);
+        }
+    }
+
+    /// The classification sweep writes per-agent slots and sums per-shard
+    /// counts; the fill is serial — so the worker count cannot show.
+    #[test]
+    fn exchange_is_thread_count_invariant() {
+        let snap = snapshot_of(random_cloud(3 * CLASSIFY_BLOCK + 17, [300.0; 3], 9));
+        let run = |threads: usize| {
+            let st = exchanged(&snap, &pool(threads), 4, 10.0, 3);
+            (Partition::of(&st), st.manifest())
+        };
+        let reference = run(1);
+        for threads in [2, 4] {
+            assert!(run(threads) == reference, "{threads} workers");
+        }
+    }
+
+    /// Steady state allocates nothing: a second exchange of the same
+    /// population reuses every per-agent array and every cloud.
+    #[test]
+    fn repeated_exchange_reuses_its_buffers() {
+        let snap = snapshot_of(random_cloud(2000, [150.0; 3], 10));
+        let pool = pool(2);
+        let mut st = exchanged(&snap, &pool, 3, 10.0, 2);
+        let buffers = |st: &ShardedState| {
+            let mut ptrs = vec![st.masks.as_ptr() as usize, st.boxes.as_ptr() as usize];
+            ptrs.extend(st.clouds.iter().map(|c| c.positions.as_ptr() as usize));
+            ptrs
+        };
+        let before = buffers(&st);
+        st.exchange(&snap, &pool, 10.0, 2, 2, 2);
+        assert_eq!(st.exchanges, 2);
+        assert_eq!(buffers(&st), before);
+    }
+
     #[test]
     fn ownership_partitions_every_agent_exactly_once() {
         let snap = snapshot_of(line(100, 15.0));
         let mut st = ShardedState::new(4);
-        st.exchange(&snap, 10.0, 1, 1, 1);
+        st.exchange(&snap, &pool(1), 10.0, 1, 1, 1);
         let total_owned: usize = st.owned_counts.iter().sum();
         assert_eq!(total_owned, 100);
         for g in 0..100 {
@@ -466,7 +832,7 @@ mod tests {
     fn members_ascend_and_carry_snapshot_columns() {
         let snap = snapshot_of(line(50, 15.0));
         let mut st = ShardedState::new(3);
-        st.exchange(&snap, 10.0, 1, 1, 1);
+        st.exchange(&snap, &pool(1), 10.0, 1, 1, 1);
         for cloud in &st.clouds {
             assert!(cloud.members.windows(2).all(|w| w[0] < w[1]));
             for (i, &g) in cloud.members.iter().enumerate() {
@@ -485,7 +851,7 @@ mod tests {
         // boxes, so each frontier agent must appear in both shard clouds.
         let snap = snapshot_of(line(40, 8.0));
         let mut st = ShardedState::new(2);
-        st.exchange(&snap, 10.0, 1, 1, 1);
+        st.exchange(&snap, &pool(1), 10.0, 1, 1, 1);
         let total_members: usize = st.clouds.iter().map(|c| c.members.len()).sum();
         assert!(
             total_members > 40,
@@ -515,13 +881,13 @@ mod tests {
     fn exchange_skips_when_generation_unchanged() {
         let snap = snapshot_of(line(20, 15.0));
         let mut st = ShardedState::new(2);
-        st.exchange(&snap, 10.0, 7, 1, 1);
+        st.exchange(&snap, &pool(1), 10.0, 7, 1, 1);
         assert_eq!(st.exchanges, 1);
-        st.exchange(&snap, 10.0, 7, 2, 1);
+        st.exchange(&snap, &pool(1), 10.0, 7, 2, 1);
         assert_eq!(st.exchanges, 1);
         assert_eq!(st.exchange_skips, 1);
         assert_eq!(st.active_iteration, 2);
-        st.exchange(&snap, 10.0, 8, 3, 1);
+        st.exchange(&snap, &pool(1), 10.0, 8, 3, 1);
         assert_eq!(st.exchanges, 2);
     }
 
@@ -529,7 +895,7 @@ mod tests {
     fn empty_population_exchanges_cleanly() {
         let snap = snapshot_of(Vec::new());
         let mut st = ShardedState::new(3);
-        st.exchange(&snap, 10.0, 1, 1, 1);
+        st.exchange(&snap, &pool(1), 10.0, 1, 1, 1);
         assert_eq!(st.ranges.len(), 3);
         assert!(st.clouds.iter().all(|c| c.members.is_empty()));
         let report = st.report();
@@ -541,7 +907,7 @@ mod tests {
     fn manifest_matches_partition() {
         let snap = snapshot_of(line(30, 15.0));
         let mut st = ShardedState::new(2);
-        st.exchange(&snap, 10.0, 1, 1, 1);
+        st.exchange(&snap, &pool(1), 10.0, 1, 1, 1);
         let m = st.manifest();
         assert_eq!(m.shards, 2);
         assert_eq!(m.ranges.len(), 2);

@@ -849,20 +849,26 @@ impl Simulation {
         //     one interaction radius per iteration;
         //   * static detection additionally queries at the post-mechanics
         //     position, up to the displacement cap further out.
-        let halo_width = 2 + if self.param.detect_static_agents && self.step_radius > 0.0 {
-            (self.param.simulation_max_displacement / self.step_radius).floor() as u32 + 1
-        } else {
-            0
-        };
-        let (snapshot, generation, radius, iteration) = (
+        // The float → u32 cast saturates and so do the additions: a tiny
+        // radius asks for "the whole lattice", which the exchange clamps to.
+        let halo_width = 2u32.saturating_add(
+            if self.param.detect_static_agents && self.step_radius > 0.0 {
+                let boxes = (self.param.simulation_max_displacement / self.step_radius).floor();
+                (boxes as u32).saturating_add(1)
+            } else {
+                0
+            },
+        );
+        let (snapshot, pool, generation, radius, iteration) = (
             &self.snapshot,
+            &self.pool,
             self.rm.generation(),
             self.step_radius,
             self.iteration,
         );
         if let Some(st) = self.sharded.as_mut() {
             if snapshot_fresh {
-                st.exchange(snapshot, radius, generation, iteration, halo_width);
+                st.exchange(snapshot, pool, radius, generation, iteration, halo_width);
             } else {
                 st.deactivate();
             }

@@ -11,7 +11,8 @@
 //!   visiting out-of-domain codes (Figure 3 D/E).
 //! * [`ranges`] — deterministic Morton-code range partitioning used by the
 //!   sharded engine (TeraAgent direction): split a code population into K
-//!   contiguous, roughly balanced intervals.
+//!   contiguous, roughly balanced intervals, and name the shards a cube of
+//!   boxes touches from the codes of its two corners.
 
 pub mod gap;
 pub mod hilbert;
@@ -38,4 +39,4 @@ pub use hilbert::{hilbert3_decode, hilbert3_encode, HILBERT3_BITS};
 pub use morton::{
     morton2_decode, morton2_encode, morton3_decode, morton3_encode, MORTON2_BITS, MORTON3_BITS,
 };
-pub use ranges::{shard_of, split_ranges, ShardRange};
+pub use ranges::{cube_shard_mask, shard_of, split_ranges, split_ranges_by, ShardRange};

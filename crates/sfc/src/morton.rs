@@ -173,6 +173,24 @@ mod tests {
             prop_assert_eq!(morton3_encode(x, y, z), morton3_reference(x, y, z));
         }
 
+        /// The lemma halo classification rests on
+        /// ([`crate::ranges::cube_shard_mask`]): every box of a cube has a
+        /// code between the codes of the cube's min and max corners.
+        #[test]
+        fn prop_3d_monotone_in_each_coordinate(
+            a in (0u32..1 << MORTON3_BITS, 0u32..1 << MORTON3_BITS, 0u32..1 << MORTON3_BITS),
+            b in (0u32..1 << MORTON3_BITS, 0u32..1 << MORTON3_BITS, 0u32..1 << MORTON3_BITS),
+        ) {
+            let lo = (a.0.min(b.0), a.1.min(b.1), a.2.min(b.2));
+            let hi = (a.0.max(b.0), a.1.max(b.1), a.2.max(b.2));
+            let (lo_code, hi_code) = (morton3_encode(lo.0, lo.1, lo.2), morton3_encode(hi.0, hi.1, hi.2));
+            prop_assert!(lo_code <= hi_code);
+            for p in [a, b] {
+                let code = morton3_encode(p.0, p.1, p.2);
+                prop_assert!(lo_code <= code && code <= hi_code);
+            }
+        }
+
         #[test]
         fn prop_2d_roundtrip(x in 0u32..1 << MORTON2_BITS, y in 0u32..1 << MORTON2_BITS) {
             let code = morton2_encode(x, y);
