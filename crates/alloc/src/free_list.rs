@@ -214,10 +214,28 @@ impl CentralFreeList {
         }
     }
 
-    /// Accepts whole chunks in O(chunks).
+    /// Pops one free element (allocation by a thread without a private
+    /// list). When the open chunk ran dry it is replaced by a full chunk,
+    /// or by `carve()` — fresh memory — when none is held; the pop that
+    /// follows keeps the open chunk below [`CHUNK_SIZE`].
+    #[inline]
+    pub fn pop_or_else(&mut self, carve: impl FnOnce() -> Chunk) -> *mut u8 {
+        if self.open.is_empty() {
+            self.open = self.full.pop().unwrap_or_else(carve);
+        }
+        self.open.pop().expect("carve produced an empty chunk")
+    }
+
+    /// Accepts full chunks in O(chunks); empty ones are dropped. `full`
+    /// holds only full chunks — [`CentralFreeList::len`] and the O(1)
+    /// [`LocalFreeList::push_chunk`] refill rely on it.
     pub fn push_chunks(&mut self, chunks: Vec<Chunk>) {
-        self.full
-            .extend(chunks.into_iter().filter(|c| !c.is_empty()));
+        for chunk in chunks {
+            if !chunk.is_empty() {
+                debug_assert_eq!(chunk.len(), CHUNK_SIZE, "partial chunk filed as full");
+                self.full.push(chunk);
+            }
+        }
     }
 
     /// Pops a whole chunk if available, else whatever partial content exists.
@@ -317,6 +335,31 @@ mod tests {
         let c = central.pop_chunk().unwrap();
         assert_eq!(c.len(), 3);
         assert!(central.pop_chunk().is_none());
+    }
+
+    #[test]
+    fn central_pop_keeps_full_chunks_full() {
+        let n = CHUNK_SIZE * 2 + 3;
+        let mut store = arena(n + CHUNK_SIZE);
+        let (listed, fresh) = store.split_at_mut(n);
+        let mut central = CentralFreeList::new();
+        for b in listed.iter_mut() {
+            unsafe { central.push(b.as_mut_ptr()) };
+        }
+        let no_carve = || -> Chunk { unreachable!("the list still holds nodes") };
+        for popped in 1..=n {
+            central.pop_or_else(no_carve);
+            assert_eq!(central.len(), n - popped);
+            assert!(central.full.iter().all(|c| c.len() == CHUNK_SIZE));
+        }
+        // Dry: the carve closure supplies the next open chunk.
+        let mut carved = Chunk::new();
+        for b in fresh.iter_mut() {
+            unsafe { carved.push(b.as_mut_ptr()) };
+        }
+        central.pop_or_else(|| carved);
+        assert_eq!(central.len(), CHUNK_SIZE - 1);
+        assert!(central.full.is_empty());
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //!   central free list, and constant-time bulk migration between them.
 //! * [`MemoryManager`] — one allocator per (16-byte size class, domain);
 //!   agents and behaviors of distinct sizes end up "columnar" in memory.
+//!   The classes sit in a fixed table indexed by size class, so finding an
+//!   existing class's allocator takes no lock; from there an allocation
+//!   touches only its thread's slot — free list and statistics under one
+//!   uncontended mutex on the thread's own cache line.
 //! * [`PoolBox`] — the owning smart pointer the engine stores agents and
 //!   behaviors in; deallocation finds its allocator through the back-pointer
 //!   written at the start of every N-page-aligned segment.

@@ -6,15 +6,19 @@
 //! rounded up to 16-byte classes; allocations that are too large or
 //! over-aligned for the pool transparently fall back to the system allocator.
 //!
+//! The classes live in a fixed table indexed by `size class / 16`, each
+//! entry created on the first allocation of its class. Finding the
+//! allocator of an existing class is one load — the allocator exists to
+//! "minimize thread synchronization", and a sort clones every agent and
+//! behavior through this lookup from all workers at once.
+//!
 //! The benchmark harness also constructs managers with the pool disabled
 //! (`MemoryManager::system_only`) to reproduce the allocator comparison of
 //! Figure 13.
 
 use std::alloc::Layout;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::RwLock;
+use std::sync::OnceLock;
 
 use crate::config::{current_thread_slot, max_pool_element_size, MAX_POOL_ALIGN};
 use crate::pool_allocator::{NumaPoolAllocator, PoolConfig};
@@ -40,12 +44,19 @@ pub struct MemoryManager {
     num_domains: usize,
     thread_slots: usize,
     use_pool: bool,
-    /// size class -> one allocator per NUMA domain. `Box` keeps allocator
-    /// addresses stable; segment back-pointers refer to them.
-    #[allow(clippy::vec_box)]
-    classes: RwLock<HashMap<usize, Vec<Box<NumaPoolAllocator>>>>,
-    system_allocations: AtomicU64,
+    /// Entry `class / 16 - 1` holds the allocators of size class `class`,
+    /// one per NUMA domain; empty until the class is first used. The boxed
+    /// slices never move, so the segment back-pointers into them stay valid.
+    classes: Box<[OnceLock<Box<[NumaPoolAllocator]>>]>,
+    /// System-path allocations, one counter per thread slot plus a last one
+    /// for threads without a slot, each on its own cache line.
+    system_allocations: Box<[SystemCounter]>,
 }
+
+/// A statistics counter that shares its cache line with nothing.
+#[derive(Default)]
+#[repr(align(64))]
+struct SystemCounter(AtomicU64);
 
 impl MemoryManager {
     /// Creates a manager with pooling enabled.
@@ -56,8 +67,12 @@ impl MemoryManager {
             num_domains,
             thread_slots,
             use_pool: true,
-            classes: RwLock::new(HashMap::new()),
-            system_allocations: AtomicU64::new(0),
+            classes: (0..max_pool_element_size() / 16)
+                .map(|_| OnceLock::new())
+                .collect(),
+            system_allocations: (0..=thread_slots)
+                .map(|_| SystemCounter::default())
+                .collect(),
         }
     }
 
@@ -103,34 +118,18 @@ impl MemoryManager {
         debug_assert!(domain < self.num_domains);
         if self.use_pool && Self::pool_eligible(layout) {
             let class = Self::size_class(layout.size());
-            // Fast path: the class already exists.
-            {
-                let classes = self.classes.read();
-                if let Some(allocators) = classes.get(&class) {
-                    return (self.alloc_from(&allocators[domain], domain), true);
-                }
-            }
-            // Slow path: create allocators for this class.
-            {
-                let mut classes = self.classes.write();
-                classes.entry(class).or_insert_with(|| {
-                    (0..self.num_domains)
-                        .map(|d| {
-                            Box::new(NumaPoolAllocator::new(
-                                class,
-                                d,
-                                self.thread_slots,
-                                self.config,
-                            ))
-                        })
-                        .collect()
-                });
-            }
-            let classes = self.classes.read();
-            let allocators = classes.get(&class).expect("class just inserted");
+            // `pool_eligible` bounds the class, so the index is in the table.
+            let allocators = self.classes[class / 16 - 1].get_or_init(|| {
+                (0..self.num_domains)
+                    .map(|d| NumaPoolAllocator::new(class, d, self.thread_slots, self.config))
+                    .collect()
+            });
             (self.alloc_from(&allocators[domain], domain), true)
         } else {
-            self.system_allocations.fetch_add(1, Ordering::Relaxed);
+            let slot = current_thread_slot().map_or(self.thread_slots, |(s, _)| s);
+            self.system_allocations[slot.min(self.thread_slots)]
+                .0
+                .fetch_add(1, Ordering::Relaxed);
             if layout.size() == 0 {
                 return (std::ptr::NonNull::<u8>::dangling().as_ptr(), false);
             }
@@ -170,21 +169,30 @@ impl MemoryManager {
         }
     }
 
+    /// The allocators created so far, all classes and domains.
+    fn allocators(&self) -> impl Iterator<Item = &NumaPoolAllocator> {
+        self.classes
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|per_domain| per_domain.iter())
+    }
+
     /// Aggregate statistics over all pool allocators.
     pub fn stats(&self) -> MemoryStats {
-        let classes = self.classes.read();
         let mut s = MemoryStats {
-            system_allocations: self.system_allocations.load(Ordering::Relaxed),
+            system_allocations: self
+                .system_allocations
+                .iter()
+                .map(|c| c.0.load(Ordering::Relaxed))
+                .sum(),
             ..MemoryStats::default()
         };
-        for allocators in classes.values() {
-            for a in allocators {
-                let (alloc, dealloc, _, _) = a.counters();
-                s.pool_allocations += alloc;
-                s.pool_deallocations += dealloc;
-                s.reserved_bytes += a.reserved_bytes();
-                s.allocator_instances += 1;
-            }
+        for a in self.allocators() {
+            let (alloc, dealloc, _, _) = a.counters();
+            s.pool_allocations += alloc;
+            s.pool_deallocations += dealloc;
+            s.reserved_bytes += a.reserved_bytes();
+            s.allocator_instances += 1;
         }
         s
     }
@@ -192,12 +200,7 @@ impl MemoryManager {
     /// Allocations minus deallocations across all pools (should be zero when
     /// the simulation has been torn down).
     pub fn outstanding(&self) -> i64 {
-        let classes = self.classes.read();
-        classes
-            .values()
-            .flat_map(|v| v.iter())
-            .map(|a| a.outstanding())
-            .sum()
+        self.allocators().map(NumaPoolAllocator::outstanding).sum()
     }
 }
 
@@ -301,6 +304,94 @@ mod tests {
             std::ptr::write_bytes(p, 1, size);
             MemoryManager::dealloc(p, layout, false);
         }
+    }
+
+    #[test]
+    fn last_table_class_pools_and_the_next_falls_back() {
+        let mm = MemoryManager::new(1, 1, PoolConfig::default());
+        let last = mm.classes.len() * 16;
+        assert!(last <= max_pool_element_size() && last + 16 > max_pool_element_size());
+        for (size, pooled) in [(last - 15, true), (last, true), (last + 1, false)] {
+            let layout = Layout::from_size_align(size, 16).unwrap();
+            assert_eq!(MemoryManager::pool_eligible(layout), pooled, "size {size}");
+            let (p, from_pool) = mm.alloc(layout, 0);
+            assert_eq!(from_pool, pooled, "size {size}");
+            unsafe {
+                std::ptr::write_bytes(p, 0x5A, size);
+                if pooled {
+                    assert_eq!((*NumaPoolAllocator::allocator_of(p)).element_size(), last);
+                }
+                MemoryManager::dealloc(p, layout, from_pool);
+            }
+        }
+        let s = mm.stats();
+        assert_eq!((s.allocator_instances, s.pool_allocations), (1, 2));
+        assert_eq!(s.system_allocations, 1);
+        assert_eq!(mm.outstanding(), 0);
+    }
+
+    #[test]
+    fn racing_first_allocations_create_one_allocator_per_domain() {
+        const THREADS: usize = 8;
+        const DOMAINS: usize = 2;
+        let mm = MemoryManager::new(DOMAINS, THREADS, PoolConfig::default());
+        let layout = Layout::from_size_align(200, 8).unwrap();
+        let start = std::sync::Barrier::new(THREADS);
+        let ptrs: Vec<usize> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (mm, start) = (&mm, &start);
+                    scope.spawn(move || {
+                        crate::config::register_thread(t, t % DOMAINS);
+                        // All threads hit the empty table entry together.
+                        start.wait();
+                        let (p, from_pool) = mm.alloc(layout, t % DOMAINS);
+                        assert!(from_pool);
+                        unsafe { std::ptr::write_bytes(p, t as u8, 200) };
+                        crate::config::unregister_thread();
+                        p as usize
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let s = mm.stats();
+        assert_eq!(s.allocator_instances, DOMAINS as u64);
+        assert_eq!(s.pool_allocations, THREADS as u64);
+        let distinct: std::collections::HashSet<usize> = ptrs.iter().copied().collect();
+        assert_eq!(distinct.len(), THREADS, "no element handed out twice");
+        for (t, &p) in ptrs.iter().enumerate() {
+            unsafe {
+                let owner = &*NumaPoolAllocator::allocator_of(p as *mut u8);
+                assert_eq!((owner.element_size(), owner.numa_id()), (208, t % DOMAINS));
+                MemoryManager::dealloc(p as *mut u8, layout, true);
+            }
+        }
+        assert_eq!(mm.outstanding(), 0);
+        assert_eq!(mm.stats().pool_deallocations, THREADS as u64);
+    }
+
+    #[test]
+    fn system_allocations_sum_over_thread_slots() {
+        let mm = MemoryManager::system_only(1, 2);
+        let layout = Layout::from_size_align(40, 8).unwrap();
+        std::thread::scope(|scope| {
+            // Slot 0, slot 1, a slot beyond the manager's and no slot at all.
+            for slot in [Some(0), Some(1), Some(7), None] {
+                let mm = &mm;
+                scope.spawn(move || {
+                    if let Some(s) = slot {
+                        crate::config::register_thread(s, 0);
+                    }
+                    for _ in 0..100 {
+                        let (p, from_pool) = mm.alloc(layout, 0);
+                        unsafe { MemoryManager::dealloc(p, layout, from_pool) };
+                    }
+                    crate::config::unregister_thread();
+                });
+            }
+        });
+        assert_eq!(mm.stats().system_allocations, 400);
     }
 
     #[test]

@@ -41,6 +41,7 @@ fn main() {
         "teardown",
         "standalone",
         "total",
+        "sort run/agent_ops run",
     ]);
     let mut agent_op_shares = Vec::new();
     let mut env_shares = Vec::new();
@@ -69,6 +70,13 @@ fn main() {
             fmt_pct(share("teardown")),
             fmt_pct(share("standalone_ops")),
             fmt_secs(total),
+            // One due sort against one agent pass of the same run, so the
+            // runner's speed cancels (the CI gate reads this column).
+            format!(
+                "{:.2}",
+                (report.bucket("agent_sorting") / report.sorts.max(1) as f64)
+                    / (report.bucket("agent_ops") / iterations as f64)
+            ),
         ]);
 
         if args.proxy {

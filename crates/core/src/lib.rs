@@ -62,6 +62,7 @@ pub use resource_manager::{CommitStats, ResourceManager, StaticFlags};
 pub use scheduler::{builtin, OpInfo, OpKind, Operation, Scheduler, SimulationCtx};
 pub use sharded::{ShardManifest, ShardReport, ShardStats, MAX_SHARDS};
 pub use simulation::{SimStats, Simulation, StandaloneOp};
+pub use sorting::SortPhases;
 pub use supervisor::{HealthPolicy, HealthViolation, HealthViolationKind};
 
 // Re-exported engine substrates for convenience.

@@ -42,7 +42,7 @@ use crate::scheduler::{
     SimulationCtx, SnapshotOp, SortingOp, TeardownOp,
 };
 use crate::sharded::{ShardManifest, ShardReport, ShardedState, MAX_SHARDS};
-use crate::sorting::sort_and_balance;
+use crate::sorting::{AgentSorter, SortPhases};
 use crate::supervisor::{HealthCheckOp, HealthMonitor, HealthViolation, HealthViolationKind};
 
 /// Aggregate statistics across all iterations run so far.
@@ -127,6 +127,8 @@ pub struct Simulation {
     /// partition, per-shard clouds and grids, halo-exchange bookkeeping.
     /// `None` on the single-engine path.
     sharded: Option<ShardedState>,
+    /// State the `agent_sorting` operation keeps between sorts.
+    sorter: AgentSorter,
     /// Bounded log of typed health violations (sentinel findings).
     health: HealthMonitor,
     /// Planned fault injections; `None` (the default) keeps every injection
@@ -201,6 +203,7 @@ impl Simulation {
             snapshot_iteration: 0,
             snapshot_generation: 0,
             sharded,
+            sorter: AgentSorter::default(),
             health: HealthMonitor::default(),
             faults: None,
         }
@@ -444,6 +447,12 @@ impl Simulation {
     /// Work-stealing counters since the last call (Figure 2 arrows 4/5).
     pub fn take_steal_stats(&self) -> StealStats {
         self.pool.take_steal_stats()
+    }
+
+    /// Wall-clock time of each phase of the most recent agent sort (`None`
+    /// before the first sort that moved agents).
+    pub fn last_sort_phases(&self) -> Option<SortPhases> {
+        self.sorter.phases
     }
 
     /// Heap footprint of the neighbor-search index (Figure 11d).
@@ -999,7 +1008,7 @@ impl Simulation {
             }
         }
         if let Some(grid) = self.env.as_uniform_grid() {
-            let moved = sort_and_balance(
+            let moved = self.sorter.sort_and_balance(
                 &mut self.rm,
                 grid,
                 &self.mm,

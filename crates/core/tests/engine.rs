@@ -473,8 +473,11 @@ fn sorting_preserves_agents_and_orders_by_morton_code() {
                 .with_diameter(10.0),
         );
     }
+    assert!(sim.last_sort_phases().is_none());
     sim.simulate(2);
     assert!(sim.stats().sorts >= 2);
+    let phases = sim.last_sort_phases().expect("a sort ran");
+    assert!(!phases.clone.is_zero() && phases.clone < sim.time_buckets().total());
     // All agents survived the relocation.
     let got: std::collections::BTreeSet<u64> =
         surviving_uids(sim.resource_manager()).into_iter().collect();

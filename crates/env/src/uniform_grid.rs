@@ -16,13 +16,15 @@
 //!   The paper bounds the rebuild with timestamped boxes that are never
 //!   zeroed; bounding the box count bounds the same work without a second
 //!   structure, and bounds memory too.
-//! * **Single fused build pass** — one sweep over the cloud computes each
-//!   agent's flat box index and accumulates the per-box histogram of the
-//!   counting sort into chunk-private count rows (no shared atomics). The
-//!   rows are merged by a prefix sum into the offset table *and* into exact
-//!   per-(chunk, box) write cursors, which makes the subsequent scatter both
-//!   contention-free and deterministic: agents of a box land in ascending
-//!   agent-index order regardless of thread scheduling.
+//! * **Three sweeps, one count row** — one parallel sweep over the cloud
+//!   computes each agent's flat box index and counts it into the single
+//!   per-box count row (relaxed atomic increments: they commute, so the
+//!   histogram does not depend on scheduling). One sweep over the boxes
+//!   then turns the row into the offset table, the per-box scatter cursors
+//!   and the occupancy bitmap together. The scatter runs one task per
+//!   contiguous box range, each scanning the agents in index order, so the
+//!   writes are disjoint and agents of a box land in ascending agent-index
+//!   order regardless of thread scheduling.
 //! * **3×3×3 search** — a fixed-radius query visits the query box and its 26
 //!   surrounding boxes; complete because the box edge is never smaller than
 //!   the build radius. Boxes adjacent in x are adjacent in the sorted slots,
@@ -38,7 +40,6 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use bdm_util::prefix_sum::inclusive_prefix_sum_parallel_u32;
 use bdm_util::send_ptr::SendMut;
 use bdm_util::Real3;
 use rayon::prelude::*;
@@ -65,22 +66,13 @@ pub const MAX_BOXES_PER_POINT: usize = 8;
 /// the agent sort encodes them into.
 const MAX_BOXES_PER_AXIS: u64 = 1 << 20;
 
-/// Upper bound on the number of chunk-private count rows of the fused
-/// counting pass. More rows mean less parallel imbalance but O(rows × boxes)
-/// merge work and scratch memory.
-const MAX_COUNT_CHUNKS: usize = 8;
-
-/// Cap on the count-row scratch (`rows × boxes × 4` bytes); when a very
-/// boxy cloud would blow past it, the build uses fewer chunks instead.
-const COUNT_SCRATCH_BYTE_CAP: usize = 64 << 20;
-
 /// Target write-window size of one scatter tile: each tile pass writes into
 /// at most roughly this many bytes of the sorted arrays, so the random
 /// stores of the counting sort hit far fewer open DRAM pages.
 const SCATTER_TILE_BYTES: usize = 4 << 20;
 
-/// Ceiling on scatter tiles — every tile re-streams the (sequential, cheap)
-/// per-agent box indices, so the pass count stays bounded.
+/// Ceiling on the scatter passes one worker makes — every tile re-streams
+/// the (sequential, cheap) per-agent box indices.
 const MAX_SCATTER_TILES: usize = 8;
 
 /// Bytes one agent occupies in the slot array (one interleaved slot).
@@ -202,9 +194,9 @@ pub struct UniformGridEnvironment {
     /// (scratch for the counting sort; the lattice budget guarantees the
     /// flat index fits in 32 bits).
     agent_boxes: Vec<u32>,
-    /// Chunk-private count rows of the fused counting pass, `chunks × boxes`
-    /// (scratch, reused). After the merge each entry is the exact scatter
-    /// cursor of its `(chunk, box)` pair.
+    /// The count row of the counting sort, one entry per box (scratch,
+    /// reused). After the merge sweep each entry is its box's scatter
+    /// cursor.
     count_scratch: Vec<u32>,
     /// One bit per box, set iff the box holds at least one agent in the
     /// current build. At ~0.3 agents/box (typical 10⁶-agent models) a
@@ -559,142 +551,88 @@ impl UniformGridEnvironment {
         }
     }
 
-    /// Number of chunk-private count rows for the fused counting pass.
-    /// `BDM_GRID_COUNT_CHUNKS` overrides the thread-count heuristic (tuning
-    /// knob; also lets tests exercise the multi-chunk merge on any machine),
-    /// still clamped by [`MAX_COUNT_CHUNKS`] and the scratch byte cap.
-    fn count_chunks(n: usize, nboxes: usize) -> usize {
-        if n < PARALLEL_BUILD_THRESHOLD {
-            return 1;
-        }
-        let requested = std::env::var("BDM_GRID_COUNT_CHUNKS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(rayon::current_num_threads);
-        let by_memory = COUNT_SCRATCH_BYTE_CAP / (nboxes * std::mem::size_of::<u32>()).max(1);
-        requested.min(MAX_COUNT_CHUNKS).min(by_memory).max(1)
-    }
-
-    /// Merges the chunk-private count rows: builds the exclusive
-    /// `cell_offsets` table and rewrites every `(chunk, box)` count into its
-    /// exact scatter cursor (exclusive prefix over chunks within each box,
-    /// based at the box offset). O(chunks × boxes), parallel over boxes.
-    fn merge_counts(&mut self, chunks: usize, nboxes: usize, n: usize) {
-        if chunks == 1 {
-            // Single count row: ONE fused serial pass prefixes it into the
-            // offset table and rewrites it into the scatter cursors on the
-            // way (instead of three separate O(#boxes) sweeps).
-            let counts = &mut self.count_scratch;
-            let offsets = &mut self.cell_offsets;
-            let mut acc = 0u32;
-            for b in 0..nboxes {
-                let count = counts[b];
-                counts[b] = acc;
-                acc += count;
-                offsets[b + 1] = acc;
+    /// The count sweep of the build: records every agent's flat box index
+    /// and counts it into the count row. With workers, contiguous agent
+    /// ranges run in parallel on ONE shared row through relaxed atomic
+    /// increments — they commute, so the row is the same whatever the
+    /// schedule, and it costs neither a row per worker nor their merge.
+    fn count_boxes(&mut self, positions: Positions<'_>, n: usize, workers: usize) {
+        if workers == 1 {
+            for i in 0..n {
+                let flat = self.flat_index(self.box_coordinates(positions.get(i)));
+                self.agent_boxes[i] = flat as u32;
+                self.count_scratch[flat] += 1;
             }
-            debug_assert_eq!(acc as usize, n, "count row must cover every indexed point");
             return;
         }
-        // Per-box totals into cell_offsets[1..]; slot 0 stays 0 so the
-        // inclusive prefix sum over [1..] yields the exclusive offsets.
-        let counts = &self.count_scratch;
-        let serial_merge = nboxes < PARALLEL_BUILD_THRESHOLD;
-        {
-            let offs_ptr = SendMut::new(self.cell_offsets.as_mut_ptr());
-            let per_box_total = |b: usize| -> u32 {
-                let mut s = 0u32;
-                for c in 0..chunks {
-                    s += counts[c * nboxes + b];
-                }
-                s
-            };
-            if serial_merge {
-                for b in 0..nboxes {
-                    // SAFETY: single thread, slot b + 1 in bounds.
-                    unsafe { offs_ptr.write(b + 1, per_box_total(b)) };
-                }
-            } else {
-                (0..nboxes).into_par_iter().for_each(|b| {
-                    // SAFETY: slot b + 1 written by exactly one task.
-                    unsafe { offs_ptr.write(b + 1, per_box_total(b)) };
-                });
-            }
-        }
-        let total = inclusive_prefix_sum_parallel_u32(&mut self.cell_offsets[1..]);
-        debug_assert_eq!(total, n, "count rows must cover every indexed point");
-        // Rewrite counts into scatter cursors: chunk c of box b starts where
-        // the lower chunks of b end.
-        let offsets = &self.cell_offsets;
-        let counts_ptr = SendMut::new(self.count_scratch.as_mut_ptr());
-        let cursor_box = |b: usize| {
-            let mut acc = offsets[b];
-            for c in 0..chunks {
-                // SAFETY: each (c, b) slot is touched by exactly one task
-                // (tasks partition the box range).
-                unsafe {
-                    let slot = counts_ptr.ptr_at(c * nboxes + b);
-                    let count = *slot;
-                    *slot = acc;
-                    acc += count;
-                }
-            }
+        let agent_boxes_ptr = SendMut::new(self.agent_boxes.as_mut_ptr());
+        // SAFETY: u32 and AtomicU32 have identical layout; the row is only
+        // accessed through this view inside the parallel region.
+        let counts = unsafe {
+            std::slice::from_raw_parts(
+                self.count_scratch.as_mut_ptr() as *const AtomicU32,
+                self.count_scratch.len(),
+            )
         };
-        if serial_merge {
-            for b in 0..nboxes {
-                cursor_box(b);
+        let grid = &*self;
+        let per_task = n.div_ceil(workers);
+        (0..workers).into_par_iter().for_each(|t| {
+            for i in t * per_task..((t + 1) * per_task).min(n) {
+                let flat = grid.flat_index(grid.box_coordinates(positions.get(i)));
+                // SAFETY: slot `i` is written by exactly one task.
+                unsafe { agent_boxes_ptr.write(i, flat as u32) };
+                counts[flat].fetch_add(1, Ordering::Relaxed);
             }
-        } else {
-            (0..nboxes).into_par_iter().for_each(cursor_box);
-        }
+        });
     }
 
-    /// Derives the per-box occupancy bitmap from the finished
-    /// `cell_offsets` table (box `b` is occupied iff its offset range is
-    /// non-empty). O(#boxes / 64) words, parallel above the threshold.
-    fn build_occupancy(&mut self, nboxes: usize) {
-        let words = nboxes.div_ceil(64);
-        self.occupancy.clear();
-        self.occupancy.resize(words, 0);
-        let offsets = &self.cell_offsets;
-        let word_of = |w: usize| -> u64 {
+    /// The merge sweep of the build: ONE pass over the boxes turns the
+    /// count row into the exclusive `cell_offsets` table, rewrites each
+    /// count into its box's scatter cursor and sets the box's occupancy bit
+    /// — a word of 64 boxes at a time, so the bitmap is written once.
+    fn merge_counts(&mut self, nboxes: usize, n: usize) {
+        self.cell_offsets.resize(nboxes + 1, 0);
+        self.occupancy.resize(nboxes.div_ceil(64), 0);
+        let cursors = &mut self.count_scratch[..nboxes];
+        let (first, offsets) = self.cell_offsets.split_at_mut(1);
+        first[0] = 0;
+        let mut acc = 0u32;
+        for ((word, cursors), offsets) in self
+            .occupancy
+            .iter_mut()
+            .zip(cursors.chunks_mut(64))
+            .zip(offsets.chunks_mut(64))
+        {
             let mut bits = 0u64;
-            let base = w * 64;
-            let end = 64.min(nboxes - base);
-            for b in 0..end {
-                bits |= u64::from(offsets[base + b] != offsets[base + b + 1]) << b;
+            for (b, (cursor, offset)) in cursors.iter_mut().zip(offsets).enumerate() {
+                let count = std::mem::replace(cursor, acc);
+                acc += count;
+                *offset = acc;
+                bits |= u64::from(count != 0) << b;
             }
-            bits
-        };
-        if words < PARALLEL_BUILD_THRESHOLD {
-            for w in 0..words {
-                self.occupancy[w] = word_of(w);
-            }
-        } else {
-            let occ_ptr = SendMut::new(self.occupancy.as_mut_ptr());
-            (0..words).into_par_iter().for_each(|w| {
-                // SAFETY: each word is written by exactly one task.
-                unsafe { occ_ptr.write(w, word_of(w)) };
-            });
+            *word = bits;
         }
+        debug_assert_eq!(acc as usize, n, "count row must cover every indexed point");
     }
 
     /// Scatter pass of the build: every agent's interleaved
     /// `(position, index)` slot — and, when requested, its diameter — goes
-    /// to the cursor of its `(chunk, box)` pair. Chunks run in parallel; the
-    /// cursors make all writes disjoint and the within-box order ascending
-    /// by agent index (deterministic regardless of scheduling). Large
-    /// scatters are tiled over contiguous box ranges — each tile pass
-    /// re-streams the cheap sequential box indices but confines the random
-    /// slot stores to a bounded window of the sorted arrays (see
-    /// [`SCATTER_TILE_BYTES`]), so they hit far fewer open DRAM pages.
+    /// to the cursor of its box. The box space is cut into tiles — contiguous
+    /// box ranges balanced by slot count, a whole number of passes per
+    /// worker — and each tile task scans the agents in ascending index order
+    /// and places those of its boxes: tasks own disjoint cursor and output
+    /// ranges, and the within-box order is ascending by agent index
+    /// regardless of scheduling. A tile re-streams the cheap sequential box
+    /// indices but confines its random slot stores to a bounded window of
+    /// the sorted arrays (see [`SCATTER_TILE_BYTES`]), so they hit far fewer
+    /// open DRAM pages.
     fn scatter_soa(
         &mut self,
         positions: Positions<'_>,
         diameters: Option<&[f64]>,
         n: usize,
         nboxes: usize,
-        chunks: usize,
+        workers: usize,
     ) {
         self.sorted_slots.resize(
             n,
@@ -708,15 +646,15 @@ impl UniformGridEnvironment {
         }
         let slot_ptr = SendMut::new(self.sorted_slots.as_mut_ptr());
         let diam_ptr = SendMut::new(self.sorted_diameters.as_mut_ptr());
-        let counts_ptr = SendMut::new(self.count_scratch.as_mut_ptr());
+        let cursors_ptr = SendMut::new(self.count_scratch.as_mut_ptr());
         let flats = &self.agent_boxes[..n];
         let offsets = &self.cell_offsets;
-        // Tile boundaries in box space, balanced by slot count: tile t
-        // covers boxes [tile_bounds[t], tile_bounds[t+1]) and therefore a
-        // write window of about n/tiles sorted slots.
+        // Tile t covers boxes [tile_bounds[t], tile_bounds[t+1]) and
+        // therefore a write window of about n/tiles sorted slots.
         let slot_bytes = SOA_SLOT_BYTES + diameters.map_or(0, |_| std::mem::size_of::<f64>());
-        let tiles = (n * slot_bytes / SCATTER_TILE_BYTES).clamp(1, MAX_SCATTER_TILES);
-        let mut tile_bounds = [0usize; MAX_SCATTER_TILES + 1];
+        let passes = (n * slot_bytes / (SCATTER_TILE_BYTES * workers)).clamp(1, MAX_SCATTER_TILES);
+        let tiles = passes * workers;
+        let mut tile_bounds = vec![0usize; tiles + 1];
         for t in 1..tiles {
             let target = (t * n / tiles) as u32;
             tile_bounds[t] = offsets
@@ -724,54 +662,37 @@ impl UniformGridEnvironment {
                 .clamp(tile_bounds[t - 1], nboxes);
         }
         tile_bounds[tiles] = nboxes;
-        let chunk_len = n.div_ceil(chunks);
-        let scatter_tiles = |c: usize, t_first: usize, t_last: usize| {
-            let row = c * nboxes;
-            let start = c * chunk_len;
-            let end = ((c + 1) * chunk_len).min(n);
-            for t in t_first..t_last {
-                let (b0, b1) = (tile_bounds[t] as u32, tile_bounds[t + 1] as u32);
-                for (i, &flat) in flats.iter().enumerate().take(end).skip(start) {
-                    if flat < b0 || flat >= b1 {
-                        continue;
-                    }
-                    // SAFETY: the cursor row slice [b0, b1) is owned by this
-                    // task (rows are chunk-private; within a row, tile tasks
-                    // cover disjoint box ranges), and cursor ranges
-                    // partition the sorted arrays, so slot `w` is claimed
-                    // exactly once across all tasks.
-                    unsafe {
-                        let cursor = counts_ptr.ptr_at(row + flat as usize);
-                        let w = *cursor as usize;
-                        *cursor += 1;
-                        slot_ptr.write(
-                            w,
-                            SortedSlot {
-                                position: positions.get(i),
-                                index: i as u32,
-                            },
-                        );
-                        if let Some(src) = diameters {
-                            diam_ptr.write(w, src[i]);
-                        }
+        let scatter_tile = |t: usize| {
+            let (b0, b1) = (tile_bounds[t] as u32, tile_bounds[t + 1] as u32);
+            for (i, &flat) in flats.iter().enumerate() {
+                if flat < b0 || flat >= b1 {
+                    continue;
+                }
+                // SAFETY: the cursors of boxes [b0, b1) are owned by this
+                // task (tiles cover disjoint box ranges), and cursor ranges
+                // partition the sorted arrays, so slot `w` is claimed
+                // exactly once across all tasks.
+                unsafe {
+                    let cursor = cursors_ptr.ptr_at(flat as usize);
+                    let w = *cursor as usize;
+                    *cursor += 1;
+                    slot_ptr.write(
+                        w,
+                        SortedSlot {
+                            position: positions.get(i),
+                            index: i as u32,
+                        },
+                    );
+                    if let Some(src) = diameters {
+                        diam_ptr.write(w, src[i]);
                     }
                 }
             }
         };
-        if chunks > 1 {
-            (0..chunks)
-                .into_par_iter()
-                .for_each(|c| scatter_tiles(c, 0, tiles));
-        } else if tiles > 1 && rayon::current_num_threads() > 1 {
-            // Single count row but real workers: tiles partition the box
-            // space, so tile tasks own disjoint cursor and output regions —
-            // parallel and still deterministic (each task scans the agents
-            // in ascending index order).
-            (0..tiles)
-                .into_par_iter()
-                .for_each(|t| scatter_tiles(0, t, t + 1));
+        if workers == 1 {
+            (0..tiles).for_each(scatter_tile);
         } else {
-            scatter_tiles(0, 0, tiles);
+            (0..tiles).into_par_iter().for_each(scatter_tile);
         }
     }
 }
@@ -863,73 +784,17 @@ impl Environment for UniformGridEnvironment {
         if self.agent_boxes.len() < n {
             self.agent_boxes.resize(n, 0);
         }
-        let chunks = Self::count_chunks(n, nboxes);
         self.count_scratch.clear();
-        self.count_scratch.resize(chunks * nboxes, 0);
-        self.cell_offsets.clear();
-        self.cell_offsets.resize(nboxes + 1, 0);
-
-        // The fused build pass: ONE sweep over the cloud computes each
-        // agent's box and feeds the counting sort's histogram.
-        let workers = rayon::current_num_threads();
-        if n < PARALLEL_BUILD_THRESHOLD || (chunks == 1 && workers == 1) {
-            // Single-threaded: one count row, plain stores.
-            for i in 0..n {
-                let bc = self.box_coordinates(positions.get(i));
-                let flat = self.flat_index(bc);
-                self.agent_boxes[i] = flat as u32;
-                self.count_scratch[flat] += 1;
-            }
-        } else if chunks == 1 {
-            // The scratch byte cap limited the histogram to a single count
-            // row (very boxy cloud) but real workers exist: keep the sweep
-            // parallel with one relaxed fetch_add per agent on a shared
-            // atomic view of the row — increments commute, so the merged
-            // result is identical to the chunk-private histogram.
-            let agent_boxes_ptr = SendMut::new(self.agent_boxes.as_mut_ptr());
-            // SAFETY: u32 and AtomicU32 have identical layout; the row is
-            // only accessed through this view inside the parallel region.
-            let counts = unsafe {
-                std::slice::from_raw_parts(
-                    self.count_scratch.as_mut_ptr() as *const AtomicU32,
-                    nboxes,
-                )
-            };
-            let grid = &*self;
-            (0..n).into_par_iter().for_each(|i| {
-                let bc = grid.box_coordinates(positions.get(i));
-                let flat = grid.flat_index(bc);
-                // SAFETY: slot `i` is written by exactly one task.
-                unsafe { agent_boxes_ptr.write(i, flat as u32) };
-                counts[flat].fetch_add(1, Ordering::Relaxed);
-            });
+        self.count_scratch.resize(nboxes, 0);
+        // Below the threshold the fork-join overhead costs more than the
+        // whole serial build.
+        let workers = if n < PARALLEL_BUILD_THRESHOLD {
+            1
         } else {
-            // Chunked parallel: contiguous agent ranges, one private count
-            // row per chunk — merged below by a prefix sum, so the
-            // histogram needs no shared atomics.
-            let chunk_len = n.div_ceil(chunks);
-            let agent_boxes_ptr = SendMut::new(self.agent_boxes.as_mut_ptr());
-            let counts_ptr = SendMut::new(self.count_scratch.as_mut_ptr());
-            let grid = &*self;
-            (0..chunks).into_par_iter().for_each(|c| {
-                let row = c * nboxes;
-                let start = c * chunk_len;
-                let end = ((c + 1) * chunk_len).min(n);
-                for i in start..end {
-                    let bc = grid.box_coordinates(positions.get(i));
-                    let flat = grid.flat_index(bc);
-                    // SAFETY: slot `i` and the chunk-private count row are
-                    // each written by exactly one task.
-                    unsafe {
-                        agent_boxes_ptr.write(i, flat as u32);
-                        *counts_ptr.ptr_at(row + flat) += 1;
-                    }
-                }
-            });
-        }
-
-        self.merge_counts(chunks, nboxes, n);
-        self.build_occupancy(nboxes);
+            rayon::current_num_threads()
+        };
+        self.count_boxes(positions, n, workers);
+        self.merge_counts(nboxes, n);
         // Box-sorted diameters ride along in the same scatter pass, but
         // only when this iteration's due kernels declared they read
         // neighbor diameters (the hint) and the cloud carries them (the
@@ -939,7 +804,7 @@ impl Environment for UniformGridEnvironment {
         } else {
             None
         };
-        self.scatter_soa(positions, diameters, n, nboxes, chunks);
+        self.scatter_soa(positions, diameters, n, nboxes, workers);
         self.diameters_active = diameters.is_some();
     }
 

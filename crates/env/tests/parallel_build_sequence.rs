@@ -1,12 +1,12 @@
 //! The regime the repo benchmark sits in — above the grid's parallel-build
 //! threshold at ~5 boxes per point — must hand every agent the same
 //! neighbour *sequence* (not just set) however the build is scheduled:
-//! `RAYON_NUM_THREADS` ∈ {1, 4} × `BDM_GRID_COUNT_CHUNKS` ∈ {1, 4}.
+//! `RAYON_NUM_THREADS` ∈ {1, 4}.
 //!
-//! Both variables are process-global (the thread count is read once and
-//! cached), so the test re-runs its own binary once per combination and
-//! compares the sequence hashes; the determinism-matrix CI job additionally
-//! runs it under each of its own combinations.
+//! The variable is process-global (the thread count is read once and
+//! cached), so the test re-runs its own binary once per value and compares
+//! the sequence hashes; the determinism-matrix CI job additionally runs it
+//! under each of its own thread counts.
 
 use std::process::Command;
 
@@ -18,7 +18,7 @@ mod common;
 
 const CHILD: &str = "BDM_SEQUENCE_CHILD";
 const TAG: &str = "sequence-hash ";
-const TEST: &str = "neighbour_sequence_is_identical_across_threads_and_count_chunks";
+const TEST: &str = "neighbour_sequence_is_identical_across_threads";
 const N: usize = 70_000;
 const RADIUS: f64 = 2.0;
 
@@ -52,7 +52,7 @@ fn sequence_hash() -> u64 {
 }
 
 #[test]
-fn neighbour_sequence_is_identical_across_threads_and_count_chunks() {
+fn neighbour_sequence_is_identical_across_threads() {
     let here = sequence_hash();
     if std::env::var_os(CHILD).is_some() {
         println!("{TAG}{here:016x}");
@@ -60,25 +60,22 @@ fn neighbour_sequence_is_identical_across_threads_and_count_chunks() {
     }
     let exe = std::env::current_exe().expect("test binary path");
     for threads in ["1", "4"] {
-        for chunks in ["1", "4"] {
-            let out = Command::new(&exe)
-                .args(["--exact", TEST, "--nocapture", "--test-threads=1"])
-                .env(CHILD, "1")
-                .env("RAYON_NUM_THREADS", threads)
-                .env("BDM_GRID_COUNT_CHUNKS", chunks)
-                .output()
-                .expect("re-run the test binary");
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            assert!(out.status.success(), "child failed: {stdout}");
-            let there = stdout
-                .lines()
-                .find_map(|l| l.split_once(TAG).map(|(_, h)| h.trim().to_string()))
-                .expect("child prints its hash");
-            assert_eq!(
-                there,
-                format!("{here:016x}"),
-                "sequence differs at {threads} threads, {chunks} count chunks"
-            );
-        }
+        let out = Command::new(&exe)
+            .args(["--exact", TEST, "--nocapture", "--test-threads=1"])
+            .env(CHILD, "1")
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .expect("re-run the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "child failed: {stdout}");
+        let there = stdout
+            .lines()
+            .find_map(|l| l.split_once(TAG).map(|(_, h)| h.trim().to_string()))
+            .expect("child prints its hash");
+        assert_eq!(
+            there,
+            format!("{here:016x}"),
+            "sequence differs at {threads} threads"
+        );
     }
 }
