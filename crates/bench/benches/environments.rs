@@ -10,8 +10,9 @@ use std::hint::black_box;
 
 use bdm_env::{
     Environment, KdTreeEnvironment, NeighborQueryScratch, OctreeEnvironment, SliceCloud,
-    UniformGridEnvironment,
+    UniformGridEnvironment, UpdateHint,
 };
+use bdm_numa::NumaThreadPool;
 use bdm_util::{Real3, SimRng};
 
 fn cloud(n: usize, seed: u64) -> Vec<Real3> {
@@ -23,13 +24,21 @@ fn cloud(n: usize, seed: u64) -> Vec<Real3> {
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("env_build");
     group.sample_size(20);
-    for &n in &[1_000usize, 10_000] {
+    // The engine's worker pool, as the simulation passes it: the grid
+    // builds in parallel on it from its parallel-build threshold (2¹⁶
+    // points) on, which only the largest size crosses.
+    let pool = NumaThreadPool::detected();
+    let hint = UpdateHint {
+        pool: Some(&pool),
+        ..UpdateHint::default()
+    };
+    for &n in &[1_000usize, 10_000, 100_000] {
         let points = cloud(n, 7);
         let slice = SliceCloud(&points);
         let radius = 12.0;
         let mut grid = UniformGridEnvironment::new();
         group.bench_with_input(BenchmarkId::new("uniform_grid", n), &n, |b, _| {
-            b.iter(|| grid.update(black_box(&slice), radius))
+            b.iter(|| grid.update_with(black_box(&slice), radius, hint))
         });
         let mut kd = KdTreeEnvironment::new();
         group.bench_with_input(BenchmarkId::new("kd_tree", n), &n, |b, _| {

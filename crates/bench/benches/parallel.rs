@@ -1,13 +1,13 @@
 //! Criterion microbench: the NUMA-aware thread pool (paper Section 4.1) —
 //! domain-matched scheduling vs a flat parallel loop, work-stealing under
-//! imbalance, and the parallel prefix sum used by agent sorting.
+//! imbalance, and the serial prefix sum behind the commit's counters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bdm_numa::{NumaThreadPool, NumaTopology};
-use bdm_util::{inclusive_prefix_sum_parallel, prefix_sum_inclusive};
+use bdm_util::prefix_sum_inclusive;
 
 fn busy_work(iters: u64) -> u64 {
     let mut x = iters.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -104,12 +104,6 @@ fn bench_prefix_sum(c: &mut Criterion) {
             b.iter(|| {
                 let mut v = base.clone();
                 black_box(prefix_sum_inclusive(&mut v))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, _| {
-            b.iter(|| {
-                let mut v = base.clone();
-                black_box(inclusive_prefix_sum_parallel(&mut v))
             })
         });
     }

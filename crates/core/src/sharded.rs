@@ -404,12 +404,13 @@ impl ShardedState {
     /// Rebuilds the K shard grids over the current clouds (no-op when the
     /// clouds and build capabilities are unchanged). Every build is framed
     /// to the global lattice ([`GridFrame`]) so box membership is bitwise
-    /// that of the single-engine grid.
+    /// that of the single-engine grid, and runs on the engine's `pool`.
     pub fn build_grids(
         &mut self,
         scatter_diameters: bool,
         radius: f64,
         bounds: Option<(Real3, Real3)>,
+        pool: &NumaThreadPool,
     ) {
         if self.grids_built_for == Some((self.exchange_stamp, scatter_diameters)) {
             return;
@@ -429,6 +430,7 @@ impl ShardedState {
                             dims: [hi[0] - lo[0] + 1, hi[1] - lo[1] + 1, hi[2] - lo[2] + 1],
                             box_length,
                         }),
+                        pool: Some(pool),
                     };
                     self.grids[t].update_with(&self.clouds[t], radius, hint);
                 }

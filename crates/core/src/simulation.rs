@@ -897,7 +897,7 @@ impl Simulation {
         let (radius, bounds, iteration) = (self.step_radius, self.snapshot.bounds, self.iteration);
         if let Some(st) = self.sharded.as_mut() {
             if st.active_iteration == iteration {
-                st.build_grids(scatter, radius, bounds);
+                st.build_grids(scatter, radius, bounds, &self.pool);
                 return;
             }
         }
@@ -921,13 +921,17 @@ impl Simulation {
                 known_bounds: self.snapshot.bounds,
                 scatter_diameters: self.step_access.contains(NeighborAccess::DIAMETERS),
                 grid_frame: None,
+                pool: Some(&self.pool),
             };
             let cloud = SnapshotCloud(&self.snapshot);
             self.env.update_with(&cloud, self.step_radius, hint);
         } else {
             let cloud = ResourceManagerCloud::new(&self.rm);
-            self.env
-                .update_with(&cloud, self.step_radius, UpdateHint::default());
+            let hint = UpdateHint {
+                pool: Some(&self.pool),
+                ..UpdateHint::default()
+            };
+            self.env.update_with(&cloud, self.step_radius, hint);
         }
     }
 
@@ -957,7 +961,7 @@ impl Simulation {
         self.apply_secretions();
         let dt = self.param.simulation_time_step;
         for grid in &mut self.diffusion {
-            grid.step(dt);
+            grid.step_with(dt, Some(&self.pool));
         }
     }
 

@@ -31,6 +31,7 @@ pub mod kdtree;
 pub mod octree;
 pub mod uniform_grid;
 
+use bdm_numa::NumaThreadPool;
 use bdm_util::Real3;
 
 pub use brute::BruteForceEnvironment;
@@ -202,12 +203,17 @@ impl EnvironmentKind {
 ///   skipped, and the scattered values are bitwise copies.
 /// * `grid_frame` — pins the uniform grid's lattice instead of deriving it
 ///   from the cloud (sharded execution).
+/// * `pool` — the engine's worker pool. Above its parallel threshold the
+///   uniform grid runs its bounds, count and scatter sweeps on these
+///   workers, so every parallel loop of an iteration runs on the engine's
+///   one pool (paper Section 4.1); the index is bitwise the same for every
+///   worker count.
 ///
 /// [`UpdateHint::default`] is the standalone contract: compute bounds and
 /// lattice from the cloud, no diameter scatter (plain position clouds carry
-/// no diameters and no reader requires it for correctness).
+/// no diameters and no reader requires it for correctness), build serially.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct UpdateHint {
+pub struct UpdateHint<'a> {
     /// Precomputed tight bounds of the cloud, if the caller has them.
     pub known_bounds: Option<(Real3, Real3)>,
     /// Request the box-sorted diameter scatter (uniform grid only; requires
@@ -217,6 +223,9 @@ pub struct UpdateHint {
     /// of deriving it from the cloud (sharded execution; see [`GridFrame`]).
     /// `None` (the default) keeps the self-derived geometry.
     pub grid_frame: Option<GridFrame>,
+    /// Workers to build on; `None` (the default) builds serially on the
+    /// calling thread.
+    pub pool: Option<&'a NumaThreadPool>,
 }
 
 /// Externally pinned grid geometry for a [`UniformGridEnvironment`] build.

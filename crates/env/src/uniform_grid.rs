@@ -16,15 +16,16 @@
 //!   The paper bounds the rebuild with timestamped boxes that are never
 //!   zeroed; bounding the box count bounds the same work without a second
 //!   structure, and bounds memory too.
-//! * **Three sweeps, one count row** — one parallel sweep over the cloud
-//!   computes each agent's flat box index and counts it into the single
-//!   per-box count row (relaxed atomic increments: they commute, so the
-//!   histogram does not depend on scheduling). One sweep over the boxes
-//!   then turns the row into the offset table, the per-box scatter cursors
-//!   and the occupancy bitmap together. The scatter runs one task per
-//!   contiguous box range, each scanning the agents in index order, so the
-//!   writes are disjoint and agents of a box land in ascending agent-index
-//!   order regardless of thread scheduling.
+//! * **Three sweeps, one count row** — one sweep over the cloud computes
+//!   each agent's flat box index and counts it into the single per-box
+//!   count row; on the caller's pool ([`UpdateHint::pool`]) one contiguous
+//!   agent range per worker, with relaxed atomic increments (they commute,
+//!   so the histogram does not depend on scheduling). One sweep over the
+//!   boxes then turns the row into the offset table, the per-box scatter
+//!   cursors and the occupancy bitmap together. The scatter runs one task
+//!   per contiguous box range, each scanning the agents in index order, so
+//!   the writes are disjoint and agents of a box land in ascending
+//!   agent-index order regardless of the worker count and scheduling.
 //! * **3×3×3 search** — a fixed-radius query visits the query box and its 26
 //!   surrounding boxes; complete because the box edge is never smaller than
 //!   the build radius. Boxes adjacent in x are adjacent in the sorted slots,
@@ -38,17 +39,20 @@
 //!   over box ranges so each pass writes into a bounded window of the
 //!   sorted arrays instead of spraying the whole allocation.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 
+use bdm_numa::NumaThreadPool;
 use bdm_util::send_ptr::SendMut;
 use bdm_util::Real3;
-use rayon::prelude::*;
 
 use crate::{Environment, NeighborQueryScratch, PointCloud, UpdateHint};
 
-/// Below this point count the build runs serially: the fork-join overhead of
-/// the parallel path costs more than the whole serial build (measured with
-/// the `env_build` Criterion bench; the paper's Challenge 1 concerns large
+/// Below this point count the build runs serially even when the caller
+/// hands it a pool ([`UpdateHint::pool`]): the fork-join overhead of the
+/// parallel path costs more than the whole serial build (measured with the
+/// `env_build` Criterion bench; the paper's Challenge 1 concerns large
 /// populations, where the parallel path wins).
 const PARALLEL_BUILD_THRESHOLD: usize = 1 << 16;
 
@@ -552,19 +556,19 @@ impl UniformGridEnvironment {
     }
 
     /// The count sweep of the build: records every agent's flat box index
-    /// and counts it into the count row. With workers, contiguous agent
-    /// ranges run in parallel on ONE shared row through relaxed atomic
-    /// increments — they commute, so the row is the same whatever the
-    /// schedule, and it costs neither a row per worker nor their merge.
-    fn count_boxes(&mut self, positions: Positions<'_>, n: usize, workers: usize) {
-        if workers == 1 {
+    /// and counts it into the count row. On a pool, one contiguous agent
+    /// range per worker runs in parallel on ONE shared row through relaxed
+    /// atomic increments — they commute, so the row is the same whatever
+    /// the schedule, and it costs neither a row per worker nor their merge.
+    fn count_boxes(&mut self, positions: Positions<'_>, n: usize, pool: Option<&NumaThreadPool>) {
+        let Some(pool) = pool else {
             for i in 0..n {
                 let flat = self.flat_index(self.box_coordinates(positions.get(i)));
                 self.agent_boxes[i] = flat as u32;
                 self.count_scratch[flat] += 1;
             }
             return;
-        }
+        };
         let agent_boxes_ptr = SendMut::new(self.agent_boxes.as_mut_ptr());
         // SAFETY: u32 and AtomicU32 have identical layout; the row is only
         // accessed through this view inside the parallel region.
@@ -575,9 +579,8 @@ impl UniformGridEnvironment {
             )
         };
         let grid = &*self;
-        let per_task = n.div_ceil(workers);
-        (0..workers).into_par_iter().for_each(|t| {
-            for i in t * per_task..((t + 1) * per_task).min(n) {
+        pool.parallel_for(n, per_worker(n, pool), &|_, range| {
+            for i in range {
                 let flat = grid.flat_index(grid.box_coordinates(positions.get(i)));
                 // SAFETY: slot `i` is written by exactly one task.
                 unsafe { agent_boxes_ptr.write(i, flat as u32) };
@@ -618,11 +621,12 @@ impl UniformGridEnvironment {
     /// Scatter pass of the build: every agent's interleaved
     /// `(position, index)` slot — and, when requested, its diameter — goes
     /// to the cursor of its box. The box space is cut into tiles — contiguous
-    /// box ranges balanced by slot count, a whole number of passes per
-    /// worker — and each tile task scans the agents in ascending index order
-    /// and places those of its boxes: tasks own disjoint cursor and output
-    /// ranges, and the within-box order is ascending by agent index
-    /// regardless of scheduling. A tile re-streams the cheap sequential box
+    /// box ranges balanced by slot count, a whole number of passes per pool
+    /// worker (one worker without a pool) — and each tile task scans the
+    /// agents in ascending index order and places those of its boxes: tasks
+    /// own disjoint cursor and output ranges, and the within-box order is
+    /// ascending by agent index regardless of scheduling. A tile re-streams
+    /// the cheap sequential box
     /// indices but confines its random slot stores to a bounded window of
     /// the sorted arrays (see [`SCATTER_TILE_BYTES`]), so they hit far fewer
     /// open DRAM pages.
@@ -632,7 +636,7 @@ impl UniformGridEnvironment {
         diameters: Option<&[f64]>,
         n: usize,
         nboxes: usize,
-        workers: usize,
+        pool: Option<&NumaThreadPool>,
     ) {
         self.sorted_slots.resize(
             n,
@@ -652,6 +656,7 @@ impl UniformGridEnvironment {
         // Tile t covers boxes [tile_bounds[t], tile_bounds[t+1]) and
         // therefore a write window of about n/tiles sorted slots.
         let slot_bytes = SOA_SLOT_BYTES + diameters.map_or(0, |_| std::mem::size_of::<f64>());
+        let workers = pool.map_or(1, NumaThreadPool::num_threads);
         let passes = (n * slot_bytes / (SCATTER_TILE_BYTES * workers)).clamp(1, MAX_SCATTER_TILES);
         let tiles = passes * workers;
         let mut tile_bounds = vec![0usize; tiles + 1];
@@ -689,12 +694,17 @@ impl UniformGridEnvironment {
                 }
             }
         };
-        if workers == 1 {
-            (0..tiles).for_each(scatter_tile);
-        } else {
-            (0..tiles).into_par_iter().for_each(scatter_tile);
+        match pool {
+            Some(pool) => pool.parallel_for(tiles, 1, &|_, range| range.for_each(&scatter_tile)),
+            None => (0..tiles).for_each(scatter_tile),
         }
     }
+}
+
+/// Block size that cuts `0..n` into one contiguous range per worker of
+/// `pool`.
+fn per_worker(n: usize, pool: &NumaThreadPool) -> usize {
+    n.div_ceil(pool.num_threads())
 }
 
 impl Environment for UniformGridEnvironment {
@@ -723,6 +733,11 @@ impl Environment for UniformGridEnvironment {
             self.box_offset = [0; 3];
             return;
         }
+        // Below the threshold the fork-join overhead costs more than the
+        // whole serial build; a one-worker pool has nothing to split.
+        let pool = hint
+            .pool
+            .filter(|p| n >= PARALLEL_BUILD_THRESHOLD && p.num_threads() > 1);
 
         if let Some(frame) = hint.grid_frame {
             // Externally pinned geometry (sharded execution): the anchor,
@@ -751,23 +766,27 @@ impl Environment for UniformGridEnvironment {
         } else {
             // Bounding box: taken from the hint when the caller already
             // swept the cloud (the engine's snapshot gather), otherwise one
-            // reduction pass (parallel above the threshold).
+            // reduction pass — on a pool, one partial per worker range,
+            // merged under a lock (min and max are exact and commute, so
+            // the merge order cannot change the result).
             let (min, max) = hint.known_bounds.unwrap_or_else(|| {
-                let neutral = || (Real3::splat(f64::INFINITY), Real3::splat(f64::NEG_INFINITY));
-                if n < PARALLEL_BUILD_THRESHOLD {
-                    (0..n).fold(neutral(), |(lo, hi), i| {
+                let neutral = (Real3::splat(f64::INFINITY), Real3::splat(f64::NEG_INFINITY));
+                let fold = |range: Range<usize>| {
+                    range.fold(neutral, |(lo, hi), i| {
                         let p = positions.get(i);
                         (lo.min(&p), hi.max(&p))
                     })
-                } else {
-                    (0..n)
-                        .into_par_iter()
-                        .fold(neutral, |(lo, hi), i| {
-                            let p = positions.get(i);
-                            (lo.min(&p), hi.max(&p))
-                        })
-                        .reduce(neutral, |a, b| (a.0.min(&b.0), a.1.max(&b.1)))
-                }
+                };
+                let Some(pool) = pool else {
+                    return fold(0..n);
+                };
+                let merged = Mutex::new(neutral);
+                pool.parallel_for(n, per_worker(n, pool), &|_, range| {
+                    let (lo, hi) = fold(range);
+                    let mut m = merged.lock().expect("no bounds task panicked");
+                    *m = (m.0.min(&lo), m.1.max(&hi));
+                });
+                merged.into_inner().expect("no bounds task panicked")
             });
             self.bounds = Some((min, max));
             self.grid_min = min;
@@ -786,14 +805,7 @@ impl Environment for UniformGridEnvironment {
         }
         self.count_scratch.clear();
         self.count_scratch.resize(nboxes, 0);
-        // Below the threshold the fork-join overhead costs more than the
-        // whole serial build.
-        let workers = if n < PARALLEL_BUILD_THRESHOLD {
-            1
-        } else {
-            rayon::current_num_threads()
-        };
-        self.count_boxes(positions, n, workers);
+        self.count_boxes(positions, n, pool);
         self.merge_counts(nboxes, n);
         // Box-sorted diameters ride along in the same scatter pass, but
         // only when this iteration's due kernels declared they read
@@ -804,7 +816,7 @@ impl Environment for UniformGridEnvironment {
         } else {
             None
         };
-        self.scatter_soa(positions, diameters, n, nboxes, workers);
+        self.scatter_soa(positions, diameters, n, nboxes, pool);
         self.diameters_active = diameters.is_some();
     }
 

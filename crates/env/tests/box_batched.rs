@@ -39,7 +39,7 @@ fn diam_cloud(seed: u64, n: usize, extent: f64) -> DiamCloud {
     }
 }
 
-fn scatter_hint() -> UpdateHint {
+fn scatter_hint() -> UpdateHint<'static> {
     UpdateHint {
         scatter_diameters: true,
         ..UpdateHint::default()

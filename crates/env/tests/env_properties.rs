@@ -7,6 +7,7 @@ use bdm_env::{
     neighbors_of, BruteForceEnvironment, Environment, KdTreeEnvironment, OctreeEnvironment,
     SliceCloud, UniformGridEnvironment, UpdateHint,
 };
+use bdm_numa::{NumaThreadPool, NumaTopology};
 use bdm_util::{Real3, SimRng};
 use proptest::prelude::*;
 
@@ -304,14 +305,19 @@ fn density_sweep_on_one_grid_matches_brute_force() {
 
 #[test]
 fn grid_parallel_build_above_threshold_matches_brute() {
-    // 70k points crosses the grid's parallel-build threshold (1 << 16):
-    // this exercises the parallel counting/scatter passes of the build,
-    // which smaller tests never reach.
+    // 70k points crosses the grid's parallel-build threshold (1 << 16), and
+    // the build gets a pool: this exercises the parallel bounds, counting
+    // and scatter passes of the build, which smaller tests never reach.
     // Queries are sampled (brute force is O(n) per query at this scale).
     let n = 70_000;
     let points = random_points(55, n, 120.0);
+    let pool = NumaThreadPool::new(NumaTopology::new(2, 4));
     let mut grid = UniformGridEnvironment::new();
-    grid.update(&pc(&points), 4.0);
+    let hint = UpdateHint {
+        pool: Some(&pool),
+        ..UpdateHint::default()
+    };
+    grid.update_with(&pc(&points), 4.0, hint);
     let mut brute = BruteForceEnvironment::new();
     brute.update(&pc(&points), 4.0);
     for (i, &p) in points.iter().enumerate().step_by(997) {

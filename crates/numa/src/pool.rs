@@ -136,9 +136,10 @@ impl NumaThreadPool {
     /// Runs `f(worker_id)` once on every worker and blocks until all
     /// invocations finished.
     ///
-    /// Panics when called from inside a pool worker (nested parallelism must
-    /// go through rayon or plain code instead — matching the paper's engine,
-    /// where only the scheduler launches parallel regions).
+    /// Panics when called from inside a pool worker (nested loops run as
+    /// plain serial code instead — matching the paper's engine, where only
+    /// the scheduler launches parallel regions, all on this one pool: the
+    /// agent phase, the sort, the grid build and diffusion alike).
     pub fn run(&self, f: &(dyn Fn(usize) + Sync)) {
         assert!(
             !IS_WORKER.with(|w| w.get()),
@@ -517,6 +518,26 @@ mod tests {
             });
         }
         assert_eq!(counter.load(Ordering::Relaxed), 2000);
+    }
+
+    #[test]
+    fn concurrent_callers_serialize_safely() {
+        // Threads sharing one pool each get their own complete job: `run`
+        // serializes them through its guard.
+        let p = pool(2, 4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let p = &p;
+                scope.spawn(move || {
+                    let sum = AtomicU64::new(0);
+                    p.parallel_for(5_000, 64, &|_ctx, range| {
+                        let s: u64 = range.map(|i| i as u64 * 2 + t).sum();
+                        sum.fetch_add(s, Ordering::Relaxed);
+                    });
+                    assert_eq!(sum.into_inner(), 4_999 * 5_000 + 5_000 * t);
+                });
+            }
+        });
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # bdm-util
 //!
 //! Shared utilities for the `biodynamo-rs` workspace: 3-D vector math,
-//! deterministic random number generation, parallel prefix sums, descriptive
+//! deterministic random number generation, prefix sums, descriptive
 //! statistics, wall-clock timing, process memory introspection, and plain-text
 //! table/CSV emitters used by the benchmark harness.
 //!
@@ -20,7 +20,7 @@ pub mod timing;
 
 pub use io::{fnv1a64, ByteReader, ByteWriter, ReadError};
 pub use memory::{format_bytes, peak_rss_bytes, rss_bytes};
-pub use prefix_sum::{inclusive_prefix_sum_parallel, prefix_sum_exclusive, prefix_sum_inclusive};
+pub use prefix_sum::{prefix_sum_exclusive, prefix_sum_inclusive};
 pub use real3::Real3;
 pub use rng::SimRng;
 pub use stats::{geometric_mean, median, Summary};

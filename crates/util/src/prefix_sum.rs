@@ -1,13 +1,9 @@
-//! Serial and parallel prefix sums.
+//! Serial prefix sums.
 //!
-//! The agent sorting/balancing algorithm (paper Section 4.2, step F) and the
-//! parallel removal algorithm (Section 3.2, step 4) both rely on prefix sums
-//! over per-box / per-thread counters. The parallel variant is the classic
-//! two-pass block algorithm (work-efficient in the sense of Ladner & Fischer,
-//! the paper's citation \[36\]): per-block sums in parallel, a serial scan over
-//! the tiny block-sum array, then a parallel fix-up pass.
-
-use rayon::prelude::*;
+//! The parallel removal and addition commits (paper Section 3.2, step 4)
+//! scan per-block and per-thread counters — a few entries per worker, so a
+//! serial pass is all they need. The uniform grid's per-box scan is fused
+//! into the merge sweep of its build instead.
 
 /// In-place exclusive prefix sum; returns the total.
 ///
@@ -30,108 +26,6 @@ pub fn prefix_sum_inclusive(values: &mut [usize]) -> usize {
         *v = acc;
     }
     acc
-}
-
-/// Counter widths the parallel block scan is instantiated for.
-pub trait PrefixElem: Copy + Send + Sync {
-    /// The additive identity.
-    fn zero() -> Self;
-    /// Element addition (totals are guaranteed to fit by the caller).
-    fn add(self, rhs: Self) -> Self;
-    /// Narrowing conversion from an accumulated block offset.
-    fn from_usize(v: usize) -> Self;
-    /// Widening conversion for block totals.
-    fn as_usize(self) -> usize;
-}
-
-impl PrefixElem for usize {
-    fn zero() -> Self {
-        0
-    }
-    fn add(self, rhs: Self) -> Self {
-        self + rhs
-    }
-    fn from_usize(v: usize) -> Self {
-        v
-    }
-    fn as_usize(self) -> usize {
-        self
-    }
-}
-
-impl PrefixElem for u32 {
-    fn zero() -> Self {
-        0
-    }
-    fn add(self, rhs: Self) -> Self {
-        self + rhs
-    }
-    fn from_usize(v: usize) -> Self {
-        v as u32
-    }
-    fn as_usize(self) -> usize {
-        self as usize
-    }
-}
-
-/// The block-scan shared by both public widths: inclusive scan within each
-/// block, exclusive scan over the tiny block-total array, parallel offset
-/// fix-up. Falls back to one serial scan for small inputs where parallelism
-/// cannot pay for itself.
-fn inclusive_scan_parallel<T: PrefixElem>(values: &mut [T]) -> usize {
-    const MIN_PARALLEL: usize = 1 << 14;
-    let serial = |chunk: &mut [T]| {
-        let mut acc = T::zero();
-        for v in chunk.iter_mut() {
-            acc = acc.add(*v);
-            *v = acc;
-        }
-        acc
-    };
-    if values.len() < MIN_PARALLEL {
-        return serial(values).as_usize();
-    }
-    let threads = rayon::current_num_threads().max(1);
-    let block = values.len().div_ceil(threads);
-
-    // Pass 1: inclusive scan within each block, collect block totals.
-    let mut block_sums: Vec<usize> = values
-        .par_chunks_mut(block)
-        .map(|chunk| serial(chunk).as_usize())
-        .collect();
-
-    // Pass 2: exclusive scan over the (tiny) block totals.
-    let total = prefix_sum_exclusive(&mut block_sums);
-
-    // Pass 3: add each block's offset.
-    values
-        .par_chunks_mut(block)
-        .zip(block_sums.par_iter())
-        .for_each(|(chunk, &offset)| {
-            if offset != 0 {
-                let offset = T::from_usize(offset);
-                for v in chunk.iter_mut() {
-                    *v = v.add(offset);
-                }
-            }
-        });
-    total
-}
-
-/// Parallel in-place **inclusive** prefix sum.
-///
-/// Falls back to the serial scan for small inputs where parallelism cannot
-/// pay for itself.
-pub fn inclusive_prefix_sum_parallel(values: &mut [usize]) -> usize {
-    inclusive_scan_parallel(values)
-}
-
-/// Parallel in-place **inclusive** prefix sum over `u32` counters (the
-/// uniform grid's box-offset table stores `u32` to halve the memory traffic
-/// of its O(#boxes) merge passes). The caller guarantees the total fits in
-/// `u32`; it is returned widened for convenience.
-pub fn inclusive_prefix_sum_parallel_u32(values: &mut [u32]) -> usize {
-    inclusive_scan_parallel(values)
 }
 
 #[cfg(test)]
@@ -159,51 +53,13 @@ mod tests {
     fn empty_and_single() {
         let mut e: Vec<usize> = vec![];
         assert_eq!(prefix_sum_exclusive(&mut e), 0);
-        assert_eq!(inclusive_prefix_sum_parallel(&mut e), 0);
+        assert_eq!(prefix_sum_inclusive(&mut e), 0);
         let mut s = vec![7];
         assert_eq!(prefix_sum_inclusive(&mut s), 7);
         assert_eq!(s, vec![7]);
     }
 
-    #[test]
-    fn parallel_matches_serial_large() {
-        let n = 100_000;
-        let src: Vec<usize> = (0..n).map(|i| (i * 2654435761) % 17).collect();
-        let mut a = src.clone();
-        let mut b = src;
-        let ta = prefix_sum_inclusive(&mut a);
-        let tb = inclusive_prefix_sum_parallel(&mut b);
-        assert_eq!(ta, tb);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn u32_parallel_matches_serial() {
-        let n = 100_000;
-        let src: Vec<u32> = (0..n)
-            .map(|i| ((i * 2654435761usize) % 17) as u32)
-            .collect();
-        let mut a = src.clone();
-        let total = inclusive_prefix_sum_parallel_u32(&mut a);
-        let mut acc = 0u32;
-        for (i, &v) in src.iter().enumerate() {
-            acc += v;
-            assert_eq!(a[i], acc);
-        }
-        assert_eq!(total, acc as usize);
-    }
-
     proptest! {
-        #[test]
-        fn prop_parallel_matches_serial(src in proptest::collection::vec(0usize..100, 0..20_000)) {
-            let mut a = src.clone();
-            let mut b = src;
-            let ta = prefix_sum_inclusive(&mut a);
-            let tb = inclusive_prefix_sum_parallel(&mut b);
-            prop_assert_eq!(ta, tb);
-            prop_assert_eq!(a, b);
-        }
-
         #[test]
         fn prop_exclusive_shifts_inclusive(src in proptest::collection::vec(0usize..100, 1..1000)) {
             let mut ex = src.clone();
