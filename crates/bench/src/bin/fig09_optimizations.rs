@@ -35,6 +35,7 @@ fn main() {
         "speedup vs standard",
         "memory vs standard",
         "snapshot memory",
+        "s/iter vs previous level",
     ]);
     let mut full_speedups = Vec::new();
     let mut grid_step = Vec::new();
@@ -67,6 +68,14 @@ fn main() {
                 // Per-array SoA accounting from the engine (payloads only
                 // when the model's kernels declared them).
                 bdm_util::format_bytes(report.snapshot_bytes),
+                // The step this level adds, against the level below it in
+                // the same run, so runner speed cancels (the CI gate reads
+                // this column on the `+static_detection` rows).
+                if prev_secs.is_nan() {
+                    "n/a".into()
+                } else {
+                    format!("{:.2}", per_iter / prev_secs)
+                },
             ]);
             match opt {
                 OptLevel::UniformGrid => grid_step.push(base_secs / per_iter),

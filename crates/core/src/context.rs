@@ -27,6 +27,7 @@ use bdm_env::{Environment, NeighborQueryScratch, PointCloud, StencilRuns, Unifor
 use bdm_util::{Real3, SimRng};
 
 use crate::agent::{new_agent_box, Agent, AgentBox, AgentHandle, AgentUid};
+use crate::resource_manager::split_global;
 use crate::rng_stream;
 
 /// Which per-neighbor snapshot arrays a kernel reads — the capability a
@@ -164,12 +165,7 @@ impl Snapshot {
     /// Inverse of [`Snapshot::global_index`].
     #[inline]
     pub fn split_index(&self, global: usize) -> (usize, usize) {
-        // Domains are few (1–4 in the paper's systems); linear scan wins.
-        let mut domain = 0;
-        while domain + 1 < self.offsets.len() - 1 && self.offsets[domain + 1] <= global {
-            domain += 1;
-        }
-        (domain, global - self.offsets[domain])
+        split_global(&self.offsets, global)
     }
 
     /// Number of agents in the snapshot.
@@ -300,15 +296,22 @@ pub struct ExecutionContext {
     pub(crate) batched_force_queries: u64,
     /// Mechanics statistics: agents skipped as static (paper Section 5).
     pub(crate) static_skipped: u64,
+    /// Mechanics statistics: movers whose static-detection wake around the
+    /// new position was served by the force scan's shell instead of a
+    /// second neighbor query.
+    pub(crate) shell_wakes: u64,
     /// Non-finite force accumulations observed by the mechanics kernel
     /// (folded into a typed health violation at teardown).
     pub(crate) nonfinite_forces: u64,
     /// Reusable neighbor-query scratch: queries issued through this thread's
     /// [`AgentContext`] allocate nothing in steady state.
     pub(crate) query_scratch: NeighborQueryScratch,
-    /// Reusable neighbor-index buffer of the mechanics operation (static
+    /// Reusable neighbor-index buffer of the scalar mechanics path (static
     /// detection collects the neighborhood to wake it on movement).
     pub(crate) mech_neighbors: Vec<u32>,
+    /// The candidate shell of this worker's last box-batched mechanics scan
+    /// (see [`AgentContext::for_each_neighbor_mech`]).
+    pub(crate) mech_shell: MechShell,
     /// One-entry cache of the box-batched mechanics path: the resolved
     /// stencil runs of the last queried box. All agents resident in one box
     /// share the same ≤9 runs, and after the Morton sort consecutive agents
@@ -332,6 +335,16 @@ pub(crate) struct StencilCache {
     key: u32,
     /// The resolved runs.
     runs: StencilRuns,
+}
+
+/// See [`ExecutionContext::mech_shell`].
+#[derive(Default)]
+pub(crate) struct MechShell {
+    /// `(slot, d²)` of every stencil candidate within the shell radius, in
+    /// scan order; only `..len` is valid. Never shorter than the cached
+    /// stencil's candidate count, so the compaction stores unconditionally.
+    entries: Vec<(u32, f64)>,
+    len: usize,
 }
 
 impl ExecutionContext {
@@ -502,36 +515,44 @@ impl<'a> AgentContext<'a> {
 
     /// Box-batched mechanics neighbor scan — the grid query of
     /// [`AgentContext::for_each_neighbor`] specialized for the force
-    /// kernel. The visitor receives `(index, position, diameter,
-    /// distance²)`:
+    /// kernel, in two stages. The visitor receives `(position, diameter,
+    /// distance²)` of every neighbor within `radius`:
     ///
-    /// * the **diameter** streams from the grid's box-sorted scatter (a
-    ///   bitwise copy of `snapshot.diameters[index]`) instead of a random
-    ///   per-neighbor gather;
     /// * the ≤9 **stencil runs** come from this worker's one-entry cache —
     ///   every agent resident in the same box reuses the same row offsets
     ///   ([`ExecutionContext::mech_stencil`]);
-    /// * each run is scanned in a **single bounds-check-free streamed
-    ///   pass** over the interleaved slot array — sequential 32-byte
-    ///   loads, no per-candidate indirection — accepting in slot order,
-    ///   so the accepted sequence is identical to the scalar scan's.
-    ///   (A two-pass chunked variant that pre-computed distances per
-    ///   block measured *slower* than this on the 10⁶ protocol; the
-    ///   accept branch is cheap and the extra pass re-touched the slots.)
+    /// * stage one is a **branchless compaction**: one bounds-check-free
+    ///   pass over the runs' interleaved 32-byte slots stores `(slot, d²)`
+    ///   of every candidate and advances the write cursor by
+    ///   `d² ≤ shell² && not self` — no data-dependent branch in the scan;
+    /// * stage two walks that compact list in scan order and visits the
+    ///   entries with `d² ≤ radius²`; the **diameter** streams from the
+    ///   grid's box-sorted scatter (a bitwise copy of
+    ///   `snapshot.diameters[index]`) instead of a random per-neighbor
+    ///   gather.
     ///
-    /// Visit order, the accepted set, and every visited value are bitwise
-    /// those of the per-agent path (same shared stencil traversal, copied
-    /// diameters). Returns `false` without visiting anything when the
-    /// batched path cannot serve the query — non-grid environment,
-    /// diameters not scattered this iteration, or a radius beyond the
-    /// build radius — and the caller falls back to
+    /// `shell ≥ radius` is the reach the caller needs beyond the force:
+    /// the list stays in [`ExecutionContext::mech_shell`] for
+    /// [`AgentContext::wake_from_shell`], so a static-detection mover does
+    /// not query its neighborhood a second time. (Compacting with a branchy
+    /// `Vec::push` instead made `oncology` `agent_ops` at 10⁵ agents 23%
+    /// *slower*, 0.067–0.070 → 0.083–0.084 s.)
+    ///
+    /// Visit order, the visited set, and every visited value are bitwise
+    /// those of the per-agent path (same shared stencil traversal, the
+    /// same `d²` expression, copied diameters). Returns `false` without
+    /// visiting anything when the batched path cannot serve the query —
+    /// non-grid environment, diameters not scattered this iteration, or a
+    /// radius beyond the build radius — and the caller falls back to
     /// [`AgentContext::for_each_neighbor`] plus the lazy diameter load.
     pub(crate) fn for_each_neighbor_mech(
         &mut self,
         pos: Real3,
         radius: f64,
-        f: &mut impl FnMut(usize, Real3, f64, f64),
+        shell: f64,
+        f: &mut impl FnMut(Real3, f64, f64),
     ) -> bool {
+        debug_assert!(shell >= radius, "the shell must contain the radius");
         let Some(view) = self.grid else {
             return false;
         };
@@ -545,7 +566,9 @@ impl<'a> AgentContext<'a> {
         let slots = grid.slots();
         let bc = grid.box_coordinates(pos);
         let build = grid.build_count();
-        let cache = &mut self.exec.mech_stencil;
+        let exec = &mut *self.exec;
+        let cache = &mut exec.mech_stencil;
+        let out = &mut exec.mech_shell;
         if cache.build != build || cache.bc != bc || cache.key != view.cache_key {
             *cache = StencilCache {
                 build,
@@ -553,30 +576,89 @@ impl<'a> AgentContext<'a> {
                 key: view.cache_key,
                 runs: grid.stencil_runs(bc),
             };
+            let candidates = cache
+                .runs
+                .runs()
+                .iter()
+                .map(|&(s, e)| (e - s) as usize)
+                .sum();
+            if out.entries.len() < candidates {
+                out.entries.resize(candidates, (0, 0.0));
+            }
         }
-        let r2 = radius * radius;
+        debug_assert_eq!(diameters.len(), slots.len());
+        let shell2 = shell * shell;
+        let mut len = 0;
         for &(start, end) in cache.runs.runs() {
-            let (start, end) = (start as usize, end as usize);
-            debug_assert!(end <= slots.len() && diameters.len() == slots.len());
+            debug_assert!(end as usize <= slots.len());
             for i in start..end {
                 // SAFETY: stencil runs are produced by the grid that owns
                 // `slots` for the same build (checked via `build_count`
-                // above), so `start..end` indexes in bounds; `diameters`
-                // is scattered alongside `slots` in the same rebuild pass
-                // and has the same length (debug-asserted above).
-                let s = unsafe { slots.get_unchecked(i) };
+                // above), so `start..end` indexes in bounds.
+                let s = unsafe { slots.get_unchecked(i as usize) };
                 let d2 = pos.distance_sq(&s.position);
-                if d2 <= r2 {
-                    let idx = s.index as usize;
-                    if idx != view.self_index {
-                        // SAFETY: same bound as `slots` above.
-                        let diameter = unsafe { *diameters.get_unchecked(i) };
-                        f(view.global(idx), s.position, diameter, d2);
-                    }
-                }
+                // SAFETY: `len` never exceeds the stores already made in
+                // this scan, so it stays below the cached stencil's
+                // candidate count, which `entries` was grown to when the
+                // runs were cached.
+                unsafe { *out.entries.get_unchecked_mut(len) = (i, d2) };
+                len += usize::from((d2 <= shell2) & (s.index as usize != view.self_index));
+            }
+        }
+        out.len = len;
+        let r2 = radius * radius;
+        for &(i, d2) in &out.entries[..len] {
+            if d2 <= r2 {
+                // SAFETY: `i` came from the runs above; `diameters` is
+                // scattered alongside `slots` in the same rebuild pass and
+                // has the same length (debug-asserted above).
+                let (s, diameter) = unsafe {
+                    (
+                        slots.get_unchecked(i as usize),
+                        *diameters.get_unchecked(i as usize),
+                    )
+                };
+                f(s.position, diameter, d2);
             }
         }
         true
+    }
+
+    /// The static-detection wake of the agent whose mechanics scan
+    /// ([`AgentContext::for_each_neighbor_mech`]) ran last on this worker,
+    /// served from the shell that scan kept: raises every shell agent
+    /// within `radius` of the scanned position and — when `moved_to` lies in
+    /// the scanned box — every one within `radius` of `moved_to`.
+    ///
+    /// A query around `moved_to` would scan the same stencil runs, accept
+    /// with the same `d²` expression and exclude the same self index, so
+    /// the raised set equals the old-neighborhood set plus that query's,
+    /// provided the caller only passes a `moved_to` the shell radius covers
+    /// (every candidate within `radius` of it is within the shell of the
+    /// scanned position). Returns whether `moved_to` was served; when it
+    /// was not, the caller queries around it.
+    pub(crate) fn wake_from_shell(
+        &self,
+        radius: f64,
+        moved_to: Option<Real3>,
+        mut raise: impl FnMut(usize),
+    ) -> bool {
+        let view = self
+            .grid
+            .expect("a mechanics shell is only kept on the grid path");
+        let slots = view.grid.slots();
+        let shell = &self.exec.mech_shell;
+        let entries = &shell.entries[..shell.len];
+        let r2 = radius * radius;
+        let moved_to =
+            moved_to.filter(|&p| view.grid.box_coordinates(p) == self.exec.mech_stencil.bc);
+        for &(i, d2) in entries {
+            let s = &slots[i as usize];
+            if d2 <= r2 || moved_to.is_some_and(|p| p.distance_sq(&s.position) <= r2) {
+                raise(view.global(s.index as usize));
+            }
+        }
+        moved_to.is_some()
     }
 
     /// Counts neighbors within `radius` of `pos` satisfying `pred`.

@@ -7,7 +7,7 @@ use crate::agent::Agent;
 use crate::behavior::BehaviorControl;
 use crate::context::AgentContext;
 use crate::force::InteractionForce;
-use crate::resource_manager::{StaticFlags, VIOL_CUR, VIOL_NEXT};
+use crate::resource_manager::{split_global, StaticFlags, VIOL_CUR, VIOL_NEXT};
 
 /// Runs all behaviors of `agent`. Behaviors are temporarily detached from
 /// the agent so they can receive `&mut dyn Agent` without aliasing; behaviors
@@ -46,6 +46,37 @@ pub(crate) struct MechanicsConfig {
     pub box_batched: bool,
 }
 
+/// Relative slack of the mechanics shell over `search_radius +
+/// max_displacement`. The rounding it absorbs — the capped displacement,
+/// the position update, the squared distances — is ~1e-16 relative; a
+/// mover's step is held to half of it (see [`MechanicsConfig::max_step_sq`]).
+const SHELL_MARGIN: f64 = 1e-9;
+
+impl MechanicsConfig {
+    /// Radius of the candidate shell the box-batched force scan keeps. With
+    /// static detection on it reaches every agent a step of at most
+    /// `max_displacement` can bring within `search_radius`, so the same
+    /// scan serves the wake around a mover's new position; without
+    /// detection there is no wake and the shell is the search radius.
+    fn shell_radius(&self) -> f64 {
+        if !self.detect_static {
+            return self.search_radius;
+        }
+        // `max` keeps the shell ⊇ the search radius for a NaN cap too.
+        ((self.search_radius + self.max_displacement.abs()) * (1.0 + SHELL_MARGIN))
+            .max(self.search_radius)
+    }
+
+    /// Largest squared step a mover may have taken for the shell to cover
+    /// its new neighborhood: `max_displacement` plus half the margin, so
+    /// the step's own rounding never pushes a capped mover off the fast
+    /// wake while `search_radius + step` stays inside the shell radius.
+    fn max_step_sq(&self) -> f64 {
+        let step = self.max_displacement.abs() * (1.0 + SHELL_MARGIN / 2.0);
+        step * step
+    }
+}
+
 /// Shared view of the per-domain violation flags, addressed by global index.
 ///
 /// Double-buffered within one byte (see [`VIOL_CUR`]/[`VIOL_NEXT`]): raises
@@ -60,27 +91,22 @@ pub(crate) struct ViolationTable<'a> {
 }
 
 impl ViolationTable<'_> {
-    #[inline]
-    fn locate(&self, global: usize) -> (usize, usize) {
-        let mut d = 0;
-        while d + 1 < self.offsets.len() - 1 && self.offsets[d + 1] <= global {
-            d += 1;
-        }
-        (d, global - self.offsets[d])
-    }
-
     /// Raises a violation for the *next* iteration's pass of the agent at
-    /// `global`.
+    /// `global`. Neighborhoods overlap, so most raises find the bit already
+    /// set: a plain load first spares them the locked read-modify-write.
     #[inline]
     pub fn raise(&self, global: usize) {
-        let (d, i) = self.locate(global);
-        self.slices[d][i].fetch_or(VIOL_NEXT, std::sync::atomic::Ordering::Relaxed);
+        let (d, i) = split_global(self.offsets, global);
+        let flag = &self.slices[d][i];
+        if flag.load(std::sync::atomic::Ordering::Relaxed) & VIOL_NEXT == 0 {
+            flag.fetch_or(VIOL_NEXT, std::sync::atomic::Ordering::Relaxed);
+        }
     }
 
     /// Consumes the pending violation flag of the agent at `global`.
     #[inline]
     pub fn take(&self, global: usize) -> bool {
-        let (d, i) = self.locate(global);
+        let (d, i) = split_global(self.offsets, global);
         let prev = self.slices[d][i].fetch_and(!VIOL_CUR, std::sync::atomic::Ordering::Relaxed);
         prev & VIOL_CUR != 0
     }
@@ -127,33 +153,36 @@ pub(crate) fn run_mechanics(
     // the non-zero ones).
     let mut total_force = Real3::ZERO;
     let mut nonzero_forces = 0u32;
-    neighbor_scratch.clear();
-    let collect_neighbors = cfg.detect_static;
     // Box-batched fast path: positions AND diameters stream from the
     // grid's box-sorted arrays, the stencil is resolved once per box, and
-    // each run is one bounds-check-free pass. Bit-identical to the
-    // fallback: same visit order (shared stencil traversal), bitwise-copied
-    // diameters, and `sphere_sphere_sq` fed the query's streamed d² equals
-    // `sphere_sphere` bit for bit (see its docs).
+    // one branchless pass compacts the candidates within the shell radius
+    // that the force sum and the wake below both walk. Bit-identical to
+    // the fallback: same visit order (shared stencil traversal),
+    // bitwise-copied diameters, and `sphere_sphere_sq` fed the scan's d²
+    // equals `sphere_sphere` bit for bit (see its docs).
     let batched = cfg.box_batched
-        && ctx.for_each_neighbor_mech(pos_now, cfg.search_radius, &mut |idx, npos, ndiam, d2| {
-            let f = cfg
-                .force
-                .sphere_sphere_sq(pos_now, diameter_now, npos, ndiam, d2);
-            if f != Real3::ZERO {
-                nonzero_forces += 1;
-                total_force += f;
-            }
-            if collect_neighbors {
-                neighbor_scratch.push(idx as u32);
-            }
-        });
+        && ctx.for_each_neighbor_mech(
+            pos_now,
+            cfg.search_radius,
+            cfg.shell_radius(),
+            &mut |npos, ndiam, d2| {
+                let f = cfg
+                    .force
+                    .sphere_sphere_sq(pos_now, diameter_now, npos, ndiam, d2);
+                if f != Real3::ZERO {
+                    nonzero_forces += 1;
+                    total_force += f;
+                }
+            },
+        );
     if batched {
         ctx.exec.batched_force_queries += 1;
     } else {
         // Fallback (non-grid environments, unscattered diameters): the
         // neighbor position the index streamed (free) plus one lazy diameter
         // load per accepted neighbor — never the payload.
+        neighbor_scratch.clear();
+        let collect_neighbors = cfg.detect_static;
         ctx.for_each_neighbor(pos_now, cfg.search_radius, |idx, nd, d2| {
             let f =
                 cfg.force
@@ -191,21 +220,33 @@ pub(crate) fn run_mechanics(
     if cfg.detect_static {
         if moved || behavior_changed || is_first_pass {
             // The agent changed: it cannot be static, and all of its
-            // neighbors must re-evaluate their forces next iteration.
+            // neighbors must re-evaluate their forces next iteration. A
+            // mover also wakes the agents around its *new* position: it can
+            // enter the interaction radius of an agent that was not a
+            // neighbor at the old one. Static agents have not moved, so the
+            // (stale) index still holds them at their true positions and a
+            // query around the new position finds exactly the sleepers that
+            // must re-evaluate. Raises are idempotent ORs: only the raised
+            // set matters, not its order.
             flags.is_static = false;
-            for &n in neighbor_scratch.iter() {
-                violations.raise(n as usize);
-            }
-            if moved {
-                // Also wake agents around the *new* position: a mover can
-                // enter the interaction radius of an agent that was not a
-                // neighbor at the old position. Static agents have not
-                // moved, so the (stale) index still holds them at their
-                // true positions and this query finds exactly the sleepers
-                // that must re-evaluate.
-                ctx.for_each_neighbor(agent.position(), cfg.search_radius, |idx, _nd, _d2| {
-                    violations.raise(idx);
-                });
+            let pos_new = agent.position();
+            let raise = |idx: usize| violations.raise(idx);
+            let new_woken = if batched {
+                // The force scan's shell holds every candidate a step of at
+                // most `max_displacement` can bring within range; when the
+                // new position lies in the scanned box (same stencil runs)
+                // one pass over it raises both neighborhoods.
+                let covered = moved && pos_new.distance_sq(&pos_now) <= cfg.max_step_sq();
+                let served =
+                    ctx.wake_from_shell(cfg.search_radius, covered.then_some(pos_new), raise);
+                ctx.exec.shell_wakes += u64::from(served);
+                served
+            } else {
+                neighbor_scratch.iter().for_each(|&n| raise(n as usize));
+                false
+            };
+            if moved && !new_woken {
+                ctx.for_each_neighbor(pos_new, cfg.search_radius, |idx, _nd, _d2| raise(idx));
             }
         } else {
             // Did not move, nothing changed; condition (iv) allows at most

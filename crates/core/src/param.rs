@@ -78,11 +78,13 @@ pub struct Param {
     /// [`NeighborAccess::ALL`].
     pub neighbor_access: NeighborAccess,
     /// Run the mechanics force accumulation on the box-batched grid path:
-    /// stencil runs resolved once per box, positions and diameters streamed
-    /// from the grid's box-sorted arrays, distance tests in vectorizable
-    /// chunks. Bit-identical to the per-agent path by construction; `false`
-    /// pins the scalar path (parity tests and A/B measurements). On by
-    /// default.
+    /// stencil runs resolved once per box, one branchless pass compacting
+    /// each agent's candidates into a short list, positions and diameters
+    /// streamed from the grid's box-sorted arrays. With static detection on,
+    /// that list also serves a mover's wake, so the mover is not queried a
+    /// second time. Bit-identical to the per-agent path by construction;
+    /// `false` pins the scalar path (parity tests and A/B measurements). On
+    /// by default.
     pub box_batched_mechanics: bool,
     /// In-process shard count K (see [`crate::sharded`]). `1` (the
     /// default) runs the classic single-engine path. `K > 1` partitions

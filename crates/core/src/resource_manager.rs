@@ -58,6 +58,20 @@ pub(crate) const VIOL_CUR: u8 = 0b01;
 /// Violation flag bit: raised during the currently running agent pass.
 pub(crate) const VIOL_NEXT: u8 = 0b10;
 
+/// Global agent index → `(domain, local index)` against per-domain start
+/// offsets with the total appended ([`ResourceManager::offsets`],
+/// `Snapshot::offsets`). Domains are few (1–4 in the paper's systems), so a
+/// linear scan wins; an empty domain starts where its successor does and is
+/// stepped over.
+#[inline]
+pub(crate) fn split_global(offsets: &[usize], global: usize) -> (usize, usize) {
+    let mut domain = 0;
+    while domain + 2 < offsets.len() && offsets[domain + 1] <= global {
+        domain += 1;
+    }
+    (domain, global - offsets[domain])
+}
+
 /// Storage of one NUMA domain.
 #[derive(Default)]
 pub(crate) struct DomainStore {
@@ -519,16 +533,6 @@ impl<'a> ResourceManagerCloud<'a> {
             rm,
         }
     }
-
-    /// Global index → `(domain, local index)`.
-    #[inline]
-    pub fn split_index(&self, global: usize) -> (usize, usize) {
-        let mut domain = 0;
-        while domain + 1 < self.offsets.len() - 1 && self.offsets[domain + 1] <= global {
-            domain += 1;
-        }
-        (domain, global - self.offsets[domain])
-    }
 }
 
 impl PointCloud for ResourceManagerCloud<'_> {
@@ -536,7 +540,7 @@ impl PointCloud for ResourceManagerCloud<'_> {
         *self.offsets.last().unwrap()
     }
     fn position(&self, idx: usize) -> Real3 {
-        let (d, i) = self.split_index(idx);
+        let (d, i) = split_global(&self.offsets, idx);
         self.rm.domains[d].agents[i].position()
     }
 }

@@ -36,7 +36,7 @@ use crate::faults::{FaultKind, FaultPlan, FaultSite};
 use crate::force::InteractionForce;
 use crate::ops::{run_behaviors, run_mechanics, MechanicsConfig, ViolationTable};
 use crate::param::Param;
-use crate::resource_manager::{CommitStats, ResourceManager, ResourceManagerCloud};
+use crate::resource_manager::{split_global, CommitStats, ResourceManager, ResourceManagerCloud};
 use crate::scheduler::{
     builtin, AgentOp, ClosureOp, DiffusionOp, EnvironmentOp, HaloExchangeOp, Scheduler,
     SimulationCtx, SnapshotOp, SortingOp, TeardownOp,
@@ -58,6 +58,11 @@ pub struct SimStats {
     /// resolved once per box, diameters streamed box-sorted). The rest ran
     /// the scalar per-agent fallback.
     pub batched_force_queries: u64,
+    /// Movers (static detection on) whose wake around the new position was
+    /// served by the batched force scan's candidate shell — the new
+    /// position stayed in the scanned box — instead of a second neighbor
+    /// query.
+    pub shell_wakes: u64,
     /// Force calculations skipped by static detection (Section 5).
     pub static_skipped: u64,
     /// Agent sorting passes executed.
@@ -1106,9 +1111,9 @@ impl Simulation {
                 self.pool
                     .numa_for(&sizes, block, &|_w, domain, range| body(domain, range));
             } else {
-                let splitter = GlobalSplitter(&self.snapshot.offsets);
+                let offsets = &self.snapshot.offsets;
                 self.pool.parallel_for(total, block, &|_w, range| {
-                    splitter.for_each_domain_range(range, &body)
+                    for_each_domain_range(offsets, range, &body)
                 });
             }
         }
@@ -1239,9 +1244,8 @@ impl Simulation {
             self.pool.numa_for(&sizes, block, &body);
         } else {
             let total: usize = sizes.iter().sum();
-            let splitter = GlobalSplitter(&offsets);
             self.pool.parallel_for(total, block, &|w, range| {
-                splitter.for_each_domain_range(range, &|domain, r| body(w, domain, r))
+                for_each_domain_range(&offsets, range, &|domain, r| body(w, domain, r))
             });
         }
     }
@@ -1268,6 +1272,7 @@ impl Simulation {
         for ctx in &mut self.ctxs {
             self.stats.force_calculations += std::mem::take(&mut ctx.force_calculations);
             self.stats.batched_force_queries += std::mem::take(&mut ctx.batched_force_queries);
+            self.stats.shell_wakes += std::mem::take(&mut ctx.shell_wakes);
             self.stats.static_skipped += std::mem::take(&mut ctx.static_skipped);
             nonfinite += std::mem::take(&mut ctx.nonfinite_forces);
         }
@@ -1328,28 +1333,18 @@ fn default_scheduler(param: &Param) -> Scheduler {
     scheduler
 }
 
-/// Translates global-index ranges into per-domain ranges (used when NUMA
+/// Translates a global-index range into per-domain ranges (used when NUMA
 /// awareness is off and the flat iterator hands out global ranges).
-struct GlobalSplitter<'a>(&'a [usize]);
-
-impl GlobalSplitter<'_> {
-    fn for_each_domain_range(
-        &self,
-        range: std::ops::Range<usize>,
-        f: &dyn Fn(usize, std::ops::Range<usize>),
-    ) {
-        let offsets = self.0;
-        let mut start = range.start;
-        while start < range.end {
-            let mut d = 0;
-            while d + 1 < offsets.len() - 1 && offsets[d + 1] <= start {
-                d += 1;
-            }
-            let local_start = start - offsets[d];
-            let domain_end = offsets[d + 1];
-            let end = range.end.min(domain_end);
-            f(d, local_start..local_start + (end - start));
-            start = end;
-        }
+fn for_each_domain_range(
+    offsets: &[usize],
+    range: std::ops::Range<usize>,
+    f: &dyn Fn(usize, std::ops::Range<usize>),
+) {
+    let mut start = range.start;
+    while start < range.end {
+        let (d, local_start) = split_global(offsets, start);
+        let end = range.end.min(offsets[d + 1]);
+        f(d, local_start..local_start + (end - start));
+        start = end;
     }
 }
