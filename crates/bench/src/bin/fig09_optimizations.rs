@@ -36,6 +36,8 @@ fn main() {
         "memory vs standard",
         "snapshot memory",
         "s/iter vs previous level",
+        "detection engaged",
+        "static skipped",
     ]);
     let mut full_speedups = Vec::new();
     let mut grid_step = Vec::new();
@@ -76,6 +78,11 @@ fn main() {
                 } else {
                     format!("{:.2}", per_iter / prev_secs)
                 },
+                // Iterations whose agent phase ran static detection: armed
+                // detection stands down while fewer than 5% of the agents
+                // end a pass static.
+                format!("{}/{}", report.static_engaged_iterations, iterations),
+                report.static_skipped.to_string(),
             ]);
             match opt {
                 OptLevel::UniformGrid => grid_step.push(base_secs / per_iter),

@@ -114,6 +114,7 @@ pub fn report_from_sim(sim: &Simulation, iterations: usize, wall_secs: f64) -> R
             .collect(),
         force_calculations: stats.force_calculations,
         static_skipped: stats.static_skipped,
+        static_engaged_iterations: stats.static_engaged_iterations,
         agents_added: stats.agents_added,
         agents_removed: stats.agents_removed,
         sorts: stats.sorts,

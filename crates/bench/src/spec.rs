@@ -244,6 +244,9 @@ pub struct RunReport {
     pub force_calculations: u64,
     /// Force calculations skipped by static detection.
     pub static_skipped: u64,
+    /// Agent phases that ran static detection (armed and engaged by the
+    /// duty cycle).
+    pub static_engaged_iterations: u64,
     /// Agents added during the run.
     pub agents_added: u64,
     /// Agents removed during the run.
@@ -314,9 +317,11 @@ impl RunReport {
             self.pool_allocations,
             self.system_allocations
         );
-        // Supervision counters are only emitted when non-zero so unsupervised
-        // report lines stay byte-compatible with committed CSV protocols.
+        // Supervision and duty-cycle counters are only emitted when non-zero
+        // so report lines of runs without them stay byte-compatible with
+        // committed CSV protocols.
         for (key, value) in [
+            ("static_engaged", self.static_engaged_iterations),
             ("health_checks", self.health_checks_run),
             ("violations", self.violations_detected),
             ("recoveries_attempted", self.recoveries_attempted),
@@ -353,6 +358,7 @@ impl RunReport {
             peak_rss_bytes: num("peak_rss")?,
             force_calculations: num("force_calcs")?,
             static_skipped: num("static_skipped")?,
+            static_engaged_iterations: opt_num(&map, "static_engaged")?,
             agents_added: num("added")?,
             agents_removed: num("removed")?,
             sorts: num("sorts")?,
@@ -498,6 +504,7 @@ mod tests {
             peak_rss_bytes: 1 << 30,
             force_calculations: 777,
             static_skipped: 88,
+            static_engaged_iterations: 9,
             agents_added: 11,
             agents_removed: 3,
             sorts: 2,

@@ -274,6 +274,7 @@ fn restore_merged(
     sim.set_iteration(counters.iteration);
     sim.set_uid_counter(counters.uid_counter);
     sim.set_init_cursor(counters.init_cursor as usize);
+    sim.set_static_detection_engaged(counters.static_engaged);
     sections::restore_scheduler(&mut sim, merged[5])?;
     Ok(sim)
 }

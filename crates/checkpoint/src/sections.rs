@@ -332,6 +332,10 @@ pub struct Counters {
     pub generation: u64,
     /// Per-grid diffusion change counters at capture.
     pub grid_versions: Vec<u64>,
+    /// Static detection's duty-cycle bit
+    /// ([`Simulation::static_detection_engaged`]); a mid-iteration capture
+    /// stores the bit its interrupted iteration started with.
+    pub static_engaged: bool,
 }
 
 const S_CNTR: &str = "COUNTERS";
@@ -351,6 +355,7 @@ pub fn write_counters(sim: &Simulation, mid_iteration: bool) -> Vec<u8> {
     for i in 0..grids {
         w.put_u64(sim.diffusion_grid(i).version());
     }
+    w.put_u8(u8::from(sim.static_detection_engaged()));
     w.into_bytes()
 }
 
@@ -368,6 +373,11 @@ pub fn read_counters(payload: &[u8]) -> Result<Counters, CheckpointError> {
     for _ in 0..n {
         grid_versions.push(r.take_u64().map_err(truncated(S_CNTR))?);
     }
+    let static_engaged = match r.take_u8().map_err(truncated(S_CNTR))? {
+        0 => false,
+        1 => true,
+        other => return Err(malformed(S_CNTR, format!("duty-cycle byte {other}"))),
+    };
     if num_domains == 0 || num_threads == 0 {
         return Err(malformed(S_CNTR, "zero domains or threads"));
     }
@@ -385,6 +395,7 @@ pub fn read_counters(payload: &[u8]) -> Result<Counters, CheckpointError> {
         num_threads,
         generation,
         grid_versions,
+        static_engaged,
     })
 }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"BDMCKPT\0"
-//! 8       4     format version (u32 LE, currently 3)
+//! 8       4     format version (u32 LE, currently 4)
 //! 12      1     kind: 0 = full, 1 = delta
 //! 13      8     base file id (u64 LE): fnv1a64 of the base full
 //!               checkpoint's bytes for deltas, 0 for full checkpoints
@@ -28,9 +28,10 @@ use crate::error::{truncated, CheckpointError};
 pub const MAGIC: [u8; 8] = *b"BDMCKPT\0";
 /// Current format version. v2 extended the PARAM section with the health
 /// sentinel policy; v3 appended the shard count to PARAM and added the
-/// SHARDS section (the partition manifest of sharded runs). Older files are
+/// SHARDS section (the partition manifest of sharded runs); v4 appended
+/// static detection's duty-cycle byte to COUNTERS. Older files are
 /// rejected rather than silently misread.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 /// Header `kind` byte of a full checkpoint.
 pub const KIND_FULL: u8 = 0;
 /// Header `kind` byte of a delta checkpoint.

@@ -296,12 +296,16 @@ pub struct ExecutionContext {
     pub(crate) batched_force_queries: u64,
     /// Mechanics statistics: agents skipped as static (paper Section 5).
     pub(crate) static_skipped: u64,
+    /// Mechanics statistics: computed passes that ended settled — the
+    /// agents a static-detection pass flags static (counted with detection
+    /// down too, for the duty cycle).
+    pub(crate) static_candidates: u64,
     /// Mechanics statistics: movers whose static-detection wake around the
     /// new position was served by the force scan's shell instead of a
     /// second neighbor query.
     pub(crate) shell_wakes: u64,
     /// Non-finite force accumulations observed by the mechanics kernel
-    /// (folded into a typed health violation at teardown).
+    /// (folded into a typed health violation after the agent phase).
     pub(crate) nonfinite_forces: u64,
     /// Reusable neighbor-query scratch: queries issued through this thread's
     /// [`AgentContext`] allocate nothing in steady state.

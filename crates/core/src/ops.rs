@@ -28,6 +28,28 @@ pub(crate) fn run_behaviors(agent: &mut dyn Agent, ctx: &mut AgentContext<'_>) {
     agent.base_mut().put_behaviors(behaviors);
 }
 
+/// Share of an iteration's mechanics passes that must end static for armed
+/// static detection to stay engaged in the next iteration (the duty cycle
+/// of `Param::detect_static_agents`).
+///
+/// An agent can be skipped at iteration i + 1 only if its flag was set at
+/// i, so the next pass skips at most as many agents as this one left
+/// static: standing down forfeits less than this share of the next pass's
+/// force work. The value sits between the measured per-iteration
+/// `static ÷ passes` profiles of scenes that skip (`neuroscience`: ≥ 0.198
+/// from the first iteration) and scenes that do not (`oncology` ≤ 0.003,
+/// `cell_sorting` 0.015–0.021, `cell_clustering` 0 from its fourth
+/// iteration); docs/PERFORMANCE.md ("Static detection, armed") has the
+/// table.
+pub(crate) const STATIC_FLOOR: f64 = 0.05;
+
+/// The duty-cycle rule: whether detection runs in the next iteration after
+/// a pass of `passes` mechanics agents (computed plus skipped) left
+/// `static_after` of them static (skipped plus newly settled).
+pub(crate) fn stays_engaged(passes: u64, static_after: u64) -> bool {
+    passes > 0 && static_after as f64 >= STATIC_FLOOR * passes as f64
+}
+
 /// Configuration of the mechanics operation for one iteration.
 pub(crate) struct MechanicsConfig {
     pub force: InteractionForce,
@@ -37,7 +59,8 @@ pub(crate) struct MechanicsConfig {
     pub dt: f64,
     /// Hard displacement cap (`simulation_max_displacement`).
     pub max_displacement: f64,
-    /// Static-detection on/off (`detect_static_agents`).
+    /// Static detection runs in this pass: armed
+    /// (`detect_static_agents`) and engaged by the duty cycle.
     pub detect_static: bool,
     /// Displacements below this are "did not move".
     pub static_threshold: f64,
@@ -216,6 +239,12 @@ pub(crate) fn run_mechanics(
     if moved {
         agent.set_position(pos_now + displacement);
     }
+    // Did not move, nothing changed, and condition (iv) allows at most one
+    // non-zero neighbor force (so that a shrinking or removed neighbor
+    // cannot release a hidden counter-force). Counted with detection down
+    // too: the duty cycle re-engages on it.
+    let settled = !moved && !behavior_changed && !is_first_pass && nonzero_forces <= 1;
+    ctx.exec.static_candidates += u64::from(settled);
 
     if cfg.detect_static {
         if moved || behavior_changed || is_first_pass {
@@ -249,10 +278,7 @@ pub(crate) fn run_mechanics(
                 ctx.for_each_neighbor(pos_new, cfg.search_radius, |idx, _nd, _d2| raise(idx));
             }
         } else {
-            // Did not move, nothing changed; condition (iv) allows at most
-            // one non-zero neighbor force (so that a shrinking or removed
-            // neighbor cannot release a hidden counter-force).
-            flags.is_static = nonzero_forces <= 1;
+            flags.is_static = settled;
         }
     }
     false

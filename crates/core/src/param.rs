@@ -33,8 +33,16 @@ pub struct Param {
     pub simulation_max_displacement: f64,
     /// Enables the mechanical-forces agent operation.
     pub enable_mechanics: bool,
-    /// Enables the static-region detection of paper Section 5
-    /// (BioDynaMo's `detect_static_agents`).
+    /// Arms the static-region detection of paper Section 5 (BioDynaMo's
+    /// `detect_static_agents`). Armed detection is a duty cycle: it runs in
+    /// an iteration only while at least 5% of the previous iteration's
+    /// mechanics agents ended it static, and a down iteration is bitwise an
+    /// iteration with detection off (see
+    /// [`Simulation::static_detection_engaged`](crate::Simulation::static_detection_engaged)).
+    /// Detection observes agents in the agent phase only: an operation that
+    /// moves agents outside it must disarm detection first
+    /// ([`Simulation::set_detect_static_agents`](crate::Simulation::set_detect_static_agents));
+    /// re-arming starts from cleared flags.
     pub detect_static_agents: bool,
     /// Displacements below this threshold count as "did not move" for the
     /// static detection conditions.
@@ -152,7 +160,8 @@ pub enum OptLevel {
     MemoryLayout,
     /// + extra memory during agent sorting (Section 4.2, step G).
     SortExtraMemory,
-    /// + static agent detection (Section 5) — the full engine.
+    /// + static agent detection (Section 5), armed: it engages only while
+    ///   enough agents end an iteration static — the full engine.
     StaticDetection,
 }
 

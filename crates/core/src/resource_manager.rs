@@ -587,4 +587,26 @@ impl ResourceManager {
             }
         }
     }
+
+    /// Clears every agent's static flag and violation byte in one sweep on
+    /// `pool`: afterwards the sidecars are those of an engine that never ran
+    /// static detection (`created_iter` is kept — it is maintained with
+    /// detection off too). Runs between agent phases only.
+    pub(crate) fn clear_static_state(&mut self, pool: &NumaThreadPool) {
+        let sizes = self.domain_sizes();
+        let flags: Vec<SendMut<StaticFlags>> = self
+            .domains
+            .iter_mut()
+            .map(|s| SendMut::new(s.flags.as_mut_ptr()))
+            .collect();
+        let domains = &self.domains;
+        pool.numa_for(&sizes, 4096, &|_w, d, range| {
+            for i in range {
+                // SAFETY: `numa_for` hands out every (domain, index) once,
+                // and nothing else touches the flags during the sweep.
+                unsafe { flags[d].get_mut(i).is_static = false };
+                domains[d].violations[i].store(0, Ordering::Relaxed);
+            }
+        });
+    }
 }

@@ -120,8 +120,9 @@ pub struct ShardReport {
     pub shards: usize,
     /// Halo exchanges performed (partition + clouds rebuilt).
     pub exchanges: u64,
-    /// Exchanges skipped because `ResourceManager::generation` and the
-    /// interaction radius were unchanged since the last exchange.
+    /// Exchanges skipped because `ResourceManager::generation`, the
+    /// interaction radius, the population size and the halo width were
+    /// unchanged since the last exchange.
     pub exchange_skips: u64,
     /// Wall-clock time of the last full exchange.
     pub last_exchange: Duration,
@@ -174,6 +175,8 @@ pub(crate) struct ShardedState {
     last_radius_bits: u64,
     /// Population size of the last full exchange.
     last_n: usize,
+    /// Halo width of the last full exchange.
+    last_halo_width: u32,
     /// Monotonic stamp incremented on every full exchange; grid builds are
     /// keyed on it so unchanged clouds skip the K rebuilds too.
     exchange_stamp: u64,
@@ -181,7 +184,8 @@ pub(crate) struct ShardedState {
     grids_built_for: Option<(u64, bool)>,
     /// Full exchanges performed.
     pub exchanges: u64,
-    /// Exchanges skipped (generation/radius/population unchanged).
+    /// Exchanges skipped (generation/radius/population/halo width
+    /// unchanged).
     pub exchange_skips: u64,
     /// Wall-clock time of the last full exchange.
     pub last_exchange: Duration,
@@ -226,6 +230,7 @@ impl ShardedState {
             last_generation: None,
             last_radius_bits: 0,
             last_n: 0,
+            last_halo_width: 0,
             exchange_stamp: 0,
             grids_built_for: None,
             exchanges: 0,
@@ -250,8 +255,8 @@ impl ShardedState {
 
     /// The halo exchange: (re)partitions the population by Morton-code
     /// range and rebuilds the per-shard member clouds, skipping everything
-    /// when the population generation, size, and interaction radius are
-    /// unchanged since the last exchange.
+    /// when the population generation, size, interaction radius and halo
+    /// width are unchanged since the last exchange.
     ///
     /// `halo_width` is the Chebyshev box distance the halo extends past a
     /// shard's owned boxes: 1 covers queries centered inside owned boxes;
@@ -279,6 +284,7 @@ impl ShardedState {
         if self.last_generation == Some(generation)
             && self.last_radius_bits == radius.to_bits()
             && self.last_n == n
+            && self.last_halo_width == halo_width
         {
             self.active_iteration = iteration;
             self.exchange_skips += 1;
@@ -396,6 +402,7 @@ impl ShardedState {
         self.last_generation = Some(generation);
         self.last_radius_bits = radius.to_bits();
         self.last_n = n;
+        self.last_halo_width = halo_width;
         self.exchange_stamp += 1;
         self.exchanges += 1;
         self.last_exchange = timer.elapsed();
@@ -470,10 +477,9 @@ impl ShardedState {
     }
 }
 
-/// The conformance suites' sparse (lattice-coarsening) scene, shared with
-/// the workspace's integration tests.
+/// The conformance suites' shared scenes (the sparse, lattice-coarsening
+/// one is used here), shared with the workspace's integration tests.
 #[cfg(test)]
-#[allow(dead_code)]
 #[path = "../../../tests/common/mod.rs"]
 mod common;
 
@@ -891,6 +897,24 @@ mod tests {
         assert_eq!(st.active_iteration, 2);
         st.exchange(&snap, &pool(1), 10.0, 8, 3, 1);
         assert_eq!(st.exchanges, 2);
+    }
+
+    /// Static detection's duty cycle flips the halo between 2 and 3 rings
+    /// on an unchanged population: the wider request must rebuild, never
+    /// be served the narrower clouds.
+    #[test]
+    fn exchange_rebuilds_when_the_halo_width_changes() {
+        let snap = snapshot_of(line(40, 15.0));
+        let pool = pool(1);
+        let mut st = exchanged(&snap, &pool, 2, 10.0, 2);
+        let narrow = Partition::of(&st);
+        st.exchange(&snap, &pool, 10.0, 1, 2, 3);
+        assert_eq!((st.exchanges, st.exchange_skips), (2, 0));
+        let wide = Partition::of(&st);
+        assert!(wide != narrow, "the scene must tell the widths apart");
+        assert!(wide == Partition::of(&exchanged(&snap, &pool, 2, 10.0, 3)));
+        st.exchange(&snap, &pool, 10.0, 1, 3, 3);
+        assert_eq!((st.exchanges, st.exchange_skips), (2, 1));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::context::{
 };
 use crate::faults::{FaultKind, FaultPlan, FaultSite};
 use crate::force::InteractionForce;
-use crate::ops::{run_behaviors, run_mechanics, MechanicsConfig, ViolationTable};
+use crate::ops::{run_behaviors, run_mechanics, stays_engaged, MechanicsConfig, ViolationTable};
 use crate::param::Param;
 use crate::resource_manager::{split_global, CommitStats, ResourceManager, ResourceManagerCloud};
 use crate::scheduler::{
@@ -65,6 +65,13 @@ pub struct SimStats {
     pub shell_wakes: u64,
     /// Force calculations skipped by static detection (Section 5).
     pub static_skipped: u64,
+    /// Agent phases that ran static detection: armed
+    /// ([`Param::detect_static_agents`]) and engaged by the duty cycle (see
+    /// [`Simulation::static_detection_engaged`]).
+    pub static_engaged_iterations: u64,
+    /// Times the duty cycle stood armed detection down because too few
+    /// agents ended an engaged pass static.
+    pub static_stand_downs: u64,
     /// Agent sorting passes executed.
     pub sorts: u64,
     /// Health-sentinel scans executed ([`Simulation::run_health_check`]).
@@ -139,6 +146,13 @@ pub struct Simulation {
     /// Planned fault injections; `None` (the default) keeps every injection
     /// hook on a single `is_none()` branch.
     faults: Option<FaultPlan>,
+    /// Duty cycle of armed static detection: whether the next agent phase
+    /// (or the running iteration's, until its agent phase decides) runs
+    /// it. Meaningless while disarmed; arming starts engaged.
+    static_engaged: bool,
+    /// `static_engaged` as the running iteration started with — what a
+    /// mid-iteration checkpoint records.
+    static_engaged_at_start: bool,
 }
 
 impl Simulation {
@@ -211,6 +225,8 @@ impl Simulation {
             sorter: AgentSorter::default(),
             health: HealthMonitor::default(),
             faults: None,
+            static_engaged: true,
+            static_engaged_at_start: true,
         }
     }
 
@@ -290,6 +306,37 @@ impl Simulation {
     /// Overwrites the round-robin cursor (restore API).
     pub fn set_init_cursor(&mut self, v: usize) {
         self.init_round_robin = v;
+    }
+
+    /// Whether static detection runs in the next iteration — or, asked from
+    /// inside a running iteration, whether that iteration started with it
+    /// engaged. Always `false` while [`Param::detect_static_agents`] is off.
+    ///
+    /// Armed detection is a duty cycle. At the end of every agent phase the
+    /// engine keeps it engaged for the next iteration only if at least 5% of
+    /// the pass's mechanics agents ended it static — skipped, or settled
+    /// (did not move, nothing changed, at most one non-zero force). A pass
+    /// can skip only agents the previous one left static, so standing down
+    /// forfeits less than 5% of the next pass's force work. Standing down
+    /// clears every static flag and pending wake, which makes each down
+    /// iteration bitwise an iteration with detection off. Settled agents are
+    /// still counted while down; once they reach the floor, detection
+    /// re-engages and its first pass rebuilds the flags as a fresh engine's
+    /// first iteration does.
+    pub fn static_detection_engaged(&self) -> bool {
+        let engaged = if self.scheduler.mid_iteration() {
+            self.static_engaged_at_start
+        } else {
+            self.static_engaged
+        };
+        self.param.detect_static_agents && engaged
+    }
+
+    /// Overwrites the duty-cycle bit of static detection (restore API; see
+    /// [`Simulation::static_detection_engaged`]).
+    pub fn set_static_detection_engaged(&mut self, engaged: bool) {
+        self.static_engaged = engaged;
+        self.static_engaged_at_start = engaged;
     }
 
     /// Number of registered diffusion grids.
@@ -689,9 +736,16 @@ impl Simulation {
         self.param.box_batched_mechanics = enabled;
     }
 
-    /// Toggles static-agent detection at runtime.
+    /// Arms or disarms static-agent detection at runtime. Either switch
+    /// clears every static flag and pending wake, and arming starts engaged:
+    /// a re-armed run resumes like a fresh engine, never from flags nobody
+    /// maintained while detection was off.
     pub fn set_detect_static_agents(&mut self, enabled: bool) {
-        self.param.detect_static_agents = enabled;
+        if enabled != self.param.detect_static_agents {
+            self.rm.clear_static_state(&self.pool);
+            self.param.detect_static_agents = enabled;
+            self.static_engaged = true;
+        }
     }
 
     // -- Fault injection ---------------------------------------------------
@@ -796,6 +850,7 @@ impl Simulation {
     pub fn step(&mut self) {
         self.iteration += 1;
         self.step_commit = CommitStats::default();
+        self.static_engaged_at_start = self.static_engaged;
         // Detach the op list so operations get `&mut Simulation` access;
         // ops registered during the iteration land in the (empty) scheduler
         // and are merged back afterwards.
@@ -861,18 +916,18 @@ impl Simulation {
         //     queries at its live position (division offset, chemotaxis,
         //     random walks). The sharding contract caps that movement at
         //     one interaction radius per iteration;
-        //   * static detection additionally queries at the post-mechanics
-        //     position, up to the displacement cap further out.
+        //   * engaged static detection additionally queries at the
+        //     post-mechanics position, up to the displacement cap further
+        //     out.
         // The float → u32 cast saturates and so do the additions: a tiny
         // radius asks for "the whole lattice", which the exchange clamps to.
-        let halo_width = 2u32.saturating_add(
-            if self.param.detect_static_agents && self.step_radius > 0.0 {
+        let halo_width =
+            2u32.saturating_add(if self.detect_static_now() && self.step_radius > 0.0 {
                 let boxes = (self.param.simulation_max_displacement / self.step_radius).floor();
                 (boxes as u32).saturating_add(1)
             } else {
                 0
-            },
-        );
+            });
         let (snapshot, pool, generation, radius, iteration) = (
             &self.snapshot,
             &self.pool,
@@ -944,13 +999,29 @@ impl Simulation {
     /// parallel (Algorithm 1 L7–11).
     pub(crate) fn phase_agent_ops(&mut self) {
         if self.rm.num_agents() > 0 {
-            self.run_agent_ops(self.step_radius);
+            let detect = self.detect_static_now();
+            self.run_agent_ops(self.step_radius, detect);
+            let (passes, static_after) = self.fold_mechanics_counters();
             if self.param.detect_static_agents {
-                // Make the violations raised during this pass visible to the
-                // next one. Doing the shift here — after the parallel pass,
-                // before anything else observes the flags — keeps wake-ups
-                // scheduling-independent (see `VIOL_CUR`).
-                self.rm.promote_violations();
+                // The duty cycle (see `static_detection_engaged`).
+                let engage = stays_engaged(passes, static_after);
+                if detect {
+                    self.stats.static_engaged_iterations += 1;
+                    if engage {
+                        // Make the violations raised during this pass
+                        // visible to the next one. Doing the shift here —
+                        // after the parallel pass, before anything else
+                        // observes the flags — keeps wake-ups
+                        // scheduling-independent (see `VIOL_CUR`).
+                        self.rm.promote_violations();
+                    } else {
+                        // Stand down into the state of an engine that
+                        // never ran detection.
+                        self.rm.clear_static_state(&self.pool);
+                        self.stats.static_stand_downs += 1;
+                    }
+                }
+                self.static_engaged = engage;
             }
             // Behaviors and mechanics mutate agents in place; advance the
             // structural generation so state observers (delta checkpoints)
@@ -1121,8 +1192,46 @@ impl Simulation {
         self.snapshot.bounds = (total > 0).then(|| bounds.into_inner().unwrap());
     }
 
+    /// Whether this iteration's agent phase runs static detection: armed
+    /// and engaged.
+    fn detect_static_now(&self) -> bool {
+        self.param.detect_static_agents && self.static_engaged
+    }
+
+    /// Folds the agent phase's per-worker mechanics counters into the
+    /// aggregate stats and returns the pass's `(mechanics passes, agents
+    /// left static)` for the duty cycle.
+    fn fold_mechanics_counters(&mut self) -> (u64, u64) {
+        let (mut passes, mut static_after, mut nonfinite) = (0u64, 0u64, 0u64);
+        for ctx in &mut self.ctxs {
+            let computed = std::mem::take(&mut ctx.force_calculations);
+            let skipped = std::mem::take(&mut ctx.static_skipped);
+            passes += computed + skipped;
+            static_after += skipped + std::mem::take(&mut ctx.static_candidates);
+            self.stats.force_calculations += computed;
+            self.stats.static_skipped += skipped;
+            self.stats.batched_force_queries += std::mem::take(&mut ctx.batched_force_queries);
+            self.stats.shell_wakes += std::mem::take(&mut ctx.shell_wakes);
+            nonfinite += std::mem::take(&mut ctx.nonfinite_forces);
+        }
+        // The mechanics kernel counts non-finite force accumulations instead
+        // of aborting (the old hot-loop assert); surface them as typed
+        // violations so release builds detect what debug builds used to
+        // crash on.
+        if nonfinite > 0 {
+            self.stats.violations_detected += nonfinite;
+            self.health.record(HealthViolation {
+                kind: HealthViolationKind::NonFiniteForce,
+                iteration: self.iteration,
+                agent: None,
+                detail: format!("{nonfinite} non-finite force accumulation(s)"),
+            });
+        }
+        (passes, static_after)
+    }
+
     /// The parallel agent-operation phase: behaviors + mechanics.
-    fn run_agent_ops(&mut self, radius: f64) {
+    fn run_agent_ops(&mut self, radius: f64, detect_static: bool) {
         let sizes = self.rm.domain_sizes();
         let offsets = self.rm.offsets();
         let num_domains = sizes.len();
@@ -1145,7 +1254,7 @@ impl Simulation {
             search_radius: radius,
             dt: self.param.simulation_time_step,
             max_displacement: self.param.simulation_max_displacement,
-            detect_static: self.param.detect_static_agents,
+            detect_static,
             static_threshold: self.param.static_displacement_threshold,
             box_batched: self.param.box_batched_mechanics,
         };
@@ -1266,28 +1375,6 @@ impl Simulation {
             for (handle, f) in deferred {
                 f(self.rm.agent_mut(handle));
             }
-        }
-        // Fold per-iteration mechanics counters into the aggregate stats.
-        let mut nonfinite = 0u64;
-        for ctx in &mut self.ctxs {
-            self.stats.force_calculations += std::mem::take(&mut ctx.force_calculations);
-            self.stats.batched_force_queries += std::mem::take(&mut ctx.batched_force_queries);
-            self.stats.shell_wakes += std::mem::take(&mut ctx.shell_wakes);
-            self.stats.static_skipped += std::mem::take(&mut ctx.static_skipped);
-            nonfinite += std::mem::take(&mut ctx.nonfinite_forces);
-        }
-        // The mechanics kernel counts non-finite force accumulations instead
-        // of aborting (the old hot-loop assert); surface them as typed
-        // violations so release builds detect what debug builds used to
-        // crash on.
-        if nonfinite > 0 {
-            self.stats.violations_detected += nonfinite;
-            self.health.record(HealthViolation {
-                kind: HealthViolationKind::NonFiniteForce,
-                iteration: self.iteration,
-                agent: None,
-                detail: format!("{nonfinite} non-finite force accumulation(s)"),
-            });
         }
     }
 }

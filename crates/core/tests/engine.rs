@@ -371,6 +371,72 @@ fn static_detection_skips_settled_regions() {
     assert!(stats.static_skipped >= 25 * 6, "{stats:?}");
 }
 
+/// Position of the agent with uid `uid`.
+fn position_of(sim: &Simulation, uid: u64) -> Real3 {
+    let mut found = None;
+    sim.for_each_agent(|_, a| {
+        if a.uid().0 == uid {
+            found = Some(a.position());
+        }
+    });
+    found.expect("agent present")
+}
+
+#[test]
+fn rearmed_static_detection_does_not_trust_stale_flags() {
+    // The settled lattice above: 25 cells 30 apart, every one flagged
+    // static after a few iterations.
+    let mut param = small_param(2);
+    param.detect_static_agents = true;
+    let mut sim = Simulation::new(param);
+    for x in 0..5 {
+        for y in 0..5 {
+            let uid = sim.new_uid();
+            sim.add_agent(
+                Cell::new(uid)
+                    .with_position(Real3::new(x as f64 * 30.0, y as f64 * 30.0, 0.0))
+                    .with_diameter(10.0),
+            );
+        }
+    }
+    sim.simulate(10);
+    assert!(sim.static_detection_engaged());
+    // Disarmed, a custom operation pushes cell 1 (at the origin) into the
+    // sleeping cell 6 (at x = 30): 6 apart, diameters 10.
+    sim.set_detect_static_agents(false);
+    sim.add_standalone_op(
+        "push",
+        1,
+        Box::new(|sim: &mut Simulation| {
+            if sim.iteration() == 11 {
+                let mut pushed = None;
+                sim.for_each_agent(|h, a| {
+                    if a.uid().0 == 1 {
+                        pushed = Some(h);
+                    }
+                });
+                sim.resource_manager_mut()
+                    .agent_mut(pushed.unwrap())
+                    .set_position(Real3::new(24.0, 0.0, 0.0));
+            }
+        }),
+    );
+    sim.simulate(1);
+    let sleeper = position_of(&sim, 6);
+    // Re-armed, the sleeper must compute the force of its new neighbour:
+    // no flag survived the disarmed stretch, in which nobody maintained it.
+    sim.set_detect_static_agents(true);
+    let before = sim.stats();
+    sim.simulate(1);
+    let after = sim.stats();
+    assert_eq!(after.static_skipped, before.static_skipped, "{after:?}");
+    assert_eq!(after.force_calculations - before.force_calculations, 25);
+    assert!(
+        position_of(&sim, 6).x() > sleeper.x(),
+        "the sleeper must be pushed away"
+    );
+}
+
 #[test]
 fn static_detection_matches_non_static_results() {
     // The optimization must not change simulation results: compare final

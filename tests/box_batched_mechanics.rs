@@ -140,9 +140,12 @@ fn box_batched_is_bitwise_identical_under_static_detection() {
     // The batched path wakes a mover's old and new neighborhoods from the
     // candidate shell of its one force scan; the scalar path still issues
     // the second query. Population turnover is not run-to-run reproducible
-    // above one thread, so the models that add agents run on one.
+    // above one thread, so the models that add agents run on one. Most
+    // models stand detection down after a few iterations; the settle/shake
+    // scene keeps waking after it re-engages.
     let mut scenes = all_models(2000);
     scenes.push(Box::new(common::SparseScene { num_agents: 2000 }));
+    scenes.push(Box::new(common::SettleScene));
     for model in &scenes {
         let threads = match model.name() {
             "oncology" | "neuroscience" | "cell_proliferation" | "sparse_two_clusters" => 1,
@@ -158,11 +161,16 @@ fn box_batched_is_bitwise_identical_under_static_detection() {
             let what = format!("{} K={shards}", model.name());
             let sim = assert_wake_parity(&|p| model.build(p), param, 30, &what);
             let stats = sim.stats();
+            assert!(stats.static_engaged_iterations > 0, "{what}: never engaged");
             if stats.force_calculations > 0 {
                 assert!(stats.shell_wakes > 0, "{what}: no wake took the shell");
             }
             match model.name() {
                 "neuroscience" => assert!(stats.static_skipped > 0, "{what}: nothing skipped"),
+                "settle_shake_settle" => assert!(
+                    stats.static_stand_downs > 0 && sim.static_detection_engaged(),
+                    "{what}: {stats:?}"
+                ),
                 "sparse_two_clusters" if shards == 1 => {
                     assert!(common::lattice_is_coarsened(&sim), "{what}")
                 }

@@ -249,43 +249,6 @@ fn delta_skips_unchanged_agent_section() {
     );
 }
 
-/// A pipeline probe that serializes the simulation from *inside* an
-/// iteration — after the snapshot stage, before environment update — the
-/// exact window ISSUE's mid-window requirement names.
-struct MidWindowProbe {
-    at: u64,
-    out: Arc<Mutex<Option<Vec<u8>>>>,
-}
-
-impl Operation for MidWindowProbe {
-    fn name(&self) -> &str {
-        "ckpt_probe"
-    }
-    fn kind(&self) -> OpKind {
-        OpKind::Pre
-    }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        if ctx.iteration() == self.at {
-            let bytes = checkpoint(ctx.sim).expect("mid-window checkpoint");
-            *self.out.lock().unwrap() = Some(bytes);
-        }
-    }
-}
-
-/// Same name and position as the probe, but inert: registered by the
-/// restore builder so the captured scheduler state resolves.
-struct InertProbe;
-
-impl Operation for InertProbe {
-    fn name(&self) -> &str {
-        "ckpt_probe"
-    }
-    fn kind(&self) -> OpKind {
-        OpKind::Pre
-    }
-    fn run(&mut self, _ctx: &mut SimulationCtx<'_>) {}
-}
-
 /// Checkpoint taken mid-window (between snapshot and environment_update):
 /// the stored iteration counter points at the last completed iteration, so
 /// restore + step replays the interrupted iteration from its start and the
@@ -301,7 +264,7 @@ fn mid_window_checkpoint_replays_the_interrupted_iteration() {
         let mut truth = model.build(param_for(EnvironmentKind::UniformGrid, 2, 2));
         let added = truth.scheduler_mut().add_op_after(
             builtin::SNAPSHOT,
-            MidWindowProbe {
+            common::CheckpointProbe {
                 at: capture_at,
                 out: Arc::clone(&slot),
             },
@@ -314,7 +277,7 @@ fn mid_window_checkpoint_replays_the_interrupted_iteration() {
             let mut sim = Simulation::new(param);
             assert!(sim
                 .scheduler_mut()
-                .add_op_after(builtin::SNAPSHOT, InertProbe));
+                .add_op_after(builtin::SNAPSHOT, common::InertProbe));
             sim
         })
         .unwrap_or_else(|e| panic!("{label}: mid-window restore failed: {e}"));
@@ -345,7 +308,7 @@ fn mid_window_restore_without_the_custom_op_is_a_typed_error() {
     let mut truth = model.build(param_for(EnvironmentKind::UniformGrid, 2, 2));
     truth.scheduler_mut().add_op_after(
         builtin::SNAPSHOT,
-        MidWindowProbe {
+        common::CheckpointProbe {
             at: 2,
             out: Arc::clone(&slot),
         },

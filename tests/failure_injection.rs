@@ -343,6 +343,49 @@ mod corrupt_checkpoints {
         }
     }
 
+    /// COUNTERS ends in static detection's duty-cycle byte. A re-sealed
+    /// section without it is `Truncated`, and one holding neither 0 nor 1
+    /// is `Malformed`; both errors name COUNTERS.
+    #[test]
+    fn corrupt_duty_cycle_byte_is_a_typed_error() {
+        use biodynamo::util::fnv1a64;
+        let reg = Registry::with_builtin_types();
+        let bytes = valid_checkpoint();
+        // Section layout: tag(4) + len(8) + sum(8) + payload.
+        let tag_at = bytes
+            .windows(4)
+            .position(|w| w == b"CNTR")
+            .expect("CNTR section present");
+        let len = u64::from_le_bytes(bytes[tag_at + 4..tag_at + 12].try_into().unwrap()) as usize;
+        let payload_at = tag_at + 20;
+        let payload = &bytes[payload_at..payload_at + len];
+        // The file around a replaced COUNTERS payload, checksums re-sealed.
+        let with_counters = |new: &[u8]| {
+            let mut b = bytes[..tag_at + 4].to_vec();
+            b.extend_from_slice(&(new.len() as u64).to_le_bytes());
+            b.extend_from_slice(&fnv1a64(new).to_le_bytes());
+            b.extend_from_slice(new);
+            b.extend_from_slice(&bytes[payload_at + len..bytes.len() - 8]);
+            let trailer = fnv1a64(&b);
+            b.extend_from_slice(&trailer.to_le_bytes());
+            b
+        };
+        assert!(restore(&with_counters(payload), &reg).is_ok());
+        match restore(&with_counters(&payload[..len - 1]), &reg)
+            .err()
+            .unwrap()
+        {
+            CheckpointError::Truncated { section, .. } => assert_eq!(section, "COUNTERS"),
+            other => panic!("missing duty-cycle byte: unexpected error {other}"),
+        }
+        let mut bad = payload.to_vec();
+        bad[len - 1] = 2;
+        match restore(&with_counters(&bad), &reg).err().unwrap() {
+            CheckpointError::Malformed { section, .. } => assert_eq!(section, "COUNTERS"),
+            other => panic!("duty-cycle byte 2: unexpected error {other}"),
+        }
+    }
+
     /// A checkpoint from a *sharded* run, with every corruption mode aimed
     /// at its SHARDS section: a plain payload flip is caught by the section
     /// checksum; fully re-sealed corruptions (valid checksums, impossible

@@ -13,13 +13,15 @@ use biodynamo::prelude::*;
 /// exchange never finished — and a cap of 10³⁰⁰ saturates the `u32`
 /// (`u32::MAX + 1`: a debug panic, a silent zero-width halo in release).
 /// Both are simply "the whole lattice": every shard's cloud is the whole
-/// population and the run is bitwise the single engine's.
+/// population and the run is bitwise the single engine's. Detection runs
+/// engaged in the first iteration (this scene stands it down later, and the
+/// halo narrows to two rings), so that iteration's exchange is checked.
 #[test]
 fn halo_wider_than_the_lattice_completes_and_matches_single_engine() {
     let model = CellClustering::new(300);
     for max_displacement in [1e5, 1e300] {
-        let run = |shards: usize| {
-            let mut sim = model.build(Param {
+        let build = |shards: usize| {
+            model.build(Param {
                 threads: Some(1),
                 numa_domains: Some(1),
                 seed: 77,
@@ -27,17 +29,19 @@ fn halo_wider_than_the_lattice_completes_and_matches_single_engine() {
                 detect_static_agents: true,
                 simulation_max_displacement: max_displacement,
                 ..Param::default()
-            });
-            sim.simulate(8);
-            sim
+            })
         };
-        let single = run(1);
-        let sharded = run(2);
-        let report = sharded.shard_report().expect("sharded run");
-        assert_eq!(report.exchanges + report.exchange_skips, 8);
-        for shard in &report.per_shard {
+        let (mut single, mut sharded) = (build(1), build(2));
+        single.step();
+        sharded.step();
+        assert_eq!(sharded.stats().static_engaged_iterations, 1);
+        for shard in &sharded.shard_report().expect("sharded run").per_shard {
             assert_eq!(shard.owned + shard.halo, sharded.num_agents());
         }
+        single.simulate(7);
+        sharded.simulate(7);
+        let report = sharded.shard_report().expect("sharded run");
+        assert_eq!(report.exchanges + report.exchange_skips, 8);
         if let Some(divergence) = first_divergence(&fingerprint(&single), &fingerprint(&sharded)) {
             panic!("max_displacement {max_displacement:e}: 1 vs 2 shards: {divergence}");
         }
