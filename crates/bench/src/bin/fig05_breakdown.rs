@@ -42,6 +42,7 @@ fn main() {
         "standalone",
         "total",
         "sort run/agent_ops run",
+        "diffusion run/agent_ops run",
     ]);
     let mut agent_op_shares = Vec::new();
     let mut env_shares = Vec::new();
@@ -76,6 +77,12 @@ fn main() {
                 "{:.2}",
                 (report.bucket("agent_sorting") / report.sorts.max(1) as f64)
                     / (report.bucket("agent_ops") / iterations as f64)
+            ),
+            // The standalone bucket is the `diffusion` op, due every
+            // iteration like `agent_ops`; same run, so runner speed cancels.
+            format!(
+                "{:.3}",
+                report.bucket("standalone_ops") / report.bucket("agent_ops")
             ),
         ]);
 

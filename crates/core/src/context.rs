@@ -22,7 +22,7 @@
 //! payloads, the engine skips gathering the `payloads` array entirely.
 
 use bdm_alloc::MemoryManager;
-use bdm_diffusion::DiffusionGrid;
+use bdm_diffusion::{DiffusionGrid, Secretion};
 use bdm_env::{Environment, NeighborQueryScratch, PointCloud, StencilRuns, UniformGridEnvironment};
 use bdm_util::{Real3, SimRng};
 
@@ -272,14 +272,17 @@ impl Neighbor<'_> {
     }
 }
 
-/// A queued secretion: `(grid index, position, amount)`.
-pub(crate) type Secretion = (usize, Real3, f64);
-
 /// A deferred mutation of another agent, applied at the end of the iteration.
 pub(crate) type DeferredFn = Box<dyn FnOnce(&mut dyn Agent) + Send>;
 
 /// Thread-local buffered effects of one iteration.
+///
+/// Aligned to two cache lines so that no two workers' contexts share one:
+/// the agent phase writes its context's counters and queue headers for
+/// every agent, and sharing a line with a neighbour's measured ≈ 7% on
+/// the agent phase of `cell_clustering` (docs/PERFORMANCE.md, "Diffusion").
 #[derive(Default)]
+#[repr(align(128))]
 pub struct ExecutionContext {
     /// New agents per target NUMA domain.
     pub(crate) new_agents: Vec<Vec<AgentBox>>,
@@ -287,8 +290,16 @@ pub struct ExecutionContext {
     pub(crate) removals: Vec<AgentHandle>,
     /// Deferred mutations of other agents.
     pub(crate) deferred: Vec<(AgentHandle, DeferredFn)>,
-    /// Queued substance secretions.
+    /// Queued substance secretions, resolved to their voxel.
     pub(crate) secretions: Vec<Secretion>,
+    /// One mark per agent-phase chunk that secreted: `((iteration, global
+    /// index of the chunk's first agent), offset of its first entry in
+    /// `secretions`)`. A chunk's agents run in ascending index, so applying
+    /// the chunks in ascending key applies every voxel's additions in agent
+    /// order, whichever worker ran or stole each chunk.
+    pub(crate) secretion_chunks: Vec<((u64, usize), usize)>,
+    /// Key of the running chunk until its first secretion marks it.
+    pub(crate) open_chunk: Option<(u64, usize)>,
     /// Mechanics statistics: force calculations executed.
     pub(crate) force_calculations: u64,
     /// Mechanics statistics: force calculations served by the box-batched
@@ -729,10 +740,19 @@ impl<'a> AgentContext<'a> {
     }
 
     /// Queues a secretion of `amount` into grid `grid` at `pos` (applied
-    /// before the diffusion step of this iteration).
+    /// before the diffusion step of this iteration, in agent order). The
+    /// voxel is resolved here, so the queue holds 16 bytes per secretion.
     pub fn secrete(&mut self, grid: usize, pos: Real3, amount: f64) {
-        debug_assert!(grid < self.diffusion.len());
-        self.exec.secretions.push((grid, pos, amount));
+        let voxel = self.diffusion[grid].box_index(pos) as u32;
+        let exec = &mut *self.exec;
+        if let Some(key) = exec.open_chunk.take() {
+            exec.secretion_chunks.push((key, exec.secretions.len()));
+        }
+        exec.secretions.push(Secretion {
+            grid: grid as u32,
+            voxel,
+            amount,
+        });
     }
 }
 

@@ -21,7 +21,7 @@
 //! operations delegate to live here as `pub(crate)` phase methods.
 
 use bdm_alloc::{MemoryManager, MemoryStats, PoolConfig};
-use bdm_diffusion::DiffusionGrid;
+use bdm_diffusion::{DiffusionGrid, Secretion};
 use bdm_env::{Environment, UpdateHint};
 use bdm_numa::{NumaThreadPool, NumaTopology, StealStats};
 use bdm_util::send_ptr::SendMut;
@@ -1293,6 +1293,9 @@ impl Simulation {
                 // state); it is taken out of the context so the context can
                 // be mutably borrowed by the agent context below.
                 let mut neighbor_scratch = std::mem::take(&mut exec.mech_neighbors);
+                // The chunk's secretions are keyed by its first agent (see
+                // `ExecutionContext::secretion_chunks`).
+                exec.open_chunk = Some((iteration, offsets_ref[domain] + range.start));
                 for i in range {
                     // SAFETY: each (domain, i) is processed by exactly one task.
                     let agent_box = unsafe { agent_ptrs[domain].get_mut(i) };
@@ -1359,12 +1362,25 @@ impl Simulation {
         }
     }
 
-    /// Applies queued secretions to the diffusion grids.
+    /// Applies queued secretions to the diffusion grids on the pool, chunk
+    /// by chunk in ascending key: every voxel receives its additions in
+    /// agent order, so the grids do not depend on which worker ran a chunk.
     fn apply_secretions(&mut self) {
-        for ctx in &mut self.ctxs {
-            for (grid, pos, amount) in ctx.secretions.drain(..) {
-                self.diffusion[grid].increase_concentration(pos, amount);
+        let mut chunks = Vec::new();
+        for ctx in &self.ctxs {
+            let marks = &ctx.secretion_chunks;
+            debug_assert!(marks.first().is_none_or(|&(_, offset)| offset == 0));
+            for (k, &(key, offset)) in marks.iter().enumerate() {
+                let end = marks.get(k + 1).map_or(ctx.secretions.len(), |m| m.1);
+                chunks.push((key, &ctx.secretions[offset..end]));
             }
+        }
+        chunks.sort_unstable_by_key(|&(key, _)| key);
+        let batches: Vec<&[Secretion]> = chunks.into_iter().map(|(_, batch)| batch).collect();
+        bdm_diffusion::apply_secretions(&mut self.diffusion, &batches, Some(&self.pool));
+        for ctx in &mut self.ctxs {
+            ctx.secretions.clear();
+            ctx.secretion_chunks.clear();
         }
     }
 

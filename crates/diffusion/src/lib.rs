@@ -13,6 +13,14 @@
 //!
 //! The explicit scheme is stable for dt ≤ h²/(6D); [`DiffusionGrid::step`]
 //! automatically substeps to respect the bound.
+//!
+//! The sweep peels the boundary: interior voxels run as x-runs over the
+//! six neighbour rows, a loop the compiler vectorises; faces, edges and
+//! corners take the boundary-aware per-voxel path. Both evaluate the same
+//! expression in the same order, so the result does not depend on which
+//! path a voxel took. Secretions arrive as [`Secretion`]s already resolved
+//! to their voxel and are added by [`apply_secretions`], in parallel over
+//! z-slabs and in queue order within every voxel.
 
 #![warn(missing_docs)]
 
@@ -26,6 +34,10 @@ use bdm_util::Real3;
 /// in the scaled-down models); the paper's 54M-volume grids take the
 /// parallel path.
 const PARALLEL_VOLUME_THRESHOLD: usize = 1 << 16;
+
+/// Secretion batches smaller than this are added serially: every parallel
+/// task scans the whole queue, which only pays once the queue is long.
+const PARALLEL_SECRETION_THRESHOLD: usize = 1 << 12;
 
 /// Boundary condition at the faces of the diffusion volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,6 +92,10 @@ impl DiffusionGrid {
         assert!(resolution >= 2, "need at least 2 boxes per axis");
         assert!(edge > 0.0 && diffusion_coefficient >= 0.0 && decay_constant >= 0.0);
         let n = resolution * resolution * resolution;
+        assert!(
+            n - 1 <= u32::MAX as usize,
+            "a secretion addresses its voxel with a u32"
+        );
         DiffusionGrid {
             name: name.into(),
             diffusion_coefficient,
@@ -236,8 +252,15 @@ impl DiffusionGrid {
     /// `pool`'s workers (from 2¹⁶ volumes on; smaller grids step serially).
     /// Every slice reads only the previous buffer, so the result is bitwise
     /// the same with or without a pool and for every worker count.
+    ///
+    /// A frozen grid (`D = 0` and `μ = 0`) is left as it is: its substep
+    /// `(c + 0·lap)·1` gives back every finite `c` but `−0`.
     pub fn step_with(&mut self, dt: f64, pool: Option<&NumaThreadPool>) {
         assert!(dt > 0.0 && dt.is_finite());
+        self.version += 1;
+        if self.diffusion_coefficient == 0.0 && self.decay_constant == 0.0 {
+            return;
+        }
         let stable = self.max_stable_dt() * 0.9;
         let substeps = (dt / stable).ceil().max(1.0) as usize;
         let sub_dt = dt / substeps as f64;
@@ -246,59 +269,32 @@ impl DiffusionGrid {
         for _ in 0..substeps {
             self.substep(sub_dt, pool);
         }
-        self.version += 1;
     }
 
     /// One FTCS update, on `pool` one task per z-slice.
     fn substep(&mut self, dt: f64, pool: Option<&NumaThreadPool>) {
         let r = self.resolution;
-        let h2 = self.box_length * self.box_length;
-        let alpha = self.diffusion_coefficient * dt / h2;
-        let decay = self.decay_constant * dt;
-        let boundary = self.boundary;
-        let c = &self.c;
-        let slices = self.c_next.chunks_mut(r * r);
-        let body = |z: usize, slice: &mut [f64]| {
-            // Neighbor sampling with boundary handling. For reflecting
-            // boundaries the out-of-domain neighbor mirrors the center value
-            // (zero flux); for absorbing boundaries it is zero.
-            let get = |x: i64, y: i64, zz: i64, center: f64| -> f64 {
-                if x < 0 || y < 0 || zz < 0 || x >= r as i64 || y >= r as i64 || zz >= r as i64 {
-                    match boundary {
-                        BoundaryCondition::ClosedReflecting => center,
-                        BoundaryCondition::OpenAbsorbing => 0.0,
-                    }
-                } else {
-                    c[x as usize + r * (y as usize + r * zz as usize)]
-                }
-            };
-            let z = z as i64;
-            for y in 0..r as i64 {
-                for x in 0..r as i64 {
-                    let center = c[x as usize + r * (y as usize + r * z as usize)];
-                    let lap = get(x - 1, y, z, center)
-                        + get(x + 1, y, z, center)
-                        + get(x, y - 1, z, center)
-                        + get(x, y + 1, z, center)
-                        + get(x, y, z - 1, center)
-                        + get(x, y, z + 1, center)
-                        - 6.0 * center;
-                    slice[(x + y * r as i64) as usize] =
-                        (center + alpha * lap) * (1.0 - decay).max(0.0);
-                }
-            }
+        let stencil = Stencil {
+            c: &self.c,
+            r,
+            alpha: self.diffusion_coefficient * dt / (self.box_length * self.box_length),
+            factor: (1.0 - self.decay_constant * dt).max(0.0),
+            boundary: self.boundary,
         };
+        let slices = self.c_next.chunks_mut(r * r);
         match pool {
             Some(pool) => {
                 // Each slice is locked once, by the one task that writes it.
                 let slices: Vec<Mutex<&mut [f64]>> = slices.map(Mutex::new).collect();
                 pool.parallel_for(r, 1, &|_, zs| {
                     for z in zs {
-                        body(z, &mut slices[z].lock().expect("no slice task panicked"));
+                        stencil.slice(z, &mut slices[z].lock().expect("no slice task panicked"));
                     }
                 });
             }
-            None => slices.enumerate().for_each(|(z, slice)| body(z, slice)),
+            None => slices
+                .enumerate()
+                .for_each(|(z, slice)| stencil.slice(z, slice)),
         }
         std::mem::swap(&mut self.c, &mut self.c_next);
     }
@@ -331,6 +327,163 @@ impl DiffusionGrid {
     }
 }
 
+/// One substep's read side: the previous concentrations and the update's
+/// coefficients. Every voxel becomes `(c + α·lap)·f` with
+/// `lap = x− + x+ + y− + y+ + z− + z+ − 6c`, summed left to right.
+struct Stencil<'a> {
+    c: &'a [f64],
+    r: usize,
+    /// `D·dt / h²`.
+    alpha: f64,
+    /// `(1 − μ·dt).max(0)`.
+    factor: f64,
+    boundary: BoundaryCondition,
+}
+
+impl Stencil<'_> {
+    /// Writes z-slice `z` of the next buffer. The voxels with all six
+    /// neighbours inside the grid run as x-runs over the neighbour rows;
+    /// the rest take [`Stencil::voxel`].
+    fn slice(&self, z: usize, out: &mut [f64]) {
+        let r = self.r;
+        let boundary_slice = z == 0 || z == r - 1;
+        for (y, row) in out.chunks_mut(r).enumerate() {
+            if boundary_slice || y == 0 || y == r - 1 {
+                for (x, v) in row.iter_mut().enumerate() {
+                    *v = self.voxel(x, y, z);
+                }
+            } else {
+                row[0] = self.voxel(0, y, z);
+                // Flat index of voxel (1, y, z), the run's first.
+                self.interior_run(1 + r * (y + r * z), &mut row[1..r - 1]);
+                row[r - 1] = self.voxel(r - 1, y, z);
+            }
+        }
+    }
+
+    /// The interior voxels `i .. i + out.len()` of one x-row, each with all
+    /// six neighbours inside the grid.
+    #[inline]
+    fn interior_run(&self, i: usize, out: &mut [f64]) {
+        let (c, n, plane) = (self.c, out.len(), self.r * self.r);
+        let row = |start: usize| &c[start..start + n];
+        let (center, xm, xp) = (row(i), row(i - 1), row(i + 1));
+        let (ym, yp) = (row(i - self.r), row(i + self.r));
+        let (zm, zp) = (row(i - plane), row(i + plane));
+        let (alpha, factor) = (self.alpha, self.factor);
+        for (k, v) in out.iter_mut().enumerate() {
+            let lap = xm[k] + xp[k] + ym[k] + yp[k] + zm[k] + zp[k] - 6.0 * center[k];
+            *v = (center[k] + alpha * lap) * factor;
+        }
+    }
+
+    /// One voxel with boundary handling: for reflecting boundaries the
+    /// out-of-domain neighbour mirrors the center value (zero flux); for
+    /// absorbing boundaries it is zero.
+    fn voxel(&self, x: usize, y: usize, z: usize) -> f64 {
+        let r = self.r as i64;
+        let c = self.c;
+        let center = c[x + self.r * (y + self.r * z)];
+        let get = |x: i64, y: i64, z: i64| -> f64 {
+            if x < 0 || y < 0 || z < 0 || x >= r || y >= r || z >= r {
+                match self.boundary {
+                    BoundaryCondition::ClosedReflecting => center,
+                    BoundaryCondition::OpenAbsorbing => 0.0,
+                }
+            } else {
+                c[(x + r * (y + r * z)) as usize]
+            }
+        };
+        let (x, y, z) = (x as i64, y as i64, z as i64);
+        let lap = get(x - 1, y, z)
+            + get(x + 1, y, z)
+            + get(x, y - 1, z)
+            + get(x, y + 1, z)
+            + get(x, y, z - 1)
+            + get(x, y, z + 1)
+            - 6.0 * center;
+        (center + self.alpha * lap) * self.factor
+    }
+}
+
+/// One agent's secretion, resolved to its voxel while the agent ran:
+/// `amount` is added to voxel `voxel` ([`DiffusionGrid::box_index`]) of
+/// grid `grid`. 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Secretion {
+    /// Index of the grid in the slice handed to [`apply_secretions`].
+    pub grid: u32,
+    /// Flat voxel index, x fastest.
+    pub voxel: u32,
+    /// Quantity added.
+    pub amount: f64,
+}
+
+/// Adds every secretion of `batches` to its grid and bumps each grid's
+/// version once. Within every voxel the additions run in the order of
+/// `batches`, and within a batch in slice order, so the result is a pure
+/// function of that order — whatever the pool.
+///
+/// With a pool and at least 2¹² secretions, each worker owns one
+/// contiguous z-slab range of every grid and scans the whole queue for the
+/// entries that fall into it: disjoint writes, no atomics.
+///
+/// Every `voxel` must come from its grid's [`DiffusionGrid::box_index`].
+///
+/// # Panics
+/// If a secretion names a grid that does not exist.
+pub fn apply_secretions(
+    grids: &mut [DiffusionGrid],
+    batches: &[&[Secretion]],
+    pool: Option<&NumaThreadPool>,
+) {
+    let total: usize = batches.iter().map(|b| b.len()).sum();
+    if total == 0 {
+        return;
+    }
+    let tasks = pool
+        .map(NumaThreadPool::num_threads)
+        .filter(|&t| t > 1 && total >= PARALLEL_SECRETION_THRESHOLD)
+        .unwrap_or(1);
+    // parts[t][g] = (first voxel, slab) of grid g owned by task t.
+    let mut parts: Vec<Vec<(usize, &mut [f64])>> = (0..tasks)
+        .map(|_| Vec::with_capacity(grids.len()))
+        .collect();
+    for grid in grids.iter_mut() {
+        grid.version += 1;
+        let (r, plane) = (grid.resolution, grid.resolution * grid.resolution);
+        let mut rest = &mut grid.c[..];
+        let mut first = 0;
+        for (t, part) in parts.iter_mut().enumerate() {
+            let end = (t + 1) * r / tasks * plane;
+            let (slab, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
+            part.push((first, slab));
+            (rest, first) = (tail, end);
+        }
+    }
+    let apply = |part: &mut [(usize, &mut [f64])]| {
+        for s in batches.iter().flat_map(|b| b.iter()) {
+            let (first, slab) = &mut part[s.grid as usize];
+            // Below the slab the difference wraps past its end.
+            if let Some(c) = slab.get_mut((s.voxel as usize).wrapping_sub(*first)) {
+                *c += s.amount;
+            }
+        }
+    };
+    match pool {
+        Some(pool) if tasks > 1 => {
+            let parts: Vec<Mutex<Vec<(usize, &mut [f64])>>> =
+                parts.into_iter().map(Mutex::new).collect();
+            pool.parallel_for(tasks, 1, &|_, ts| {
+                for t in ts {
+                    apply(&mut parts[t].lock().expect("no secretion task panicked"));
+                }
+            });
+        }
+        _ => apply(&mut parts[0]),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +491,59 @@ mod tests {
 
     fn grid(resolution: usize) -> DiffusionGrid {
         DiffusionGrid::new("test", 0.5, 0.0, resolution, Real3::ZERO, 10.0)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn pools() -> Vec<NumaThreadPool> {
+        [1, 2, 4]
+            .map(|t| NumaThreadPool::new(bdm_numa::NumaTopology::new(1, t)))
+            .into()
+    }
+
+    /// The sweep before the boundary was peeled: every voxel through the
+    /// six-closure path, serially. The kernel must match it bitwise.
+    fn oracle_step(g: &mut DiffusionGrid, dt: f64) {
+        let stable = g.max_stable_dt() * 0.9;
+        let substeps = (dt / stable).ceil().max(1.0) as usize;
+        let sub_dt = dt / substeps as f64;
+        for _ in 0..substeps {
+            let r = g.resolution;
+            let h2 = g.box_length * g.box_length;
+            let alpha = g.diffusion_coefficient * sub_dt / h2;
+            let decay = g.decay_constant * sub_dt;
+            let (c, boundary) = (&g.c, g.boundary);
+            let get = |x: i64, y: i64, z: i64, center: f64| -> f64 {
+                if x < 0 || y < 0 || z < 0 || x >= r as i64 || y >= r as i64 || z >= r as i64 {
+                    match boundary {
+                        BoundaryCondition::ClosedReflecting => center,
+                        BoundaryCondition::OpenAbsorbing => 0.0,
+                    }
+                } else {
+                    c[x as usize + r * (y as usize + r * z as usize)]
+                }
+            };
+            for z in 0..r as i64 {
+                for y in 0..r as i64 {
+                    for x in 0..r as i64 {
+                        let i = x as usize + r * (y as usize + r * z as usize);
+                        let center = c[i];
+                        let lap = get(x - 1, y, z, center)
+                            + get(x + 1, y, z, center)
+                            + get(x, y - 1, z, center)
+                            + get(x, y + 1, z, center)
+                            + get(x, y, z - 1, center)
+                            + get(x, y, z + 1, center)
+                            - 6.0 * center;
+                        g.c_next[i] = (center + alpha * lap) * (1.0 - decay).max(0.0);
+                    }
+                }
+            }
+            std::mem::swap(&mut g.c, &mut g.c_next);
+        }
+        g.version += 1;
     }
 
     #[test]
@@ -459,8 +665,10 @@ mod tests {
         let mut g = DiffusionGrid::new("z", 0.0, 0.0, 6, Real3::ZERO, 6.0);
         g.increase_concentration(Real3::splat(3.0), 7.0);
         let before = g.concentrations().to_vec();
+        let version = g.version();
         g.step(1.0);
-        assert_eq!(g.concentrations(), &before[..]);
+        assert_eq!(bits(g.concentrations()), bits(&before));
+        assert_eq!(g.version(), version + 1);
     }
 
     #[test]
@@ -499,6 +707,127 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn peeled_sweep_is_bitwise_the_oracle() {
+        let pools = pools();
+        for resolution in [2, 3, 5, 17, 48] {
+            for bc in [
+                BoundaryCondition::ClosedReflecting,
+                BoundaryCondition::OpenAbsorbing,
+            ] {
+                for decay in [0.0, 0.01] {
+                    let edge = resolution as f64;
+                    let mut start =
+                        DiffusionGrid::new("o", 0.5, decay, resolution, Real3::ZERO, edge)
+                            .with_boundary(bc);
+                    let mut rng = bdm_util::SimRng::new(resolution as u64);
+                    let values: Vec<f64> = (0..start.num_volumes())
+                        .map(|_| rng.uniform_in(0.0, 5.0))
+                        .collect();
+                    start.set_concentrations(&values);
+                    // dt = 0.7 exceeds the stability bound (0.3): two
+                    // substeps per step, so the buffer swap is covered.
+                    let mut oracle = start.clone();
+                    for _ in 0..3 {
+                        oracle_step(&mut oracle, 0.7);
+                    }
+                    let expected = bits(oracle.concentrations());
+                    let pooled = pools.iter().map(Some);
+                    for pool in std::iter::once(None).chain(pooled) {
+                        let mut g = start.clone();
+                        for _ in 0..3 {
+                            g.step_with(0.7, pool);
+                        }
+                        assert_eq!(
+                            bits(g.concentrations()),
+                            expected,
+                            "r={resolution} {bc:?} decay={decay} workers={:?}",
+                            pool.map(NumaThreadPool::num_threads)
+                        );
+                        assert_eq!(g.version(), oracle.version());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_grid_conserves_mass_over_1000_steps() {
+        let mut g = DiffusionGrid::new("m", 0.4, 0.0, 16, Real3::ZERO, 16.0);
+        let mut rng = bdm_util::SimRng::new(1000);
+        for _ in 0..200 {
+            let amount = rng.uniform_in(0.1, 5.0);
+            g.increase_concentration(rng.point_in_cube(0.0, 16.0), amount);
+        }
+        let before = g.total();
+        for _ in 0..1000 {
+            g.step(0.4);
+        }
+        let drift = (g.total() - before).abs() / before;
+        assert!(drift <= 1e-12, "relative mass drift {drift:e}");
+    }
+
+    #[test]
+    fn parallel_secretions_land_where_serial_ones_do() {
+        // Two grids of different resolution; positions on the z-slab
+        // boundaries of 2 and 4 tasks (and a hair either side), in the
+        // corners, outside the domain, and at random.
+        let grids = || {
+            vec![
+                DiffusionGrid::new("a", 0.4, 0.0, 48, Real3::ZERO, 48.0),
+                DiffusionGrid::new("b", 0.4, 0.0, 17, Real3::splat(-2.0), 34.0),
+            ]
+        };
+        let mut rng = bdm_util::SimRng::new(17);
+        let mut queue = Vec::new();
+        for k in 0..6000 {
+            let grid = k % 2;
+            let lo = if grid == 0 { 0.0 } else { -2.0 };
+            let edge = if grid == 0 { 48.0 } else { 34.0 };
+            let z = match k % 6 {
+                0 => lo + edge * [0.25, 0.5, 0.75][k % 3],
+                1 => lo + edge * 0.5 - 1e-9,
+                2 => lo + edge * 0.5 + 1e-9,
+                _ => rng.uniform_in(lo, lo + edge),
+            };
+            let pos = match k % 7 {
+                0 => Real3::splat(lo),
+                1 => Real3::splat(lo + edge),
+                2 => Real3::new(-1e9, 1e9, z),
+                3 => Real3::splat(f64::MAX),
+                _ => Real3::new(
+                    rng.uniform_in(lo, lo + edge),
+                    rng.uniform_in(lo, lo + edge),
+                    z,
+                ),
+            };
+            queue.push((grid, pos, rng.uniform_in(0.0, 1.0) / (k + 1) as f64));
+        }
+        let mut serial = grids();
+        for &(grid, pos, amount) in &queue {
+            serial[grid].increase_concentration(pos, amount);
+        }
+        let resolved: Vec<Secretion> = queue
+            .iter()
+            .map(|&(grid, pos, amount)| Secretion {
+                grid: grid as u32,
+                voxel: serial[grid].box_index(pos) as u32,
+                amount,
+            })
+            .collect();
+        let batches: Vec<&[Secretion]> = resolved.chunks(777).collect();
+        let pools = pools();
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let mut applied = grids();
+            apply_secretions(&mut applied, &batches, pool);
+            for (a, s) in applied.iter().zip(&serial) {
+                assert_eq!(bits(a.concentrations()), bits(s.concentrations()));
+                assert_eq!(a.version(), 1, "one bump per batch");
+            }
+        }
+        assert_eq!(std::mem::size_of::<Secretion>(), 16);
     }
 
     proptest! {
