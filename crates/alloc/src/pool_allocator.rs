@@ -2,7 +2,7 @@
 //!
 //! A `NumaPoolAllocator` hands out equal-sized elements from large memory
 //! blocks. Blocks are allocated with exponentially increasing sizes
-//! (`mem_mgr_growth_rate`) and divided into N-page-aligned **segments**; the
+//! (BioDynaMo's memory-manager growth rate) and divided into N-page-aligned **segments**; the
 //! first bytes of each segment store a back-pointer to the owning allocator,
 //! so deallocation recovers the allocator from the element address in
 //! constant time (Figure 4B) without any per-element metadata.
@@ -29,7 +29,7 @@ use crate::free_list::{CentralFreeList, Chunk, LocalFreeList, CHUNK_SIZE};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolConfig {
     /// Factor by which consecutive memory blocks grow
-    /// (`mem_mgr_growth_rate`). Must be > 1.
+    /// (BioDynaMo's memory-manager growth rate). Must be > 1.
     pub growth_rate: f64,
     /// Migrate full chunks to the central list once a thread-private list
     /// holds more than this many full chunks ("specific memory threshold").

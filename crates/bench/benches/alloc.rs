@@ -1,6 +1,6 @@
 //! Criterion microbench: the pool memory allocator (paper Section 4.3,
 //! Figure 13's microscopic counterpart) against the system allocator, plus
-//! the `mem_mgr_growth_rate` ablation called out in DESIGN.md.
+//! an ablation of `PoolConfig::growth_rate`, the block growth factor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -60,7 +60,7 @@ fn bench_alloc_free(c: &mut Criterion) {
 }
 
 fn bench_growth_rate(c: &mut Criterion) {
-    // Ablation of `mem_mgr_growth_rate`: slower growth means more block
+    // Ablation of `PoolConfig::growth_rate`: slower growth means more block
     // allocations while the population ramps up; faster growth reserves
     // more memory up front.
     let mut group = c.benchmark_group("growth_rate_ramp");

@@ -7,8 +7,7 @@
 //! `docs/ARCHITECTURE.md`.
 
 use bdm_core::{
-    CurveKind, EnvironmentKind, HealthPolicy, InteractionForce, NeighborAccess, Param, Simulation,
-    StaticFlags,
+    EnvironmentKind, HealthPolicy, InteractionForce, NeighborAccess, Param, Simulation, StaticFlags,
 };
 use bdm_util::{ByteReader, ByteWriter, Real3};
 
@@ -28,13 +27,6 @@ fn opt_u64(w: &mut ByteWriter, v: Option<u64>) {
     w.put_u64(v.unwrap_or(0));
 }
 
-fn curve_code(c: CurveKind) -> u8 {
-    match c {
-        CurveKind::Morton => 0,
-        CurveKind::Hilbert => 1,
-    }
-}
-
 /// Encodes every [`Param`] field, in declaration order.
 pub fn write_param(p: &Param) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -45,9 +37,7 @@ pub fn write_param(p: &Param) -> Vec<u8> {
     w.put_f64(p.simulation_max_displacement);
     w.put_u8(u8::from(p.enable_mechanics));
     w.put_u8(u8::from(p.detect_static_agents));
-    w.put_f64(p.static_displacement_threshold);
     opt_u64(&mut w, p.agent_sort_frequency.map(|f| f as u64));
-    w.put_u8(curve_code(p.sort_curve));
     w.put_u8(u8::from(p.sort_use_extra_memory));
     w.put_u8(u8::from(p.parallel_add_remove));
     w.put_u8(u8::from(p.numa_aware_iteration));
@@ -55,9 +45,7 @@ pub fn write_param(p: &Param) -> Vec<u8> {
     opt_u64(&mut w, p.threads.map(|t| t as u64));
     opt_u64(&mut w, p.numa_domains.map(|d| d as u64));
     w.put_u64(p.iteration_block_size as u64);
-    w.put_f64(p.mem_mgr_growth_rate);
     w.put_u8(p.neighbor_access.bits());
-    w.put_u8(u8::from(p.box_batched_mechanics));
     // Health policy (format v2): fixed-size like the opt_* fields — absent
     // policies write zeroed placeholders so the payload length is stable.
     w.put_u8(u8::from(p.health.is_some()));
@@ -111,14 +99,7 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
     let simulation_max_displacement = r.take_f64().map_err(truncated(S_PARAM))?;
     let enable_mechanics = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let detect_static_agents = r.take_u8().map_err(truncated(S_PARAM))? != 0;
-    let static_displacement_threshold = r.take_f64().map_err(truncated(S_PARAM))?;
     let agent_sort_frequency = take_opt_u64(r, S_PARAM)?.map(|f| f as usize);
-    let curve_code = r.take_u8().map_err(truncated(S_PARAM))?;
-    let sort_curve = match curve_code {
-        0 => CurveKind::Morton,
-        1 => CurveKind::Hilbert,
-        c => return Err(malformed(S_PARAM, format!("unknown curve code {c}"))),
-    };
     let sort_use_extra_memory = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let parallel_add_remove = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let numa_aware_iteration = r.take_u8().map_err(truncated(S_PARAM))? != 0;
@@ -126,7 +107,6 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
     let threads = take_opt_u64(r, S_PARAM)?.map(|v| v as usize);
     let numa_domains = take_opt_u64(r, S_PARAM)?.map(|v| v as usize);
     let iteration_block_size = r.take_u64().map_err(truncated(S_PARAM))? as usize;
-    let mem_mgr_growth_rate = r.take_f64().map_err(truncated(S_PARAM))?;
     let access_bits = r.take_u8().map_err(truncated(S_PARAM))?;
     let neighbor_access = NeighborAccess::from_bits(access_bits).ok_or_else(|| {
         malformed(
@@ -134,7 +114,6 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
             format!("invalid neighbor-access bits {access_bits:#x}"),
         )
     })?;
-    let box_batched_mechanics = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let health_some = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let health_frequency = r.take_u64().map_err(truncated(S_PARAM))?;
     let bounds_some = r.take_u8().map_err(truncated(S_PARAM))? != 0;
@@ -159,6 +138,12 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
     if !(1..=bdm_core::MAX_SHARDS).contains(&shards) {
         return Err(malformed(S_PARAM, format!("invalid shard count {shards}")));
     }
+    if let Some(radius) = interaction_radius.filter(|r| !(r.is_finite() && *r > 0.0)) {
+        return Err(malformed(
+            S_PARAM,
+            format!("invalid interaction radius {radius}"),
+        ));
+    }
     if shards > 1 && environment != EnvironmentKind::UniformGrid {
         return Err(malformed(
             S_PARAM,
@@ -179,9 +164,7 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
         simulation_max_displacement,
         enable_mechanics,
         detect_static_agents,
-        static_displacement_threshold,
         agent_sort_frequency,
-        sort_curve,
         sort_use_extra_memory,
         parallel_add_remove,
         numa_aware_iteration,
@@ -189,9 +172,7 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
         threads,
         numa_domains,
         iteration_block_size,
-        mem_mgr_growth_rate,
         neighbor_access,
-        box_batched_mechanics,
         shards,
         health,
     })

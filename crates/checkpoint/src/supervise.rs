@@ -47,8 +47,6 @@ pub enum Degradation {
     /// Swap the neighbor-search backend for the O(n²) brute-force reference
     /// (slow but structurally trivial).
     UseBruteEnvironment,
-    /// Turn off box-batched mechanics (per-agent neighbor queries instead).
-    DisableBoxBatchedMechanics,
     /// Turn off static-agent detection (every agent recomputed every step).
     DisableStaticDetection,
     /// Disable the named operation in the scheduler.
@@ -403,9 +401,6 @@ impl SupervisedRunner {
         match d {
             Degradation::UseBruteEnvironment => {
                 self.sim.set_environment_kind(EnvironmentKind::Brute);
-            }
-            Degradation::DisableBoxBatchedMechanics => {
-                self.sim.set_box_batched_mechanics(false);
             }
             Degradation::DisableStaticDetection => {
                 self.sim.set_detect_static_agents(false);

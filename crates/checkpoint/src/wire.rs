@@ -29,9 +29,10 @@ pub const MAGIC: [u8; 8] = *b"BDMCKPT\0";
 /// Current format version. v2 extended the PARAM section with the health
 /// sentinel policy; v3 appended the shard count to PARAM and added the
 /// SHARDS section (the partition manifest of sharded runs); v4 appended
-/// static detection's duty-cycle byte to COUNTERS. Older files are
-/// rejected rather than silently misread.
-pub const FORMAT_VERSION: u32 = 4;
+/// static detection's duty-cycle byte to COUNTERS; v5 dropped four fields
+/// from PARAM (static threshold, sort curve, pool growth rate, box-batched
+/// flag). Older files are rejected rather than silently misread.
+pub const FORMAT_VERSION: u32 = 5;
 /// Header `kind` byte of a full checkpoint.
 pub const KIND_FULL: u8 = 0;
 /// Header `kind` byte of a delta checkpoint.

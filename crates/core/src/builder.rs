@@ -21,7 +21,6 @@
 
 use bdm_diffusion::DiffusionGrid;
 use bdm_env::EnvironmentKind;
-use bdm_sfc::CurveKind;
 
 use crate::faults::FaultPlan;
 use crate::force::InteractionForce;
@@ -117,12 +116,6 @@ impl SimulationBuilder {
     /// `None` disables the operation.
     pub fn sort_frequency(mut self, frequency: Option<usize>) -> Self {
         self.param.agent_sort_frequency = frequency;
-        self
-    }
-
-    /// Space-filling curve used by agent sorting.
-    pub fn sort_curve(mut self, curve: CurveKind) -> Self {
-        self.param.sort_curve = curve;
         self
     }
 

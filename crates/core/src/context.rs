@@ -303,7 +303,7 @@ pub struct ExecutionContext {
     /// Mechanics statistics: force calculations executed.
     pub(crate) force_calculations: u64,
     /// Mechanics statistics: force calculations served by the box-batched
-    /// grid path (vs the scalar per-agent fallback).
+    /// grid route (vs the generic neighbor query).
     pub(crate) batched_force_queries: u64,
     /// Mechanics statistics: agents skipped as static (paper Section 5).
     pub(crate) static_skipped: u64,
@@ -321,9 +321,6 @@ pub struct ExecutionContext {
     /// Reusable neighbor-query scratch: queries issued through this thread's
     /// [`AgentContext`] allocate nothing in steady state.
     pub(crate) query_scratch: NeighborQueryScratch,
-    /// Reusable neighbor-index buffer of the scalar mechanics path (static
-    /// detection collects the neighborhood to wake it on movement).
-    pub(crate) mech_neighbors: Vec<u32>,
     /// The candidate shell of this worker's last box-batched mechanics scan
     /// (see [`AgentContext::for_each_neighbor_mech`]).
     pub(crate) mech_shell: MechShell,
@@ -554,7 +551,7 @@ impl<'a> AgentContext<'a> {
     /// *slower*, 0.067–0.070 → 0.083–0.084 s.)
     ///
     /// Visit order, the visited set, and every visited value are bitwise
-    /// those of the per-agent path (same shared stencil traversal, the
+    /// those of the generic query (same shared stencil traversal, the
     /// same `d²` expression, copied diameters). Returns `false` without
     /// visiting anything when the batched path cannot serve the query —
     /// non-grid environment, diameters not scattered this iteration, or a
@@ -763,7 +760,10 @@ pub(crate) fn agent_rng(seed: u64, uid: AgentUid, iteration: u64) -> SimRng {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::sharded::tests::snapshot_with;
 
     fn snapshot(offsets: Vec<usize>, n: usize) -> Snapshot {
         Snapshot {
@@ -865,6 +865,193 @@ mod tests {
         assert_eq!(ctx.pending_additions(), 0);
         assert_eq!(ctx.pending_removals(), 0);
         assert_eq!(ctx.new_agents.len(), 2);
+    }
+
+    fn scatter_hint(snapshot: &Snapshot) -> bdm_env::UpdateHint<'static> {
+        bdm_env::UpdateHint {
+            known_bounds: snapshot.bounds,
+            scatter_diameters: true,
+            ..bdm_env::UpdateHint::default()
+        }
+    }
+
+    /// The grid built over `snapshot` as the engine builds it with
+    /// mechanics on (diameters scattered).
+    fn scattered_grid(snapshot: &Snapshot, radius: f64) -> UniformGridEnvironment {
+        let mut grid = UniformGridEnvironment::new();
+        grid.update_with(&SnapshotCloud(snapshot), radius, scatter_hint(snapshot));
+        grid
+    }
+
+    /// Global indices `for_each_neighbor` visits around `pos`.
+    fn neighbors(ctx: &mut AgentContext<'_>, pos: Real3, radius: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        ctx.for_each_neighbor(pos, radius, |idx, _, _| out.push(idx));
+        out
+    }
+
+    /// Both mechanics routes for every `(global index, view)` pair: the
+    /// shell scan visits bitwise what the generic query plus the lazy
+    /// diameter load visits, in the same order, and the shell wake — plus
+    /// a box crosser's second query — raises exactly the union of the
+    /// generic queries around the old and the new position. Each agent
+    /// moves to a random target at most `max_step` away. Returns the
+    /// number of same-box and of box-crossing targets.
+    fn assert_routes_agree(
+        snapshot: &Snapshot,
+        env: &dyn Environment,
+        views: &[(usize, GridView<'_>)],
+        radius: f64,
+        max_step: f64,
+        what: &str,
+    ) -> [usize; 2] {
+        let shell = (radius + max_step) * (1.0 + 1e-9);
+        let mm = MemoryManager::system_only(1, 1);
+        let mut exec = ExecutionContext::new(1);
+        let mut rng = SimRng::new(0x5eed);
+        let mut targets = [0; 2];
+        for &(global, view) in views {
+            let mut ctx = AgentContext {
+                exec: &mut exec,
+                env,
+                snapshot,
+                grid: Some(view),
+                mm: &mm,
+                diffusion: &[],
+                alloc_domain: 0,
+                self_handle: AgentHandle::new(0, global),
+                self_global: global,
+                dt: 1.0,
+                iteration: 1,
+                rng: agent_rng(1, AgentUid(global as u64), 1),
+                uid_seq: 0,
+                self_uid: AgentUid(global as u64),
+            };
+            let pos = snapshot.positions[global];
+            let bits = |p: Real3, d: f64, d2: f64| [p.x(), p.y(), p.z(), d, d2].map(f64::to_bits);
+            let mut generic = Vec::new();
+            ctx.for_each_neighbor(pos, radius, |_, n, d2| {
+                generic.push(bits(n.position(), n.diameter(), d2))
+            });
+            let mut mech = Vec::new();
+            let served = ctx.for_each_neighbor_mech(pos, radius, shell, &mut |p, d, d2| {
+                mech.push(bits(p, d, d2))
+            });
+            assert!(served, "{what}: agent {global} declined");
+            assert_eq!(mech, generic, "{what}: agent {global}");
+
+            let old: BTreeSet<usize> = neighbors(&mut ctx, pos, radius).into_iter().collect();
+            let mut raised = BTreeSet::new();
+            assert!(!ctx.wake_from_shell(radius, None, |g| {
+                raised.insert(g);
+            }));
+            assert_eq!(raised, old, "{what}: agent {global} in place");
+
+            let reach = max_step / 3f64.sqrt() * 0.999;
+            let target = pos + rng.point_in_cube(-reach, reach);
+            let mut raised = BTreeSet::new();
+            let served = ctx.wake_from_shell(radius, Some(target), |g| {
+                raised.insert(g);
+            });
+            let same_box = view.grid.box_coordinates(target) == view.grid.box_coordinates(pos);
+            assert_eq!(served, same_box, "{what}: agent {global}");
+            targets[usize::from(!same_box)] += 1;
+            let new = neighbors(&mut ctx, target, radius);
+            if !served {
+                raised.extend(new.iter().copied());
+            }
+            let union: BTreeSet<usize> = old.union(&new.into_iter().collect()).copied().collect();
+            assert_eq!(raised, union, "{what}: agent {global} to {target:?}");
+        }
+        targets
+    }
+
+    fn global_views(grid: &UniformGridEnvironment) -> Vec<(usize, GridView<'_>)> {
+        (0..grid.slots().len())
+            .map(|global| {
+                let view = GridView {
+                    grid,
+                    self_index: global,
+                    remap: None,
+                    cache_key: u32::MAX,
+                };
+                (global, view)
+            })
+            .collect()
+    }
+
+    fn random_scene(seed: u64, n: usize, extent: f64) -> Snapshot {
+        let mut rng = SimRng::new(seed);
+        let positions = (0..n).map(|_| rng.point_in_cube(0.0, extent)).collect();
+        let diameters = (0..n).map(|_| rng.uniform_in(1.0, 4.0)).collect();
+        snapshot_with(positions, diameters)
+    }
+
+    #[test]
+    fn shell_scan_and_generic_query_agree_on_every_grid() {
+        let radius = 3.0;
+        // Random: crowded boxes, every stencil clamp of the grid border.
+        let random = random_scene(11, 600, 24.0);
+        // Lattice: every agent on a box face, spacing the radius, so the
+        // `d² ≤ r²` ties sit exactly on the edge.
+        let mut at = Vec::new();
+        for i in 0..512 {
+            at.push(Real3::new(
+                (i % 8) as f64 * radius,
+                (i / 8 % 8) as f64 * radius,
+                (i / 64) as f64 * radius,
+            ));
+        }
+        let lattice = snapshot_with(at, (0..512).map(|i| 2.0 + (i % 3) as f64).collect());
+        for (snapshot, what) in [(&random, "random"), (&lattice, "lattice")] {
+            let grid = scattered_grid(snapshot, radius);
+            let targets =
+                assert_routes_agree(snapshot, &grid, &global_views(&grid), radius, 1.5, what);
+            assert!(targets.iter().all(|&t| t > 0), "{what}: {targets:?}");
+        }
+
+        // Coarsened: ~3·10⁵ radius-sized boxes for 60 agents, each of the
+        // first 20 with a companion inside the radius.
+        let mut sparse = random_scene(41, 40, 2000.0);
+        for k in 0..20 {
+            sparse
+                .positions
+                .push(sparse.positions[k] + Real3::splat(5.0));
+            sparse.diameters.push(2.0);
+        }
+        let sparse = snapshot_with(sparse.positions, sparse.diameters);
+        let grid = scattered_grid(&sparse, 30.0);
+        assert!(grid.box_length() > 30.0, "the lattice must coarsen");
+        let targets =
+            assert_routes_agree(&sparse, &grid, &global_views(&grid), 30.0, 15.0, "sparse");
+        assert!(targets[0] > 0, "sparse: {targets:?}");
+    }
+
+    #[test]
+    fn shell_scan_and_generic_query_agree_on_shard_views() {
+        // The random scene split in two: each agent queries its owner's
+        // windowed grid with a shard-local self index and a remap.
+        let radius = 3.0;
+        let snapshot = random_scene(11, 600, 24.0);
+        let pool = bdm_numa::NumaThreadPool::new(bdm_numa::NumaTopology::single_domain(1));
+        let mut st = crate::sharded::ShardedState::new(2);
+        st.exchange(&snapshot, &pool, radius, 1, 1, 3);
+        st.build_grids(true, radius, snapshot.bounds, &pool);
+        let views: Vec<(usize, GridView<'_>)> = (0..snapshot.len())
+            .map(|global| {
+                let s = st.owner[global] as usize;
+                let view = GridView {
+                    grid: &st.grids[s],
+                    self_index: st.local_of[global] as usize,
+                    remap: Some(&st.clouds[s].members),
+                    cache_key: s as u32,
+                };
+                (global, view)
+            })
+            .collect();
+        assert!(views.iter().any(|(g, v)| v.self_index != *g));
+        let targets = assert_routes_agree(&snapshot, &st.grids[0], &views, radius, 1.5, "K = 2");
+        assert!(targets.iter().all(|&t| t > 0), "K = 2: {targets:?}");
     }
 
     #[test]

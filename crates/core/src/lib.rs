@@ -70,7 +70,6 @@ pub use bdm_alloc::{MemoryManager, PoolBox, PoolConfig};
 pub use bdm_diffusion::{BoundaryCondition, DiffusionGrid};
 pub use bdm_env::{Environment, EnvironmentKind};
 pub use bdm_numa::{NumaThreadPool, NumaTopology};
-pub use bdm_sfc::CurveKind;
 pub use bdm_util::{Real3, SimRng};
 
 /// Derives an independent RNG stream (seed, stream id).

@@ -43,6 +43,10 @@ pub(crate) fn run_behaviors(agent: &mut dyn Agent, ctx: &mut AgentContext<'_>) {
 /// table.
 pub(crate) const STATIC_FLOOR: f64 = 0.05;
 
+/// Displacements (and behavior-driven moves) below this count as "did not
+/// move" for the static-detection conditions.
+pub(crate) const STATIC_THRESHOLD: f64 = 1e-5;
+
 /// The duty-cycle rule: whether detection runs in the next iteration after
 /// a pass of `passes` mechanics agents (computed plus skipped) left
 /// `static_after` of them static (skipped plus newly settled).
@@ -62,11 +66,6 @@ pub(crate) struct MechanicsConfig {
     /// Static detection runs in this pass: armed
     /// (`detect_static_agents`) and engaged by the duty cycle.
     pub detect_static: bool,
-    /// Displacements below this are "did not move".
-    pub static_threshold: f64,
-    /// Box-batched force accumulation on/off (`Param::box_batched_mechanics`;
-    /// the off position pins the scalar path for parity tests).
-    pub box_batched: bool,
 }
 
 /// Relative slack of the mechanics shell over `search_radius +
@@ -147,7 +146,6 @@ pub(crate) fn run_mechanics(
     violations: &ViolationTable<'_>,
     ctx: &mut AgentContext<'_>,
     cfg: &MechanicsConfig,
-    neighbor_scratch: &mut Vec<u32>,
 ) -> bool {
     let snap_position = ctx.snapshot.positions[global];
     let snap_diameter = ctx.snapshot.diameters[global];
@@ -156,7 +154,7 @@ pub(crate) fn run_mechanics(
     // Condition (ii): attribute changes that could increase the force —
     // growth or behavior-driven movement since the snapshot was taken.
     let behavior_changed = pos_now.distance_sq(&snap_position)
-        > cfg.static_threshold * cfg.static_threshold
+        > STATIC_THRESHOLD * STATIC_THRESHOLD
         || diameter_now > snap_diameter + 1e-12;
     // Condition (iii): new agents announce their presence to their
     // neighborhood on their first mechanics pass.
@@ -176,46 +174,41 @@ pub(crate) fn run_mechanics(
     // the non-zero ones).
     let mut total_force = Real3::ZERO;
     let mut nonzero_forces = 0u32;
-    // Box-batched fast path: positions AND diameters stream from the
-    // grid's box-sorted arrays, the stencil is resolved once per box, and
-    // one branchless pass compacts the candidates within the shell radius
-    // that the force sum and the wake below both walk. Bit-identical to
-    // the fallback: same visit order (shared stencil traversal),
-    // bitwise-copied diameters, and `sphere_sphere_sq` fed the scan's d²
-    // equals `sphere_sphere` bit for bit (see its docs).
-    let batched = cfg.box_batched
-        && ctx.for_each_neighbor_mech(
-            pos_now,
-            cfg.search_radius,
-            cfg.shell_radius(),
-            &mut |npos, ndiam, d2| {
-                let f = cfg
-                    .force
-                    .sphere_sphere_sq(pos_now, diameter_now, npos, ndiam, d2);
-                if f != Real3::ZERO {
-                    nonzero_forces += 1;
-                    total_force += f;
-                }
-            },
-        );
+    // The route follows the environment: on a uniform grid with scattered
+    // diameters, positions AND diameters stream from the grid's box-sorted
+    // arrays, the stencil is resolved once per box, and one branchless pass
+    // compacts the candidates within the shell radius that the force sum
+    // and the wake below both walk. Bit-identical to the generic query:
+    // same visit order (shared stencil traversal), bitwise-copied
+    // diameters, and `sphere_sphere_sq` fed the scan's d² equals
+    // `sphere_sphere` bit for bit (see its docs).
+    let batched = ctx.for_each_neighbor_mech(
+        pos_now,
+        cfg.search_radius,
+        cfg.shell_radius(),
+        &mut |npos, ndiam, d2| {
+            let f = cfg
+                .force
+                .sphere_sphere_sq(pos_now, diameter_now, npos, ndiam, d2);
+            if f != Real3::ZERO {
+                nonzero_forces += 1;
+                total_force += f;
+            }
+        },
+    );
     if batched {
         ctx.exec.batched_force_queries += 1;
     } else {
-        // Fallback (non-grid environments, unscattered diameters): the
+        // Generic route (non-grid environments, unscattered diameters): the
         // neighbor position the index streamed (free) plus one lazy diameter
         // load per accepted neighbor — never the payload.
-        neighbor_scratch.clear();
-        let collect_neighbors = cfg.detect_static;
-        ctx.for_each_neighbor(pos_now, cfg.search_radius, |idx, nd, d2| {
+        ctx.for_each_neighbor(pos_now, cfg.search_radius, |_, nd, d2| {
             let f =
                 cfg.force
                     .sphere_sphere_sq(pos_now, diameter_now, nd.position(), nd.diameter(), d2);
             if f != Real3::ZERO {
                 nonzero_forces += 1;
                 total_force += f;
-            }
-            if collect_neighbors {
-                neighbor_scratch.push(idx as u32);
             }
         });
     }
@@ -235,7 +228,7 @@ pub(crate) fn run_mechanics(
     if norm > cfg.max_displacement {
         displacement *= cfg.max_displacement / norm;
     }
-    let moved = norm > cfg.static_threshold;
+    let moved = norm > STATIC_THRESHOLD;
     if moved {
         agent.set_position(pos_now + displacement);
     }
@@ -271,7 +264,9 @@ pub(crate) fn run_mechanics(
                 ctx.exec.shell_wakes += u64::from(served);
                 served
             } else {
-                neighbor_scratch.iter().for_each(|&n| raise(n as usize));
+                // The index is the snapshot's for the whole agent phase, so
+                // this query returns the force query's neighborhood.
+                ctx.for_each_neighbor(pos_now, cfg.search_radius, |idx, _nd, _d2| raise(idx));
                 false
             };
             if moved && !new_woken {

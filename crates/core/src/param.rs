@@ -12,7 +12,6 @@
 //! supported for models and tests that sweep parameters programmatically.
 
 use bdm_env::EnvironmentKind;
-use bdm_sfc::CurveKind;
 
 use crate::context::NeighborAccess;
 
@@ -44,16 +43,10 @@ pub struct Param {
     /// ([`Simulation::set_detect_static_agents`](crate::Simulation::set_detect_static_agents));
     /// re-arming starts from cleared flags.
     pub detect_static_agents: bool,
-    /// Displacements below this threshold count as "did not move" for the
-    /// static detection conditions.
-    pub static_displacement_threshold: f64,
     /// Agent sorting frequency (paper Section 4.2 / Figure 12):
-    /// `Some(f)` sorts every `f` iterations, `None` disables sorting.
+    /// `Some(f)` sorts every `f` iterations in Morton order, `None`
+    /// disables sorting.
     pub agent_sort_frequency: Option<usize>,
-    /// Space-filling curve used by agent sorting (paper Section 4.2 chose
-    /// Morton over Hilbert after measuring a negligible 0.54% difference;
-    /// both are available for the ablation).
-    pub sort_curve: CurveKind,
     /// Keep all old agent copies alive until the sorting step finished
     /// (more memory, better layout; paper Section 4.2 last paragraph and the
     /// "sorting uses extra memory" series of Figure 9).
@@ -64,8 +57,9 @@ pub struct Param {
     /// NUMA-aware iteration with two-level work stealing (Section 4.1);
     /// off = flat parallel loop without domain affinity.
     pub numa_aware_iteration: bool,
-    /// Serve agents/behaviors from the pool allocator (Section 4.3);
-    /// off = system allocator.
+    /// Serve agents/behaviors from the pool allocator (Section 4.3), sized
+    /// by [`PoolConfig::default`](bdm_alloc::PoolConfig::default); off =
+    /// system allocator.
     pub use_pool_allocator: bool,
     /// Worker threads (`None` = detect; see `BDM_THREADS`).
     pub threads: Option<usize>,
@@ -73,9 +67,6 @@ pub struct Param {
     pub numa_domains: Option<usize>,
     /// Agents per scheduling block of the NUMA-aware iterator.
     pub iteration_block_size: usize,
-    /// Memory-block growth factor of the pool allocator
-    /// (`mem_mgr_growth_rate`).
-    pub mem_mgr_growth_rate: f64,
     /// Union of the [`NeighborAccess`] declarations of the model's behavior
     /// kernels — which per-neighbor snapshot arrays they read. The engine
     /// adds the interaction force's own access when mechanics is enabled,
@@ -85,15 +76,6 @@ pub struct Param {
     /// gather skips the payload array entirely. Defaults to the conservative
     /// [`NeighborAccess::ALL`].
     pub neighbor_access: NeighborAccess,
-    /// Run the mechanics force accumulation on the box-batched grid path:
-    /// stencil runs resolved once per box, one branchless pass compacting
-    /// each agent's candidates into a short list, positions and diameters
-    /// streamed from the grid's box-sorted arrays. With static detection on,
-    /// that list also serves a mover's wake, so the mover is not queried a
-    /// second time. Bit-identical to the per-agent path by construction;
-    /// `false` pins the scalar path (parity tests and A/B measurements). On
-    /// by default.
-    pub box_batched_mechanics: bool,
     /// In-process shard count K (see [`crate::sharded`]). `1` (the
     /// default) runs the classic single-engine path. `K > 1` partitions
     /// the population into K SFC-range shards, registers the built-in
@@ -124,9 +106,7 @@ impl Default for Param {
             simulation_max_displacement: 3.0,
             enable_mechanics: true,
             detect_static_agents: false,
-            static_displacement_threshold: 1e-5,
             agent_sort_frequency: None,
-            sort_curve: CurveKind::Morton,
             sort_use_extra_memory: false,
             parallel_add_remove: true,
             numa_aware_iteration: true,
@@ -134,9 +114,7 @@ impl Default for Param {
             threads: None,
             numa_domains: None,
             iteration_block_size: 1000,
-            mem_mgr_growth_rate: 2.0,
             neighbor_access: NeighborAccess::ALL,
-            box_batched_mechanics: true,
             shards: 1,
             health: None,
         }

@@ -484,7 +484,7 @@ impl ShardedState {
 mod common;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::HashMap;
 
     use bdm_numa::NumaTopology;
@@ -497,7 +497,8 @@ mod tests {
         NumaThreadPool::new(NumaTopology::single_domain(threads))
     }
 
-    fn snapshot_with(positions: Vec<Real3>, diameters: Vec<f64>) -> Snapshot {
+    /// One domain holding `positions` with their `diameters`, bounds set.
+    pub(crate) fn snapshot_with(positions: Vec<Real3>, diameters: Vec<f64>) -> Snapshot {
         let n = positions.len();
         let mut lo = Real3::splat(f64::INFINITY);
         let mut hi = Real3::splat(f64::NEG_INFINITY);

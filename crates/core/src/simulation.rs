@@ -55,8 +55,9 @@ pub struct SimStats {
     /// Force calculations executed.
     pub force_calculations: u64,
     /// Force calculations served by the box-batched grid path (stencil
-    /// resolved once per box, diameters streamed box-sorted). The rest ran
-    /// the scalar per-agent fallback.
+    /// resolved once per box, diameters streamed box-sorted). The rest —
+    /// non-grid environments, unscattered diameters — ran the generic
+    /// neighbor query.
     pub batched_force_queries: u64,
     /// Movers (static detection on) whose wake around the new position was
     /// served by the batched force scan's candidate shell — the new
@@ -182,14 +183,7 @@ impl Simulation {
         let num_threads = topology.num_threads();
         let pool = NumaThreadPool::new(topology.clone());
         let mm = if param.use_pool_allocator {
-            MemoryManager::new(
-                num_domains,
-                num_threads,
-                PoolConfig {
-                    growth_rate: param.mem_mgr_growth_rate,
-                    ..PoolConfig::default()
-                },
-            )
+            MemoryManager::new(num_domains, num_threads, PoolConfig::default())
         } else {
             MemoryManager::system_only(num_domains, num_threads)
         };
@@ -730,12 +724,6 @@ impl Simulation {
         self.snapshot_generation = self.snapshot_generation.wrapping_sub(1);
     }
 
-    /// Toggles the box-batched mechanics path (bit-identical to the scalar
-    /// path by construction, so this degradation preserves trajectories).
-    pub fn set_box_batched_mechanics(&mut self, enabled: bool) {
-        self.param.box_batched_mechanics = enabled;
-    }
-
     /// Arms or disarms static-agent detection at runtime. Either switch
     /// clears every static flag and pending wake, and arming starts engaged:
     /// a re-armed run resumes like a fresh engine, never from flags nobody
@@ -1094,7 +1082,6 @@ impl Simulation {
                 &self.mm,
                 &self.pool,
                 &self.topology,
-                self.param.sort_curve,
                 self.param.sort_use_extra_memory,
             );
             if moved > 0 {
@@ -1255,8 +1242,6 @@ impl Simulation {
             dt: self.param.simulation_time_step,
             max_displacement: self.param.simulation_max_displacement,
             detect_static,
-            static_threshold: self.param.static_displacement_threshold,
-            box_batched: self.param.box_batched_mechanics,
         };
         let ctxs_ptr = SendMut::new(self.ctxs.as_mut_ptr());
         let env = &*self.env;
@@ -1288,11 +1273,6 @@ impl Simulation {
             move |worker: bdm_numa::WorkerCtx, domain: usize, range: std::ops::Range<usize>| {
                 // SAFETY: each worker accesses only its own execution context.
                 let exec = unsafe { ctxs_ptr.get_mut(worker.thread_id) };
-                // The mechanics neighbor buffer persists across blocks and
-                // iterations on this thread (zero allocation in steady
-                // state); it is taken out of the context so the context can
-                // be mutably borrowed by the agent context below.
-                let mut neighbor_scratch = std::mem::take(&mut exec.mech_neighbors);
                 // The chunk's secretions are keyed by its first agent (see
                 // `ExecutionContext::secretion_chunks`).
                 exec.open_chunk = Some((iteration, offsets_ref[domain] + range.start));
@@ -1338,18 +1318,9 @@ impl Simulation {
                     };
                     run_behaviors(agent, &mut actx);
                     if enable_mechanics && agent.participates_in_mechanics() {
-                        run_mechanics(
-                            agent,
-                            flags,
-                            global,
-                            violations_ref,
-                            &mut actx,
-                            mech_ref,
-                            &mut neighbor_scratch,
-                        );
+                        run_mechanics(agent, flags, global, violations_ref, &mut actx, mech_ref);
                     }
                 }
-                exec.mech_neighbors = neighbor_scratch;
             };
         let block = self.param.iteration_block_size;
         if self.param.numa_aware_iteration {

@@ -34,7 +34,7 @@ use std::time::Duration;
 use bdm_alloc::MemoryManager;
 use bdm_env::UniformGridEnvironment;
 use bdm_numa::{NumaThreadPool, NumaTopology};
-use bdm_sfc::{hilbert3_encode, CurveKind, GapOffsets};
+use bdm_sfc::GapOffsets;
 use bdm_util::send_ptr::SendMut;
 use bdm_util::Timer;
 
@@ -49,7 +49,7 @@ const ORDER_BLOCK_BOXES: usize = 4096;
 /// docs/PERFORMANCE.md, "What a sort costs".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SortPhases {
-    /// Boxes in curve order (next to nothing when the previous sort's
+    /// Boxes in Morton order (next to nothing when the previous sort's
     /// lattice had the same dimensions and the enumeration was reused).
     pub enumerate: Duration,
     /// Agents per block of curve-ordered boxes.
@@ -66,10 +66,10 @@ pub struct SortPhases {
 /// The agent-sorting operation's state between sorts.
 #[derive(Default)]
 pub(crate) struct AgentSorter {
-    /// Flat indices of all grid boxes in curve order, for `enumerated`.
+    /// Flat indices of all grid boxes in Morton order, for `enumerated`.
     flats: Vec<u32>,
-    /// Lattice dimensions and curve `flats` was enumerated for.
-    enumerated: Option<([u32; 3], CurveKind)>,
+    /// Lattice dimensions `flats` was enumerated for.
+    enumerated: Option<[u32; 3]>,
     /// Phase times of the last sort that moved agents.
     pub(crate) phases: Option<SortPhases>,
 }
@@ -85,7 +85,6 @@ impl AgentSorter {
         mm: &MemoryManager,
         pool: &NumaThreadPool,
         topology: &NumaTopology,
-        curve: CurveKind,
         use_extra_memory: bool,
     ) -> usize {
         let dims = grid.dims();
@@ -96,10 +95,10 @@ impl AgentSorter {
         let mut phases = SortPhases::default();
         let mut timer = Timer::start();
 
-        // --- Step 1 (Figure 3 D/E): boxes in space-filling-curve order. ---
-        if self.enumerated != Some((dims, curve)) {
-            self.flats = curve_ordered_boxes(grid, curve);
-            self.enumerated = Some((dims, curve));
+        // --- Step 1 (Figure 3 D/E): boxes in Morton order. ---
+        if self.enumerated != Some(dims) {
+            self.flats = morton_ordered_boxes(grid);
+            self.enumerated = Some(dims);
         }
         phases.enumerate = timer.restart();
 
@@ -236,41 +235,15 @@ impl AgentSorter {
     }
 }
 
-/// Flat indices of all grid boxes in the order of `curve`.
-///
-/// Morton: linear time via the gap-offset DFS. Hilbert: the ablation of
-/// Section 4.2 — no gap-offset analogue exists, so enumeration costs an
-/// explicit O(B log B) sort, which is part of why the paper chose Morton.
-fn curve_ordered_boxes(grid: &UniformGridEnvironment, curve: CurveKind) -> Vec<u32> {
+/// Flat indices of all grid boxes in Morton order, in linear time via the
+/// gap-offset DFS (Figure 3 D/E).
+fn morton_ordered_boxes(grid: &UniformGridEnvironment) -> Vec<u32> {
     let dims = grid.dims();
     // The grid build asserts that flat box indices fit 32 bits.
-    match curve {
-        CurveKind::Morton => GapOffsets::compute_3d(dims[0], dims[1], dims[2])
-            .iter_coords()
-            .map(|(x, y, z)| grid.flat_index([x, y, z]) as u32)
-            .collect(),
-        CurveKind::Hilbert => {
-            let bits = dims
-                .iter()
-                .map(|&d| d.next_power_of_two().trailing_zeros())
-                .max()
-                .unwrap_or(1)
-                .max(1);
-            let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(grid.num_boxes());
-            for z in 0..dims[2] {
-                for y in 0..dims[1] {
-                    for x in 0..dims[0] {
-                        keyed.push((
-                            hilbert3_encode(x, y, z, bits),
-                            grid.flat_index([x, y, z]) as u32,
-                        ));
-                    }
-                }
-            }
-            keyed.sort_unstable_by_key(|&(code, _)| code);
-            keyed.into_iter().map(|(_, flat)| flat).collect()
-        }
-    }
+    GapOffsets::compute_3d(dims[0], dims[1], dims[2])
+        .iter_coords()
+        .map(|(x, y, z)| grid.flat_index([x, y, z]) as u32)
+        .collect()
 }
 
 /// Block `b` of the curve-ordered boxes: [`ORDER_BLOCK_BOXES`] of them, the
@@ -392,7 +365,7 @@ mod tests {
     #[test]
     fn grouped_order_is_the_oracle_permutation() {
         let (grid, total) = dense_grid();
-        let flats = curve_ordered_boxes(&grid, CurveKind::Morton);
+        let flats = morton_ordered_boxes(&grid);
         for threads in [1, 2, 4] {
             let pool = NumaThreadPool::new(NumaTopology::new(1, threads));
             let starts = block_starts(&grid, &flats, total, &pool);
@@ -500,15 +473,8 @@ mod tests {
         let mut sorter = AgentSorter::default();
         for _ in 0..2 {
             grid.update(&ResourceManagerCloud::new(&rm), 2.5);
-            let moved = sorter.sort_and_balance(
-                &mut rm,
-                &grid,
-                &mm,
-                &pool,
-                &topology,
-                CurveKind::Morton,
-                use_extra_memory,
-            );
+            let moved =
+                sorter.sort_and_balance(&mut rm, &grid, &mm, &pool, &topology, use_extra_memory);
             assert_eq!(moved, expected.len());
         }
         let mut out = Sorted {

@@ -2,9 +2,10 @@
 //!
 //! The paper compared Morton order against the Hilbert curve for agent
 //! sorting and measured a negligible 0.54% improvement that did not justify
-//! the higher decoding cost (Section 4.2). We provide the Hilbert codec
-//! anyway so that the ablation benchmark (`sfc_compare`) can reproduce that
-//! design decision.
+//! the higher decoding cost (Section 4.2). The engine sorts by Morton only;
+//! this codec backs the box-enumeration micro-benchmark
+//! (`crates/bench/benches/sfc.rs`), which times both curves' encode, decode
+//! and enumeration. Nothing re-measures the end-to-end 0.54%.
 //!
 //! Implementation follows John Skilling, "Programming the Hilbert curve",
 //! AIP Conf. Proc. 707 (2004): coordinates are converted to/from the

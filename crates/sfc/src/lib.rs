@@ -4,8 +4,10 @@
 //!
 //! * [`morton`] — Morton (Z-order) encode/decode in 2-D and 3-D; the curve the
 //!   engine actually sorts agents by.
-//! * [`hilbert`] — a 3-D Hilbert codec, kept for the ablation that reproduces
-//!   the paper's Morton-vs-Hilbert design decision (0.54% difference).
+//! * [`hilbert`] — a 3-D Hilbert codec. It backs only the box-enumeration
+//!   micro-benchmark (`crates/bench/benches/sfc.rs`) behind the paper's
+//!   choice of Morton over Hilbert; the engine sorts by Morton alone, and
+//!   nothing here re-measures the paper's end-to-end 0.54% difference.
 //! * [`gap`] — the paper's linear-time algorithm for enumerating the boxes of
 //!   a *non-power-of-two* grid in Morton order without sorting and without
 //!   visiting out-of-domain codes (Figure 3 D/E).
@@ -18,21 +20,6 @@ pub mod gap;
 pub mod hilbert;
 pub mod morton;
 pub mod ranges;
-
-/// Which space-filling curve orders the grid boxes during agent sorting
-/// (paper Section 4.2: the authors measured a 0.54% advantage for the
-/// Hilbert curve, offset by its decoding cost, and chose Morton; keeping
-/// both makes that design decision reproducible as an ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CurveKind {
-    /// Morton (Z-order) — the engine default; enumerable in linear time via
-    /// [`GapOffsets`].
-    #[default]
-    Morton,
-    /// Hilbert — better locality in theory, costlier to en/decode, and the
-    /// box enumeration needs an explicit sort.
-    Hilbert,
-}
 
 pub use gap::GapOffsets;
 pub use hilbert::{hilbert3_decode, hilbert3_encode, HILBERT3_BITS};

@@ -14,7 +14,7 @@
 //! | [`env`](mod@env) | neighbor-search environments: uniform grid, kd-tree, octree |
 //! | [`alloc`](mod@alloc) | the NUMA-aware pool memory allocator |
 //! | [`numa`](mod@numa) | virtual NUMA topology + work-stealing thread pool |
-//! | [`sfc`](mod@sfc) | Morton/Hilbert curves and the gap-offset enumeration |
+//! | [`sfc`](mod@sfc) | Morton curve (the engine's sort order) and the gap-offset enumeration; a Hilbert codec backs only the enumeration micro-bench, and nothing re-measures the paper's end-to-end 0.54% |
 //! | [`diffusion`](mod@diffusion) | extracellular substance diffusion |
 //! | [`neuro`](mod@neuro) | neuron somas, neurite elements, growth cones |
 //! | [`models`](mod@models) | the five benchmark simulations + cell sorting |
@@ -90,8 +90,8 @@ pub mod prelude {
     pub use bdm_core::{
         clone_agent_box, clone_behavior_box, new_agent_box, new_behavior_box, Agent, AgentBase,
         AgentBox, AgentContext, AgentHandle, AgentUid, Behavior, BehaviorBox, BehaviorControl,
-        BoundaryCondition, Cell, CloneIn, CurveKind, DiffusionGrid, EnvironmentKind, FaultKind,
-        FaultPlan, FaultSite, HealthPolicy, HealthViolation, HealthViolationKind, InteractionForce,
+        BoundaryCondition, Cell, CloneIn, DiffusionGrid, EnvironmentKind, FaultKind, FaultPlan,
+        FaultSite, HealthPolicy, HealthViolation, HealthViolationKind, InteractionForce,
         MemoryManager, Neighbor, NeighborAccess, OpInfo, OpKind, Operation, OptLevel, Param, Real3,
         Scheduler, SimRng, SimStats, Simulation, SimulationBuilder, SimulationCtx, Snapshot,
     };

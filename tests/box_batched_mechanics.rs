@@ -1,17 +1,19 @@
 //! Integration: box-batched mechanics.
 //!
-//! The mechanics force accumulation may stream neighbor positions and
-//! diameters from the grid's box-sorted arrays (stencil resolved once per
-//! box, one compacting pass over the stencil runs) — but only as a
-//! *routing* change: results must be bitwise identical to the per-agent
-//! scalar path on every model. With static detection on, the batched path
-//! also serves a mover's wake from its one scan, where the scalar path
-//! queries the new position a second time; the fingerprints compared here
-//! include the wake flags. These tests also pin when the grid's
-//! conditional diameter scatter materializes: exactly when
-//! `NeighborAccess::DIAMETERS` is in the scheduler's due-window union.
-
-use std::collections::BTreeMap;
+//! On a uniform grid with scattered diameters the mechanics force
+//! accumulation streams neighbor positions and diameters from the grid's
+//! box-sorted arrays (stencil resolved once per box, one compacting pass
+//! over the stencil runs); every other environment takes the generic
+//! neighbor query. With static detection on, the grid route also serves a
+//! mover's wake from its one scan. The hand-placed wake scenes here are
+//! compared, wake flags included, with the same scene on the brute-force
+//! environment, whose generic route wakes a mover with two plain queries
+//! (every agent in them feels at most two non-zero forces, so the
+//! summation order cannot change a bit); the route-for-route comparison on
+//! one grid is the unit test in `crates/core/src/context.rs`. These tests
+//! also pin when the grid's conditional diameter scatter materializes:
+//! exactly when `NeighborAccess::DIAMETERS` is in the scheduler's
+//! due-window union.
 
 use biodynamo::core::testing::{fingerprint, first_divergence};
 use biodynamo::models::{all_models, BenchmarkModel};
@@ -28,60 +30,9 @@ fn param() -> Param {
     }
 }
 
-/// Full agent state keyed by stable uid (as in tests/determinism.rs).
-fn state(sim: &Simulation) -> BTreeMap<u64, (Real3, f64, u64)> {
-    let mut map = BTreeMap::new();
-    sim.for_each_agent(|_, a| {
-        map.insert(a.uid().0, (a.position(), a.diameter(), a.payload()));
-    });
-    map
-}
-
-fn assert_bitwise_eq(
-    a: &BTreeMap<u64, (Real3, f64, u64)>,
-    b: &BTreeMap<u64, (Real3, f64, u64)>,
-    what: &str,
-) {
-    assert_eq!(a.len(), b.len(), "{what}: population diverged");
-    for (uid, (pa, da, ya)) in a {
-        let (pb, db, yb) = &b[uid];
-        for axis in 0..3 {
-            assert_eq!(
-                pa[axis].to_bits(),
-                pb[axis].to_bits(),
-                "{what}: uid {uid} axis {axis}"
-            );
-        }
-        assert_eq!(da.to_bits(), db.to_bits(), "{what}: uid {uid} diameter");
-        assert_eq!(ya, yb, "{what}: uid {uid} payload");
-    }
-}
-
-#[test]
-fn box_batched_is_bitwise_identical_on_all_models() {
-    for model in all_models(150) {
-        let run = |batched: bool| {
-            let mut sim = model.build(Param {
-                box_batched_mechanics: batched,
-                ..param()
-            });
-            sim.simulate(8);
-            // Guards against vacuous parity: with the flag off, nothing may
-            // route through the batched path. (With it on, whether it
-            // engages depends on the model's density and mechanics; the
-            // dedicated test below pins engagement on cell_clustering.)
-            if !batched {
-                assert_eq!(sim.stats().batched_force_queries, 0, "{}", model.name());
-            }
-            state(&sim)
-        };
-        assert_bitwise_eq(&run(true), &run(false), model.name());
-    }
-}
-
 #[test]
 fn box_batched_path_serves_every_clustering_force_query() {
-    // The parity tests would pass vacuously if the batched path silently
+    // The wake scenes would pass vacuously if the batched path silently
     // declined; this pins that a mechanics model routes every force query
     // through it for a whole run. cell_clustering disperses from 3.4 to
     // ~80 radius-sized boxes per agent over these 60 iterations, so the
@@ -108,38 +59,44 @@ fn box_batched_path_serves_every_clustering_force_query() {
     );
 }
 
-/// Builds a scene with static detection on, once box-batched (the force scan's
-/// shell serves the wake) and once on the scalar path (both neighbor queries
-/// kept — the oracle), and asserts bitwise-equal fingerprints, wake flags
-/// included. Returns the batched run.
+/// Runs a scene with static detection on as `param` says and as
+/// `reference` says, and asserts bitwise-equal fingerprints, wake flags
+/// included. Returns the `param` run.
 fn assert_wake_parity(
     build: &dyn Fn(Param) -> Simulation,
     param: Param,
+    reference: Param,
     iterations: usize,
     what: &str,
 ) -> Simulation {
-    let run = |batched: bool| {
+    let run = |param: Param| {
         let mut sim = build(Param {
             detect_static_agents: true,
-            box_batched_mechanics: batched,
-            ..param.clone()
+            ..param
         });
         sim.simulate(iterations);
         sim
     };
-    let (batched, scalar) = (run(true), run(false));
-    assert_eq!(scalar.stats().shell_wakes, 0, "{what}: scalar path");
-    if let Some(d) = first_divergence(&fingerprint(&batched), &fingerprint(&scalar)) {
-        panic!("{what}: shell wake diverges from the two-query wake — {d}");
+    let (sim, reference) = (run(param), run(reference));
+    if let Some(d) = first_divergence(&fingerprint(&sim), &fingerprint(&reference)) {
+        panic!("{what}: wake diverges from the reference — {d}");
     }
-    batched
+    sim
+}
+
+/// `param` on the brute-force environment: no grid, so every force and
+/// every wake takes the generic query.
+fn on_brute(param: &Param) -> Param {
+    Param {
+        environment: EnvironmentKind::Brute,
+        ..param.clone()
+    }
 }
 
 #[test]
-fn box_batched_is_bitwise_identical_under_static_detection() {
-    // The batched path wakes a mover's old and new neighborhoods from the
-    // candidate shell of its one force scan; the scalar path still issues
-    // the second query. Population turnover is not run-to-run reproducible
+fn grid_route_serves_every_scene_under_static_detection() {
+    // Every force query on the grid takes the shell scan, and the scan
+    // serves wakes. Population turnover is not run-to-run reproducible
     // above one thread, so the models that add agents run on one. Most
     // models stand detection down after a few iterations; the settle/shake
     // scene keeps waking after it re-engages.
@@ -152,16 +109,21 @@ fn box_batched_is_bitwise_identical_under_static_detection() {
             _ => 2,
         };
         for shards in [1usize, 2] {
-            let param = Param {
+            let mut sim = model.build(Param {
                 threads: Some(threads),
                 numa_domains: Some(threads),
                 shards,
+                detect_static_agents: true,
                 ..param()
-            };
+            });
+            sim.simulate(30);
             let what = format!("{} K={shards}", model.name());
-            let sim = assert_wake_parity(&|p| model.build(p), param, 30, &what);
             let stats = sim.stats();
             assert!(stats.static_engaged_iterations > 0, "{what}: never engaged");
+            assert_eq!(
+                stats.batched_force_queries, stats.force_calculations,
+                "{what}: a force query left the grid route"
+            );
             if stats.force_calculations > 0 {
                 assert!(stats.shell_wakes > 0, "{what}: no wake took the shell");
             }
@@ -299,7 +261,13 @@ fn shell_margin_wakes_a_sleeper_at_the_radius_of_the_new_position() {
         cells: cells.to_vec(),
         time_step: 1.0,
     };
-    let sim = assert_wake_parity(&|p| scene.build(p), one_thread(), 1, "shell margin");
+    let sim = assert_wake_parity(
+        &|p| scene.build(p),
+        one_thread(),
+        on_brute(&one_thread()),
+        1,
+        "shell margin",
+    );
     // B (pushed below the lattice, clamped into box 0) and A both stayed
     // in their box: both wakes came from the shell.
     assert_eq!(sim.stats().shell_wakes, 2);
@@ -327,7 +295,13 @@ fn box_crossing_mover_takes_the_second_query() {
         ],
         time_step: 10.0,
     };
-    let sim = assert_wake_parity(&|p| scene.build(p), one_thread(), 1, "box crosser");
+    let sim = assert_wake_parity(
+        &|p| scene.build(p),
+        one_thread(),
+        on_brute(&one_thread()),
+        1,
+        "box crosser",
+    );
     assert_eq!(sim.stats().shell_wakes, 1, "only B's wake is shell-served");
     assert!(woken_near(&sim, c), "C must be woken by A's arrival");
 }
@@ -343,7 +317,13 @@ fn non_finite_displacement_wakes_identically() {
             time_step,
         };
         let what = format!("dt = {time_step}");
-        let sim = assert_wake_parity(&|p| scene.build(p), one_thread(), 1, &what);
+        let sim = assert_wake_parity(
+            &|p| scene.build(p),
+            one_thread(),
+            on_brute(&one_thread()),
+            1,
+            &what,
+        );
         assert!(sim.stats().violations_detected > 0, "{what}");
     }
 }
@@ -361,7 +341,13 @@ fn shard_grid_views_serve_the_shell_wake() {
         shards: 2,
         ..one_thread()
     };
-    let sim = assert_wake_parity(&|p| scene.build(p), param, 1, "K = 2");
+    let sim = assert_wake_parity(
+        &|p| scene.build(p),
+        param,
+        one_thread(),
+        1,
+        "K = 2 vs K = 1",
+    );
     let report = sim.shard_report().expect("sharded run");
     assert!(report.per_shard.iter().all(|s| s.owned == 3), "{report:?}");
     assert_eq!(sim.stats().shell_wakes, 4);
@@ -442,22 +428,4 @@ fn custom_operation_keeps_the_scatter_alive() {
     sim.scheduler_mut().add_op(DiameterProbe);
     sim.simulate(1);
     assert!(grid_scatter_active(&sim));
-}
-
-#[test]
-fn scalar_fallback_serves_unscattered_diameters() {
-    // A model that never scatters diameters (epidemiology) must still be
-    // able to read them lazily through the generic query: run it with the
-    // batched flag on (the path declines and falls back) and off — same
-    // bits either way.
-    let run = |batched: bool| {
-        let model = biodynamo::models::Epidemiology::new(150);
-        let mut sim = model.build(Param {
-            box_batched_mechanics: batched,
-            ..param()
-        });
-        sim.simulate(8);
-        state(&sim)
-    };
-    assert_bitwise_eq(&run(true), &run(false), "epidemiology lazy fallback");
 }

@@ -324,22 +324,45 @@ mod corrupt_checkpoints {
         }
     }
 
-    /// A future format version is rejected as `VersionMismatch` naming the
-    /// found version — even with a valid whole-file checksum, which the
-    /// writer of a future version would produce.
+    /// A future format version, and the retired one before the current
+    /// (whose PARAM section holds four more fields), are rejected as
+    /// `VersionMismatch` naming the found version — even with a valid
+    /// whole-file checksum, which the writer of that version would produce.
     #[test]
     fn version_mismatch_is_reported_by_name() {
         let reg = Registry::with_builtin_types();
-        let mut bytes = valid_checkpoint();
-        // Bump the version field (offset 8, u32 LE) and re-seal the file.
-        let future = FORMAT_VERSION + 1;
-        bytes[8..12].copy_from_slice(&future.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let sum = biodynamo::util::fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        match restore(&bytes, &reg).err().unwrap() {
-            CheckpointError::VersionMismatch { found } => assert_eq!(found, future),
-            other => panic!("unexpected error {other}"),
+        for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+            let mut bytes = valid_checkpoint();
+            // Set the version field (offset 8, u32 LE) and re-seal the file.
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let body_len = bytes.len() - 8;
+            let sum = biodynamo::util::fnv1a64(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+            match restore(&bytes, &reg).err().unwrap() {
+                CheckpointError::VersionMismatch { found } => assert_eq!(found, version),
+                other => panic!("version {version}: unexpected error {other}"),
+            }
+        }
+    }
+
+    /// An interaction radius the grid cannot be built with is `Malformed`
+    /// PARAM at restore, not a panic in the restored simulation's first
+    /// environment update.
+    #[test]
+    fn invalid_interaction_radius_is_malformed_param() {
+        let reg = Registry::with_builtin_types();
+        for radius in [-1.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let sim = Simulation::new(Param {
+                interaction_radius: Some(radius),
+                ..small_param()
+            });
+            let bytes = checkpoint(&sim).expect("an unstepped simulation checkpoints");
+            match restore(&bytes, &reg).err() {
+                Some(CheckpointError::Malformed { section, .. }) => {
+                    assert_eq!(section, "PARAM", "radius {radius}")
+                }
+                other => panic!("radius {radius}: unexpected result {other:?}"),
+            }
         }
     }
 

@@ -68,7 +68,6 @@ fn builder_defaults_match_param_default() {
     assert_eq!(p.enable_mechanics, d.enable_mechanics);
     assert_eq!(p.detect_static_agents, d.detect_static_agents);
     assert_eq!(p.agent_sort_frequency, d.agent_sort_frequency);
-    assert_eq!(p.sort_curve, d.sort_curve);
     assert_eq!(p.parallel_add_remove, d.parallel_add_remove);
     assert_eq!(p.numa_aware_iteration, d.numa_aware_iteration);
     assert_eq!(p.use_pool_allocator, d.use_pool_allocator);
