@@ -1,21 +1,17 @@
 //! Checkpoint size and throughput measurement.
 //!
-//! For every selected model: the full-checkpoint size, the delta size after
-//! further iterations (agents changed), the delta size at rest (nothing
-//! changed — counters only), the serialize/restore wall time with the
-//! derived throughput, and the steady-state bytes resident in a supervision
-//! [`CheckpointRing`] (depth 2 × 4 deltas per chain — the memory a
+//! For every selected model: the full-checkpoint size, the serialize/restore
+//! wall time with the derived throughput, and the steady-state bytes
+//! resident in a supervision [`CheckpointRing`] of depth 10 — the memory a
 //! [`SupervisedRunner`](bdm_checkpoint::SupervisedRunner) pins for its
-//! restore points). The committed baseline capture
+//! restore points, 10 full checkpoints. The committed baseline capture
 //! (`bench/baselines/ckpt_bytes.csv`) uses the `run_all` protocol scale;
 //! docs/PERFORMANCE.md records a 10⁶-agent throughput run of this binary.
 
 use std::time::Instant;
 
 use bdm_bench::{emit, fmt_bytes, header, Args};
-use bdm_checkpoint::{
-    baseline, checkpoint, checkpoint_delta, restore, CheckpointRing, Registry, RingPolicy,
-};
+use bdm_checkpoint::{checkpoint, restore, CheckpointRing, Registry, RingPolicy};
 use bdm_core::Param;
 use bdm_util::Table;
 
@@ -26,14 +22,12 @@ fn main() {
 
     let agents = args.scale(10_000);
     let iterations = args.iters(5);
-    println!("agents={agents} iterations={iterations}; delta base taken mid-run\n");
+    println!("agents={agents} iterations={iterations}\n");
 
     let reg = Registry::with_builtin_types();
     let mut table = Table::new([
         "model",
         "full bytes",
-        "delta bytes (changed)",
-        "delta bytes (at rest)",
         "bytes/agent",
         "write",
         "restore",
@@ -45,6 +39,7 @@ fn main() {
             seed: args.seed,
             threads: args.threads,
             numa_domains: args.domains,
+            shards: args.shards.unwrap_or(1),
             ..Param::default()
         };
         let mut sim = model.build(param);
@@ -53,27 +48,17 @@ fn main() {
         let t0 = Instant::now();
         let full = checkpoint(&sim).expect("checkpoint");
         let write_secs = t0.elapsed().as_secs_f64();
-        let base = baseline(&full).expect("baseline");
-
-        // Nothing changed since the full checkpoint: counters only.
-        let delta_rest = checkpoint_delta(&sim, &base).expect("delta at rest");
-
-        // Step on: the agent arrays (and any grids) change.
-        sim.simulate(2);
-        let delta_changed = checkpoint_delta(&sim, &base).expect("delta");
 
         let t1 = Instant::now();
         let restored = restore(&full, &reg).expect("restore");
         let restore_secs = t1.elapsed().as_secs_f64();
         assert_eq!(restored.iteration(), iterations as u64, "{name}");
 
-        // Supervision-ring residency once retention has saturated: with
-        // depth 2 and 4 deltas/chain, 10 captures fill the ring and the
-        // next ones just rotate chains.
+        // Supervision-ring residency once retention has saturated: 10
+        // captures fill a depth-10 ring and the next ones rotate it.
         let ring_policy = RingPolicy {
             interval: 1,
-            depth: 2,
-            full_every: 4,
+            depth: 10,
         };
         let mut ring = CheckpointRing::new(ring_policy);
         for _ in 0..12 {
@@ -86,8 +71,6 @@ fn main() {
         table.row([
             name.clone(),
             full.len().to_string(),
-            delta_changed.len().to_string(),
-            delta_rest.len().to_string(),
             format!("{:.1}", full.len() as f64 / n.max(1) as f64),
             format!(
                 "{:.1} ms ({}/s)",

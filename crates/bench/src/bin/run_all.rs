@@ -10,7 +10,7 @@ use std::process::Command;
 
 use bdm_util::Timer;
 
-const EXPERIMENTS: [(&str, &[&str]); 13] = [
+const EXPERIMENTS: [(&str, &[&str]); 14] = [
     ("table1_characteristics", &[]),
     ("table2_hardware", &[]),
     ("fig05_breakdown", &["--proxy"]),
@@ -24,6 +24,7 @@ const EXPERIMENTS: [(&str, &[&str]); 13] = [
     ("fig12_sorting_freq", &[]),
     ("fig13_allocator", &[]),
     ("sharded_scale", &[]),
+    ("ckpt_bytes", &[]),
 ];
 
 fn main() {

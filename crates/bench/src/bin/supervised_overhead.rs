@@ -35,7 +35,7 @@ fn main() {
     let ring_interval = (iterations as u64 / 2).max(1);
     println!(
         "agents={agents} iterations={iterations} sentinel=every iteration \
-         ring: interval={ring_interval} depth=2 full_every=4\n"
+         ring: interval={ring_interval} depth=10\n"
     );
 
     let mut table = Table::new([
@@ -84,8 +84,7 @@ fn main() {
             RecoveryPolicy {
                 ring: RingPolicy {
                     interval: ring_interval,
-                    depth: 2,
-                    full_every: 4,
+                    depth: 10,
                 },
                 max_attempts: 1,
                 degradations: Vec::new(),

@@ -79,8 +79,7 @@ fn main() {
             RecoveryPolicy {
                 ring: RingPolicy {
                     interval: (iterations / 10).max(2),
-                    depth: 2,
-                    full_every: 4,
+                    depth: 10,
                 },
                 max_attempts: 4 * faults as u64,
                 degradations: Vec::new(),

@@ -31,7 +31,7 @@ pub enum CheckpointError {
         /// trailer checksum).
         section: &'static str,
     },
-    /// A full checkpoint is missing a required section.
+    /// The checkpoint is missing a required section.
     MissingSection {
         /// The absent section.
         section: &'static str,
@@ -72,19 +72,6 @@ pub enum CheckpointError {
         /// The missing operation name.
         name: String,
     },
-    /// A delta checkpoint was applied against the wrong base.
-    BaseMismatch {
-        /// Base file id the delta was written against.
-        expected: u64,
-        /// File id of the base actually supplied.
-        found: u64,
-    },
-    /// A delta checkpoint was passed where a full one is required (or vice
-    /// versa).
-    WrongKind {
-        /// What the caller needed.
-        expected: &'static str,
-    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -101,7 +88,7 @@ impl std::fmt::Display for CheckpointError {
                 write!(f, "checksum mismatch in section {section}")
             }
             CheckpointError::MissingSection { section } => {
-                write!(f, "full checkpoint is missing section {section}")
+                write!(f, "checkpoint is missing section {section}")
             }
             CheckpointError::Malformed { section, detail } => {
                 write!(f, "malformed section {section}: {detail}")
@@ -120,15 +107,6 @@ impl std::fmt::Display for CheckpointError {
                     f,
                     "scheduler operation {name:?} not present in the restored pipeline"
                 )
-            }
-            CheckpointError::BaseMismatch { expected, found } => {
-                write!(
-                    f,
-                    "delta checkpoint written against base {expected:#018x}, got {found:#018x}"
-                )
-            }
-            CheckpointError::WrongKind { expected } => {
-                write!(f, "wrong checkpoint kind: expected a {expected} checkpoint")
             }
         }
     }

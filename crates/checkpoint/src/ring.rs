@@ -2,16 +2,13 @@
 //!
 //! [`CheckpointRing`] keeps the last few checkpoints of a running simulation
 //! resident so a supervisor can roll back after a fault without touching the
-//! filesystem. Storage is organized as *chains*: each chain starts with a
-//! full checkpoint and accumulates delta checkpoints written against it
-//! (cheap — deltas skip unchanged sections). [`RingPolicy`] bounds both axes:
-//! after `full_every` deltas a new chain is started, and only the newest
-//! `depth` chains are retained.
+//! filesystem. Every restore point is a full checkpoint; [`RingPolicy`]
+//! sets the capture cadence and how many are kept, so residency is `depth`
+//! × one full checkpoint once the ring has filled.
 //!
 //! The ring is also the supervisor's fallback ladder for *corrupted* restore
 //! points: [`CheckpointRing::drop_latest`] discards the newest restore point
-//! (one delta, or a whole chain once its deltas are gone) so a failed
-//! restore can retry against the next-older state.
+//! so a failed restore can retry against the next-older state.
 
 use std::collections::VecDeque;
 
@@ -19,34 +16,30 @@ use bdm_core::{Param, Simulation};
 
 use crate::error::CheckpointError;
 use crate::registry::Registry;
-use crate::{baseline, checkpoint, checkpoint_delta, restore_chain_with, Baseline};
+use crate::{checkpoint, restore_with};
 
-/// Capture cadence and retention bounds for a [`CheckpointRing`].
+/// Capture cadence and retention bound for a [`CheckpointRing`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RingPolicy {
     /// Capture every `interval` iterations (clamped to ≥ 1).
     pub interval: u64,
-    /// Number of full-checkpoint chains retained (clamped to ≥ 1); older
-    /// chains are pruned whole.
+    /// Number of restore points retained (clamped to ≥ 1); the oldest is
+    /// pruned when a capture would exceed it.
     pub depth: usize,
-    /// Deltas accumulated per chain before the next capture starts a fresh
-    /// chain with a new full checkpoint (0 = every capture is a full).
-    pub full_every: u64,
 }
 
 impl Default for RingPolicy {
     fn default() -> RingPolicy {
         RingPolicy {
             interval: 25,
-            depth: 2,
-            full_every: 8,
+            depth: 18,
         }
     }
 }
 
 impl RingPolicy {
     /// A policy capturing every `interval` iterations with the default
-    /// retention bounds.
+    /// depth.
     pub fn every(interval: u64) -> RingPolicy {
         RingPolicy {
             interval: interval.max(1),
@@ -55,37 +48,13 @@ impl RingPolicy {
     }
 }
 
-/// One full checkpoint plus the deltas written against it.
-#[derive(Debug, Clone)]
-struct Chain {
-    full: Vec<u8>,
-    base: Baseline,
-    full_iteration: u64,
-    /// `(iteration, bytes)` in capture order; deltas are cumulative against
-    /// `full`, so the newest one alone carries the chain's latest state.
-    deltas: Vec<(u64, Vec<u8>)>,
-}
-
-impl Chain {
-    fn resident_bytes(&self) -> usize {
-        self.full.len() + self.deltas.iter().map(|(_, d)| d.len()).sum::<usize>()
-    }
-
-    fn latest_iteration(&self) -> u64 {
-        self.deltas
-            .last()
-            .map(|(it, _)| *it)
-            .unwrap_or(self.full_iteration)
-    }
-}
-
 /// A bounded ring of in-memory restore points (see the module docs).
 #[derive(Debug, Clone)]
 pub struct CheckpointRing {
     policy: RingPolicy,
-    chains: VecDeque<Chain>,
+    /// `(iteration, full checkpoint)`, oldest first.
+    points: VecDeque<(u64, Vec<u8>)>,
     captures: u64,
-    force_full: bool,
 }
 
 impl CheckpointRing {
@@ -93,23 +62,9 @@ impl CheckpointRing {
     pub fn new(policy: RingPolicy) -> CheckpointRing {
         CheckpointRing {
             policy,
-            chains: VecDeque::new(),
+            points: VecDeque::new(),
             captures: 0,
-            force_full: false,
         }
-    }
-
-    /// Forces the next capture to start a fresh full-checkpoint chain.
-    ///
-    /// **Must be called after restoring a simulation from this (or any)
-    /// ring.** Delta production compares the simulation's resource-manager
-    /// generation and grid change counters against the values recorded in
-    /// the chain's base — counters that restart in a freshly restored
-    /// simulation. Extending an old chain across a restore can therefore
-    /// spuriously classify changed sections as unchanged and capture a
-    /// restore point whose agents lag its iteration counter.
-    pub fn break_chain(&mut self) {
-        self.force_full = true;
     }
 
     /// The ring's capture/retention policy.
@@ -123,83 +78,49 @@ impl CheckpointRing {
         iteration.is_multiple_of(self.policy.interval.max(1))
     }
 
-    /// Captures `sim` as the ring's newest restore point: a delta against
-    /// the current chain's full checkpoint when the chain has room, a fresh
-    /// full checkpoint otherwise (pruning chains beyond the policy depth).
+    /// Captures a full checkpoint of `sim` as the ring's newest restore
+    /// point, pruning the oldest ones beyond the policy depth.
     pub fn capture(&mut self, sim: &Simulation) -> Result<(), CheckpointError> {
-        let extend = !self.force_full
-            && self
-                .chains
-                .back()
-                .is_some_and(|c| (c.deltas.len() as u64) < self.policy.full_every);
-        self.force_full = false;
-        if extend {
-            let chain = self.chains.back_mut().expect("chain exists");
-            let delta = checkpoint_delta(sim, &chain.base)?;
-            chain.deltas.push((sim.iteration(), delta));
-        } else {
-            let full = checkpoint(sim)?;
-            let base = baseline(&full)?;
-            self.chains.push_back(Chain {
-                full,
-                base,
-                full_iteration: sim.iteration(),
-                deltas: Vec::new(),
-            });
-            while self.chains.len() > self.policy.depth.max(1) {
-                self.chains.pop_front();
-            }
+        self.points.push_back((sim.iteration(), checkpoint(sim)?));
+        while self.points.len() > self.policy.depth.max(1) {
+            self.points.pop_front();
         }
         self.captures += 1;
         Ok(())
     }
 
     /// Restores the newest restore point, building the simulation shell
-    /// through `build` (see [`crate::restore_with`]). Fails with
-    /// [`CheckpointError`] if the ring is empty or the bytes are corrupt —
-    /// callers typically [`CheckpointRing::drop_latest`] and retry.
+    /// through `build` (see [`crate::restore_with`]). `None` if the ring is
+    /// empty; a [`CheckpointError`] if the bytes are corrupt — callers
+    /// typically [`CheckpointRing::drop_latest`] and retry.
     pub fn restore_latest_with(
         &self,
         registry: &Registry,
         build: impl FnOnce(Param) -> Simulation,
-    ) -> Result<Simulation, CheckpointError> {
-        let chain = self
-            .chains
-            .back()
-            .ok_or(CheckpointError::WrongKind { expected: "full" })?;
-        let deltas: Vec<&[u8]> = chain.deltas.iter().map(|(_, d)| d.as_slice()).collect();
-        restore_chain_with(&chain.full, &deltas, registry, build)
+    ) -> Option<Result<Simulation, CheckpointError>> {
+        let (_, full) = self.points.back()?;
+        Some(restore_with(full, registry, build))
     }
 
     /// Restores the newest restore point using [`Simulation::new`].
-    pub fn restore_latest(&self, registry: &Registry) -> Result<Simulation, CheckpointError> {
+    pub fn restore_latest(
+        &self,
+        registry: &Registry,
+    ) -> Option<Result<Simulation, CheckpointError>> {
         self.restore_latest_with(registry, Simulation::new)
     }
 
-    /// Discards the newest restore point — the newest delta of the newest
-    /// chain, or the whole chain once it has no deltas left. Returns `false`
-    /// if the ring was already empty.
+    /// Discards the newest restore point. Returns `false` if the ring was
+    /// already empty.
     pub fn drop_latest(&mut self) -> bool {
-        match self.chains.back_mut() {
-            None => false,
-            Some(chain) => {
-                if chain.deltas.pop().is_none() {
-                    self.chains.pop_back();
-                }
-                true
-            }
-        }
+        self.points.pop_back().is_some()
     }
 
     /// Flips one bit of the newest restore point's bytes (`byte` is taken
     /// modulo the blob length). Fault-injection hook for exercising the
     /// drop-and-retry restore ladder; no effect on an empty ring.
     pub fn corrupt_latest(&mut self, byte: u64) {
-        if let Some(chain) = self.chains.back_mut() {
-            let blob = match chain.deltas.last_mut() {
-                Some((_, d)) => d,
-                None => &mut chain.full,
-            };
+        if let Some((_, blob)) = self.points.back_mut() {
             if !blob.is_empty() {
                 let idx = (byte % blob.len() as u64) as usize;
                 blob[idx] ^= 1;
@@ -209,17 +130,17 @@ impl CheckpointRing {
 
     /// Whether the ring holds no restore points.
     pub fn is_empty(&self) -> bool {
-        self.chains.is_empty()
+        self.points.is_empty()
     }
 
-    /// Number of restore points currently held (fulls + deltas).
+    /// Number of restore points currently held.
     pub fn len(&self) -> usize {
-        self.chains.iter().map(|c| 1 + c.deltas.len()).sum()
+        self.points.len()
     }
 
     /// Iteration of the newest restore point, if any.
     pub fn latest_iteration(&self) -> Option<u64> {
-        self.chains.back().map(|c| c.latest_iteration())
+        self.points.back().map(|(it, _)| *it)
     }
 
     /// Total captures performed over the ring's lifetime (including ones
@@ -228,9 +149,10 @@ impl CheckpointRing {
         self.captures
     }
 
-    /// Bytes currently resident in the ring (all fulls + all deltas).
+    /// Bytes currently resident in the ring (the sum of its restore
+    /// points).
     pub fn resident_bytes(&self) -> usize {
-        self.chains.iter().map(Chain::resident_bytes).sum()
+        self.points.iter().map(|(_, full)| full.len()).sum()
     }
 }
 
@@ -262,8 +184,7 @@ mod tests {
         let mut sim = small_sim();
         let mut ring = CheckpointRing::new(RingPolicy {
             interval: 1,
-            depth: 2,
-            full_every: 2,
+            depth: 6,
         });
         for _ in 0..5 {
             sim.step();
@@ -272,6 +193,7 @@ mod tests {
         assert_eq!(ring.latest_iteration(), Some(5));
         let restored = ring
             .restore_latest(&Registry::with_builtin_types())
+            .unwrap()
             .unwrap();
         bdm_core::testing::assert_identical(
             &bdm_core::testing::fingerprint(&sim),
@@ -281,44 +203,47 @@ mod tests {
     }
 
     #[test]
-    fn depth_bound_prunes_old_chains() {
+    fn depth_bound_prunes_old_restore_points() {
         let mut sim = small_sim();
-        let mut ring = CheckpointRing::new(RingPolicy {
-            interval: 1,
-            depth: 2,
-            full_every: 0, // every capture is a full chain
-        });
-        for _ in 0..6 {
+        let depth = 2;
+        let mut ring = CheckpointRing::new(RingPolicy { interval: 1, depth });
+        let mut sizes = Vec::new();
+        for captures in 1..=6 {
             sim.step();
             ring.capture(&sim).unwrap();
+            sizes.push(checkpoint(&sim).unwrap().len());
+            // Residency is `depth` × one full checkpoint once filled.
+            let kept = captures.min(depth);
+            assert_eq!(ring.len(), kept);
+            assert_eq!(
+                ring.resident_bytes(),
+                sizes[sizes.len() - kept..].iter().sum::<usize>()
+            );
         }
-        assert_eq!(ring.len(), 2);
         assert_eq!(ring.captures(), 6);
-        assert!(ring.resident_bytes() > 0);
+        assert_eq!(ring.latest_iteration(), Some(6));
     }
 
     #[test]
-    fn drop_latest_walks_back_through_deltas_then_chains() {
+    fn drop_latest_walks_back_through_every_restore_point() {
         let mut sim = small_sim();
         let mut ring = CheckpointRing::new(RingPolicy {
             interval: 1,
-            depth: 2,
-            full_every: 1,
+            depth: 4,
         });
         for _ in 0..4 {
             sim.step();
             ring.capture(&sim).unwrap();
         }
-        // Layout: chain(full@1, delta@2), chain(full@3, delta@4).
-        assert_eq!(ring.latest_iteration(), Some(4));
-        assert!(ring.drop_latest());
-        assert_eq!(ring.latest_iteration(), Some(3));
-        assert!(ring.drop_latest());
-        assert_eq!(ring.latest_iteration(), Some(2));
-        assert!(ring.drop_latest());
-        assert!(ring.drop_latest());
+        for newest in (1..=4).rev() {
+            assert_eq!(ring.latest_iteration(), Some(newest));
+            assert!(ring.drop_latest());
+        }
         assert!(!ring.drop_latest());
         assert!(ring.is_empty());
+        assert!(ring
+            .restore_latest(&Registry::with_builtin_types())
+            .is_none());
     }
 
     #[test]
@@ -326,8 +251,7 @@ mod tests {
         let mut sim = small_sim();
         let mut ring = CheckpointRing::new(RingPolicy {
             interval: 1,
-            depth: 2,
-            full_every: 4,
+            depth: 10,
         });
         sim.step();
         ring.capture(&sim).unwrap();
@@ -335,9 +259,9 @@ mod tests {
         ring.capture(&sim).unwrap();
         ring.corrupt_latest(40);
         let reg = Registry::with_builtin_types();
-        assert!(ring.restore_latest(&reg).is_err());
+        assert!(ring.restore_latest(&reg).unwrap().is_err());
         assert!(ring.drop_latest());
-        let restored = ring.restore_latest(&reg).unwrap();
+        let restored = ring.restore_latest(&reg).unwrap().unwrap();
         assert_eq!(restored.iteration(), 1);
     }
 }

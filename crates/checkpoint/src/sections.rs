@@ -292,9 +292,9 @@ pub fn read_force(payload: &[u8]) -> Result<InteractionForce, CheckpointError> {
 // ---------------------------------------------------------------------------
 // COUNTERS
 
-/// The always-written scalar state: iteration/uid counters, the concrete
-/// topology the run executed on (pinned on restore so neighbor partitioning
-/// is reproduced exactly), and the change counters delta mode compares.
+/// The scalar state: iteration/uid counters, the concrete topology the run
+/// executed on (pinned on restore so neighbor partitioning is reproduced
+/// exactly), and static detection's duty-cycle bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counters {
     /// Completed iterations at capture (mid-iteration captures store the
@@ -309,10 +309,6 @@ pub struct Counters {
     pub num_domains: u64,
     /// Concrete worker-thread count of the captured run.
     pub num_threads: u64,
-    /// `ResourceManager` structural generation at capture.
-    pub generation: u64,
-    /// Per-grid diffusion change counters at capture.
-    pub grid_versions: Vec<u64>,
     /// Static detection's duty-cycle bit
     /// ([`Simulation::static_detection_engaged`]); a mid-iteration capture
     /// stores the bit its interrupted iteration started with.
@@ -330,12 +326,6 @@ pub fn write_counters(sim: &Simulation, mid_iteration: bool) -> Vec<u8> {
     w.put_u64(sim.init_cursor() as u64);
     w.put_u64(sim.topology().num_domains() as u64);
     w.put_u64(sim.topology().num_threads() as u64);
-    w.put_u64(sim.resource_manager().generation());
-    let grids = sim.num_diffusion_grids();
-    w.put_u32(grids as u32);
-    for i in 0..grids {
-        w.put_u64(sim.diffusion_grid(i).version());
-    }
     w.put_u8(u8::from(sim.static_detection_engaged()));
     w.into_bytes()
 }
@@ -348,12 +338,6 @@ pub fn read_counters(payload: &[u8]) -> Result<Counters, CheckpointError> {
     let init_cursor = r.take_u64().map_err(truncated(S_CNTR))?;
     let num_domains = r.take_u64().map_err(truncated(S_CNTR))?;
     let num_threads = r.take_u64().map_err(truncated(S_CNTR))?;
-    let generation = r.take_u64().map_err(truncated(S_CNTR))?;
-    let n = r.take_u32().map_err(truncated(S_CNTR))? as usize;
-    let mut grid_versions = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        grid_versions.push(r.take_u64().map_err(truncated(S_CNTR))?);
-    }
     let static_engaged = match r.take_u8().map_err(truncated(S_CNTR))? {
         0 => false,
         1 => true,
@@ -374,8 +358,6 @@ pub fn read_counters(payload: &[u8]) -> Result<Counters, CheckpointError> {
         init_cursor,
         num_domains,
         num_threads,
-        generation,
-        grid_versions,
         static_engaged,
     })
 }
@@ -535,8 +517,8 @@ pub fn restore_agents(
 
 const S_DIFF: &str = "DIFFUSION";
 
-/// Encodes every diffusion grid: construction parameters, change counter,
-/// and the concentration array bitwise. (`c_next` is scratch — every solver
+/// Encodes every diffusion grid: construction parameters and the
+/// concentration array bitwise. (`c_next` is scratch — every solver
 /// substep fully overwrites it before the buffer swap, so it is not
 /// step-relevant state.)
 pub fn write_diffusion(sim: &Simulation) -> Vec<u8> {
@@ -555,7 +537,6 @@ pub fn write_diffusion(sim: &Simulation) -> Vec<u8> {
         });
         w.put_real3(g.domain_min());
         w.put_f64(g.domain_edge());
-        w.put_u64(g.version());
         let c = g.concentrations();
         w.put_u64(c.len() as u64);
         for v in c {
@@ -583,28 +564,33 @@ pub fn restore_diffusion(sim: &mut Simulation, payload: &[u8]) -> Result<(), Che
         };
         let min = r.take_real3().map_err(truncated(S_DIFF))?;
         let edge = r.take_f64().map_err(truncated(S_DIFF))?;
-        let version = r.take_u64().map_err(truncated(S_DIFF))?;
-        let len = r.take_u64().map_err(truncated(S_DIFF))? as usize;
-        if resolution < 2 || len != resolution * resolution * resolution {
+        let len = r.take_u64().map_err(truncated(S_DIFF))?;
+        // The checks `DiffusionGrid::new` asserts, as typed errors.
+        let volumes = bdm_core::DiffusionGrid::volumes_for(resolution);
+        if resolution < 2 || volumes.map(|v| v as u64) != Some(len) {
             return Err(malformed(
                 S_DIFF,
                 format!("grid {name:?}: {len} values for resolution {resolution}"),
             ));
         }
-        if !(edge > 0.0 && d >= 0.0 && decay >= 0.0) {
+        let finite = min.is_finite() && [d, decay, edge].iter().all(|v| v.is_finite());
+        if !(finite && edge > 0.0 && d >= 0.0 && decay >= 0.0) {
             return Err(malformed(
                 S_DIFF,
                 format!("grid {name:?}: invalid parameters"),
             ));
         }
-        let mut values = Vec::with_capacity(len);
-        for _ in 0..len {
-            values.push(r.take_f64().map_err(truncated(S_DIFF))?);
-        }
+        // Take the values' bytes before allocating: a claimed length is
+        // not an allocation size.
+        let values: Vec<f64> = r
+            .take_bytes(len as usize * 8)
+            .map_err(truncated(S_DIFF))?
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect();
         let mut grid = bdm_core::DiffusionGrid::new(&name, d, decay, resolution, min, edge)
             .with_boundary(boundary);
         grid.set_concentrations(&values);
-        grid.set_version(version);
         sim.add_diffusion_grid(grid);
     }
     if !r.is_exhausted() {

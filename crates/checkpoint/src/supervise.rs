@@ -323,7 +323,7 @@ impl SupervisedRunner {
             }
             // A skipped capture: the ring keeps an older restore point, so
             // a later recovery just replays a longer window.
-            Some(FaultKind::DeltaGap) => return Ok(()),
+            Some(FaultKind::SkippedCapture) => return Ok(()),
             Some(FaultKind::CheckpointBitFlip { byte }) => {
                 self.ring.capture(&self.sim)?;
                 self.ring.corrupt_latest(byte);
@@ -350,28 +350,25 @@ impl SupervisedRunner {
         // fired flags) across the rollback so each fault fires only once.
         let plan = self.sim.take_fault_plan();
         let restored = loop {
-            if self.ring.is_empty() {
-                return Err(SupervisorError::NoRestorePoint {
-                    iteration: failed_iteration,
-                    cause,
-                });
-            }
             match self
                 .ring
                 .restore_latest_with(&self.registry, |p| (self.build)(p))
             {
-                Ok(sim) => break sim,
+                Some(Ok(sim)) => break sim,
                 // Corrupt restore point: walk back to the next-older one.
-                Err(_) => {
+                Some(Err(_)) => {
                     self.ring.drop_latest();
+                }
+                None => {
+                    return Err(SupervisorError::NoRestorePoint {
+                        iteration: failed_iteration,
+                        cause,
+                    })
                 }
             }
         };
         let restored_from = restored.iteration();
         self.sim = restored;
-        // A restored simulation's change counters restart, so deltas against
-        // pre-restore baselines are unsound — start a fresh chain.
-        self.ring.break_chain();
         if let Some(p) = plan {
             self.sim.set_fault_plan(p);
         }
@@ -479,8 +476,7 @@ mod tests {
     fn ring_policy() -> RingPolicy {
         RingPolicy {
             interval: 2,
-            depth: 2,
-            full_every: 2,
+            depth: 6,
         }
     }
 
@@ -625,7 +621,7 @@ mod tests {
     #[test]
     fn delta_gap_lengthens_replay_but_stays_conformant() {
         let plan = FaultPlan::new()
-            .push(FaultSite::CheckpointCapture, 4, FaultKind::DeltaGap)
+            .push(FaultSite::CheckpointCapture, 4, FaultKind::SkippedCapture)
             .push(FaultSite::BeforeOp("agent_ops".into()), 5, FaultKind::Panic);
         let mut reference = seeded_sim(None);
         reference.simulate(8);
@@ -644,7 +640,7 @@ mod tests {
         bdm_core::testing::assert_identical(
             &bdm_core::testing::fingerprint(&reference),
             &bdm_core::testing::fingerprint(runner.sim()),
-            "delta gap",
+            "skipped capture",
         );
     }
 }

@@ -3,11 +3,8 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"BDMCKPT\0"
-//! 8       4     format version (u32 LE, currently 4)
-//! 12      1     kind: 0 = full, 1 = delta
-//! 13      8     base file id (u64 LE): fnv1a64 of the base full
-//!               checkpoint's bytes for deltas, 0 for full checkpoints
-//! 21      4     section count (u32 LE)
+//! 8       4     format version (u32 LE, currently 6)
+//! 12      4     section count (u32 LE)
 //!         ...   sections, each:
 //!                 4   tag (ASCII fourcc: PARM FORC CNTR AGNT DIFF SCHD SHRD)
 //!                 8   payload length (u64 LE)
@@ -31,12 +28,11 @@ pub const MAGIC: [u8; 8] = *b"BDMCKPT\0";
 /// SHARDS section (the partition manifest of sharded runs); v4 appended
 /// static detection's duty-cycle byte to COUNTERS; v5 dropped four fields
 /// from PARAM (static threshold, sort curve, pool growth rate, box-batched
-/// flag). Older files are rejected rather than silently misread.
-pub const FORMAT_VERSION: u32 = 5;
-/// Header `kind` byte of a full checkpoint.
-pub const KIND_FULL: u8 = 0;
-/// Header `kind` byte of a delta checkpoint.
-pub const KIND_DELTA: u8 = 1;
+/// flag); v6 dropped delta checkpoints: the header lost its kind byte and
+/// base file id, COUNTERS its change counters (agent generation, grid
+/// versions) and DIFF its per-grid version. Older files are rejected
+/// rather than silently misread.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Section tags, in canonical file order.
 pub mod tag {
@@ -44,7 +40,7 @@ pub mod tag {
     pub const PARAM: [u8; 4] = *b"PARM";
     /// Interaction force coefficients.
     pub const FORCE: [u8; 4] = *b"FORC";
-    /// Iteration / uid / topology / generation counters.
+    /// Iteration / uid / topology counters and the duty-cycle bit.
     pub const COUNTERS: [u8; 4] = *b"CNTR";
     /// Agent arrays (all domains).
     pub const AGENTS: [u8; 4] = *b"AGNT";
@@ -56,17 +52,6 @@ pub mod tag {
     /// restore: the partition is recomputed from state).
     pub const SHARDS: [u8; 4] = *b"SHRD";
 }
-
-/// All seven tags in canonical order (also the write order).
-pub const ALL_TAGS: [[u8; 4]; 7] = [
-    tag::PARAM,
-    tag::FORCE,
-    tag::COUNTERS,
-    tag::AGENTS,
-    tag::DIFFUSION,
-    tag::SCHEDULER,
-    tag::SHARDS,
-];
 
 /// Human-readable section name for error messages.
 pub fn tag_name(t: [u8; 4]) -> &'static str {
@@ -82,40 +67,30 @@ pub fn tag_name(t: [u8; 4]) -> &'static str {
     }
 }
 
-/// A parsed checkpoint: header fields plus the verified sections.
+/// A parsed checkpoint: the verified sections.
 pub struct Parsed<'a> {
-    /// `KIND_FULL` or `KIND_DELTA`.
-    pub kind: u8,
-    /// Base file id (deltas only; 0 for full checkpoints).
-    pub base_id: u64,
     /// `(tag, payload)` in file order; checksums already verified.
     pub sections: Vec<([u8; 4], &'a [u8])>,
 }
 
 impl<'a> Parsed<'a> {
-    /// The payload of section `t`, if present.
-    pub fn section(&self, t: [u8; 4]) -> Option<&'a [u8]> {
+    /// The payload of section `t`, or the typed missing-section error.
+    pub fn require(&self, t: [u8; 4]) -> Result<&'a [u8], CheckpointError> {
         self.sections
             .iter()
             .find(|(st, _)| *st == t)
             .map(|(_, p)| *p)
-    }
-
-    /// The payload of section `t`, or the typed missing-section error.
-    pub fn require(&self, t: [u8; 4]) -> Result<&'a [u8], CheckpointError> {
-        self.section(t).ok_or(CheckpointError::MissingSection {
-            section: tag_name(t),
-        })
+            .ok_or(CheckpointError::MissingSection {
+                section: tag_name(t),
+            })
     }
 }
 
 /// Assembles a checkpoint file from its sections (already encoded payloads).
-pub fn assemble(kind: u8, base_id: u64, sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
+pub fn assemble(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_bytes(&MAGIC);
     w.put_u32(FORMAT_VERSION);
-    w.put_u8(kind);
-    w.put_u64(base_id);
     w.put_u32(sections.len() as u32);
     for (t, payload) in sections {
         w.put_bytes(t);
@@ -141,14 +116,6 @@ pub fn parse(bytes: &[u8]) -> Result<Parsed<'_>, CheckpointError> {
     if version != FORMAT_VERSION {
         return Err(CheckpointError::VersionMismatch { found: version });
     }
-    let kind = r.take_u8().map_err(truncated("header"))?;
-    if kind != KIND_FULL && kind != KIND_DELTA {
-        return Err(CheckpointError::Malformed {
-            section: "header",
-            detail: format!("unknown checkpoint kind {kind}"),
-        });
-    }
-    let base_id = r.take_u64().map_err(truncated("header"))?;
     let count = r.take_u32().map_err(truncated("header"))? as usize;
 
     // Verify the trailer before trusting any section metadata: a trailing
@@ -163,7 +130,9 @@ pub fn parse(bytes: &[u8]) -> Result<Parsed<'_>, CheckpointError> {
         return Err(CheckpointError::ChecksumMismatch { section: "file" });
     }
 
-    let mut sections = Vec::with_capacity(count);
+    // `count` is not an allocation size: a table that is shorter than it
+    // claims fails at its end.
+    let mut sections = Vec::new();
     for _ in 0..count {
         let t: [u8; 4] = r
             .take_bytes(4)
@@ -186,9 +155,5 @@ pub fn parse(bytes: &[u8]) -> Result<Parsed<'_>, CheckpointError> {
             detail: format!("{} bytes after the last section, expected 8", r.remaining()),
         });
     }
-    Ok(Parsed {
-        kind,
-        base_id,
-        sections,
-    })
+    Ok(Parsed { sections })
 }

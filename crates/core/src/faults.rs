@@ -27,7 +27,7 @@ pub enum FaultSite {
     /// When a supervisor captures a checkpoint into its ring. Faults at this
     /// site are handled by the capture path itself, which is how the
     /// checkpoint-targeted kinds ([`FaultKind::CheckpointBitFlip`],
-    /// [`FaultKind::DeltaGap`]) get a buffer to corrupt.
+    /// [`FaultKind::SkippedCapture`]) act on the supervisor's ring.
     CheckpointCapture,
 }
 
@@ -65,7 +65,7 @@ pub enum FaultKind {
     /// Skip the due checkpoint capture entirely, leaving a gap in the ring —
     /// a later recovery must replay a longer window from an older entry.
     /// Only meaningful at [`FaultSite::CheckpointCapture`].
-    DeltaGap,
+    SkippedCapture,
 }
 
 impl FaultKind {
@@ -75,7 +75,7 @@ impl FaultKind {
             FaultKind::Panic => "panic",
             FaultKind::NanPosition { .. } => "nan position write",
             FaultKind::CheckpointBitFlip { .. } => "checkpoint bit flip",
-            FaultKind::DeltaGap => "delta-chain gap",
+            FaultKind::SkippedCapture => "skipped capture",
         }
     }
 }
@@ -276,6 +276,6 @@ mod tests {
         assert_eq!(FaultSite::BeforeOp("x".into()).to_string(), "before op `x`");
         assert_eq!(FaultSite::GridRebuild.to_string(), "grid rebuild");
         assert_eq!(FaultKind::Panic.label(), "panic");
-        assert_eq!(FaultKind::DeltaGap.label(), "delta-chain gap");
+        assert_eq!(FaultKind::SkippedCapture.label(), "skipped capture");
     }
 }

@@ -276,8 +276,8 @@ impl ResourceManager {
         }
         // A commit without additions or removals leaves every index and
         // agent untouched — only structural change advances the generation
-        // (delta checkpoints skip the agent section on an unchanged
-        // generation, so a no-op commit must not invalidate it).
+        // (snapshot freshness and the halo exchange's skip compare
+        // generations, so a no-op commit must not invalidate either).
         if stats.added > 0 || stats.removed > 0 {
             self.generation += 1;
         }

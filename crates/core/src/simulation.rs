@@ -821,7 +821,7 @@ impl Simulation {
             }
             // Checkpoint-targeted kinds act on supervisor-owned buffers;
             // firing them at a simulation site is a no-op.
-            FaultKind::CheckpointBitFlip { .. } | FaultKind::DeltaGap => {}
+            FaultKind::CheckpointBitFlip { .. } | FaultKind::SkippedCapture => {}
         }
     }
 
@@ -1012,9 +1012,10 @@ impl Simulation {
                 self.static_engaged = engage;
             }
             // Behaviors and mechanics mutate agents in place; advance the
-            // structural generation so state observers (delta checkpoints)
-            // see the population as changed. Runs after the environment
-            // rebuild, so the snapshot-freshness equality is unaffected.
+            // structural generation so its readers — the snapshot-freshness
+            // check and the halo exchange's skip-if-unchanged key — see the
+            // population as changed. Runs after the environment rebuild, so
+            // this iteration's snapshot-freshness equality is unaffected.
             self.rm.generation += 1;
         }
     }

@@ -72,15 +72,17 @@ pub struct DiffusionGrid {
     c: Vec<f64>,
     /// Double buffer for the stencil sweep.
     c_next: Vec<f64>,
-    /// Bumped on every concentration change (secretion, solver step,
-    /// wholesale overwrite) — delta checkpoints compare versions to skip
-    /// serializing an unchanged grid.
-    version: u64,
 }
 
 impl DiffusionGrid {
     /// Creates a grid for `name` over the cubic domain `[min, min+edge]³`
     /// with `resolution` boxes per axis.
+    ///
+    /// # Panics
+    /// If `resolution < 2`, if `resolution³` voxels cannot be addressed
+    /// with a u32, or unless `D`, `μ`, `edge` and `min` are finite with
+    /// `edge > 0` and `D, μ ≥ 0` (an infinite `D` would ask the solver for
+    /// unboundedly many substeps).
     pub fn new(
         name: impl Into<String>,
         diffusion_coefficient: f64,
@@ -90,12 +92,16 @@ impl DiffusionGrid {
         edge: f64,
     ) -> DiffusionGrid {
         assert!(resolution >= 2, "need at least 2 boxes per axis");
-        assert!(edge > 0.0 && diffusion_coefficient >= 0.0 && decay_constant >= 0.0);
-        let n = resolution * resolution * resolution;
         assert!(
-            n - 1 <= u32::MAX as usize,
-            "a secretion addresses its voxel with a u32"
+            min.is_finite()
+                && [diffusion_coefficient, decay_constant, edge]
+                    .iter()
+                    .all(|v| v.is_finite()),
+            "grid parameters must be finite"
         );
+        assert!(edge > 0.0 && diffusion_coefficient >= 0.0 && decay_constant >= 0.0);
+        let n = DiffusionGrid::volumes_for(resolution)
+            .expect("a secretion addresses its voxel with a u32");
         DiffusionGrid {
             name: name.into(),
             diffusion_coefficient,
@@ -108,8 +114,17 @@ impl DiffusionGrid {
             inv_box_length: resolution as f64 / edge,
             c: vec![0.0; n],
             c_next: vec![0.0; n],
-            version: 0,
         }
+    }
+
+    /// `resolution³`, the volume count of a grid with `resolution` boxes
+    /// per axis — `None` if it overflows, or if a voxel would lie beyond the
+    /// u32 address a [`Secretion`] carries.
+    pub fn volumes_for(resolution: usize) -> Option<usize> {
+        let n = resolution
+            .checked_mul(resolution)?
+            .checked_mul(resolution)?;
+        (n <= u32::MAX as usize + 1).then_some(n)
     }
 
     /// Sets the boundary condition (builder style).
@@ -141,19 +156,6 @@ impl DiffusionGrid {
     /// Lower corner of the cubic domain.
     pub fn domain_min(&self) -> Real3 {
         self.min
-    }
-
-    /// Concentration-change counter (see the field docs): strictly
-    /// monotonic over secretions, solver steps, and overwrites.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Overwrites the change counter (checkpoint restore, applied after
-    /// [`DiffusionGrid::set_concentrations`] so a restored grid continues
-    /// the original's version sequence).
-    pub fn set_version(&mut self, version: u64) {
-        self.version = version;
     }
 
     /// Boxes per axis.
@@ -199,7 +201,6 @@ impl DiffusionGrid {
     pub fn increase_concentration(&mut self, pos: Real3, amount: f64) {
         let i = self.box_index(pos);
         self.c[i] += amount;
-        self.version += 1;
     }
 
     /// Central-difference concentration gradient at `pos`
@@ -257,7 +258,6 @@ impl DiffusionGrid {
     /// `(c + 0·lap)·1` gives back every finite `c` but `−0`.
     pub fn step_with(&mut self, dt: f64, pool: Option<&NumaThreadPool>) {
         assert!(dt > 0.0 && dt.is_finite());
-        self.version += 1;
         if self.diffusion_coefficient == 0.0 && self.decay_constant == 0.0 {
             return;
         }
@@ -318,7 +318,6 @@ impl DiffusionGrid {
             self.c.len()
         );
         self.c.copy_from_slice(values);
-        self.version += 1;
     }
 
     /// Approximate heap footprint.
@@ -419,10 +418,10 @@ pub struct Secretion {
     pub amount: f64,
 }
 
-/// Adds every secretion of `batches` to its grid and bumps each grid's
-/// version once. Within every voxel the additions run in the order of
-/// `batches`, and within a batch in slice order, so the result is a pure
-/// function of that order — whatever the pool.
+/// Adds every secretion of `batches` to its grid. Within every voxel the
+/// additions run in the order of `batches`, and within a batch in slice
+/// order, so the result is a pure function of that order — whatever the
+/// pool.
 ///
 /// With a pool and at least 2¹² secretions, each worker owns one
 /// contiguous z-slab range of every grid and scans the whole queue for the
@@ -450,7 +449,6 @@ pub fn apply_secretions(
         .map(|_| Vec::with_capacity(grids.len()))
         .collect();
     for grid in grids.iter_mut() {
-        grid.version += 1;
         let (r, plane) = (grid.resolution, grid.resolution * grid.resolution);
         let mut rest = &mut grid.c[..];
         let mut first = 0;
@@ -543,7 +541,6 @@ mod tests {
             }
             std::mem::swap(&mut g.c, &mut g.c_next);
         }
-        g.version += 1;
     }
 
     #[test]
@@ -665,10 +662,8 @@ mod tests {
         let mut g = DiffusionGrid::new("z", 0.0, 0.0, 6, Real3::ZERO, 6.0);
         g.increase_concentration(Real3::splat(3.0), 7.0);
         let before = g.concentrations().to_vec();
-        let version = g.version();
         g.step(1.0);
         assert_eq!(bits(g.concentrations()), bits(&before));
-        assert_eq!(g.version(), version + 1);
     }
 
     #[test]
@@ -746,7 +741,6 @@ mod tests {
                             "r={resolution} {bc:?} decay={decay} workers={:?}",
                             pool.map(NumaThreadPool::num_threads)
                         );
-                        assert_eq!(g.version(), oracle.version());
                     }
                 }
             }
@@ -824,7 +818,6 @@ mod tests {
             apply_secretions(&mut applied, &batches, pool);
             for (a, s) in applied.iter().zip(&serial) {
                 assert_eq!(bits(a.concentrations()), bits(s.concentrations()));
-                assert_eq!(a.version(), 1, "one bump per batch");
             }
         }
         assert_eq!(std::mem::size_of::<Secretion>(), 16);

@@ -19,7 +19,7 @@
 //! | [`neuro`](mod@neuro) | neuron somas, neurite elements, growth cones |
 //! | [`models`](mod@models) | the five benchmark simulations + cell sorting |
 //! | [`baseline`](mod@baseline) | the serial comparator engine |
-//! | [`checkpoint`](mod@checkpoint) | versioned binary checkpoint/restore with delta mode, the in-memory restore-point ring, and the supervised (auto-recovering) runner |
+//! | [`checkpoint`](mod@checkpoint) | versioned binary checkpoint/restore, the in-memory ring of full-checkpoint restore points, and the supervised (auto-recovering) runner |
 //!
 //! ## Quickstart
 //!

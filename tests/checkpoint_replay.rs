@@ -2,9 +2,9 @@
 //!
 //! The contract under test: **restore(checkpoint(sim)) followed by N steps
 //! is bitwise identical to stepping the original simulation N times** — for
-//! all six benchmark models, on all four environment backends, for full
-//! checkpoints, full+delta chains, and checkpoints taken mid-iteration
-//! (between the snapshot and environment-update pipeline stages).
+//! all six benchmark models, on all four environment backends, for
+//! checkpoints taken at rest and mid-iteration (between the snapshot and
+//! environment-update pipeline stages).
 //!
 //! Identity is asserted on [`biodynamo::core::testing::SimFingerprint`],
 //! which captures every step-relevant bit: agent positions/diameters as
@@ -14,9 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use biodynamo::checkpoint::{
-    baseline, checkpoint, checkpoint_delta, restore, restore_chain, restore_with, Registry,
-};
+use biodynamo::checkpoint::{checkpoint, restore, restore_with, Registry};
 use biodynamo::core::builtin;
 use biodynamo::core::testing::{assert_identical, fingerprint};
 use biodynamo::models::all_models;
@@ -142,110 +140,6 @@ fn restore_pins_the_captured_topology() {
         restored.topology().num_domains(),
         2,
         "domain count must be pinned"
-    );
-}
-
-/// Full checkpoint at k, deltas at k+2 and k+4: replaying the chain (and
-/// every prefix of it) is bitwise identical to the straight run.
-#[test]
-fn full_plus_delta_chain_replays_identically() {
-    let reg = Registry::with_builtin_types();
-    for model in all_models(SCALE) {
-        let label = model.name();
-        let mut truth = model.build(param_for(EnvironmentKind::UniformGrid, 2, 2));
-        truth.simulate(3);
-        let full = checkpoint(&truth).unwrap();
-        let base = baseline(&full).unwrap();
-
-        truth.simulate(2);
-        let delta1 = checkpoint_delta(&truth, &base).unwrap();
-        let mid = fingerprint(&truth);
-
-        truth.simulate(2);
-        let delta2 = checkpoint_delta(&truth, &base).unwrap();
-        let end = fingerprint(&truth);
-
-        // Chain prefix: full + delta1 lands on the mid-state…
-        let from_mid = restore_chain(&full, &[&delta1], &reg)
-            .unwrap_or_else(|e| panic!("{label}: chain restore (1 delta): {e}"));
-        assert_identical(&mid, &fingerprint(&from_mid), &format!("{label}: full+d1"));
-
-        // …the full chain lands on the end state…
-        let from_end = restore_chain(&full, &[&delta1, &delta2], &reg)
-            .unwrap_or_else(|e| panic!("{label}: chain restore (2 deltas): {e}"));
-        assert_identical(
-            &end,
-            &fingerprint(&from_end),
-            &format!("{label}: full+d1+d2"),
-        );
-
-        // …and stepping on from the prefix matches the straight run.
-        let mut replay = restore_chain(&full, &[&delta1], &reg).unwrap();
-        replay.simulate(2);
-        assert_identical(
-            &end,
-            &fingerprint(&replay),
-            &format!("{label}: full+d1 then 2 steps"),
-        );
-    }
-}
-
-/// When only a diffusion grid changes between base and delta (agent phase
-/// disabled), the delta skips the agent section — it must still replay
-/// identically and come out much smaller than the full checkpoint.
-#[test]
-fn delta_skips_unchanged_agent_section() {
-    let reg = Registry::with_builtin_types();
-    let mut sim = Simulation::new(Param {
-        threads: Some(2),
-        numa_domains: Some(2),
-        interaction_radius: Some(15.0),
-        ..Param::default()
-    });
-    for i in 0..200 {
-        let uid = sim.new_uid();
-        sim.add_agent(
-            Cell::new(uid)
-                .with_position(Real3::new(
-                    (i % 10) as f64 * 12.0,
-                    ((i / 10) % 10) as f64 * 12.0,
-                    (i / 100) as f64 * 12.0,
-                ))
-                .with_diameter(10.0),
-        );
-    }
-    let g = sim.add_diffusion_grid(DiffusionGrid::new(
-        "substance",
-        0.2,
-        0.01,
-        8,
-        Real3::splat(0.0),
-        120.0,
-    ));
-    sim.diffusion_grid_mut(g)
-        .increase_concentration(Real3::splat(60.0), 5.0);
-    // Freeze the agent arrays: only the diffusion op keeps running.
-    sim.scheduler_mut().set_enabled(builtin::AGENT_OPS, false);
-    sim.scheduler_mut()
-        .set_enabled(builtin::AGENT_SORTING, false);
-
-    sim.simulate(2);
-    let full = checkpoint(&sim).unwrap();
-    let base = baseline(&full).unwrap();
-
-    sim.simulate(3); // grid versions advance, agent generation does not
-    let delta = checkpoint_delta(&sim, &base).unwrap();
-    assert!(
-        delta.len() < full.len() / 2,
-        "delta should omit the agent section: {} vs {} bytes",
-        delta.len(),
-        full.len()
-    );
-    let restored = restore_chain(&full, &[&delta], &reg).unwrap();
-    assert_identical(
-        &fingerprint(&sim),
-        &fingerprint(&restored),
-        "agent-skipping delta",
     );
 }
 

@@ -409,6 +409,76 @@ mod corrupt_checkpoints {
         }
     }
 
+    /// The DIFF section re-sealed with impossible grids: a resolution whose
+    /// cube overflows, a value count the payload cannot hold, and
+    /// non-finite parameters (an infinite D would hang the first step).
+    /// Each is a typed error naming DIFFUSION, never a panic, an abort or
+    /// a restored simulation.
+    #[test]
+    fn corrupt_diffusion_grid_is_a_typed_error() {
+        use biodynamo::util::{fnv1a64, ByteWriter};
+        let reg = Registry::with_builtin_types();
+        let bytes = valid_checkpoint();
+        // Section layout: tag(4) + len(8) + sum(8) + payload.
+        let tag_at = bytes
+            .windows(4)
+            .position(|w| w == b"DIFF")
+            .expect("DIFF section present");
+        let len = u64::from_le_bytes(bytes[tag_at + 4..tag_at + 12].try_into().unwrap()) as usize;
+        let payload_at = tag_at + 20;
+        // The file around a replaced DIFF payload, checksums re-sealed.
+        let with_diffusion = |new: &[u8]| {
+            let mut b = bytes[..tag_at + 4].to_vec();
+            b.extend_from_slice(&(new.len() as u64).to_le_bytes());
+            b.extend_from_slice(&fnv1a64(new).to_le_bytes());
+            b.extend_from_slice(new);
+            b.extend_from_slice(&bytes[payload_at + len..bytes.len() - 8]);
+            let trailer = fnv1a64(&b);
+            b.extend_from_slice(&trailer.to_le_bytes());
+            b
+        };
+        // One closed grid claiming `len` values, at most 512 (zeros) present.
+        let grid = |d: f64, decay: f64, resolution: u64, min: f64, edge: f64, len: u64| {
+            let mut w = ByteWriter::new();
+            w.put_u32(1);
+            w.put_str("attractant");
+            w.put_f64(d);
+            w.put_f64(decay);
+            w.put_u64(resolution);
+            w.put_u8(0);
+            w.put_real3(Real3::splat(min));
+            w.put_f64(edge);
+            w.put_u64(len);
+            for _ in 0..len.min(512) {
+                w.put_f64(0.0);
+            }
+            w.into_bytes()
+        };
+        assert!(restore(&with_diffusion(&grid(0.3, 0.01, 8, 0.0, 80.0, 512)), &reg).is_ok());
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let cases = [
+            ("cube overflows", grid(0.3, 0.01, 1 << 22, 0.0, 80.0, 0)),
+            ("D = inf", grid(inf, 0.01, 8, 0.0, 80.0, 512)),
+            ("mu = nan", grid(0.3, nan, 8, 0.0, 80.0, 512)),
+            ("edge = inf", grid(0.3, 0.01, 8, 0.0, inf, 512)),
+            ("min = -inf", grid(0.3, 0.01, 8, -inf, 80.0, 512)),
+        ];
+        for (label, payload) in cases {
+            match restore(&with_diffusion(&payload), &reg).err() {
+                Some(CheckpointError::Malformed { section, .. }) => {
+                    assert_eq!(section, "DIFFUSION", "{label}")
+                }
+                other => panic!("{label}: unexpected result {other:?}"),
+            }
+        }
+        // 1625³ values claimed, 512 present: rejected before allocating.
+        let claimed = grid(0.3, 0.01, 1625, 0.0, 80.0, 1625u64.pow(3));
+        match restore(&with_diffusion(&claimed), &reg).err() {
+            Some(CheckpointError::Truncated { section, .. }) => assert_eq!(section, "DIFFUSION"),
+            other => panic!("oversized value count: unexpected result {other:?}"),
+        }
+    }
+
     /// A checkpoint from a *sharded* run, with every corruption mode aimed
     /// at its SHARDS section: a plain payload flip is caught by the section
     /// checksum; fully re-sealed corruptions (valid checksums, impossible
@@ -498,12 +568,22 @@ mod corrupt_checkpoints {
         // Zero out the section count: a structurally valid file with no
         // sections must report the first missing section by name.
         let mut corrupt = bytes.clone();
-        corrupt.truncate(25); // magic + version + kind + base id + count
-        corrupt[21..25].copy_from_slice(&0u32.to_le_bytes());
+        corrupt.truncate(16); // magic + version + count
+        corrupt[12..16].copy_from_slice(&0u32.to_le_bytes());
         let sum = biodynamo::util::fnv1a64(&corrupt);
         corrupt.extend_from_slice(&sum.to_le_bytes());
         match restore(&corrupt, &reg).err().unwrap() {
             CheckpointError::MissingSection { section } => assert_eq!(section, "PARAM"),
+            other => panic!("unexpected error {other}"),
+        }
+        // A section count far beyond the table is a truncation, not an
+        // allocation of that many entries.
+        let mut corrupt = bytes[..16].to_vec();
+        corrupt[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = biodynamo::util::fnv1a64(&corrupt);
+        corrupt.extend_from_slice(&sum.to_le_bytes());
+        match restore(&corrupt, &reg).err().unwrap() {
+            CheckpointError::Truncated { .. } => {}
             other => panic!("unexpected error {other}"),
         }
     }
@@ -556,8 +636,7 @@ mod supervised_recovery {
     fn small_ring() -> RingPolicy {
         RingPolicy {
             interval: 3,
-            depth: 2,
-            full_every: 2,
+            depth: 6,
         }
     }
 
@@ -663,7 +742,7 @@ mod supervised_recovery {
     #[test]
     fn delta_gap_replays_longer_but_stays_conformant() {
         let plan = FaultPlan::new()
-            .push(FaultSite::CheckpointCapture, 6, FaultKind::DeltaGap)
+            .push(FaultSite::CheckpointCapture, 6, FaultKind::SkippedCapture)
             .push(FaultSite::BeforeOp("agent_ops".into()), 8, FaultKind::Panic);
         let mut runner = supervised(
             plan,
@@ -679,7 +758,7 @@ mod supervised_recovery {
         assert_identical(
             &fingerprint(&reference()),
             &fingerprint(runner.sim()),
-            "delta gap",
+            "skipped capture",
         );
     }
 
@@ -783,7 +862,7 @@ mod supervised_recovery {
             // Alternate fault kinds by iteration parity; capture-site faults
             // get capture-specific kinds.
             let kind = match (site_idx, fault_iteration % 2) {
-                (3, 0) => FaultKind::DeltaGap,
+                (3, 0) => FaultKind::SkippedCapture,
                 (3, _) => FaultKind::CheckpointBitFlip { byte: 97 },
                 (_, 0) => FaultKind::Panic,
                 _ => FaultKind::NanPosition { agent_index: fault_iteration as usize * 7 },
@@ -800,7 +879,7 @@ mod supervised_recovery {
             let mut runner = SupervisedRunner::new(
                 build(Some(plan)),
                 RecoveryPolicy {
-                    ring: RingPolicy { interval, depth, full_every: 2 },
+                    ring: RingPolicy { interval, depth: 3 * depth },
                     max_attempts: 8,
                     degradations: Vec::new(),
                 },
