@@ -43,6 +43,7 @@ fn main() {
         "total",
         "sort run/agent_ops run",
         "diffusion run/agent_ops run",
+        "snapshot run/agent_ops run",
     ]);
     let mut agent_op_shares = Vec::new();
     let mut env_shares = Vec::new();
@@ -84,13 +85,19 @@ fn main() {
                 "{:.3}",
                 report.bucket("standalone_ops") / report.bucket("agent_ops")
             ),
+            // The `snapshot` op is due every iteration too: the gather of
+            // all three SoA arrays against one agent pass, same run.
+            format!(
+                "{:.3}",
+                report.bucket("snapshot") / report.bucket("agent_ops")
+            ),
         ]);
 
         if args.proxy {
             // Memory-traffic estimate per iteration, per the SoA snapshot
             // layout: the gather streams exactly `snapshot_bytes` (the
-            // per-array sum the engine reports — payloads drop out when the
-            // model's NeighborAccess skips them), a force calculation reads
+            // per-array sum the engine reports: positions, diameters and
+            // payloads of every agent), a force calculation reads
             // the streamed 24 B position run plus one lazy 8 B diameter per
             // partner, and the agent object itself is touched (~128 B of
             // hot state).

@@ -67,8 +67,7 @@ fn main() {
                 fmt_secs(per_iter),
                 fmt_speedup(speedup),
                 mem_ratio,
-                // Per-array SoA accounting from the engine (payloads only
-                // when the model's kernels declared them).
+                // Per-array SoA accounting from the engine.
                 bdm_util::format_bytes(report.snapshot_bytes),
                 // The step this level adds, against the level below it in
                 // the same run, so runner speed cancels (the CI gate reads

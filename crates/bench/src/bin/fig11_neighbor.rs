@@ -66,9 +66,8 @@ fn main() {
                     fmt_secs(report.bucket("environment_update") / iterations as f64),
                     fmt_secs(report.bucket("agent_ops") / iterations as f64),
                     fmt_bytes(report.env_bytes),
-                    // Per-array SoA accounting from the engine: payload
-                    // bytes appear only for models whose kernels declared
-                    // NeighborAccess::PAYLOADS.
+                    // Per-array SoA accounting from the engine:
+                    // positions, diameters and payloads of every agent.
                     fmt_bytes(report.snapshot_bytes),
                 ]);
                 match env_label {

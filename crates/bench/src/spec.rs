@@ -256,7 +256,7 @@ pub struct RunReport {
     /// Heap footprint of the neighbor-search index, bytes (Figure 11d).
     pub env_bytes: u64,
     /// Heap bytes of the engine's per-iteration snapshot arrays, per the
-    /// SoA layout (positions + diameters + payloads-if-gathered); 0 for the
+    /// SoA layout (positions + diameters + payloads); 0 for the
     /// baseline engine, which has no snapshot.
     pub snapshot_bytes: u64,
     /// Bytes reserved by the pool allocator.

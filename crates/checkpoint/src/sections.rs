@@ -6,9 +6,7 @@
 //! [`CheckpointError`]. The layouts are documented field-by-field in
 //! `docs/ARCHITECTURE.md`.
 
-use bdm_core::{
-    EnvironmentKind, HealthPolicy, InteractionForce, NeighborAccess, Param, Simulation, StaticFlags,
-};
+use bdm_core::{EnvironmentKind, HealthPolicy, InteractionForce, Param, Simulation, StaticFlags};
 use bdm_util::{ByteReader, ByteWriter, Real3};
 
 use crate::error::{truncated, CheckpointError};
@@ -45,7 +43,6 @@ pub fn write_param(p: &Param) -> Vec<u8> {
     opt_u64(&mut w, p.threads.map(|t| t as u64));
     opt_u64(&mut w, p.numa_domains.map(|d| d as u64));
     w.put_u64(p.iteration_block_size as u64);
-    w.put_u8(p.neighbor_access.bits());
     // Health policy (format v2): fixed-size like the opt_* fields — absent
     // policies write zeroed placeholders so the payload length is stable.
     w.put_u8(u8::from(p.health.is_some()));
@@ -107,13 +104,6 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
     let threads = take_opt_u64(r, S_PARAM)?.map(|v| v as usize);
     let numa_domains = take_opt_u64(r, S_PARAM)?.map(|v| v as usize);
     let iteration_block_size = r.take_u64().map_err(truncated(S_PARAM))? as usize;
-    let access_bits = r.take_u8().map_err(truncated(S_PARAM))?;
-    let neighbor_access = NeighborAccess::from_bits(access_bits).ok_or_else(|| {
-        malformed(
-            S_PARAM,
-            format!("invalid neighbor-access bits {access_bits:#x}"),
-        )
-    })?;
     let health_some = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let health_frequency = r.take_u64().map_err(truncated(S_PARAM))?;
     let bounds_some = r.take_u8().map_err(truncated(S_PARAM))? != 0;
@@ -144,6 +134,18 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
             format!("invalid interaction radius {radius}"),
         ));
     }
+    if !(simulation_time_step.is_finite() && simulation_time_step > 0.0) {
+        return Err(malformed(
+            S_PARAM,
+            format!("invalid time step {simulation_time_step}"),
+        ));
+    }
+    if simulation_max_displacement.is_nan() || simulation_max_displacement < 0.0 {
+        return Err(malformed(
+            S_PARAM,
+            format!("invalid displacement cap {simulation_max_displacement}"),
+        ));
+    }
     if shards > 1 && environment != EnvironmentKind::UniformGrid {
         return Err(malformed(
             S_PARAM,
@@ -172,7 +174,6 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
         threads,
         numa_domains,
         iteration_block_size,
-        neighbor_access,
         shards,
         health,
     })

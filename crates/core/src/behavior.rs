@@ -9,7 +9,7 @@
 use bdm_alloc::{MemoryManager, PoolBox};
 
 use crate::agent::Agent;
-use crate::context::{AgentContext, NeighborAccess};
+use crate::context::AgentContext;
 
 /// Owning pointer to a type-erased behavior in pool memory.
 pub type BehaviorBox = PoolBox<dyn Behavior>;
@@ -38,48 +38,6 @@ pub trait Behavior: Send + Sync {
     /// division (BioDynaMo's "copy to new" flag).
     fn copy_to_new(&self) -> bool {
         true
-    }
-
-    /// Which per-neighbor snapshot arrays this kernel reads through
-    /// [`AgentContext::for_each_neighbor`] /
-    /// [`AgentContext::count_neighbors`]. Models union their behaviors'
-    /// declarations into
-    /// [`Param::neighbor_access`](crate::param::Param::neighbor_access)
-    /// (the engine adds the interaction force's access itself); when the
-    /// union excludes [`NeighborAccess::PAYLOADS`], the engine skips
-    /// gathering the payload array entirely. Defaults to the conservative
-    /// [`NeighborAccess::ALL`] — a behavior that queries no neighbors
-    /// should declare [`NeighborAccess::NONE`].
-    ///
-    /// ```
-    /// use bdm_core::{
-    ///     Agent, AgentContext, Behavior, BehaviorBox, BehaviorControl, MemoryManager,
-    ///     NeighborAccess,
-    /// };
-    ///
-    /// /// Counts neighbors by distance only: no diameter or payload reads.
-    /// #[derive(Clone)]
-    /// struct Crowding {
-    ///     radius: f64,
-    /// }
-    ///
-    /// impl Behavior for Crowding {
-    ///     fn run(&mut self, agent: &mut dyn Agent, ctx: &mut AgentContext<'_>) -> BehaviorControl {
-    ///         let _crowd = ctx.count_neighbors(agent.position(), self.radius, |_| true);
-    ///         BehaviorControl::Keep
-    ///     }
-    ///     fn neighbor_access(&self) -> NeighborAccess {
-    ///         NeighborAccess::POSITIONS
-    ///     }
-    ///     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
-    ///         bdm_core::clone_behavior_box(self, mm, domain)
-    ///     }
-    /// }
-    ///
-    /// assert!(!Crowding { radius: 10.0 }.neighbor_access().reads_payloads());
-    /// ```
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::ALL
     }
 
     /// Diagnostic name.

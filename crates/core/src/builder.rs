@@ -150,18 +150,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Declares which per-neighbor snapshot arrays the model's behavior
-    /// kernels read (union of their
-    /// [`Behavior::neighbor_access`](crate::behavior::Behavior::neighbor_access)
-    /// declarations; the engine adds the interaction force's access itself
-    /// when mechanics is enabled). When the resulting union excludes
-    /// [`NeighborAccess`](crate::NeighborAccess)`::PAYLOADS`, the engine
-    /// skips gathering the payload array entirely.
-    pub fn neighbor_access(mut self, access: crate::context::NeighborAccess) -> Self {
-        self.param.neighbor_access = access;
-        self
-    }
-
     /// Overrides the interaction force model.
     pub fn force(mut self, force: InteractionForce) -> Self {
         self.force = Some(force);

@@ -17,9 +17,10 @@
 //! `positions` / `diameters` / `payloads` arrays instead of one array of
 //! 40-byte records. A neighbor visit streams positions from the index's
 //! contiguous runs and loads `diameters[idx]` / `payloads[idx]` *lazily* —
-//! only for accepted neighbors, and only for the arrays the kernel's
-//! declared [`NeighborAccess`] actually reads. When no due kernel reads
-//! payloads, the engine skips gathering the `payloads` array entirely.
+//! only for accepted neighbors, and only when the kernel calls the
+//! accessor. Every snapshot gathers all three arrays, so any operation may
+//! read any neighbor attribute without declaring it, as in the paper's
+//! Algorithm 1.
 
 use bdm_alloc::MemoryManager;
 use bdm_diffusion::{DiffusionGrid, Secretion};
@@ -30,104 +31,10 @@ use crate::agent::{new_agent_box, Agent, AgentBox, AgentHandle, AgentUid};
 use crate::resource_manager::split_global;
 use crate::rng_stream;
 
-/// Which per-neighbor snapshot arrays a kernel reads — the capability a
-/// force/behavior kernel (or a custom
-/// [`Operation`](crate::scheduler::Operation)) declares so the engine can
-/// skip gathering and streaming arrays nobody will touch.
-///
-/// `POSITIONS` and `DIAMETERS` are always gathered (the snapshot's position
-/// array feeds the index rebuild and the max-diameter reduction needs every
-/// diameter anyway); today only `PAYLOADS` changes what the gather writes.
-/// Declaring the full truth anyway is what keeps the capability future-proof
-/// and the Figure 5 memory-traffic proxy honest.
-///
-/// Flags combine with `|`:
-///
-/// ```
-/// use bdm_core::NeighborAccess;
-///
-/// let access = NeighborAccess::POSITIONS | NeighborAccess::PAYLOADS;
-/// assert!(access.contains(NeighborAccess::PAYLOADS));
-/// assert!(!access.contains(NeighborAccess::DIAMETERS));
-/// assert_eq!(access | NeighborAccess::NONE, access);
-/// assert!(NeighborAccess::ALL.contains(access));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NeighborAccess(u8);
-
-impl NeighborAccess {
-    /// Reads nothing from the snapshot (e.g. a kernel without neighbor
-    /// queries, or one that only counts neighbors by distance).
-    pub const NONE: NeighborAccess = NeighborAccess(0);
-    /// Reads neighbor positions (implied by issuing any neighbor query —
-    /// the distance test streams them; always gathered).
-    pub const POSITIONS: NeighborAccess = NeighborAccess(1);
-    /// Reads neighbor diameters (the collision force does; always gathered).
-    pub const DIAMETERS: NeighborAccess = NeighborAccess(1 << 1);
-    /// Reads neighbor payloads ([`Agent::payload`], e.g. cell type or
-    /// infection state). Gathered only when some due kernel declares this.
-    pub const PAYLOADS: NeighborAccess = NeighborAccess(1 << 2);
-    /// Everything — the conservative default for kernels that do not
-    /// declare their access pattern.
-    pub const ALL: NeighborAccess =
-        NeighborAccess(Self::POSITIONS.0 | Self::DIAMETERS.0 | Self::PAYLOADS.0);
-
-    /// Union of two access sets (const-friendly version of `|`).
-    #[must_use]
-    pub const fn union(self, other: NeighborAccess) -> NeighborAccess {
-        NeighborAccess(self.0 | other.0)
-    }
-
-    /// Whether every flag of `other` is present in `self`.
-    pub const fn contains(self, other: NeighborAccess) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// Whether the set includes [`NeighborAccess::PAYLOADS`].
-    pub const fn reads_payloads(self) -> bool {
-        self.contains(NeighborAccess::PAYLOADS)
-    }
-
-    /// The raw flag bits — the checkpoint wire representation.
-    pub const fn bits(self) -> u8 {
-        self.0
-    }
-
-    /// Rebuilds the set from [`NeighborAccess::bits`]; `None` if `bits`
-    /// contains flags this engine version does not know.
-    pub const fn from_bits(bits: u8) -> Option<NeighborAccess> {
-        if bits & !NeighborAccess::ALL.0 != 0 {
-            return None;
-        }
-        Some(NeighborAccess(bits))
-    }
-}
-
-impl Default for NeighborAccess {
-    /// The conservative default: [`NeighborAccess::ALL`].
-    fn default() -> NeighborAccess {
-        NeighborAccess::ALL
-    }
-}
-
-impl std::ops::BitOr for NeighborAccess {
-    type Output = NeighborAccess;
-    fn bitor(self, rhs: NeighborAccess) -> NeighborAccess {
-        self.union(rhs)
-    }
-}
-
-impl std::ops::BitOrAssign for NeighborAccess {
-    fn bitor_assign(&mut self, rhs: NeighborAccess) {
-        *self = self.union(rhs);
-    }
-}
-
 /// Immutable per-iteration snapshot of all agents (domain-major order, same
 /// indexing as the environment's point cloud), stored as a structure of
-/// arrays: the gather writes each array in one contiguous stream, and
-/// neighbor reads touch only the arrays the kernel declared in its
-/// [`NeighborAccess`].
+/// arrays: the gather writes each array in one contiguous stream, and a
+/// neighbor read touches only the arrays whose accessor the kernel calls.
 #[derive(Debug, Default)]
 pub struct Snapshot {
     /// Position of every agent at the start of the iteration. Doubles as
@@ -138,13 +45,8 @@ pub struct Snapshot {
     /// `positions`).
     pub diameters: Vec<f64>,
     /// User payload ([`Agent::payload`]) of every agent, parallel to
-    /// `positions` — **empty** when no due kernel declared
-    /// [`NeighborAccess::PAYLOADS`] (see `payloads_gathered`).
+    /// `positions`.
     pub payloads: Vec<u64>,
-    /// Whether `payloads` was gathered this iteration. When `false`,
-    /// [`Neighbor::payload`] panics: a kernel reading payloads without
-    /// declaring them is a capability bug, not a silent zero.
-    pub payloads_gathered: bool,
     /// Start offset of each domain within the arrays (plus a final total).
     pub offsets: Vec<usize>,
     /// Largest agent diameter (drives the default interaction radius).
@@ -178,18 +80,13 @@ impl Snapshot {
         self.positions.is_empty()
     }
 
-    /// Heap bytes of the arrays the current gather materialized, per the
-    /// SoA layout (a skipped `payloads` array costs nothing even if its
-    /// buffer lingers from an earlier iteration). The Figure 5/9/11
-    /// harness reports this instead of assuming a record size.
+    /// Heap bytes of the gathered arrays, per the SoA layout. The Figure
+    /// 5/9/11 harness reports this instead of assuming a record size.
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = self.positions.len() * std::mem::size_of::<Real3>()
+        self.positions.len() * std::mem::size_of::<Real3>()
             + self.diameters.len() * std::mem::size_of::<f64>()
-            + self.offsets.len() * std::mem::size_of::<usize>();
-        if self.payloads_gathered {
-            bytes += self.payloads.len() * std::mem::size_of::<u64>();
-        }
-        bytes
+            + self.payloads.len() * std::mem::size_of::<u64>()
+            + self.offsets.len() * std::mem::size_of::<usize>()
     }
 }
 
@@ -222,8 +119,7 @@ impl PointCloud for SnapshotCloud<'_> {
 /// from its contiguous SoA run for the distance test, so reading it costs
 /// nothing. Diameter and payload are **lazy**: each accessor loads from the
 /// snapshot's dense array only when called, so a kernel that ignores a
-/// field never touches its array (the payload array may not even have been
-/// gathered — see [`NeighborAccess`]).
+/// field never touches its array.
 #[derive(Clone, Copy)]
 pub struct Neighbor<'a> {
     snapshot: &'a Snapshot,
@@ -253,21 +149,8 @@ impl Neighbor<'_> {
 
     /// User payload ([`Agent::payload`]) at the start of the iteration
     /// (one lazy 8-byte load).
-    ///
-    /// # Panics
-    /// If the engine skipped the payload gather this iteration because no
-    /// due kernel declared [`NeighborAccess::PAYLOADS`] — declare the
-    /// access on the kernel (see
-    /// [`Behavior::neighbor_access`](crate::behavior::Behavior::neighbor_access),
-    /// [`Param::neighbor_access`](crate::param::Param::neighbor_access)).
     #[inline]
     pub fn payload(&self) -> u64 {
-        assert!(
-            self.snapshot.payloads_gathered,
-            "neighbor payloads were not gathered this iteration; declare \
-             NeighborAccess::PAYLOADS on the kernel that reads them \
-             (Param::neighbor_access / Operation::neighbor_access)"
-        );
         self.snapshot.payloads[self.index]
     }
 }
@@ -770,7 +653,6 @@ mod tests {
             positions: vec![Real3::ZERO; n],
             diameters: vec![0.0; n],
             payloads: vec![0; n],
-            payloads_gathered: true,
             offsets,
             max_diameter: 10.0,
             bounds: None,
@@ -803,22 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_access_flags_combine() {
-        let a = NeighborAccess::POSITIONS | NeighborAccess::DIAMETERS;
-        assert!(a.contains(NeighborAccess::POSITIONS));
-        assert!(a.contains(NeighborAccess::DIAMETERS));
-        assert!(!a.reads_payloads());
-        assert!((a | NeighborAccess::PAYLOADS).reads_payloads());
-        assert_eq!(a | NeighborAccess::NONE, a);
-        assert!(NeighborAccess::ALL.contains(a));
-        assert_eq!(NeighborAccess::default(), NeighborAccess::ALL);
-        let mut acc = NeighborAccess::NONE;
-        acc |= NeighborAccess::PAYLOADS;
-        assert!(acc.reads_payloads());
-        assert!(!NeighborAccess::NONE.contains(NeighborAccess::POSITIONS));
-    }
-
-    #[test]
     fn neighbor_view_loads_lazily() {
         let mut s = snapshot(vec![0, 2], 2);
         s.diameters[1] = 7.5;
@@ -835,27 +701,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "payloads were not gathered")]
-    fn neighbor_payload_panics_when_skipped() {
-        let mut s = snapshot(vec![0, 2], 2);
-        s.payloads.clear();
-        s.payloads_gathered = false;
-        let n = Neighbor {
-            snapshot: &s,
-            index: 0,
-            position: Real3::ZERO,
-        };
-        let _ = n.payload();
-    }
-
-    #[test]
     fn snapshot_memory_counts_only_gathered_arrays() {
-        let with = snapshot(vec![0, 4], 4);
-        let mut without = snapshot(vec![0, 4], 4);
-        without.payloads_gathered = false;
+        let s = snapshot(vec![0, 4], 4);
         assert_eq!(
-            with.memory_bytes() - without.memory_bytes(),
-            4 * std::mem::size_of::<u64>()
+            s.memory_bytes(),
+            4 * (std::mem::size_of::<Real3>() + 2 * std::mem::size_of::<u64>())
+                + 2 * std::mem::size_of::<usize>()
         );
     }
 

@@ -46,15 +46,6 @@ impl InteractionForce {
         }
     }
 
-    /// Which per-neighbor snapshot arrays the force kernel reads:
-    /// positions and diameters, never the payload. The engine unions this
-    /// into the iteration's [`NeighborAccess`](crate::NeighborAccess)
-    /// whenever mechanics is enabled, so models only declare their
-    /// *behavior* kernels' access.
-    pub fn neighbor_access(&self) -> crate::context::NeighborAccess {
-        crate::context::NeighborAccess::POSITIONS.union(crate::context::NeighborAccess::DIAMETERS)
-    }
-
     /// Force exerted **on** the sphere at `pos1` by the sphere at `pos2`.
     /// Returns `Real3::ZERO` when the spheres do not touch.
     #[inline]

@@ -54,7 +54,7 @@ pub use agent::{
 };
 pub use behavior::{clone_behavior_box, new_behavior_box, Behavior, BehaviorBox, BehaviorControl};
 pub use builder::SimulationBuilder;
-pub use context::{AgentContext, ExecutionContext, Neighbor, NeighborAccess, Snapshot};
+pub use context::{AgentContext, ExecutionContext, Neighbor, Snapshot};
 pub use faults::{FaultKind, FaultPlan, FaultSite, PlannedFault};
 pub use force::InteractionForce;
 pub use param::{OptLevel, Param};

@@ -13,8 +13,6 @@
 
 use bdm_env::EnvironmentKind;
 
-use crate::context::NeighborAccess;
-
 /// All tunables of the simulation engine.
 #[derive(Debug, Clone)]
 pub struct Param {
@@ -25,10 +23,11 @@ pub struct Param {
     /// Fixed interaction radius; `None` derives it from the largest agent
     /// diameter each iteration (BioDynaMo's default box sizing).
     pub interaction_radius: Option<f64>,
-    /// Simulation time step (hours in the biology models).
+    /// Simulation time step (hours in the biology models); positive, and
+    /// finite for a simulation with diffusion grids or a checkpoint.
     pub simulation_time_step: f64,
     /// Hard cap on per-iteration displacement (BioDynaMo's
-    /// `simulation_max_displacement`).
+    /// `simulation_max_displacement`); non-negative, `+∞` disables it.
     pub simulation_max_displacement: f64,
     /// Enables the mechanical-forces agent operation.
     pub enable_mechanics: bool,
@@ -67,15 +66,6 @@ pub struct Param {
     pub numa_domains: Option<usize>,
     /// Agents per scheduling block of the NUMA-aware iterator.
     pub iteration_block_size: usize,
-    /// Union of the [`NeighborAccess`] declarations of the model's behavior
-    /// kernels — which per-neighbor snapshot arrays they read. The engine
-    /// adds the interaction force's own access when mechanics is enabled,
-    /// plus every due custom operation's
-    /// [`Operation::neighbor_access`](crate::scheduler::Operation::neighbor_access);
-    /// when the union excludes [`NeighborAccess::PAYLOADS`], the snapshot
-    /// gather skips the payload array entirely. Defaults to the conservative
-    /// [`NeighborAccess::ALL`].
-    pub neighbor_access: NeighborAccess,
     /// In-process shard count K (see [`crate::sharded`]). `1` (the
     /// default) runs the classic single-engine path. `K > 1` partitions
     /// the population into K SFC-range shards, registers the built-in
@@ -114,7 +104,6 @@ impl Default for Param {
             threads: None,
             numa_domains: None,
             iteration_block_size: 1000,
-            neighbor_access: NeighborAccess::ALL,
             shards: 1,
             health: None,
         }

@@ -21,7 +21,6 @@ use std::time::Duration;
 
 use bdm_util::{TimeBuckets, Timer};
 
-use crate::context::NeighborAccess;
 use crate::simulation::{Simulation, StandaloneOp};
 
 /// Built-in operation names (also the Figure 5 phase/bucket names).
@@ -150,27 +149,6 @@ pub trait Operation: Send {
     /// sort up front makes iteration 2 onwards spatially coherent.
     fn runs_on_first_iteration(&self) -> bool {
         false
-    }
-
-    /// Which per-neighbor snapshot arrays this operation reads (via
-    /// [`Simulation::snapshot`](crate::simulation::Simulation::snapshot) or
-    /// neighbor queries). Aggregated by the scheduler over the operations
-    /// due before the next `snapshot` gather — counting an operation as a
-    /// consumer if it becomes due any time before then, so the request also
-    /// covers operations placed ahead of the gather in the pipeline (they
-    /// read the previous one) — and combined with the agent kernels'
-    /// declaration
-    /// ([`Param::neighbor_access`](crate::param::Param::neighbor_access) +
-    /// the interaction force): when the union excludes
-    /// [`NeighborAccess::PAYLOADS`], the gather skips the payload array
-    /// entirely.
-    ///
-    /// Defaults to the conservative [`NeighborAccess::ALL`] so an undeclared
-    /// custom operation can read everything; the built-in operations
-    /// override it to [`NeighborAccess::NONE`] (the built-in `agent_ops`
-    /// kernel access is declared through `Param`, not here).
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::ALL
     }
 
     /// Executes the operation for the current iteration.
@@ -489,50 +467,6 @@ impl Scheduler {
             && (iteration.is_multiple_of(entry.frequency) || (entry.due_at_first && iteration == 1))
     }
 
-    /// Union of the [`Operation::neighbor_access`] declarations of every
-    /// operation due before the *next* `snapshot` gather — the
-    /// scheduler-side half of the payload-skip capability, computed by
-    /// `Simulation::step` before the pipeline runs. `agent_kernel_access`
-    /// substitutes for the built-in `agent_ops` operation, whose kernels
-    /// (behaviors + interaction force) declare their access through
-    /// [`Param::neighbor_access`](crate::param::Param::neighbor_access)
-    /// rather than the trait method. The window spans this iteration plus
-    /// one snapshot period: a snapshot gathered now is read until the next
-    /// gather, including by consumers positioned before the `snapshot` op in
-    /// the pipeline and by consumers of a slow-regathering pipeline that
-    /// become due later in its period.
-    pub(crate) fn due_ops_neighbor_access(
-        entries: &[ScheduledOp],
-        iteration: u64,
-        agent_kernel_access: NeighborAccess,
-    ) -> NeighborAccess {
-        let snapshot_freq = entries
-            .iter()
-            .find(|e| e.op.name() == builtin::SNAPSHOT)
-            .map(|e| e.frequency)
-            .unwrap_or(1);
-        let window_end = iteration.saturating_add(snapshot_freq);
-        let mut access = NeighborAccess::NONE;
-        for e in entries {
-            // O(1) "due within [iteration, window_end]" — frequencies are
-            // arbitrary u64s, so scanning the window would not terminate in
-            // reasonable time for a slow-regathering pipeline.
-            let next_due = if e.due_at_first && iteration == 1 {
-                1
-            } else {
-                iteration.div_ceil(e.frequency).saturating_mul(e.frequency)
-            };
-            if e.enabled && next_due <= window_end {
-                access |= if e.op.name() == builtin::AGENT_OPS {
-                    agent_kernel_access
-                } else {
-                    e.op.neighbor_access()
-                };
-            }
-        }
-        access
-    }
-
     /// Executes one iteration over a detached op list (see
     /// [`Scheduler::take_entries`]): for each due op, time it, run it.
     pub(crate) fn run_iteration(entries: &mut [ScheduledOp], ctx: &mut SimulationCtx<'_>) {
@@ -626,9 +560,6 @@ impl std::fmt::Debug for Scheduler {
 pub(crate) struct SnapshotOp;
 
 impl Operation for SnapshotOp {
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::NONE
-    }
     fn name(&self) -> &str {
         builtin::SNAPSHOT
     }
@@ -643,9 +574,6 @@ impl Operation for SnapshotOp {
 pub(crate) struct HaloExchangeOp;
 
 impl Operation for HaloExchangeOp {
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::NONE
-    }
     fn name(&self) -> &str {
         builtin::HALO_EXCHANGE
     }
@@ -660,9 +588,6 @@ impl Operation for HaloExchangeOp {
 pub(crate) struct EnvironmentOp;
 
 impl Operation for EnvironmentOp {
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::NONE
-    }
     fn name(&self) -> &str {
         builtin::ENVIRONMENT
     }
@@ -691,9 +616,6 @@ impl Operation for AgentOp {
 pub(crate) struct DiffusionOp;
 
 impl Operation for DiffusionOp {
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::NONE
-    }
     fn name(&self) -> &str {
         builtin::DIFFUSION
     }
@@ -708,9 +630,6 @@ impl Operation for DiffusionOp {
 pub(crate) struct TeardownOp;
 
 impl Operation for TeardownOp {
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::NONE
-    }
     fn name(&self) -> &str {
         builtin::TEARDOWN
     }
@@ -725,9 +644,6 @@ impl Operation for TeardownOp {
 pub(crate) struct SortingOp;
 
 impl Operation for SortingOp {
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::NONE
-    }
     fn runs_on_first_iteration(&self) -> bool {
         // One sort up front: iteration 2 onwards runs the neighbor phase
         // over a spatially coherent layout instead of initialization order
@@ -793,10 +709,6 @@ mod tests {
         }
         fn frequency(&self) -> u64 {
             self.freq
-        }
-        fn neighbor_access(&self) -> NeighborAccess {
-            // Like the built-in ops: reads nothing from the snapshot.
-            NeighborAccess::NONE
         }
         fn run(&mut self, _ctx: &mut SimulationCtx<'_>) {}
     }
@@ -911,57 +823,6 @@ mod tests {
         // Disabling parks the first-iteration run too.
         s.entries[0].enabled = false;
         assert!(!Scheduler::is_due(&s.entries[0], 1));
-    }
-
-    #[test]
-    fn neighbor_access_aggregates_over_the_snapshot_window() {
-        struct PayloadReader {
-            freq: u64,
-        }
-        impl Operation for PayloadReader {
-            fn name(&self) -> &str {
-                "payload_reader"
-            }
-            fn kind(&self) -> OpKind {
-                OpKind::Standalone
-            }
-            fn frequency(&self) -> u64 {
-                self.freq
-            }
-            fn neighbor_access(&self) -> NeighborAccess {
-                NeighborAccess::PAYLOADS
-            }
-            fn run(&mut self, _ctx: &mut SimulationCtx<'_>) {}
-        }
-
-        let kernels = NeighborAccess::POSITIONS | NeighborAccess::DIAMETERS;
-        // Built-in-ish pipeline: snapshot (freq 1) + agent op; no payload
-        // consumer → kernels' declaration passes through unchanged.
-        let mut s = Scheduler::new();
-        s.add_op(noop(builtin::SNAPSHOT, OpKind::Pre));
-        s.add_op(noop(builtin::AGENT_OPS, OpKind::Agent));
-        let access = Scheduler::due_ops_neighbor_access(&s.entries, 1, kernels);
-        assert_eq!(access, kernels, "plain Noop ops must not add access");
-
-        // A due payload consumer widens the union.
-        s.add_op(PayloadReader { freq: 1 });
-        let access = Scheduler::due_ops_neighbor_access(&s.entries, 1, kernels);
-        assert!(access.reads_payloads());
-
-        // Re-timed to every 5th iteration: the snapshot regathers every
-        // iteration, so only the gather feeding iteration 5 pays for it.
-        assert!(s.set_frequency("payload_reader", 5));
-        assert!(!Scheduler::due_ops_neighbor_access(&s.entries, 1, kernels).reads_payloads());
-        assert!(Scheduler::due_ops_neighbor_access(&s.entries, 5, kernels).reads_payloads());
-        // Disabled consumers never count.
-        assert!(s.set_enabled("payload_reader", false));
-        assert!(!Scheduler::due_ops_neighbor_access(&s.entries, 5, kernels).reads_payloads());
-
-        // A slow snapshot (freq 3) must cover consumers due anywhere in its
-        // window: the gather at iteration 3 serves iterations 3-5.
-        assert!(s.set_frequency("payload_reader", 5));
-        assert!(s.set_frequency(builtin::SNAPSHOT, 3));
-        assert!(Scheduler::due_ops_neighbor_access(&s.entries, 3, kernels).reads_payloads());
     }
 
     #[test]

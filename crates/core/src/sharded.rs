@@ -409,7 +409,7 @@ impl ShardedState {
     }
 
     /// Rebuilds the K shard grids over the current clouds (no-op when the
-    /// clouds and build capabilities are unchanged). Every build is framed
+    /// clouds and the diameter scatter are unchanged). Every build is framed
     /// to the global lattice ([`GridFrame`]) so box membership is bitwise
     /// that of the single-engine grid, and runs on the engine's `pool`.
     pub fn build_grids(
@@ -510,8 +510,7 @@ pub(crate) mod tests {
             positions,
             max_diameter: diameters.iter().copied().fold(0.0, f64::max),
             diameters,
-            payloads: Vec::new(),
-            payloads_gathered: false,
+            payloads: vec![0; n],
             offsets: vec![0, n],
             bounds: (n > 0).then_some((lo, hi)),
         }

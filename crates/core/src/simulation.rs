@@ -30,7 +30,7 @@ use bdm_util::{Real3, TimeBuckets};
 use crate::agent::{new_agent_box, Agent, AgentHandle, AgentUid};
 use crate::builder::SimulationBuilder;
 use crate::context::{
-    agent_rng, AgentContext, ExecutionContext, GridView, NeighborAccess, Snapshot, SnapshotCloud,
+    agent_rng, AgentContext, ExecutionContext, GridView, Snapshot, SnapshotCloud,
 };
 use crate::faults::{FaultKind, FaultPlan, FaultSite};
 use crate::force::InteractionForce;
@@ -120,13 +120,6 @@ pub struct Simulation {
     /// read by `agent_sorting` (a changed population forces an index
     /// rebuild before sorting).
     step_commit: CommitStats,
-    /// Union of the snapshot arrays the kernels due this iteration read
-    /// (aggregated by `step` from [`Param::neighbor_access`], the
-    /// interaction force, and every due operation's
-    /// [`Operation::neighbor_access`](crate::scheduler::Operation::neighbor_access));
-    /// the `snapshot` operation skips gathering the payload array when the
-    /// union excludes [`NeighborAccess::PAYLOADS`].
-    step_access: NeighborAccess,
     /// Iteration whose agents the snapshot was gathered over; lets
     /// `environment_update` reuse the snapshot's contiguous positions (and
     /// bounds) instead of re-reading every agent through two virtual calls.
@@ -170,6 +163,19 @@ impl Simulation {
              environment, got {:?}",
             param.environment
         );
+        // An infinite step stays constructible: it drives the mechanics
+        // kernel's non-finite displacement handling. A checkpoint refuses
+        // it, since a diffusion grid cannot step with it.
+        assert!(
+            param.simulation_time_step > 0.0,
+            "Param::simulation_time_step must be positive, got {}",
+            param.simulation_time_step
+        );
+        assert!(
+            param.simulation_max_displacement >= 0.0,
+            "Param::simulation_max_displacement must be non-negative, got {}",
+            param.simulation_max_displacement
+        );
         let mut topology = NumaTopology::detect();
         if param.threads.is_some() || param.numa_domains.is_some() {
             let threads = param.threads.unwrap_or_else(|| topology.num_threads());
@@ -212,7 +218,6 @@ impl Simulation {
             param,
             step_radius: 0.0,
             step_commit: CommitStats::default(),
-            step_access: NeighborAccess::ALL,
             snapshot_iteration: 0,
             snapshot_generation: 0,
             sharded,
@@ -527,18 +532,15 @@ impl Simulation {
 
     /// The per-iteration snapshot gathered by the `snapshot` operation —
     /// SoA arrays of every agent's position/diameter/payload at the start
-    /// of the current iteration (see [`Snapshot`]). A custom operation
-    /// reading `payloads` must declare
-    /// [`NeighborAccess::PAYLOADS`](crate::NeighborAccess) via
-    /// [`Operation::neighbor_access`](crate::scheduler::Operation::neighbor_access),
-    /// otherwise the array is skipped ([`Snapshot::payloads_gathered`]).
+    /// of the current iteration (see [`Snapshot`]). Every gather fills all
+    /// three arrays, so a custom operation may read any of them.
     pub fn snapshot(&self) -> &Snapshot {
         &self.snapshot
     }
 
-    /// Heap bytes of the snapshot arrays the current iteration gathered
-    /// (per-array SoA accounting; the Figure 5/9/11 harness reports this
-    /// instead of assuming a record size).
+    /// Heap bytes of the snapshot arrays (per-array SoA accounting; the
+    /// Figure 5/9/11 harness reports this instead of assuming a record
+    /// size).
     pub fn snapshot_memory_bytes(&self) -> usize {
         self.snapshot.memory_bytes()
     }
@@ -843,17 +845,6 @@ impl Simulation {
         // ops registered during the iteration land in the (empty) scheduler
         // and are merged back afterwards.
         let mut entries = self.scheduler.take_entries();
-        // Scheduler → snapshot capability: which per-neighbor arrays will
-        // anything read before the next gather? The built-in agent kernels
-        // (behaviors + mechanics) declare through Param and the force;
-        // custom operations through Operation::neighbor_access.
-        let agent_kernel_access = if self.param.enable_mechanics {
-            self.param.neighbor_access | self.force.neighbor_access()
-        } else {
-            self.param.neighbor_access
-        };
-        self.step_access =
-            Scheduler::due_ops_neighbor_access(&entries, self.iteration, agent_kernel_access);
         // A panicking operation must not leak the detached list (the
         // pipeline would be empty forever if the caller catches the
         // unwind), so restore it before re-raising.
@@ -941,7 +932,7 @@ impl Simulation {
         if self.rm.num_agents() == 0 {
             return;
         }
-        let scatter = self.step_access.contains(NeighborAccess::DIAMETERS);
+        let scatter = self.param.enable_mechanics;
         let (radius, bounds, iteration) = (self.step_radius, self.snapshot.bounds, self.iteration);
         if let Some(st) = self.sharded.as_mut() {
             if st.active_iteration == iteration {
@@ -958,7 +949,8 @@ impl Simulation {
     /// Rebuilds the global neighbor index. With `from_snapshot` it reads the
     /// snapshot gathered this iteration (contiguous positions, bounds
     /// already known, diameters scattered box-sorted next to the query slots
-    /// when some due kernel reads them — the mechanics force always does);
+    /// when mechanics is enabled — the force kernel's shell scan is their
+    /// only reader);
     /// otherwise — a custom pipeline that dropped the snapshot op, or a
     /// population the commit just changed — it reads the agents directly
     /// (through pointers: no bounds, no diameter slice to scatter from, so
@@ -967,7 +959,7 @@ impl Simulation {
         if from_snapshot {
             let hint = UpdateHint {
                 known_bounds: self.snapshot.bounds,
-                scatter_diameters: self.step_access.contains(NeighborAccess::DIAMETERS),
+                scatter_diameters: self.param.enable_mechanics,
                 grid_frame: None,
                 pool: Some(&self.pool),
             };
@@ -1092,24 +1084,15 @@ impl Simulation {
     }
 
     /// Builds the per-iteration snapshot — the SoA arrays (positions,
-    /// diameters, and payloads when this iteration's [`NeighborAccess`]
-    /// reads them) and the max diameter — reading agents through their
-    /// pointers in ONE sweep.
+    /// diameters, payloads) and the max diameter — reading agents through
+    /// their pointers in ONE sweep.
     fn build_snapshot(&mut self) {
         let offsets = self.rm.offsets();
         let total = *offsets.last().unwrap();
-        let gather_payloads = self.step_access.reads_payloads();
         self.snapshot.offsets = offsets;
         self.snapshot.positions.resize(total, Real3::ZERO);
         self.snapshot.diameters.resize(total, 0.0);
-        if gather_payloads {
-            self.snapshot.payloads.resize(total, 0);
-        } else {
-            // Payload-skip fast path: nobody due before the next gather
-            // reads payloads, so neither gather nor stream the array.
-            self.snapshot.payloads.clear();
-        }
-        self.snapshot.payloads_gathered = gather_payloads;
+        self.snapshot.payloads.resize(total, 0);
         let sizes = self.rm.domain_sizes();
         let max_diameter = std::sync::atomic::AtomicU64::new(0f64.to_bits());
         // Position bounds fold into the same sweep: the environment rebuild
@@ -1142,9 +1125,7 @@ impl Simulation {
                     unsafe {
                         pos_ptr.write(base + i, position);
                         diam_ptr.write(base + i, d);
-                        if gather_payloads {
-                            payload_ptr.write(base + i, agent.payload());
-                        }
+                        payload_ptr.write(base + i, agent.payload());
                     }
                 }
                 // Atomic f64 max via CAS on the bit pattern.

@@ -31,7 +31,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bdm_util::Real3;
 
-use crate::context::NeighborAccess;
 use crate::scheduler::{builtin, OpKind, Operation, SimulationCtx};
 
 /// Maximum number of [`HealthViolation`] records kept per simulation. The
@@ -231,9 +230,6 @@ impl Operation for HealthCheckOp {
     }
     fn frequency(&self) -> u64 {
         self.frequency
-    }
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::NONE
     }
     fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
         ctx.sim.run_health_check();

@@ -60,7 +60,8 @@ pub trait PointCloud: Sync {
     /// Per-point diameters parallel to the positions, if the cloud carries
     /// them (the engine's snapshot does; raw position clouds do not).
     /// Consumed by the uniform grid's conditional diameter scatter when the
-    /// caller's [`UpdateHint::scatter_diameters`] requests it.
+    /// caller's [`UpdateHint::scatter_diameters`] requests it — in the
+    /// engine, whenever mechanics is enabled.
     fn diameters(&self) -> Option<&[f64]> {
         None
     }
@@ -192,9 +193,10 @@ impl EnvironmentKind {
 ///   the index build saves a full pass over the agents). Must enclose every
 ///   point of the cloud exactly as tightly as the index's own reduction
 ///   would (the engine passes the min/max over the identical positions).
-/// * `scatter_diameters` — whether some consumer will read neighbor
-///   *diameters* this iteration (the scheduler's due-kernel
-///   `NeighborAccess` union declares it). The uniform grid then scatters a
+/// * `scatter_diameters` — whether the force kernel will stream neighbor
+///   *diameters* this iteration (the engine sets it iff mechanics is
+///   enabled: the mechanics shell scan is the scatter's only reader). The
+///   uniform grid then scatters a
 ///   box-sorted diameter array alongside its slots in the same pass — if
 ///   the cloud carries diameters ([`PointCloud::diameters`]) — so the force
 ///   kernel streams them with the positions instead of gathering

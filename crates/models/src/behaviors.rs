@@ -2,7 +2,7 @@
 
 use bdm_core::{
     clone_behavior_box, Agent, AgentContext, Behavior, BehaviorBox, BehaviorControl, Cell,
-    MemoryManager, NeighborAccess, Real3,
+    MemoryManager, Real3,
 };
 
 /// Volume growth followed by division above the threshold diameter — the
@@ -29,10 +29,6 @@ impl Behavior for GrowthDivision {
         }
         BehaviorControl::Keep
     }
-    fn neighbor_access(&self) -> NeighborAccess {
-        // Division reads only the agent itself, never a neighbor.
-        NeighborAccess::NONE
-    }
     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
         clone_behavior_box(self, mm, domain)
     }
@@ -58,10 +54,6 @@ impl Behavior for Secretion {
         let pos = agent.position();
         ctx.secrete(self.grid, pos, self.amount);
         BehaviorControl::Keep
-    }
-    fn neighbor_access(&self) -> NeighborAccess {
-        // Secretion touches the diffusion grid, not the snapshot.
-        NeighborAccess::NONE
     }
     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
         clone_behavior_box(self, mm, domain)
@@ -97,10 +89,6 @@ impl Behavior for Chemotaxis {
         }
         BehaviorControl::Keep
     }
-    fn neighbor_access(&self) -> NeighborAccess {
-        // Gradient climbing reads the diffusion grid, not neighbors.
-        NeighborAccess::NONE
-    }
     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
         clone_behavior_box(self, mm, domain)
     }
@@ -134,10 +122,6 @@ impl Behavior for RandomWalk {
         let p = agent.position() + dir * self.step;
         agent.set_position(p.clamp_scalar(self.min, self.max));
         BehaviorControl::Keep
-    }
-    fn neighbor_access(&self) -> NeighborAccess {
-        // The walk is independent of every neighbor.
-        NeighborAccess::NONE
     }
     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
         clone_behavior_box(self, mm, domain)
@@ -185,10 +169,6 @@ impl Behavior for TypeAdhesion {
             agent.set_position(pos + dir * (self.speed * ctx.dt));
         }
         BehaviorControl::Keep
-    }
-    fn neighbor_access(&self) -> NeighborAccess {
-        // Adhesion averages same-type (payload) neighbor positions.
-        NeighborAccess::POSITIONS.union(NeighborAccess::PAYLOADS)
     }
     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
         clone_behavior_box(self, mm, domain)

@@ -69,9 +69,6 @@ impl BenchmarkModel for CellSorting {
             .mechanics(true)
             .interaction_radius(self.adhesion_radius)
             .force(InteractionForce::repulsive_only())
-            // Kernel declaration: adhesion reads same-type (payload)
-            // neighbor positions, so the payload gather stays on.
-            .neighbor_access(bdm_core::Behavior::neighbor_access(&adhesion))
             .build();
         let extent = self.extent();
         let mut rng = bdm_core::SimRng::new(sim.param().seed ^ 0x5027);

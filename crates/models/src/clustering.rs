@@ -61,17 +61,6 @@ impl BenchmarkModel for CellClustering {
     fn build(&self, mut param: Param) -> Simulation {
         param.simulation_time_step = 1.0;
         param.enable_mechanics = true;
-        // Kernel declaration: neither secretion nor chemotaxis reads any
-        // neighbor array, so the engine gathers only what the collision
-        // force needs (positions + diameters) and skips payloads.
-        param.neighbor_access = bdm_core::Behavior::neighbor_access(&Secretion {
-            grid: 0,
-            amount: 0.0,
-        })
-        .union(bdm_core::Behavior::neighbor_access(&Chemotaxis {
-            grid: 0,
-            speed: 0.0,
-        }));
         let mut sim = Simulation::new(param);
         let extent = self.extent();
         for t in 0..2usize {

@@ -6,8 +6,8 @@ use std::any::Any;
 
 use bdm_core::{
     clone_agent_box, clone_behavior_box, new_behavior_box, Agent, AgentBase, AgentBox,
-    AgentContext, AgentUid, Behavior, BehaviorBox, BehaviorControl, CloneIn, MemoryManager,
-    NeighborAccess, Param, Simulation,
+    AgentContext, AgentUid, Behavior, BehaviorBox, BehaviorControl, CloneIn, MemoryManager, Param,
+    Simulation,
 };
 
 use crate::behaviors::RandomWalk;
@@ -176,10 +176,6 @@ impl Behavior for Infection {
         }
         BehaviorControl::Keep
     }
-    fn neighbor_access(&self) -> NeighborAccess {
-        // Transmission tests the infection state (payload) of neighbors.
-        NeighborAccess::POSITIONS.union(NeighborAccess::PAYLOADS)
-    }
     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
         clone_behavior_box(self, mm, domain)
     }
@@ -266,9 +262,6 @@ impl BenchmarkModel for Epidemiology {
             transmission_probability: self.transmission_probability,
             recovery_iterations: self.recovery_iterations,
         };
-        // Kernel declaration: infection reads neighbor payloads (SIR
-        // state), so the payload gather stays on even without mechanics.
-        param.neighbor_access = walk.neighbor_access().union(infection.neighbor_access());
         let mut sim = Simulation::new(param);
         let extent = self.extent();
         let mut rng = bdm_core::SimRng::new(sim.param().seed ^ 0xe41d);

@@ -76,9 +76,6 @@ impl BenchmarkModel for Neuroscience {
         param.simulation_time_step = 1.0;
         param.enable_mechanics = true;
         param.interaction_radius = Some(12.0);
-        // Kernel declaration: the growth cone reads the guidance substance,
-        // never a neighbor array; mechanics adds positions + diameters.
-        param.neighbor_access = bdm_core::Behavior::neighbor_access(&self.cone);
         let mut sim = Simulation::new(param);
         let extent = self.extent();
 

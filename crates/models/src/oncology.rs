@@ -5,7 +5,7 @@
 
 use bdm_core::{
     clone_behavior_box, new_behavior_box, Agent, AgentContext, Behavior, BehaviorBox,
-    BehaviorControl, Cell, MemoryManager, NeighborAccess, Param, Real3, Simulation,
+    BehaviorControl, Cell, MemoryManager, Param, Real3, Simulation,
 };
 
 use crate::characteristics::Characteristics;
@@ -48,10 +48,6 @@ impl Behavior for TumorGrowth {
             }
         }
         BehaviorControl::Keep
-    }
-    fn neighbor_access(&self) -> NeighborAccess {
-        // Crowding counts neighbors by distance only — no field reads.
-        NeighborAccess::POSITIONS
     }
     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
         clone_behavior_box(self, mm, domain)
@@ -123,9 +119,6 @@ impl BenchmarkModel for Oncology {
             crowding_limit: 12,
             death_probability: self.death_probability,
         };
-        // Kernel declaration: crowding counts by distance only; the engine
-        // adds the collision force's positions+diameters itself.
-        param.neighbor_access = growth.neighbor_access();
         let mut sim = Simulation::new(param);
         let r = self.ball_radius();
         let center = Real3::splat(r * 1.5);

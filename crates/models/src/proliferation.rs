@@ -60,9 +60,6 @@ impl BenchmarkModel for CellProliferation {
     fn build(&self, mut param: Param) -> Simulation {
         param.simulation_time_step = 1.0;
         param.enable_mechanics = true;
-        // Kernel declaration: GrowthDivision reads no neighbor arrays; the
-        // engine adds the collision force's positions+diameters itself.
-        param.neighbor_access = bdm_core::Behavior::neighbor_access(&GrowthDivision);
         let mut sim = Simulation::new(param);
         let per_dim = (self.num_agents as f64).cbrt().floor().max(1.0) as usize;
         let mut rng = bdm_core::SimRng::new(sim.param().seed ^ 0xce11);

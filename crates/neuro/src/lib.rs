@@ -22,7 +22,7 @@ use std::any::Any;
 
 use bdm_core::{
     clone_agent_box, clone_behavior_box, Agent, AgentBase, AgentBox, AgentContext, AgentUid,
-    Behavior, BehaviorBox, BehaviorControl, CloneIn, MemoryManager, NeighborAccess, Real3,
+    Behavior, BehaviorBox, BehaviorControl, CloneIn, MemoryManager, Real3,
 };
 
 /// Payload tag for somas (readable by neighbors via the snapshot).
@@ -354,12 +354,6 @@ impl Behavior for GrowthCone {
         }
         // Interior elements no longer grow.
         BehaviorControl::RemoveSelf
-    }
-
-    fn neighbor_access(&self) -> NeighborAccess {
-        // Elongation reads the guidance substance and the agent itself;
-        // neighbor interaction is the mechanics kernel's job.
-        NeighborAccess::NONE
     }
 
     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {

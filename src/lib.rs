@@ -92,8 +92,8 @@ pub mod prelude {
         AgentBox, AgentContext, AgentHandle, AgentUid, Behavior, BehaviorBox, BehaviorControl,
         BoundaryCondition, Cell, CloneIn, DiffusionGrid, EnvironmentKind, FaultKind, FaultPlan,
         FaultSite, HealthPolicy, HealthViolation, HealthViolationKind, InteractionForce,
-        MemoryManager, Neighbor, NeighborAccess, OpInfo, OpKind, Operation, OptLevel, Param, Real3,
-        Scheduler, SimRng, SimStats, Simulation, SimulationBuilder, SimulationCtx, Snapshot,
+        MemoryManager, Neighbor, OpInfo, OpKind, Operation, OptLevel, Param, Real3, Scheduler,
+        SimRng, SimStats, Simulation, SimulationBuilder, SimulationCtx, Snapshot,
     };
     pub use bdm_models::BenchmarkModel;
 }

@@ -12,8 +12,7 @@
 //! summation order cannot change a bit); the route-for-route comparison on
 //! one grid is the unit test in `crates/core/src/context.rs`. These tests
 //! also pin when the grid's conditional diameter scatter materializes:
-//! exactly when `NeighborAccess::DIAMETERS` is in the scheduler's
-//! due-window union.
+//! exactly when mechanics is enabled, whatever operations are registered.
 
 use biodynamo::core::testing::{fingerprint, first_divergence};
 use biodynamo::models::{all_models, BenchmarkModel};
@@ -364,41 +363,35 @@ fn grid_scatter_active(sim: &Simulation) -> bool {
 
 #[test]
 fn diameter_scatter_follows_the_declared_kernel_access() {
-    // Mechanics on → the interaction force declares DIAMETERS → scattered.
+    // Mechanics on → the force kernel streams diameters → scattered.
     let model = biodynamo::models::CellClustering::new(150);
     let mut sim = model.build(param());
     sim.simulate(1);
     assert!(grid_scatter_active(&sim));
 
-    // Epidemiology runs without mechanics and its kernels declare
-    // POSITIONS|PAYLOADS — no diameter reads, so no scatter.
+    // Epidemiology runs without mechanics — nobody streams the scatter.
     let model = biodynamo::models::Epidemiology::new(150);
     let mut sim = model.build(param());
     sim.simulate(1);
     assert!(!grid_scatter_active(&sim));
 }
 
-/// A pipeline stage that declares it reads neighbor diameters (keeping the
-/// scatter alive) without touching the simulation.
-struct DiameterProbe;
+/// A pipeline stage that does not touch the simulation.
+struct IdleOp;
 
-impl Operation for DiameterProbe {
+impl Operation for IdleOp {
     fn name(&self) -> &str {
-        "diameter_probe"
+        "idle"
     }
     fn kind(&self) -> OpKind {
         OpKind::Standalone
     }
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::POSITIONS.union(NeighborAccess::DIAMETERS)
-    }
     fn run(&mut self, _ctx: &mut SimulationCtx<'_>) {}
 }
 
-fn dense_lattice_sim(neighbor_access: NeighborAccess) -> Simulation {
+fn dense_lattice_sim(enable_mechanics: bool) -> Simulation {
     let mut sim = Simulation::new(Param {
-        enable_mechanics: false,
-        neighbor_access,
+        enable_mechanics,
         ..param()
     });
     for x in 0..6 {
@@ -417,15 +410,16 @@ fn dense_lattice_sim(neighbor_access: NeighborAccess) -> Simulation {
 }
 
 #[test]
-fn custom_operation_keeps_the_scatter_alive() {
-    // Without mechanics and with position-only kernels the scatter is off…
-    let mut sim = dense_lattice_sim(NeighborAccess::POSITIONS);
+fn diameter_scatter_follows_mechanics() {
+    // Without mechanics a registered custom operation does not scatter…
+    let mut sim = dense_lattice_sim(false);
+    sim.scheduler_mut().add_op(IdleOp);
     sim.simulate(1);
     assert!(!grid_scatter_active(&sim));
 
-    // …and a custom operation's DIAMETERS declaration switches it on.
-    let mut sim = dense_lattice_sim(NeighborAccess::POSITIONS);
-    sim.scheduler_mut().add_op(DiameterProbe);
+    // …and the same lattice with mechanics on does.
+    let mut sim = dense_lattice_sim(true);
+    sim.scheduler_mut().add_op(IdleOp);
     sim.simulate(1);
     assert!(grid_scatter_active(&sim));
 }

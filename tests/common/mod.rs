@@ -171,9 +171,6 @@ impl Behavior for Kick {
         }
         BehaviorControl::Keep
     }
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::NONE
-    }
     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
         clone_behavior_box(self, mm, domain)
     }

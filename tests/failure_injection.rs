@@ -366,6 +366,60 @@ mod corrupt_checkpoints {
         }
     }
 
+    /// A time step that is not finite and positive, or a NaN or negative
+    /// displacement cap, is `Malformed` PARAM at restore, not a diffusion
+    /// panic or reversed displacements in the restored simulation's first
+    /// step. An infinite or huge cap stays legal (it disables the cap).
+    #[test]
+    fn invalid_time_step_or_displacement_cap_is_malformed_param() {
+        use biodynamo::util::fnv1a64;
+        let reg = Registry::with_builtin_types();
+        let bytes = valid_checkpoint();
+        // Section layout: tag(4) + len(8) + sum(8) + payload. PARAM opens
+        // with seed (8), environment (1) and the optional radius (1 + 8),
+        // then the time step and the cap.
+        let tag_at = bytes
+            .windows(4)
+            .position(|w| w == b"PARM")
+            .expect("PARM section present");
+        let len = u64::from_le_bytes(bytes[tag_at + 4..tag_at + 12].try_into().unwrap()) as usize;
+        let payload_at = tag_at + 20;
+        // The file with the f64 at PARAM offset `at` replaced, re-sealed.
+        let with_param_f64 = |at: usize, v: f64| {
+            let mut b = bytes.clone();
+            b[payload_at + at..payload_at + at + 8].copy_from_slice(&v.to_le_bytes());
+            let sum = fnv1a64(&b[payload_at..payload_at + len]);
+            b[tag_at + 12..tag_at + 20].copy_from_slice(&sum.to_le_bytes());
+            let body_len = b.len() - 8;
+            let trailer = fnv1a64(&b[..body_len]);
+            b[body_len..].copy_from_slice(&trailer.to_le_bytes());
+            b
+        };
+        let (time_step, cap) = (18, 26);
+        let cases = [
+            ("time step", time_step, f64::NAN),
+            ("time step", time_step, f64::INFINITY),
+            ("time step", time_step, 0.0),
+            ("time step", time_step, -0.01),
+            ("cap", cap, f64::NAN),
+            ("cap", cap, -1.0),
+        ];
+        for (field, at, v) in cases {
+            match restore(&with_param_f64(at, v), &reg).err() {
+                Some(CheckpointError::Malformed { section, .. }) => {
+                    assert_eq!(section, "PARAM", "{field} {v}")
+                }
+                other => panic!("{field} {v}: unexpected result {other:?}"),
+            }
+        }
+        for v in [f64::INFINITY, 1e300] {
+            let mut sim =
+                restore(&with_param_f64(cap, v), &reg).unwrap_or_else(|e| panic!("cap {v}: {e}"));
+            assert_eq!(sim.param().simulation_max_displacement, v);
+            sim.simulate(1);
+        }
+    }
+
     /// COUNTERS ends in static detection's duty-cycle byte. A re-sealed
     /// section without it is `Truncated`, and one holding neither 0 nor 1
     /// is `Malformed`; both errors name COUNTERS.

@@ -24,9 +24,6 @@ impl Behavior for UidSecretion {
         ctx.secrete(1, pos, uid / 7.0 + 0.1);
         BehaviorControl::Keep
     }
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::NONE
-    }
     fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
         clone_behavior_box(self, mm, domain)
     }

@@ -1,15 +1,17 @@
-//! Integration: the SoA snapshot (ISSUE 5 tentpole).
+//! Integration: the SoA snapshot.
 //!
 //! The per-iteration snapshot is a structure of arrays gathered in one
-//! sweep; these tests pin (i) bitwise equivalence between the SoA arrays
-//! and an agent-by-agent AoS reference on all six benchmark models,
-//! (ii) that the payload-skip fast path neither changes results nor runs
-//! when a kernel declared `NeighborAccess::PAYLOADS`, and (iii) that a
-//! custom `Operation` can keep the payload gather alive by declaring its
-//! access.
+//! sweep, all three arrays on every iteration; these tests pin (i) bitwise
+//! equivalence between the SoA arrays and an agent-by-agent AoS reference
+//! on all six benchmark models, (ii) that a behavior reading
+//! `Neighbor::payload` gets every neighbor's payload under each model's own
+//! `Param`, and (iii) that a custom `Operation` reads `Snapshot::payloads`
+//! without declaring anything.
 
-use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
+use biodynamo::core::{clone_behavior_box, new_behavior_box, BehaviorBox, BehaviorControl};
+use biodynamo::core::{AgentContext, MemoryManager};
 use biodynamo::models::{all_models, BenchmarkModel};
 use biodynamo::prelude::*;
 
@@ -20,23 +22,6 @@ fn param() -> Param {
         seed: 4357,
         ..Param::default()
     }
-}
-
-/// A pipeline stage that declares it reads neighbor payloads (forcing the
-/// gather) without touching the simulation.
-struct PayloadProbe;
-
-impl Operation for PayloadProbe {
-    fn name(&self) -> &str {
-        "payload_probe"
-    }
-    fn kind(&self) -> OpKind {
-        OpKind::Standalone
-    }
-    fn neighbor_access(&self) -> NeighborAccess {
-        NeighborAccess::PAYLOADS
-    }
-    fn run(&mut self, _ctx: &mut SimulationCtx<'_>) {}
 }
 
 /// AoS reference: every agent's (position, diameter, payload) in resource
@@ -51,16 +36,12 @@ fn aos_reference(sim: &Simulation) -> Vec<(Real3, f64, u64)> {
 fn soa_snapshot_matches_aos_reference_on_all_models() {
     for model in all_models(150) {
         let mut sim = model.build(param());
-        // Force the payload gather so all three arrays can be compared,
-        // regardless of the model's own declaration.
-        sim.scheduler_mut().add_op(PayloadProbe);
         let reference = aos_reference(&sim);
         // The snapshot of iteration 1 is gathered from exactly the pre-step
         // agent state collected above.
         sim.simulate(1);
         let snap = sim.snapshot();
         assert_eq!(snap.len(), reference.len(), "{}", model.name());
-        assert!(snap.payloads_gathered, "{}", model.name());
         assert_eq!(snap.payloads.len(), reference.len(), "{}", model.name());
         let mut max_diameter = 0f64;
         for (i, (pos, diameter, payload)) in reference.iter().enumerate() {
@@ -94,73 +75,65 @@ fn soa_snapshot_matches_aos_reference_on_all_models() {
     }
 }
 
-#[test]
-fn payload_gather_follows_the_declared_kernel_access() {
-    // Clustering kernels (secretion/chemotaxis + collision force) declare
-    // no payload reads → the gather skips the array entirely.
-    let model = biodynamo::models::CellClustering::new(120);
-    let mut sim = model.build(param());
-    sim.simulate(2);
-    assert!(!sim.snapshot().payloads_gathered);
-    assert!(sim.snapshot().payloads.is_empty());
-
-    // Cell sorting's TypeAdhesion declares PAYLOADS → gathered.
-    let model = biodynamo::models::CellSorting::new(120);
-    let mut sim = model.build(param());
-    sim.simulate(2);
-    assert!(sim.snapshot().payloads_gathered);
-
-    // Epidemiology reads payloads from a behavior with mechanics off.
-    let model = biodynamo::models::Epidemiology::new(120);
-    let mut sim = model.build(param());
-    sim.simulate(2);
-    assert!(sim.snapshot().payloads_gathered);
+/// Records `(global index, payload)` of every neighbor of its agent.
+#[derive(Clone)]
+struct PayloadReader {
+    radius: f64,
+    seen: Arc<Mutex<Vec<(usize, u64)>>>,
 }
 
-/// Snapshot of a finished simulation keyed by stable uid (as in
-/// tests/determinism.rs).
-fn state(sim: &Simulation) -> BTreeMap<u64, (Real3, f64, u64)> {
-    let mut map = BTreeMap::new();
-    sim.for_each_agent(|_, a| {
-        map.insert(a.uid().0, (a.position(), a.diameter(), a.payload()));
-    });
-    map
-}
-
-#[test]
-fn payload_skip_is_bit_identical_to_payload_gather() {
-    // The fast path may only change what is gathered, never a result: a
-    // model whose kernels ignore payloads must produce bitwise-identical
-    // states with and without the gather.
-    for threads in [1usize, 2] {
-        let model = biodynamo::models::CellClustering::new(150);
-        let p = || Param {
-            threads: Some(threads),
-            numa_domains: Some(threads),
-            seed: 4357,
-            ..Param::default()
-        };
-        let mut skipped = model.build(p());
-        skipped.simulate(8);
-        assert!(!skipped.snapshot().payloads_gathered);
-
-        let mut gathered = model.build(p());
-        gathered.scheduler_mut().add_op(PayloadProbe);
-        gathered.simulate(8);
-        assert!(gathered.snapshot().payloads_gathered);
-
-        assert_eq!(
-            state(&skipped),
-            state(&gathered),
-            "payload gather must be observation-only ({threads} threads)"
-        );
+impl Behavior for PayloadReader {
+    fn run(&mut self, agent: &mut dyn Agent, ctx: &mut AgentContext<'_>) -> BehaviorControl {
+        let mut seen = self.seen.lock().unwrap();
+        ctx.for_each_neighbor(agent.position(), self.radius, |idx, n, _| {
+            seen.push((idx, n.payload()))
+        });
+        BehaviorControl::Keep
+    }
+    fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
+        clone_behavior_box(self, mm, domain)
     }
 }
 
 #[test]
-fn custom_operation_reads_payloads_it_declared() {
-    // An operation that reads Snapshot::payloads and declares the access:
-    // the array must be there and hold the live agents' payloads.
+fn behavior_reads_neighbor_payloads_on_all_models() {
+    for model in all_models(150) {
+        let mut sim = model.build(param());
+        // One reader next to the first agent, querying within its own
+        // diameter or the model's fixed radius: inside the grid's build
+        // radius, and the first agent is always a neighbor.
+        let mut first = None;
+        sim.for_each_agent(|_, a| {
+            first.get_or_insert((a.position(), a.diameter()));
+        });
+        let (at, diameter) = first.expect("models start populated");
+        let radius = sim.param().interaction_radius.unwrap_or(diameter);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let reader = PayloadReader {
+            radius,
+            seen: seen.clone(),
+        };
+        let uid = sim.new_uid();
+        let mut cell = Cell::new(uid)
+            .with_position(at + Real3::new(0.1, 0.0, 0.0))
+            .with_diameter(diameter);
+        cell.base_mut()
+            .add_behavior(new_behavior_box(reader, sim.memory_manager(), 0));
+        sim.add_agent(cell);
+        let reference = aos_reference(&sim);
+        sim.simulate(1);
+        let seen = seen.lock().unwrap();
+        assert!(!seen.is_empty(), "{}", model.name());
+        for &(idx, payload) in seen.iter() {
+            assert_eq!(payload, reference[idx].2, "{} neighbor {idx}", model.name());
+        }
+    }
+}
+
+#[test]
+fn custom_operation_sees_snapshot_payloads() {
+    // An operation that reads Snapshot::payloads without declaring it: the
+    // array is there and holds the live agents' payloads.
     struct SumPayloads {
         seen: std::sync::Arc<std::sync::atomic::AtomicU64>,
     }
@@ -171,20 +144,14 @@ fn custom_operation_reads_payloads_it_declared() {
         fn kind(&self) -> OpKind {
             OpKind::Standalone
         }
-        fn neighbor_access(&self) -> NeighborAccess {
-            NeighborAccess::PAYLOADS
-        }
         fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
             let snap = ctx.sim.snapshot();
-            assert!(snap.payloads_gathered);
             let sum: u64 = snap.payloads.iter().sum();
             self.seen.store(sum, std::sync::atomic::Ordering::Relaxed);
         }
     }
 
     let seen = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(u64::MAX));
-    // Clustering would skip the gather on its own (see above); the custom
-    // op's declaration must keep it alive.
     let model = biodynamo::models::CellClustering::new(100);
     let mut sim = model.build(param());
     sim.scheduler_mut()
