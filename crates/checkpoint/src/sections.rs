@@ -625,17 +625,27 @@ pub fn write_scheduler(sim: &Simulation) -> Vec<u8> {
 
 /// Applies a [`write_scheduler`] payload to `sim`'s pipeline. Frequencies
 /// are applied before enabled flags because `set_frequency` re-enables.
+/// Operation names are unique in a pipeline and frequencies at least 1, so
+/// a name listed twice or a frequency of 0 is malformed.
 pub fn restore_scheduler(sim: &mut Simulation, payload: &[u8]) -> Result<(), CheckpointError> {
     let r = &mut ByteReader::new(payload);
     let n = r.take_u32().map_err(truncated(S_SCHD))? as usize;
+    let mut seen: Vec<String> = Vec::new();
     for _ in 0..n {
         let name = r.take_str().map_err(truncated(S_SCHD))?;
         let frequency = r.take_u64().map_err(truncated(S_SCHD))?;
         let enabled = r.take_u8().map_err(truncated(S_SCHD))? != 0;
+        if frequency == 0 {
+            return Err(malformed(S_SCHD, format!("op `{name}` has frequency 0")));
+        }
+        if seen.contains(&name) {
+            return Err(malformed(S_SCHD, format!("op `{name}` listed twice")));
+        }
         if !sim.scheduler_mut().set_frequency(&name, frequency) {
             return Err(CheckpointError::UnknownOp { name });
         }
         sim.scheduler_mut().set_enabled(&name, enabled);
+        seen.push(name);
     }
     if !r.is_exhausted() {
         return Err(malformed(

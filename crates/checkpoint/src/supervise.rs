@@ -453,15 +453,16 @@ mod tests {
     use bdm_core::{Cell, FaultPlan, Real3};
 
     fn seeded_sim(faults: Option<FaultPlan>) -> Simulation {
-        let mut builder = Simulation::builder()
-            .threads(2)
-            .numa_domains(2)
-            .interaction_radius(12.0)
-            .health(HealthPolicy::every(2));
+        let mut sim = Simulation::new(Param {
+            threads: Some(2),
+            numa_domains: Some(2),
+            interaction_radius: Some(12.0),
+            health: Some(HealthPolicy::every(2)),
+            ..Param::default()
+        });
         if let Some(plan) = faults {
-            builder = builder.fault_plan(plan);
+            sim.set_fault_plan(plan);
         }
-        let mut sim = builder.build();
         for i in 0..8 {
             let uid = sim.new_uid();
             sim.add_agent(

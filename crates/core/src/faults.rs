@@ -102,8 +102,7 @@ impl PlannedFault {
 /// A deterministic schedule of faults to inject into a simulation.
 ///
 /// Attach with
-/// [`SimulationBuilder::fault_plan`](crate::builder::SimulationBuilder::fault_plan)
-/// or [`Simulation::set_fault_plan`](crate::simulation::Simulation::set_fault_plan).
+/// [`Simulation::set_fault_plan`](crate::simulation::Simulation::set_fault_plan).
 /// The plan is plain data and travels *with* the failing run: a supervisor
 /// transplants it onto the restored simulation so already-fired faults stay
 /// fired across recoveries.

@@ -16,12 +16,13 @@
 //!   (Section 5).
 //! * `sorting` (crate-private) — Morton-order agent sorting and NUMA balancing
 //!   (Section 4.2, Figure 3).
-//! * [`param`] — parameters and the optimization ladder of the evaluation.
-//! * [`scheduler`] — the first-class [`Operation`] pipeline of Algorithm 1:
-//!   ordered op list, per-op frequencies and timings, built-in phases.
+//! * [`param`] — parameters and the optimization ladder of the evaluation;
+//!   a [`Param`] configures a [`Simulation`].
+//! * [`scheduler`] — the [`Operation`] pipeline of Algorithm 1: ordered op
+//!   list, per-op frequencies and timings, built-in phases; custom
+//!   operations extend a simulation through it.
 //! * [`sharded`] — in-process sharded execution: SFC-range partitioning,
 //!   halo exchange, per-shard windowed grids; bitwise shard-count-invariant.
-//! * [`builder`] — fluent [`SimulationBuilder`] construction.
 //! * [`simulation`] — the simulation object driving the scheduler.
 //! * [`supervisor`] — health sentinels: typed runtime state validation
 //!   (non-finite scans, bounds, count explosions) instead of asserts.
@@ -34,7 +35,6 @@
 
 pub mod agent;
 pub mod behavior;
-pub mod builder;
 pub mod context;
 pub mod faults;
 pub mod force;
@@ -53,15 +53,14 @@ pub use agent::{
     CloneIn,
 };
 pub use behavior::{clone_behavior_box, new_behavior_box, Behavior, BehaviorBox, BehaviorControl};
-pub use builder::SimulationBuilder;
 pub use context::{AgentContext, ExecutionContext, Neighbor, Snapshot};
 pub use faults::{FaultKind, FaultPlan, FaultSite, PlannedFault};
 pub use force::InteractionForce;
 pub use param::{OptLevel, Param};
 pub use resource_manager::{CommitStats, ResourceManager, StaticFlags};
-pub use scheduler::{builtin, OpInfo, OpKind, Operation, Scheduler, SimulationCtx};
+pub use scheduler::{builtin, OpInfo, OpKind, Operation, Scheduler};
 pub use sharded::{ShardManifest, ShardReport, ShardStats, MAX_SHARDS};
-pub use simulation::{SimStats, Simulation, StandaloneOp};
+pub use simulation::{SimStats, Simulation};
 pub use sorting::SortPhases;
 pub use supervisor::{HealthPolicy, HealthViolation, HealthViolationKind};
 

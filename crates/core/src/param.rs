@@ -6,10 +6,33 @@
 //! cumulative ladder; [`Param::apply_opt_level`] configures a parameter set
 //! accordingly.
 //!
-//! [`Param`] is the configuration *carrier*: prefer the fluent
-//! [`Simulation::builder()`](crate::simulation::Simulation::builder) at
-//! call sites; struct-literal construction (`Param { .. }`) remains fully
-//! supported for models and tests that sweep parameters programmatically.
+//! [`Param`] is the one way to configure a simulation: write a struct
+//! literal over [`Param::default`] (or a ladder preset) and hand it to
+//! [`Simulation::new`](crate::simulation::Simulation::new). What a
+//! parameter cannot carry — the interaction force, diffusion grids, a fault
+//! plan and custom [`Operation`](crate::scheduler::Operation)s — goes
+//! through the `Simulation` setters and
+//! [`Simulation::scheduler_mut`](crate::simulation::Simulation::scheduler_mut).
+//!
+//! ```
+//! use bdm_core::{DiffusionGrid, EnvironmentKind, OptLevel, Param, Real3, Simulation};
+//!
+//! let mut sim = Simulation::new(Param {
+//!     threads: Some(2),
+//!     environment: EnvironmentKind::KdTree,
+//!     simulation_time_step: 0.5,
+//!     ..Param::default()
+//! });
+//! sim.add_diffusion_grid(DiffusionGrid::new("a", 0.1, 0.0, 8, Real3::ZERO, 50.0));
+//! assert_eq!(sim.environment_name(), "kd_tree");
+//!
+//! // A rung of the optimization ladder, with one switch overridden.
+//! let param = Param {
+//!     threads: Some(1),
+//!     ..Param::default().apply_opt_level(OptLevel::Standard)
+//! };
+//! assert_eq!(param.environment, EnvironmentKind::KdTree);
+//! ```
 
 use bdm_env::EnvironmentKind;
 
@@ -190,17 +213,6 @@ impl Param {
         }
         self
     }
-
-    /// The "standard implementation" baseline of the evaluation.
-    pub fn standard() -> Param {
-        Param::default().apply_opt_level(OptLevel::Standard)
-    }
-
-    /// Fully optimized engine (without static detection, which the paper
-    /// recommends enabling only when static regions are expected).
-    pub fn optimized() -> Param {
-        Param::default().apply_opt_level(OptLevel::SortExtraMemory)
-    }
 }
 
 #[cfg(test)]
@@ -219,7 +231,7 @@ mod tests {
 
     #[test]
     fn standard_turns_everything_off() {
-        let p = Param::standard();
+        let p = Param::default().apply_opt_level(OptLevel::Standard);
         assert_eq!(p.environment, EnvironmentKind::KdTree);
         assert!(!p.parallel_add_remove);
         assert!(!p.numa_aware_iteration);

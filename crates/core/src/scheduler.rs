@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use bdm_util::{TimeBuckets, Timer};
 
-use crate::simulation::{Simulation, StandaloneOp};
+use crate::simulation::Simulation;
 
 /// Built-in operation names (also the Figure 5 phase/bucket names).
 pub mod builtin {
@@ -42,8 +42,8 @@ pub mod builtin {
     pub const TEARDOWN: &str = "teardown";
     /// Space-filling-curve agent sorting and NUMA balancing (Section 4.2).
     pub const AGENT_SORTING: &str = "agent_sorting";
-    /// Timing bucket that aggregates the diffusion operation and all
-    /// user-registered standalone operations (legacy Figure 5 name).
+    /// Timing bucket the diffusion operation is reported under (legacy
+    /// Figure 5 name; see [`Scheduler::time_buckets`](super::Scheduler::time_buckets)).
     pub const STANDALONE_BUCKET: &str = "standalone_ops";
     /// Health-sentinel scan (registered when
     /// [`Param::health`](crate::param::Param::health) is set; see
@@ -91,40 +91,44 @@ impl OpKind {
     }
 }
 
-/// Execution context handed to every operation: full access to the
-/// [`Simulation`] plus the per-iteration scratch the built-in phases
-/// communicate through (interaction radius, commit statistics).
-///
-/// Derefs to [`Simulation`], so `ctx.num_agents()`,
-/// `ctx.resource_manager_mut()`, `ctx.diffusion_grid(0)` etc. all work
-/// directly.
-pub struct SimulationCtx<'a> {
-    /// The simulation being stepped.
-    pub sim: &'a mut Simulation,
-}
-
-impl std::ops::Deref for SimulationCtx<'_> {
-    type Target = Simulation;
-    fn deref(&self) -> &Simulation {
-        self.sim
-    }
-}
-
-impl std::ops::DerefMut for SimulationCtx<'_> {
-    fn deref_mut(&mut self) -> &mut Simulation {
-        self.sim
-    }
-}
-
 /// A schedulable pipeline stage (paper Section 2: "operations").
 ///
-/// Implement this trait to add custom stages to the engine via
-/// [`Scheduler::add_op`] or
-/// [`SimulationBuilder::operation`](crate::builder::SimulationBuilder::operation).
-/// The scheduler copies [`Operation::frequency`] once at registration;
-/// re-time a registered operation with [`Scheduler::set_frequency`].
+/// Operations are the one way to extend an iteration: implement this trait
+/// and register the stage through
+/// [`Simulation::scheduler_mut`](crate::simulation::Simulation::scheduler_mut)
+/// with [`Scheduler::add_op`] (or at an exact position with
+/// [`Scheduler::add_op_before`] / [`Scheduler::add_op_after`]).
+/// [`Operation::run`] receives the whole [`Simulation`]. The scheduler
+/// copies [`Operation::frequency`] once at registration; re-time a
+/// registered operation with [`Scheduler::set_frequency`].
+///
+/// ```
+/// use bdm_core::{Cell, OpKind, Operation, Param, Simulation};
+///
+/// /// Checks the population every 2nd iteration.
+/// struct Census;
+/// impl Operation for Census {
+///     fn name(&self) -> &str { "census" }
+///     fn kind(&self) -> OpKind { OpKind::Post }
+///     fn frequency(&self) -> u64 { 2 }
+///     fn run(&mut self, sim: &mut Simulation) {
+///         assert_eq!(sim.num_agents(), 1);
+///     }
+/// }
+///
+/// let mut sim = Simulation::new(Param { threads: Some(1), ..Param::default() });
+/// sim.scheduler_mut().add_op(Census);
+/// let uid = sim.new_uid();
+/// sim.add_agent(Cell::new(uid).with_diameter(10.0));
+/// sim.simulate(5);
+/// let census = sim.scheduler().ops().into_iter().find(|o| o.name == "census");
+/// assert_eq!(census.unwrap().runs, 2); // iterations 2 and 4
+/// ```
 pub trait Operation: Send {
-    /// Unique name; used for lookup, reordering, and the timing report.
+    /// Name, unique within the pipeline; used for lookup, reordering, the
+    /// timing report and the checkpoint's scheduler section. Registering a
+    /// second operation under a name already in the pipeline panics (see
+    /// [`Scheduler::add_op`]).
     fn name(&self) -> &str;
 
     /// Where in the iteration this operation runs.
@@ -152,7 +156,7 @@ pub trait Operation: Send {
     }
 
     /// Executes the operation for the current iteration.
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>);
+    fn run(&mut self, sim: &mut Simulation);
 }
 
 /// Introspection record for one scheduled operation.
@@ -181,25 +185,21 @@ pub(crate) struct ScheduledOp {
     /// ([`Operation::runs_on_first_iteration`]).
     due_at_first: bool,
     enabled: bool,
-    /// Timing bucket this op's runtime is attributed to (Figure 5 names).
-    bucket: String,
     total: Duration,
     runs: u64,
 }
 
 impl ScheduledOp {
-    fn new(op: Box<dyn Operation>, bucket: Option<String>) -> ScheduledOp {
+    fn new(op: Box<dyn Operation>) -> ScheduledOp {
         let kind = op.kind();
         let frequency = op.frequency().max(1);
         let due_at_first = op.runs_on_first_iteration();
-        let bucket = bucket.unwrap_or_else(|| op.name().to_string());
         ScheduledOp {
             op,
             kind,
             frequency,
             due_at_first,
             enabled: true,
-            bucket,
             total: Duration::ZERO,
             runs: 0,
         }
@@ -223,31 +223,33 @@ enum DeferredEdit {
 /// inspected by name:
 ///
 /// ```
-/// use bdm_core::scheduler::{OpKind, Operation, Scheduler, SimulationCtx};
+/// use bdm_core::{OpKind, Operation, Param, Simulation};
 ///
 /// struct Census;
 /// impl Operation for Census {
 ///     fn name(&self) -> &str { "census" }
 ///     fn kind(&self) -> OpKind { OpKind::Standalone }
 ///     fn frequency(&self) -> u64 { 5 } // every 5th iteration
-///     fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-///         let _agents = ctx.num_agents();
+///     fn run(&mut self, sim: &mut Simulation) {
+///         let _agents = sim.num_agents();
 ///     }
 /// }
 ///
-/// let mut scheduler = Scheduler::new();
+/// let mut sim = Simulation::new(Param { threads: Some(1), ..Param::default() });
+/// let scheduler = sim.scheduler_mut();
 /// scheduler.add_op(Census);
 /// assert_eq!(scheduler.frequency("census"), Some(5));
 /// assert!(scheduler.is_enabled("census"));
 ///
 /// scheduler.set_frequency("census", 2); // re-time at runtime
 /// scheduler.set_enabled("census", false); // or park it without removing
-/// assert_eq!(scheduler.op_names(), vec!["census"]);
+/// assert!(scheduler.contains("census"));
+/// // The built-in phases are ordinary operations in the same list.
+/// assert_eq!(scheduler.op_names()[0], "snapshot");
 /// ```
 ///
-/// Inside a running [`Simulation`] the scheduler owns the whole pipeline —
-/// the built-in phases are ordinary operations (see [`builtin`]) — and
-/// [`Scheduler::ops`] reports their accumulated wall-clock timings.
+/// [`Scheduler::ops`] reports every operation's accumulated wall-clock
+/// timings (see [`builtin`] for the built-in names).
 #[derive(Default)]
 pub struct Scheduler {
     entries: Vec<ScheduledOp>,
@@ -270,47 +272,66 @@ impl Scheduler {
 
     /// Registers an operation at the end of its kind group (all `Pre` ops
     /// run before all `Agent` ops, and so on; see [`OpKind`]).
+    ///
+    /// # Panics
+    ///
+    /// If an operation with the same [`Operation::name`] is already in the
+    /// pipeline. While an iteration runs, the pipeline is the detached op
+    /// list plus the operations registered during the iteration so far.
     pub fn add_op(&mut self, op: impl Operation + 'static) {
         self.add_boxed_op(Box::new(op));
     }
 
     /// [`Scheduler::add_op`] for an already-boxed operation.
+    ///
+    /// # Panics
+    ///
+    /// If the name is already in the pipeline, as for [`Scheduler::add_op`].
     pub fn add_boxed_op(&mut self, op: Box<dyn Operation>) {
-        self.insert_grouped(ScheduledOp::new(op, None));
-    }
-
-    /// Registers an operation with an explicit timing bucket (used for the
-    /// built-in phases and legacy standalone closures).
-    pub(crate) fn add_op_in_bucket(&mut self, op: Box<dyn Operation>, bucket: &str) {
-        self.insert_grouped(ScheduledOp::new(op, Some(bucket.to_string())));
+        let entry = self.new_entry(op);
+        self.insert_grouped(entry);
     }
 
     /// Inserts `op` immediately before the operation named `anchor`
     /// (ignoring kind groups). Returns `false` if `anchor` is not
     /// registered; the op is not added in that case.
+    ///
+    /// # Panics
+    ///
+    /// If the name is already in the pipeline, as for [`Scheduler::add_op`].
     pub fn add_op_before(&mut self, anchor: &str, op: impl Operation + 'static) -> bool {
+        self.insert_anchored(anchor, 0, Box::new(op))
+    }
+
+    /// Inserts `op` immediately after the operation named `anchor`
+    /// (ignoring kind groups). Returns `false` if `anchor` is not
+    /// registered; the op is not added in that case.
+    ///
+    /// # Panics
+    ///
+    /// If the name is already in the pipeline, as for [`Scheduler::add_op`].
+    pub fn add_op_after(&mut self, anchor: &str, op: impl Operation + 'static) -> bool {
+        self.insert_anchored(anchor, 1, Box::new(op))
+    }
+
+    fn insert_anchored(&mut self, anchor: &str, offset: usize, op: Box<dyn Operation>) -> bool {
+        let entry = self.new_entry(op);
         match self.position(anchor) {
             Some(idx) => {
-                self.entries
-                    .insert(idx, ScheduledOp::new(Box::new(op), None));
+                self.entries.insert(idx + offset, entry);
                 true
             }
             None => false,
         }
     }
 
-    /// Inserts `op` immediately after the operation named `anchor`
-    /// (ignoring kind groups). Returns `false` if `anchor` is not
-    /// registered; the op is not added in that case.
-    pub fn add_op_after(&mut self, anchor: &str, op: impl Operation + 'static) -> bool {
-        match self.position(anchor) {
-            Some(idx) => {
-                self.entries
-                    .insert(idx + 1, ScheduledOp::new(Box::new(op), None));
-                true
-            }
-            None => false,
-        }
+    /// Wraps `op` in a pipeline entry; panics if its name is taken.
+    fn new_entry(&self, op: Box<dyn Operation>) -> ScheduledOp {
+        let name = op.name();
+        let taken = self.position(name).is_some()
+            || (self.detached && self.pipeline_info.iter().any(|info| info.name == name));
+        assert!(!taken, "operation `{name}` is already in the pipeline");
+        ScheduledOp::new(op)
     }
 
     /// Removes the operation named `name`. Returns `false` if absent.
@@ -439,15 +460,20 @@ impl Scheduler {
     }
 
     /// The per-phase wall-clock buckets derived from the per-operation
-    /// timings (the Figure 5 runtime breakdown). Built-in phases map to the
-    /// legacy bucket names; user operations registered through
-    /// [`Simulation::add_standalone_op`] aggregate into `"standalone_ops"`,
-    /// and custom [`Operation`]s appear under their own name.
+    /// timings (the Figure 5 runtime breakdown). Every operation that ran
+    /// appears under its own name, except [`builtin::DIFFUSION`], which is
+    /// reported under the legacy [`builtin::STANDALONE_BUCKET`].
     pub fn time_buckets(&self) -> TimeBuckets {
         let mut buckets = TimeBuckets::new();
         for e in &self.entries {
             if e.runs > 0 {
-                buckets.add(&e.bucket, e.total);
+                let name = e.op.name();
+                let bucket = if name == builtin::DIFFUSION {
+                    builtin::STANDALONE_BUCKET
+                } else {
+                    name
+                };
+                buckets.add(bucket, e.total);
             }
         }
         buckets
@@ -469,17 +495,17 @@ impl Scheduler {
 
     /// Executes one iteration over a detached op list (see
     /// [`Scheduler::take_entries`]): for each due op, time it, run it.
-    pub(crate) fn run_iteration(entries: &mut [ScheduledOp], ctx: &mut SimulationCtx<'_>) {
-        let iteration = ctx.sim.iteration();
+    pub(crate) fn run_iteration(entries: &mut [ScheduledOp], sim: &mut Simulation) {
+        let iteration = sim.iteration();
         for entry in entries.iter_mut() {
             if !Scheduler::is_due(entry, iteration) {
                 continue;
             }
             // Named injection site: a planned fault scheduled before this
             // operation fires here (no-op unless a plan is attached).
-            ctx.sim.fire_op_fault(entry.op.name());
+            sim.fire_op_fault(entry.op.name());
             let t = Timer::start();
-            entry.op.run(ctx);
+            entry.op.run(sim);
             entry.total += t.elapsed();
             entry.runs += 1;
         }
@@ -566,8 +592,8 @@ impl Operation for SnapshotOp {
     fn kind(&self) -> OpKind {
         OpKind::Pre
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        ctx.sim.phase_snapshot();
+    fn run(&mut self, sim: &mut Simulation) {
+        sim.phase_snapshot();
     }
 }
 
@@ -580,8 +606,8 @@ impl Operation for HaloExchangeOp {
     fn kind(&self) -> OpKind {
         OpKind::Pre
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        ctx.sim.phase_halo_exchange();
+    fn run(&mut self, sim: &mut Simulation) {
+        sim.phase_halo_exchange();
     }
 }
 
@@ -594,8 +620,8 @@ impl Operation for EnvironmentOp {
     fn kind(&self) -> OpKind {
         OpKind::Pre
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        ctx.sim.phase_environment();
+    fn run(&mut self, sim: &mut Simulation) {
+        sim.phase_environment();
     }
 }
 
@@ -608,8 +634,8 @@ impl Operation for AgentOp {
     fn kind(&self) -> OpKind {
         OpKind::Agent
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        ctx.sim.phase_agent_ops();
+    fn run(&mut self, sim: &mut Simulation) {
+        sim.phase_agent_ops();
     }
 }
 
@@ -622,8 +648,8 @@ impl Operation for DiffusionOp {
     fn kind(&self) -> OpKind {
         OpKind::Standalone
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        ctx.sim.phase_diffusion();
+    fn run(&mut self, sim: &mut Simulation) {
+        sim.phase_diffusion();
     }
 }
 
@@ -636,8 +662,8 @@ impl Operation for TeardownOp {
     fn kind(&self) -> OpKind {
         OpKind::Post
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        ctx.sim.phase_teardown();
+    fn run(&mut self, sim: &mut Simulation) {
+        sim.phase_teardown();
     }
 }
 
@@ -656,37 +682,8 @@ impl Operation for SortingOp {
     fn kind(&self) -> OpKind {
         OpKind::Post
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        ctx.sim.phase_sorting();
-    }
-}
-
-/// Adapter turning a legacy `FnMut(&mut Simulation)` closure (see
-/// [`Simulation::add_standalone_op`]) into an [`Operation`].
-pub(crate) struct ClosureOp {
-    name: String,
-    frequency: u64,
-    f: StandaloneOp,
-}
-
-impl ClosureOp {
-    pub(crate) fn new(name: String, frequency: u64, f: StandaloneOp) -> ClosureOp {
-        ClosureOp { name, frequency, f }
-    }
-}
-
-impl Operation for ClosureOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn kind(&self) -> OpKind {
-        OpKind::Standalone
-    }
-    fn frequency(&self) -> u64 {
-        self.frequency
-    }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        (self.f)(ctx.sim)
+    fn run(&mut self, sim: &mut Simulation) {
+        sim.phase_sorting();
     }
 }
 
@@ -710,7 +707,7 @@ mod tests {
         fn frequency(&self) -> u64 {
             self.freq
         }
-        fn run(&mut self, _ctx: &mut SimulationCtx<'_>) {}
+        fn run(&mut self, _sim: &mut Simulation) {}
     }
 
     fn noop(name: &'static str, kind: OpKind) -> Noop {
@@ -771,14 +768,11 @@ mod tests {
 
     #[test]
     fn due_semantics_are_multiples_of_frequency() {
-        let entry = ScheduledOp::new(
-            Box::new(Noop {
-                name: "op",
-                kind: OpKind::Standalone,
-                freq: 3,
-            }),
-            None,
-        );
+        let entry = ScheduledOp::new(Box::new(Noop {
+            name: "op",
+            kind: OpKind::Standalone,
+            freq: 3,
+        }));
         let due: Vec<u64> = (1..=10).filter(|&i| Scheduler::is_due(&entry, i)).collect();
         assert_eq!(due, vec![3, 6, 9]);
         let mut disabled = entry;
@@ -802,7 +796,7 @@ mod tests {
             fn runs_on_first_iteration(&self) -> bool {
                 true
             }
-            fn run(&mut self, _ctx: &mut SimulationCtx<'_>) {}
+            fn run(&mut self, _sim: &mut Simulation) {}
         }
         let mut s = Scheduler::new();
         s.add_op(FirstToo);
@@ -811,14 +805,11 @@ mod tests {
             .collect();
         assert_eq!(due, vec![1, 10, 20], "first iteration plus multiples");
         // Plain ops keep the multiples-only semantics.
-        let plain = ScheduledOp::new(
-            Box::new(Noop {
-                name: "plain",
-                kind: OpKind::Post,
-                freq: 10,
-            }),
-            None,
-        );
+        let plain = ScheduledOp::new(Box::new(Noop {
+            name: "plain",
+            kind: OpKind::Post,
+            freq: 10,
+        }));
         assert!(!Scheduler::is_due(&plain, 1));
         // Disabling parks the first-iteration run too.
         s.entries[0].enabled = false;
@@ -828,23 +819,20 @@ mod tests {
     #[test]
     fn buckets_aggregate_by_bucket_name() {
         let mut s = Scheduler::new();
-        s.add_op_in_bucket(
-            Box::new(noop("user1", OpKind::Standalone)),
-            builtin::STANDALONE_BUCKET,
-        );
-        s.add_op_in_bucket(
-            Box::new(noop("user2", OpKind::Standalone)),
-            builtin::STANDALONE_BUCKET,
-        );
+        s.add_op(noop(builtin::DIFFUSION, OpKind::Standalone));
+        s.add_op(noop("user", OpKind::Standalone));
         s.entries[0].total = Duration::from_millis(2);
         s.entries[0].runs = 1;
         s.entries[1].total = Duration::from_millis(3);
         s.entries[1].runs = 1;
         let buckets = s.time_buckets();
+        // Diffusion lands in the legacy bucket, a custom op under its name.
         assert_eq!(
             buckets.get(builtin::STANDALONE_BUCKET),
-            Some(Duration::from_millis(5))
+            Some(Duration::from_millis(2))
         );
+        assert_eq!(buckets.get(builtin::DIFFUSION), None);
+        assert_eq!(buckets.get("user"), Some(Duration::from_millis(3)));
         s.reset_timings();
         assert_eq!(s.time_buckets().total(), Duration::ZERO);
     }

@@ -28,7 +28,6 @@ use bdm_util::send_ptr::SendMut;
 use bdm_util::{Real3, TimeBuckets};
 
 use crate::agent::{new_agent_box, Agent, AgentHandle, AgentUid};
-use crate::builder::SimulationBuilder;
 use crate::context::{
     agent_rng, AgentContext, ExecutionContext, GridView, Snapshot, SnapshotCloud,
 };
@@ -38,8 +37,8 @@ use crate::ops::{run_behaviors, run_mechanics, stays_engaged, MechanicsConfig, V
 use crate::param::Param;
 use crate::resource_manager::{split_global, CommitStats, ResourceManager, ResourceManagerCloud};
 use crate::scheduler::{
-    builtin, AgentOp, ClosureOp, DiffusionOp, EnvironmentOp, HaloExchangeOp, Scheduler,
-    SimulationCtx, SnapshotOp, SortingOp, TeardownOp,
+    builtin, AgentOp, DiffusionOp, EnvironmentOp, HaloExchangeOp, Scheduler, SnapshotOp, SortingOp,
+    TeardownOp,
 };
 use crate::sharded::{ShardManifest, ShardReport, ShardedState, MAX_SHARDS};
 use crate::sorting::{AgentSorter, SortPhases};
@@ -86,10 +85,6 @@ pub struct SimStats {
     /// Recovery attempts that completed the previously-failing window.
     pub recoveries_succeeded: u64,
 }
-
-/// A user-registered standalone operation (paper Section 2: "executed once
-/// per iteration to perform a specific task").
-pub type StandaloneOp = Box<dyn FnMut(&mut Simulation) + Send>;
 
 /// The central simulation object: owns the agents, environment, diffusion
 /// grids, thread pool, memory manager, and the operation [`Scheduler`].
@@ -150,7 +145,26 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Creates a simulation from parameters.
+    /// Creates a simulation from parameters. This is the one way to
+    /// configure a simulation: a [`Param`] literal, then the setters
+    /// ([`Simulation::set_force`], [`Simulation::add_diffusion_grid`],
+    /// [`Simulation::set_fault_plan`]) and custom operations through
+    /// [`Simulation::scheduler_mut`].
+    ///
+    /// ```
+    /// use bdm_core::{Cell, Param, Real3, Simulation};
+    ///
+    /// let mut sim = Simulation::new(Param {
+    ///     threads: Some(2),
+    ///     simulation_time_step: 1.0,
+    ///     ..Param::default()
+    /// });
+    /// let uid = sim.new_uid();
+    /// sim.add_agent(Cell::new(uid).with_position(Real3::splat(5.0)));
+    /// sim.simulate(3);
+    /// assert_eq!(sim.num_agents(), 1);
+    /// assert_eq!(sim.iteration(), 3);
+    /// ```
     pub fn new(param: Param) -> Simulation {
         assert!(
             param.shards >= 1 && param.shards <= MAX_SHARDS,
@@ -229,22 +243,6 @@ impl Simulation {
         }
     }
 
-    /// A fluent builder with default parameters (see [`SimulationBuilder`]).
-    ///
-    /// ```
-    /// use bdm_core::{Cell, Real3, Simulation};
-    ///
-    /// let mut sim = Simulation::builder().threads(2).time_step(1.0).build();
-    /// let uid = sim.new_uid();
-    /// sim.add_agent(Cell::new(uid).with_position(Real3::splat(5.0)));
-    /// sim.simulate(3);
-    /// assert_eq!(sim.num_agents(), 1);
-    /// assert_eq!(sim.iteration(), 3);
-    /// ```
-    pub fn builder() -> SimulationBuilder {
-        SimulationBuilder::new()
-    }
-
     /// Simulation parameters.
     pub fn param(&self) -> &Param {
         &self.param
@@ -263,19 +261,6 @@ impl Simulation {
     /// The interaction force model in use.
     pub fn force(&self) -> InteractionForce {
         self.force
-    }
-
-    /// The seed feeding every per-(agent, iteration) RNG stream.
-    pub fn rng_seed(&self) -> u64 {
-        self.param.seed
-    }
-
-    /// Re-seeds the simulation's RNG streams. Agent RNGs are stateless —
-    /// derived per (seed, uid, iteration) — so the new seed takes effect
-    /// from the next iteration; checkpoint restore and the property-test
-    /// harness use this instead of reaching into `Param`.
-    pub fn set_rng_seed(&mut self, seed: u64) {
-        self.param.seed = seed;
     }
 
     /// Highest uid issued so far (restore API: uid issuance must resume
@@ -389,33 +374,6 @@ impl Simulation {
         &self.diffusion[idx]
     }
 
-    /// Mutable access to a diffusion grid (initialization).
-    pub fn diffusion_grid_mut(&mut self, idx: usize) -> &mut DiffusionGrid {
-        &mut self.diffusion[idx]
-    }
-
-    /// Registers a standalone operation executed every `frequency`
-    /// iterations after the agent operations.
-    ///
-    /// This is the legacy closure-based entry point; it wraps the closure in
-    /// an [`Operation`](crate::scheduler::Operation) of kind `Standalone`
-    /// whose runtime is attributed to the `standalone_ops` timing bucket.
-    /// Prefer implementing [`Operation`](crate::scheduler::Operation) and
-    /// registering it via [`Simulation::scheduler_mut`] or
-    /// [`SimulationBuilder::operation`] for named per-op timings and
-    /// placement control.
-    pub fn add_standalone_op(
-        &mut self,
-        name: impl Into<String>,
-        frequency: usize,
-        op: StandaloneOp,
-    ) {
-        self.scheduler.add_op_in_bucket(
-            Box::new(ClosureOp::new(name.into(), frequency.max(1) as u64, op)),
-            builtin::STANDALONE_BUCKET,
-        );
-    }
-
     /// The operation scheduler: the ordered pipeline of this simulation.
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
@@ -454,7 +412,7 @@ impl Simulation {
     }
 
     /// Exclusive access to the resource manager (model initialization,
-    /// custom standalone operations).
+    /// custom operations).
     pub fn resource_manager_mut(&mut self) -> &mut ResourceManager {
         &mut self.rm
     }
@@ -476,11 +434,11 @@ impl Simulation {
     }
 
     /// Per-phase wall-clock buckets (Figure 5's runtime breakdown), derived
-    /// from the scheduler's per-operation timings. Built-in operations keep
-    /// the legacy phase names (`snapshot`, `environment_update`,
-    /// `agent_ops`, `standalone_ops`, `teardown`, `agent_sorting`); custom
-    /// [`Operation`](crate::scheduler::Operation)s appear under their own
-    /// name.
+    /// from the scheduler's per-operation timings. Every operation appears
+    /// under its own name (`snapshot`, `environment_update`, `agent_ops`,
+    /// `teardown`, `agent_sorting`, custom
+    /// [`Operation`](crate::scheduler::Operation)s), except `diffusion`,
+    /// which keeps the legacy `standalone_ops` bucket name.
     pub fn time_buckets(&self) -> TimeBuckets {
         self.scheduler.time_buckets()
     }
@@ -681,21 +639,9 @@ impl Simulation {
         found
     }
 
-    /// The recorded health violations (oldest first, detail capped — exact
-    /// totals live in [`SimStats::violations_detected`]).
-    pub fn health_violations(&self) -> &[HealthViolation] {
-        self.health.violations()
-    }
-
     /// Drains the recorded health violations.
     pub fn take_health_violations(&mut self) -> Vec<HealthViolation> {
         self.health.take()
-    }
-
-    /// Records an externally detected violation (used by supervisors).
-    pub fn record_health_violation(&mut self, v: HealthViolation) {
-        self.stats.violations_detected += 1;
-        self.health.record(v);
     }
 
     /// Overwrites the recovery counters of [`SimStats`]. Called by a
@@ -848,12 +794,9 @@ impl Simulation {
         // A panicking operation must not leak the detached list (the
         // pipeline would be empty forever if the caller catches the
         // unwind), so restore it before re-raising.
-        let result = {
-            let mut ctx = SimulationCtx { sim: self };
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Scheduler::run_iteration(&mut entries, &mut ctx)
-            }))
-        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Scheduler::run_iteration(&mut entries, self)
+        }));
         self.scheduler.put_entries(entries);
         if let Err(payload) = result {
             std::panic::resume_unwind(payload);
@@ -1367,7 +1310,7 @@ fn default_scheduler(param: &Param) -> Scheduler {
     scheduler.add_op(HaloExchangeOp);
     scheduler.add_op(EnvironmentOp);
     scheduler.add_op(AgentOp);
-    scheduler.add_op_in_bucket(Box::new(DiffusionOp), builtin::STANDALONE_BUCKET);
+    scheduler.add_op(DiffusionOp);
     scheduler.add_op(TeardownOp);
     scheduler.add_op(SortingOp);
     match param.agent_sort_frequency {

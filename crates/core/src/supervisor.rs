@@ -31,7 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bdm_util::Real3;
 
-use crate::scheduler::{builtin, OpKind, Operation, SimulationCtx};
+use crate::scheduler::{builtin, OpKind, Operation};
+use crate::simulation::Simulation;
 
 /// Maximum number of [`HealthViolation`] records kept per simulation. The
 /// counters in [`SimStats`](crate::simulation::SimStats) keep exact totals;
@@ -231,8 +232,8 @@ impl Operation for HealthCheckOp {
     fn frequency(&self) -> u64 {
         self.frequency
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        ctx.sim.run_health_check();
+    fn run(&mut self, sim: &mut Simulation) {
+        sim.run_health_check();
     }
 }
 

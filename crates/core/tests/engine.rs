@@ -5,7 +5,8 @@
 use bdm_core::{
     clone_behavior_box, new_agent_box, new_behavior_box, Agent, AgentContext, AgentHandle,
     AgentUid, Behavior, BehaviorControl, Cell, DiffusionGrid, EnvironmentKind, ExecutionContext,
-    MemoryManager, NumaThreadPool, NumaTopology, Param, Real3, ResourceManager, Simulation,
+    MemoryManager, NumaThreadPool, NumaTopology, OpKind, Operation, Param, Real3, ResourceManager,
+    Simulation,
 };
 use bdm_sfc::morton3_encode;
 use bdm_util::SimRng;
@@ -404,10 +405,15 @@ fn rearmed_static_detection_does_not_trust_stale_flags() {
     // Disarmed, a custom operation pushes cell 1 (at the origin) into the
     // sleeping cell 6 (at x = 30): 6 apart, diameters 10.
     sim.set_detect_static_agents(false);
-    sim.add_standalone_op(
-        "push",
-        1,
-        Box::new(|sim: &mut Simulation| {
+    struct Push;
+    impl Operation for Push {
+        fn name(&self) -> &str {
+            "push"
+        }
+        fn kind(&self) -> OpKind {
+            OpKind::Standalone
+        }
+        fn run(&mut self, sim: &mut Simulation) {
             if sim.iteration() == 11 {
                 let mut pushed = None;
                 sim.for_each_agent(|h, a| {
@@ -419,8 +425,9 @@ fn rearmed_static_detection_does_not_trust_stale_flags() {
                     .agent_mut(pushed.unwrap())
                     .set_position(Real3::new(24.0, 0.0, 0.0));
             }
-        }),
-    );
+        }
+    }
+    sim.scheduler_mut().add_op(Push);
     sim.simulate(1);
     let sleeper = position_of(&sim, 6);
     // Re-armed, the sleeper must compute the force of its new neighbour:

@@ -63,13 +63,13 @@ impl BenchmarkModel for CellSorting {
             radius: self.adhesion_radius,
             speed: self.adhesion_speed,
         };
-        let mut sim = Simulation::builder()
-            .with_param(param)
-            .time_step(1.0)
-            .mechanics(true)
-            .interaction_radius(self.adhesion_radius)
-            .force(InteractionForce::repulsive_only())
-            .build();
+        let mut sim = Simulation::new(Param {
+            simulation_time_step: 1.0,
+            enable_mechanics: true,
+            interaction_radius: Some(self.adhesion_radius),
+            ..param
+        });
+        sim.set_force(InteractionForce::repulsive_only());
         let extent = self.extent();
         let mut rng = bdm_core::SimRng::new(sim.param().seed ^ 0x5027);
         for i in 0..self.num_agents {

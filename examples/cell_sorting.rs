@@ -27,9 +27,9 @@ impl Operation for SortingProgress {
     fn frequency(&self) -> u64 {
         20
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        let f = same_type_neighbor_fraction(ctx.sim, self.radius, 300);
-        println!("iter {:4}: same-type fraction {:.3}", ctx.iteration(), f);
+    fn run(&mut self, sim: &mut Simulation) {
+        let f = same_type_neighbor_fraction(sim, self.radius, 300);
+        println!("iter {:4}: same-type fraction {:.3}", sim.iteration(), f);
     }
 }
 

@@ -23,11 +23,11 @@ impl Operation for SirCensus {
     fn frequency(&self) -> u64 {
         5
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        let s = ctx.count_agents(|a| a.payload() == 0);
-        let i = ctx.count_agents(|a| a.payload() == 1);
-        let r = ctx.count_agents(|a| a.payload() == 2);
-        println!("{},{},{},{}", ctx.iteration(), s, i, r);
+    fn run(&mut self, sim: &mut Simulation) {
+        let s = sim.count_agents(|a| a.payload() == 0);
+        let i = sim.count_agents(|a| a.payload() == 1);
+        let r = sim.count_agents(|a| a.payload() == 2);
+        println!("{},{},{},{}", sim.iteration(), s, i, r);
     }
 }
 

@@ -15,8 +15,8 @@ fn main() {
 
     let mut model = Neuroscience::new(neurons * 3);
     model.cone.branch_probability = 0.05;
-    // Models consume a plain `Param` — the struct-literal form stays fully
-    // supported alongside `Simulation::builder()`.
+    // Models consume a plain `Param`, the one way to configure a
+    // simulation.
     let mut sim = model.build(Param {
         detect_static_agents: true, // the paper's Section 5 mechanism
         ..Param::default()

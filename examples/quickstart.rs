@@ -1,5 +1,5 @@
-//! Quickstart: a small population of growing, dividing cells, built with
-//! the fluent `Simulation::builder()` API.
+//! Quickstart: a small population of growing, dividing cells, configured
+//! with a `Param` literal.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -9,8 +9,11 @@ use biodynamo::prelude::*;
 fn main() {
     // Full optimizations are the default; the standard (unoptimized)
     // configuration of the paper's evaluation is
-    // `Simulation::builder().opt_level(OptLevel::Standard)`.
-    let mut sim = Simulation::builder().time_step(1.0).build();
+    // `Param::default().apply_opt_level(OptLevel::Standard)`.
+    let mut sim = Simulation::new(Param {
+        simulation_time_step: 1.0,
+        ..Param::default()
+    });
 
     // A 4×4×4 grid of cells with the growth+division behavior.
     let mut rng = SimRng::new(42);

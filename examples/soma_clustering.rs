@@ -3,9 +3,9 @@
 //! clusters emerge — the diffusion-heavy use case of the paper's
 //! evaluation (cell clustering, Table 1 column 2).
 //!
-//! Demonstrates building a simulation directly against the public API with
-//! the fluent builder: diffusion grids, secretion, chemotaxis, and the
-//! clustering quality metric.
+//! Demonstrates building a simulation directly against the public API — a
+//! `Param` literal plus `add_diffusion_grid` — with secretion, chemotaxis,
+//! and the clustering quality metric.
 //! Run with: `cargo run --release --example soma_clustering`
 
 use biodynamo::models::{same_type_neighbor_fraction, Chemotaxis, Secretion};
@@ -17,12 +17,13 @@ fn main() {
     // One substance per population; both diffuse and slowly decay.
     let resolution = 32;
     let grid = |name| DiffusionGrid::new(name, 0.4, 0.002, resolution, Real3::ZERO, extent);
-    let mut sim = Simulation::builder()
-        .time_step(1.0)
-        .interaction_radius(15.0)
-        .diffusion_grid(grid("substance_0"))
-        .diffusion_grid(grid("substance_1"))
-        .build();
+    let mut sim = Simulation::new(Param {
+        simulation_time_step: 1.0,
+        interaction_radius: Some(15.0),
+        ..Param::default()
+    });
+    sim.add_diffusion_grid(grid("substance_0"));
+    sim.add_diffusion_grid(grid("substance_1"));
 
     // Two intermixed populations, each secreting its own substance and
     // climbing its own gradient.

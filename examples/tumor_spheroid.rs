@@ -23,12 +23,12 @@ impl Operation for GrowthReport {
     fn frequency(&self) -> u64 {
         10
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        let stats = ctx.stats();
+    fn run(&mut self, sim: &mut Simulation) {
+        let stats = sim.stats();
         println!(
             "iter {:4}: {:7} cells (+{} / -{})",
-            ctx.iteration(),
-            ctx.num_agents(),
+            sim.iteration(),
+            sim.num_agents(),
             stats.agents_added,
             stats.agents_removed
         );

@@ -28,10 +28,11 @@
 //!
 //! // 8 static cells stepped through the full engine, 2 threads.
 //! // (See examples/quickstart.rs for a growing/dividing population.)
-//! let mut sim = Simulation::builder()
-//!     .threads(2)
-//!     .time_step(1.0)
-//!     .build();
+//! let mut sim = Simulation::new(Param {
+//!     threads: Some(2),
+//!     simulation_time_step: 1.0,
+//!     ..Param::default()
+//! });
 //! for i in 0..8 {
 //!     let uid = sim.new_uid();
 //!     sim.add_agent(
@@ -46,7 +47,8 @@
 //!
 //! The engine pipeline is a first-class, per-operation-timed list owned by
 //! the [`core::scheduler::Scheduler`]; custom pipeline stages implement
-//! [`core::scheduler::Operation`] and are registered through the builder:
+//! [`core::scheduler::Operation`] and are registered through
+//! `scheduler_mut()`:
 //!
 //! ```
 //! use biodynamo::prelude::*;
@@ -56,19 +58,24 @@
 //!     fn name(&self) -> &str { "census" }
 //!     fn kind(&self) -> OpKind { OpKind::Standalone }
 //!     fn frequency(&self) -> u64 { 5 } // every 5th iteration
-//!     fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-//!         let _agents_alive = ctx.num_agents();
+//!     fn run(&mut self, sim: &mut Simulation) {
+//!         let _agents_alive = sim.num_agents();
 //!     }
 //! }
 //!
-//! let mut sim = Simulation::builder().threads(1).operation(Census).build();
+//! let mut sim = Simulation::new(Param { threads: Some(1), ..Param::default() });
+//! sim.scheduler_mut().add_op(Census);
 //! sim.simulate(10);
 //! assert_eq!(sim.scheduler().ops().iter().find(|o| o.name == "census").unwrap().runs, 2);
 //! ```
 //!
-//! **Migration note:** `Simulation::new(Param { .. })` stays fully
-//! supported — [`core::param::Param`] remains the configuration carrier
-//! underneath the builder.
+//! **Migration note:** there is one way to configure a simulation — a
+//! [`core::param::Param`] literal handed to `Simulation::new`, then the
+//! `Simulation` setters (`set_force`, `add_diffusion_grid`,
+//! `set_fault_plan`) — and one way to extend it, an `Operation` registered
+//! through `scheduler_mut()`. Each call of the former fluent builder is a
+//! `Param` field or one of those setters, a closure operation becomes an
+//! `Operation`, and `Operation::run` takes `&mut Simulation` directly.
 
 pub use bdm_alloc as alloc;
 pub use bdm_baseline as baseline;
@@ -93,7 +100,7 @@ pub mod prelude {
         BoundaryCondition, Cell, CloneIn, DiffusionGrid, EnvironmentKind, FaultKind, FaultPlan,
         FaultSite, HealthPolicy, HealthViolation, HealthViolationKind, InteractionForce,
         MemoryManager, Neighbor, OpInfo, OpKind, Operation, OptLevel, Param, Real3, Scheduler,
-        SimRng, SimStats, Simulation, SimulationBuilder, SimulationCtx, Snapshot,
+        SimRng, SimStats, Simulation, Snapshot,
     };
     pub use bdm_models::BenchmarkModel;
 }

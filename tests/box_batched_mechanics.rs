@@ -386,7 +386,7 @@ impl Operation for IdleOp {
     fn kind(&self) -> OpKind {
         OpKind::Standalone
     }
-    fn run(&mut self, _ctx: &mut SimulationCtx<'_>) {}
+    fn run(&mut self, _sim: &mut Simulation) {}
 }
 
 fn dense_lattice_sim(enable_mechanics: bool) -> Simulation {

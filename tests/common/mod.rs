@@ -201,10 +201,9 @@ impl Operation for CheckpointProbe {
     fn kind(&self) -> OpKind {
         OpKind::Pre
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        if ctx.iteration() == self.at {
-            let bytes =
-                biodynamo::checkpoint::checkpoint(ctx.sim).expect("mid-iteration checkpoint");
+    fn run(&mut self, sim: &mut Simulation) {
+        if sim.iteration() == self.at {
+            let bytes = biodynamo::checkpoint::checkpoint(sim).expect("mid-iteration checkpoint");
             *self.out.lock().unwrap() = Some(bytes);
         }
     }
@@ -221,5 +220,5 @@ impl Operation for InertProbe {
     fn kind(&self) -> OpKind {
         OpKind::Pre
     }
-    fn run(&mut self, _ctx: &mut SimulationCtx<'_>) {}
+    fn run(&mut self, _sim: &mut Simulation) {}
 }

@@ -114,6 +114,27 @@ fn custom_model_runs_under_all_presets() {
     }
 }
 
+/// A standalone operation recording the population at each of its runs.
+struct Census {
+    frequency: u64,
+    populations: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
+}
+
+impl Operation for Census {
+    fn name(&self) -> &str {
+        "census"
+    }
+    fn kind(&self) -> OpKind {
+        OpKind::Standalone
+    }
+    fn frequency(&self) -> u64 {
+        self.frequency
+    }
+    fn run(&mut self, sim: &mut Simulation) {
+        self.populations.lock().unwrap().push(sim.num_agents());
+    }
+}
+
 #[test]
 fn standalone_op_observes_every_iteration() {
     let mut sim = build(Param {
@@ -121,18 +142,15 @@ fn standalone_op_observes_every_iteration() {
         numa_domains: Some(1),
         ..Param::default()
     });
-    let counter = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let c = counter.clone();
-    sim.add_standalone_op(
-        "census",
-        1,
-        Box::new(move |sim| {
-            assert!(sim.num_agents() > 0);
-            c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }),
-    );
+    let populations = std::sync::Arc::default();
+    sim.scheduler_mut().add_op(Census {
+        frequency: 1,
+        populations: std::sync::Arc::clone(&populations),
+    });
     sim.simulate(7);
-    assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 7);
+    let populations = populations.lock().unwrap();
+    assert_eq!(populations.len(), 7);
+    assert!(populations.iter().all(|&n| n > 0));
 }
 
 #[test]
@@ -142,17 +160,13 @@ fn standalone_op_frequency_is_honored() {
         numa_domains: Some(1),
         ..Param::default()
     });
-    let counter = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let c = counter.clone();
-    sim.add_standalone_op(
-        "sparse",
-        3,
-        Box::new(move |_| {
-            c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }),
-    );
+    let populations = std::sync::Arc::default();
+    sim.scheduler_mut().add_op(Census {
+        frequency: 3,
+        populations: std::sync::Arc::clone(&populations),
+    });
     sim.simulate(10); // fires on iterations 3, 6, 9
-    assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 3);
+    assert_eq!(populations.lock().unwrap().len(), 3);
 }
 
 /// A user-defined pipeline stage: samples the population every 4th
@@ -171,34 +185,35 @@ impl Operation for PopulationProbe {
     fn frequency(&self) -> u64 {
         4
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-        let sample = (ctx.iteration(), ctx.num_agents());
+    fn run(&mut self, sim: &mut Simulation) {
+        let sample = (sim.iteration(), sim.num_agents());
         self.samples.lock().unwrap().push(sample);
     }
 }
 
 #[test]
-fn custom_operation_through_builder_runs_at_frequency() {
-    // The same bacterium model, but built through the fluent builder with a
-    // user-defined Operation registered as a pipeline stage.
+fn custom_operation_runs_at_frequency() {
+    // The same bacterium model with a user-defined Operation registered as
+    // a pipeline stage.
     let samples = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    let mut sim = Simulation::builder()
-        .threads(2)
-        .numa_domains(2)
-        .time_step(1.0)
-        .interaction_radius(10.0)
-        .diffusion_grid(DiffusionGrid::new(
-            "attractant",
-            0.2,
-            0.01,
-            16,
-            Real3::ZERO,
-            120.0,
-        ))
-        .operation(PopulationProbe {
-            samples: samples.clone(),
-        })
-        .build();
+    let mut sim = Simulation::new(Param {
+        threads: Some(2),
+        numa_domains: Some(2),
+        simulation_time_step: 1.0,
+        interaction_radius: Some(10.0),
+        ..Param::default()
+    });
+    sim.add_diffusion_grid(DiffusionGrid::new(
+        "attractant",
+        0.2,
+        0.01,
+        16,
+        Real3::ZERO,
+        120.0,
+    ));
+    sim.scheduler_mut().add_op(PopulationProbe {
+        samples: samples.clone(),
+    });
     let mut rng = SimRng::new(11);
     for _ in 0..80 {
         let uid = sim.new_uid();

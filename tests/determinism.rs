@@ -153,8 +153,8 @@ fn scheduler_extraction_preserves_bit_reproducibility() {
         fn frequency(&self) -> u64 {
             2
         }
-        fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-            let _ = ctx.num_agents();
+        fn run(&mut self, sim: &mut Simulation) {
+            let _ = sim.num_agents();
         }
     }
 

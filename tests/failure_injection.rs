@@ -463,6 +463,61 @@ mod corrupt_checkpoints {
         }
     }
 
+    /// The SCHD section re-sealed with payloads the writer never produces:
+    /// an op at frequency 0 and an op listed twice. Both are typed errors
+    /// naming SCHEDULER, not a clamped frequency or a second retiming of
+    /// the same op.
+    #[test]
+    fn corrupt_scheduler_section_is_a_typed_error() {
+        use biodynamo::util::{fnv1a64, ByteWriter};
+        let reg = Registry::with_builtin_types();
+        let bytes = valid_checkpoint();
+        // Section layout: tag(4) + len(8) + sum(8) + payload.
+        let tag_at = bytes
+            .windows(4)
+            .position(|w| w == b"SCHD")
+            .expect("SCHD section present");
+        let len = u64::from_le_bytes(bytes[tag_at + 4..tag_at + 12].try_into().unwrap()) as usize;
+        let payload_at = tag_at + 20;
+        // The file around a replaced SCHEDULER payload, checksums re-sealed.
+        let with_scheduler = |new: &[u8]| {
+            let mut b = bytes[..tag_at + 4].to_vec();
+            b.extend_from_slice(&(new.len() as u64).to_le_bytes());
+            b.extend_from_slice(&fnv1a64(new).to_le_bytes());
+            b.extend_from_slice(new);
+            b.extend_from_slice(&bytes[payload_at + len..bytes.len() - 8]);
+            let trailer = fnv1a64(&b);
+            b.extend_from_slice(&trailer.to_le_bytes());
+            b
+        };
+        // The default pipeline's ops, each enabled at the given frequency.
+        let names = Simulation::new(small_param()).scheduler().op_names();
+        let schd = |ops: &[(&str, u64)]| {
+            let mut w = ByteWriter::new();
+            w.put_u32(ops.len() as u32);
+            for &(name, frequency) in ops {
+                w.put_str(name);
+                w.put_u64(frequency);
+                w.put_u8(1);
+            }
+            w.into_bytes()
+        };
+        let every: Vec<(&str, u64)> = names.iter().map(|n| (n.as_str(), 1)).collect();
+        assert!(restore(&with_scheduler(&schd(&every)), &reg).is_ok());
+        let mut zero = every.clone();
+        zero[0].1 = 0;
+        let mut twice = every.clone();
+        twice.push((names[0].as_str(), 5));
+        for (label, ops) in [("frequency 0", zero), ("name listed twice", twice)] {
+            match restore(&with_scheduler(&schd(&ops)), &reg).err() {
+                Some(CheckpointError::Malformed { section, .. }) => {
+                    assert_eq!(section, "SCHEDULER", "{label}")
+                }
+                other => panic!("{label}: unexpected result {other:?}"),
+            }
+        }
+    }
+
     /// The DIFF section re-sealed with impossible grids: a resolution whose
     /// cube overflows, a value count the payload cannot hold, and
     /// non-finite parameters (an infinite D would hang the first step).

@@ -1,6 +1,6 @@
-//! Integration: the first-class Operation/Scheduler API and the
-//! `Simulation::builder()` construction path — op ordering, frequency
-//! semantics, introspection/timing, and builder defaults.
+//! Integration: the first-class Operation/Scheduler API and the `Param`
+//! construction path — op ordering, frequency semantics, unique names,
+//! introspection/timing, and the `Simulation` setters.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -25,11 +25,11 @@ impl Operation for LogOp {
     fn frequency(&self) -> u64 {
         self.frequency
     }
-    fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
+    fn run(&mut self, sim: &mut Simulation) {
         self.log
             .lock()
             .unwrap()
-            .push((self.name.clone(), ctx.iteration()));
+            .push((self.name.clone(), sim.iteration()));
     }
 }
 
@@ -42,8 +42,19 @@ fn log_op(name: &str, kind: OpKind, frequency: u64, log: &Arc<Mutex<Vec<(String,
     }
 }
 
+/// Default parameters on `threads` worker threads.
+fn threads(threads: usize) -> Param {
+    Param {
+        threads: Some(threads),
+        ..Param::default()
+    }
+}
+
 fn tiny_sim() -> Simulation {
-    let mut sim = Simulation::builder().threads(2).numa_domains(2).build();
+    let mut sim = Simulation::new(Param {
+        numa_domains: Some(2),
+        ..threads(2)
+    });
     let mut rng = SimRng::new(3);
     for _ in 0..40 {
         let uid = sim.new_uid();
@@ -57,27 +68,8 @@ fn tiny_sim() -> Simulation {
 }
 
 #[test]
-fn builder_defaults_match_param_default() {
-    let sim = Simulation::builder().build();
-    let p = sim.param();
-    let d = Param::default();
-    assert_eq!(p.seed, d.seed);
-    assert_eq!(p.environment, d.environment);
-    assert_eq!(p.interaction_radius, d.interaction_radius);
-    assert_eq!(p.simulation_time_step, d.simulation_time_step);
-    assert_eq!(p.enable_mechanics, d.enable_mechanics);
-    assert_eq!(p.detect_static_agents, d.detect_static_agents);
-    assert_eq!(p.agent_sort_frequency, d.agent_sort_frequency);
-    assert_eq!(p.parallel_add_remove, d.parallel_add_remove);
-    assert_eq!(p.numa_aware_iteration, d.numa_aware_iteration);
-    assert_eq!(p.use_pool_allocator, d.use_pool_allocator);
-    assert_eq!(p.threads, d.threads);
-    assert_eq!(p.iteration_block_size, d.iteration_block_size);
-}
-
-#[test]
 fn default_pipeline_is_algorithm_1() {
-    let sim = Simulation::builder().threads(1).build();
+    let sim = Simulation::new(threads(1));
     assert_eq!(
         sim.scheduler().op_names(),
         vec![
@@ -93,10 +85,10 @@ fn default_pipeline_is_algorithm_1() {
     // Sorting defaults to off (Param::default has no sort frequency)…
     assert!(!sim.scheduler().is_enabled("agent_sorting"));
     // …while a sorted configuration maps the frequency onto the op.
-    let sorted = Simulation::builder()
-        .threads(1)
-        .sort_frequency(Some(7))
-        .build();
+    let sorted = Simulation::new(Param {
+        agent_sort_frequency: Some(7),
+        ..threads(1)
+    });
     assert_eq!(sorted.scheduler().frequency("agent_sorting"), Some(7));
     assert!(sorted.scheduler().is_enabled("agent_sorting"));
 }
@@ -104,10 +96,9 @@ fn default_pipeline_is_algorithm_1() {
 #[test]
 fn custom_op_runs_at_configured_frequency() {
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = Simulation::builder()
-        .threads(2)
-        .operation(log_op("every3", OpKind::Standalone, 3, &log))
-        .build();
+    let mut sim = Simulation::new(threads(2));
+    sim.scheduler_mut()
+        .add_op(log_op("every3", OpKind::Standalone, 3, &log));
     let uid = sim.new_uid();
     sim.add_agent(Cell::new(uid).with_diameter(10.0));
     sim.simulate(10);
@@ -130,13 +121,12 @@ fn custom_op_runs_at_configured_frequency() {
 fn ops_execute_in_kind_order() {
     let log = Arc::new(Mutex::new(Vec::new()));
     // Register deliberately out of order; kinds must still group correctly.
-    let mut sim = Simulation::builder()
-        .threads(1)
-        .operation(log_op("user_post", OpKind::Post, 1, &log))
-        .operation(log_op("user_pre", OpKind::Pre, 1, &log))
-        .operation(log_op("user_standalone", OpKind::Standalone, 1, &log))
-        .operation(log_op("user_agent", OpKind::Agent, 1, &log))
-        .build();
+    let mut sim = Simulation::new(threads(1));
+    let scheduler = sim.scheduler_mut();
+    scheduler.add_op(log_op("user_post", OpKind::Post, 1, &log));
+    scheduler.add_op(log_op("user_pre", OpKind::Pre, 1, &log));
+    scheduler.add_op(log_op("user_standalone", OpKind::Standalone, 1, &log));
+    scheduler.add_op(log_op("user_agent", OpKind::Agent, 1, &log));
     let uid = sim.new_uid();
     sim.add_agent(Cell::new(uid).with_diameter(10.0));
     sim.step();
@@ -159,10 +149,9 @@ fn ops_execute_in_kind_order() {
 #[test]
 fn scheduler_retimes_and_removes_ops() {
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = Simulation::builder()
-        .threads(1)
-        .operation(log_op("probe", OpKind::Standalone, 1, &log))
-        .build();
+    let mut sim = Simulation::new(threads(1));
+    sim.scheduler_mut()
+        .add_op(log_op("probe", OpKind::Standalone, 1, &log));
     sim.simulate(2); // runs at 1, 2
     assert!(sim.scheduler_mut().set_frequency("probe", 4));
     sim.simulate(6); // now due at 4, 8
@@ -183,7 +172,7 @@ fn scheduler_retimes_and_removes_ops() {
 #[test]
 fn anchored_insertion_controls_exact_position() {
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = Simulation::builder().threads(1).build();
+    let mut sim = Simulation::new(threads(1));
     assert!(sim
         .scheduler_mut()
         .add_op_before("teardown", log_op("before_teardown", OpKind::Post, 1, &log)));
@@ -226,27 +215,37 @@ fn time_buckets_derive_from_scheduler_timings() {
 
 #[test]
 fn op_added_from_inside_an_op_takes_effect_next_iteration() {
-    let counter = Arc::new(AtomicUsize::new(0));
-    let c = counter.clone();
-    let mut sim = Simulation::builder().threads(1).build();
-    let mut registered = false;
-    sim.add_standalone_op(
-        "registrar",
-        1,
-        Box::new(move |sim| {
-            if !registered {
-                registered = true;
-                let c = c.clone();
-                sim.add_standalone_op(
-                    "late",
-                    1,
-                    Box::new(move |_| {
-                        c.fetch_add(1, Ordering::Relaxed);
-                    }),
-                );
+    struct Late(Arc<AtomicUsize>);
+    impl Operation for Late {
+        fn name(&self) -> &str {
+            "late"
+        }
+        fn kind(&self) -> OpKind {
+            OpKind::Standalone
+        }
+        fn run(&mut self, _sim: &mut Simulation) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    /// Registers `late` on its first run.
+    struct Registrar(Option<Late>);
+    impl Operation for Registrar {
+        fn name(&self) -> &str {
+            "registrar"
+        }
+        fn kind(&self) -> OpKind {
+            OpKind::Standalone
+        }
+        fn run(&mut self, sim: &mut Simulation) {
+            if let Some(late) = self.0.take() {
+                sim.scheduler_mut().add_op(late);
             }
-        }),
-    );
+        }
+    }
+    let counter = Arc::new(AtomicUsize::new(0));
+    let mut sim = Simulation::new(threads(1));
+    sim.scheduler_mut()
+        .add_op(Registrar(Some(Late(counter.clone()))));
     sim.simulate(3);
     // Registered during iteration 1 → runs on iterations 2 and 3.
     assert_eq!(counter.load(Ordering::Relaxed), 2);
@@ -266,19 +265,18 @@ fn in_op_edits_are_deferred_to_the_next_iteration() {
         fn kind(&self) -> OpKind {
             OpKind::Standalone
         }
-        fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-            if ctx.iteration() == 1 {
-                assert!(ctx.scheduler_mut().set_frequency("probe", 3));
-                assert!(ctx.scheduler_mut().set_enabled("diffusion", false));
+        fn run(&mut self, sim: &mut Simulation) {
+            if sim.iteration() == 1 {
+                assert!(sim.scheduler_mut().set_frequency("probe", 3));
+                assert!(sim.scheduler_mut().set_enabled("diffusion", false));
             }
         }
     }
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = Simulation::builder()
-        .threads(1)
-        .operation(Retimer)
-        .operation(log_op("probe", OpKind::Post, 1, &log))
-        .build();
+    let mut sim = Simulation::new(threads(1));
+    sim.scheduler_mut().add_op(Retimer);
+    sim.scheduler_mut()
+        .add_op(log_op("probe", OpKind::Post, 1, &log));
     sim.simulate(6);
     // probe ran every iteration until the edit landed (end of iteration 1),
     // then only on multiples of 3.
@@ -301,7 +299,7 @@ fn panicking_op_leaves_pipeline_intact() {
         fn frequency(&self) -> u64 {
             2
         }
-        fn run(&mut self, _ctx: &mut SimulationCtx<'_>) {
+        fn run(&mut self, _sim: &mut Simulation) {
             panic!("op exploded");
         }
     }
@@ -324,7 +322,10 @@ fn panicking_op_leaves_pipeline_intact() {
 fn custom_operation_enumerates_agents_through_the_grid_box_runs() {
     // Grid-specific reads need no capability declaration: the one structure
     // every rebuild produces serves box enumeration to any operation.
-    let mut sim = Simulation::builder().threads(2).numa_domains(2).build();
+    let mut sim = Simulation::new(Param {
+        numa_domains: Some(2),
+        ..threads(2)
+    });
     let mut rng = SimRng::new(5);
     for _ in 0..60 {
         let uid = sim.new_uid();
@@ -344,8 +345,8 @@ fn custom_operation_enumerates_agents_through_the_grid_box_runs() {
         fn kind(&self) -> OpKind {
             OpKind::Standalone
         }
-        fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-            let grid = ctx.environment().as_uniform_grid().unwrap();
+        fn run(&mut self, sim: &mut Simulation) {
+            let grid = sim.environment().as_uniform_grid().unwrap();
             let n = (0..grid.num_boxes())
                 .map(|flat| grid.box_slots(flat).len())
                 .sum();
@@ -361,19 +362,19 @@ fn custom_operation_enumerates_agents_through_the_grid_box_runs() {
 }
 
 #[test]
-fn builder_wires_grids_force_and_environment() {
-    let mut sim = Simulation::builder()
-        .threads(2)
-        .numa_domains(1)
-        .seed(11)
-        .environment(EnvironmentKind::KdTree)
-        .time_step(0.5)
-        .interaction_radius(12.0)
-        .detect_static_agents(true)
-        .force(InteractionForce::repulsive_only())
-        .diffusion_grid(DiffusionGrid::new("a", 0.1, 0.0, 8, Real3::ZERO, 50.0))
-        .diffusion_grid(DiffusionGrid::new("b", 0.1, 0.0, 8, Real3::ZERO, 50.0))
-        .build();
+fn setters_wire_grids_force_and_environment() {
+    let mut sim = Simulation::new(Param {
+        numa_domains: Some(1),
+        seed: 11,
+        environment: EnvironmentKind::KdTree,
+        simulation_time_step: 0.5,
+        interaction_radius: Some(12.0),
+        detect_static_agents: true,
+        ..threads(2)
+    });
+    sim.set_force(InteractionForce::repulsive_only());
+    sim.add_diffusion_grid(DiffusionGrid::new("a", 0.1, 0.0, 8, Real3::ZERO, 50.0));
+    sim.add_diffusion_grid(DiffusionGrid::new("b", 0.1, 0.0, 8, Real3::ZERO, 50.0));
     assert_eq!(sim.param().seed, 11);
     assert_eq!(sim.param().environment, EnvironmentKind::KdTree);
     assert_eq!(sim.param().simulation_time_step, 0.5);
@@ -390,18 +391,128 @@ fn builder_wires_grids_force_and_environment() {
 
 #[test]
 fn opt_level_presets_apply_through_builder() {
-    let sim = Simulation::builder()
-        .threads(1)
-        .opt_level(OptLevel::Standard)
-        .build();
+    let sim = Simulation::new(Param {
+        threads: Some(1),
+        ..Param::default().apply_opt_level(OptLevel::Standard)
+    });
     assert_eq!(sim.param().environment, EnvironmentKind::KdTree);
     assert!(!sim.scheduler().is_enabled("agent_sorting"));
 
-    let sim = Simulation::builder()
-        .threads(1)
-        .opt_level(OptLevel::MemoryLayout)
-        .build();
+    let sim = Simulation::new(Param {
+        threads: Some(1),
+        ..Param::default().apply_opt_level(OptLevel::MemoryLayout)
+    });
     assert_eq!(sim.param().environment, EnvironmentKind::UniformGrid);
     assert!(sim.scheduler().is_enabled("agent_sorting"));
     assert_eq!(sim.scheduler().frequency("agent_sorting"), Some(10));
+}
+
+/// The message of a caught panic.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .unwrap_or_default(),
+    }
+}
+
+#[test]
+fn operation_names_are_unique() {
+    use biodynamo::checkpoint::{checkpoint, restore_with, Registry};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = tiny_sim();
+    let register = |sim: &mut Simulation, name: &str, frequency: u64| {
+        let op = log_op(name, OpKind::Standalone, frequency, &log);
+        catch_unwind(AssertUnwindSafe(|| sim.scheduler_mut().add_op(op))).map_err(panic_message)
+    };
+
+    // A second `tick` is refused, naming the op; the first keeps its timing.
+    register(&mut sim, "tick", 1).unwrap();
+    let err = register(&mut sim, "tick", 5).unwrap_err();
+    assert!(err.contains("`tick`"), "{err}");
+    register(&mut sim, "tock", 5).unwrap();
+    let frequencies = |sim: &Simulation| {
+        let ops = sim.scheduler().ops();
+        let of = |n: &str| -> Vec<u64> {
+            ops.iter()
+                .filter(|o| o.name == n)
+                .map(|o| o.frequency)
+                .collect()
+        };
+        (of("tick"), of("tock"))
+    };
+    assert_eq!(frequencies(&sim), (vec![1], vec![5]));
+
+    // A checkpoint round trip keeps each op's own frequency, even when the
+    // restore shell registers them with other ones.
+    sim.simulate(2);
+    let bytes = checkpoint(&sim).unwrap();
+    let restored = restore_with(&bytes, &Registry::with_builtin_types(), |param| {
+        let mut sim = Simulation::new(param);
+        sim.scheduler_mut()
+            .add_op(log_op("tick", OpKind::Standalone, 5, &log));
+        sim.scheduler_mut()
+            .add_op(log_op("tock", OpKind::Standalone, 1, &log));
+        sim
+    })
+    .unwrap();
+    assert_eq!(frequencies(&restored), (vec![1], vec![5]));
+
+    // A custom op cannot shadow a built-in, anchored or not, so the
+    // built-in's controls keep retiming the built-in.
+    let err = register(&mut sim, "agent_sorting", 1).unwrap_err();
+    assert!(err.contains("`agent_sorting`"), "{err}");
+    for before in [true, false] {
+        let op = log_op("agent_sorting", OpKind::Post, 1, &log);
+        let anchored = catch_unwind(AssertUnwindSafe(|| {
+            if before {
+                sim.scheduler_mut().add_op_before("teardown", op)
+            } else {
+                sim.scheduler_mut().add_op_after("teardown", op)
+            }
+        }));
+        assert!(anchored.is_err(), "anchored before={before}");
+    }
+    assert!(sim.scheduler_mut().set_frequency("agent_sorting", 3));
+    let sorting: Vec<OpInfo> = sim
+        .scheduler()
+        .ops()
+        .into_iter()
+        .filter(|o| o.name == "agent_sorting")
+        .collect();
+    assert_eq!(sorting.len(), 1);
+    assert_eq!(sorting[0].kind, OpKind::Post);
+    assert_eq!(sorting[0].frequency, 3);
+    let sorts = sim.stats().sorts;
+    sim.simulate(3); // iterations 3..=5: the sort is due at 3
+    assert_eq!(sim.stats().sorts, sorts + 1);
+
+    // Mid-iteration, the detached pipeline still holds its names.
+    struct Shadower(Arc<Mutex<Vec<(String, u64)>>>);
+    impl Operation for Shadower {
+        fn name(&self) -> &str {
+            "shadower"
+        }
+        fn kind(&self) -> OpKind {
+            OpKind::Standalone
+        }
+        fn run(&mut self, sim: &mut Simulation) {
+            let op = log_op("tick", OpKind::Post, 1, &self.0);
+            let added = catch_unwind(AssertUnwindSafe(|| sim.scheduler_mut().add_op(op)));
+            assert!(added.is_err(), "`tick` is in the detached pipeline");
+        }
+    }
+    sim.scheduler_mut().add_op(Shadower(log.clone()));
+    sim.step();
+    let ticks = sim
+        .scheduler()
+        .ops()
+        .iter()
+        .filter(|o| o.name == "tick")
+        .count();
+    assert_eq!(ticks, 1);
 }

@@ -144,8 +144,8 @@ fn custom_operation_sees_snapshot_payloads() {
         fn kind(&self) -> OpKind {
             OpKind::Standalone
         }
-        fn run(&mut self, ctx: &mut SimulationCtx<'_>) {
-            let snap = ctx.sim.snapshot();
+        fn run(&mut self, sim: &mut Simulation) {
+            let snap = sim.snapshot();
             let sum: u64 = snap.payloads.iter().sum();
             self.seen.store(sum, std::sync::atomic::Ordering::Relaxed);
         }
