@@ -40,11 +40,10 @@ pub struct PoolConfig {
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        // Tuned under `benches/removal.rs` + `fig13_allocator --quick`:
-        // migration_threshold 8 beats 4 by ~5-7% on removal-heavy commits
-        // (full chunks stay thread-private longer → fewer central-list
-        // lock round-trips), while growth_rate 4.0 showed no win over 2.0
-        // and doubles worst-case over-reservation, so 2.0 stays.
+        // migration_threshold 8 rather than 4: full chunks stay
+        // thread-private longer, so removal-heavy commits make fewer
+        // central-list lock round-trips. growth_rate 4.0 showed no win over
+        // 2.0 and doubles worst-case over-reservation, so 2.0 stays.
         PoolConfig {
             growth_rate: 2.0,
             migration_threshold: 8,

@@ -20,8 +20,6 @@
 //! | `sharded_scale` | sharded execution: exchange cost and partition balance vs K |
 //! | `run_all` | everything above with `--quick --csv` |
 //!
-//! Criterion microbenches for the individual substrates live in `benches/`.
-//!
 //! Every binary accepts the shared flags of [`Args`] (`--help` prints them)
 //! and scales the paper's multi-million-agent workloads down to
 //! laptop-friendly defaults; `--agents`/`--iterations`/`--max-exp` restore

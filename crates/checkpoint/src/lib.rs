@@ -120,6 +120,7 @@ pub fn restore_with(
 
     let mut sim = build(param);
     sim.set_force(force);
+    // Grids before agents: the behavior readers check grid indices.
     sections::restore_diffusion(&mut sim, diffusion)?;
     sections::restore_agents(&mut sim, registry, agents)?;
     sim.set_iteration(counters.iteration);

@@ -7,7 +7,9 @@
 //! benchmark models use; applications with custom types call
 //! [`Registry::register_agent`] / [`Registry::register_behavior`] with a
 //! reader that consumes exactly the bytes the type's `checkpoint_write`
-//! produced.
+//! produced. The built-in readers also reject a body their first step
+//! could not execute: a diffusion-grid index past the restored grids, or a
+//! `RandomWalk` whose bounds are NaN or crossed.
 
 use std::collections::HashMap;
 
@@ -36,8 +38,14 @@ type AgentCtor = Box<
         + Sync,
 >;
 
+/// Arguments: pool memory, domain, number of restored diffusion grids, body.
 type BehaviorCtor = Box<
-    dyn Fn(&MemoryManager, usize, &mut ByteReader<'_>) -> Result<BehaviorBox, CheckpointError>
+    dyn Fn(
+            &MemoryManager,
+            usize,
+            usize,
+            &mut ByteReader<'_>,
+        ) -> Result<BehaviorBox, CheckpointError>
         + Send
         + Sync,
 >;
@@ -47,6 +55,25 @@ fn body_truncated(cause: ReadError) -> CheckpointError {
         section: "AGENTS",
         cause,
     }
+}
+
+fn body_malformed(detail: String) -> CheckpointError {
+    CheckpointError::Malformed {
+        section: "AGENTS",
+        detail,
+    }
+}
+
+/// Reads a diffusion-grid index that must name one of the `grids` restored
+/// grids (an index past them panics in the first step that uses it).
+fn take_grid(r: &mut ByteReader<'_>, grids: usize) -> Result<usize, CheckpointError> {
+    let grid = r.take_u64().map_err(body_truncated)?;
+    if grid >= grids as u64 {
+        return Err(body_malformed(format!(
+            "diffusion grid {grid} of {grids} restored grids"
+        )));
+    }
+    Ok(grid as usize)
 }
 
 /// Maps checkpoint type tags to constructors.
@@ -78,12 +105,8 @@ impl Registry {
         });
         reg.register_agent("models.Person", |uid, r| {
             let state_code = r.take_u8().map_err(body_truncated)?;
-            let state = SirState::from_payload(state_code as u64).ok_or_else(|| {
-                CheckpointError::Malformed {
-                    section: "AGENTS",
-                    detail: format!("invalid SIR state code {state_code}"),
-                }
-            })?;
+            let state = SirState::from_payload(state_code as u64)
+                .ok_or_else(|| body_malformed(format!("invalid SIR state code {state_code}")))?;
             let infected_since = r.take_u64().map_err(body_truncated)?;
             let mut p = Person::new(uid).with_state(state);
             p.set_infected_since(infected_since);
@@ -107,24 +130,27 @@ impl Registry {
         });
 
         reg.register_behavior("models.GrowthDivision", |_r| Ok(GrowthDivision));
-        reg.register_behavior("models.Secretion", |r| {
+        reg.insert_behavior("models.Secretion", |r, grids| {
             Ok(Secretion {
-                grid: r.take_u64().map_err(body_truncated)? as usize,
+                grid: take_grid(r, grids)?,
                 amount: r.take_f64().map_err(body_truncated)?,
             })
         });
-        reg.register_behavior("models.Chemotaxis", |r| {
+        reg.insert_behavior("models.Chemotaxis", |r, grids| {
             Ok(Chemotaxis {
-                grid: r.take_u64().map_err(body_truncated)? as usize,
+                grid: take_grid(r, grids)?,
                 speed: r.take_f64().map_err(body_truncated)?,
             })
         });
         reg.register_behavior("models.RandomWalk", |r| {
-            Ok(RandomWalk {
-                step: r.take_f64().map_err(body_truncated)?,
-                min: r.take_f64().map_err(body_truncated)?,
-                max: r.take_f64().map_err(body_truncated)?,
-            })
+            let step = r.take_f64().map_err(body_truncated)?;
+            let min = r.take_f64().map_err(body_truncated)?;
+            let max = r.take_f64().map_err(body_truncated)?;
+            // The walk clamps to [min, max], which panics on these.
+            if min.is_nan() || max.is_nan() || min > max {
+                return Err(body_malformed(format!("random-walk bounds [{min}, {max}]")));
+            }
+            Ok(RandomWalk { step, min, max })
         });
         reg.register_behavior("models.TypeAdhesion", |r| {
             Ok(TypeAdhesion {
@@ -146,14 +172,18 @@ impl Registry {
                 death_probability: r.take_f64().map_err(body_truncated)?,
             })
         });
-        reg.register_behavior("neuro.GrowthCone", |r| {
+        reg.insert_behavior("neuro.GrowthCone", |r, grids| {
             let speed = r.take_f64().map_err(body_truncated)?;
             let deviation = r.take_f64().map_err(body_truncated)?;
             let max_segment_length = r.take_f64().map_err(body_truncated)?;
             let branch_probability = r.take_f64().map_err(body_truncated)?;
             let max_branch_order = r.take_u32().map_err(body_truncated)?;
             let has_guidance = r.take_u8().map_err(body_truncated)? != 0;
-            let guidance_grid = r.take_u64().map_err(body_truncated)? as usize;
+            let guidance_grid = if has_guidance {
+                take_grid(r, grids)?
+            } else {
+                r.take_u64().map_err(body_truncated)? as usize
+            };
             let guidance_weight = r.take_f64().map_err(body_truncated)?;
             Ok(GrowthCone {
                 speed,
@@ -184,10 +214,10 @@ impl Registry {
             Box::new(move |sim, domain, restored, body| {
                 let mut agent = read(restored.uid, body)?;
                 if !body.is_exhausted() {
-                    return Err(CheckpointError::Malformed {
-                        section: "AGENTS",
-                        detail: format!("{} trailing agent-body bytes", body.remaining()),
-                    });
+                    return Err(body_malformed(format!(
+                        "{} trailing agent-body bytes",
+                        body.remaining()
+                    )));
                 }
                 agent.base_mut().set_position(restored.position);
                 agent.base_mut().set_diameter(restored.diameter);
@@ -206,15 +236,25 @@ impl Registry {
         B: Behavior + 'static,
         F: Fn(&mut ByteReader<'_>) -> Result<B, CheckpointError> + Send + Sync + 'static,
     {
+        self.insert_behavior(tag, move |r, _grids| read(r));
+    }
+
+    /// [`Registry::register_behavior`] for a reader that also sees the
+    /// number of restored diffusion grids, so it can check a grid index.
+    fn insert_behavior<B, F>(&mut self, tag: &str, read: F)
+    where
+        B: Behavior + 'static,
+        F: Fn(&mut ByteReader<'_>, usize) -> Result<B, CheckpointError> + Send + Sync + 'static,
+    {
         self.behaviors.insert(
             tag.to_string(),
-            Box::new(move |mm, domain, body| {
-                let b = read(body)?;
+            Box::new(move |mm, domain, grids, body| {
+                let b = read(body, grids)?;
                 if !body.is_exhausted() {
-                    return Err(CheckpointError::Malformed {
-                        section: "AGENTS",
-                        detail: format!("{} trailing behavior-body bytes", body.remaining()),
-                    });
+                    return Err(body_malformed(format!(
+                        "{} trailing behavior-body bytes",
+                        body.remaining()
+                    )));
                 }
                 Ok(new_behavior_box(b, mm, domain))
             }),
@@ -239,12 +279,14 @@ impl Registry {
         ctor(sim, domain, restored, &mut ByteReader::new(body))
     }
 
-    /// Resolves `tag` and rebuilds the behavior in pool memory of `domain`.
+    /// Resolves `tag` and rebuilds the behavior in pool memory of `domain`;
+    /// `grids` is the number of diffusion grids restored before the agents.
     pub(crate) fn build_behavior(
         &self,
         tag: &str,
         mm: &MemoryManager,
         domain: usize,
+        grids: usize,
         body: &[u8],
     ) -> Result<BehaviorBox, CheckpointError> {
         let ctor = self
@@ -253,6 +295,6 @@ impl Registry {
             .ok_or_else(|| CheckpointError::UnknownBehaviorTag {
                 tag: tag.to_string(),
             })?;
-        ctor(mm, domain, &mut ByteReader::new(body))
+        ctor(mm, domain, grids, &mut ByteReader::new(body))
     }
 }

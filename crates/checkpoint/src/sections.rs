@@ -471,6 +471,7 @@ pub fn restore_agents(
     for _ in 0..domains {
         counts.push(r.take_u64().map_err(truncated(S_AGNT))? as usize);
     }
+    let grids = sim.num_diffusion_grids();
     for (d, count) in counts.into_iter().enumerate() {
         for _ in 0..count {
             let uid = bdm_core::AgentUid(r.take_u64().map_err(truncated(S_AGNT))?);
@@ -485,7 +486,13 @@ pub fn restore_agents(
                 let btag = r.take_str().map_err(truncated(S_AGNT))?;
                 let blen = r.take_u32().map_err(truncated(S_AGNT))? as usize;
                 let bbody = r.take_bytes(blen).map_err(truncated(S_AGNT))?;
-                behaviors.push(registry.build_behavior(&btag, sim.memory_manager(), d, bbody)?);
+                behaviors.push(registry.build_behavior(
+                    &btag,
+                    sim.memory_manager(),
+                    d,
+                    grids,
+                    bbody,
+                )?);
             }
             let is_static = r.take_u8().map_err(truncated(S_AGNT))? != 0;
             let created_iter = r.take_u64().map_err(truncated(S_AGNT))?;

@@ -608,7 +608,7 @@ fn far_apart_clusters_sort_every_iteration_in_bounded_memory() {
 }
 
 #[test]
-fn hilbert_sorting_preserves_agents_and_improves_locality() {
+fn sorting_preserves_agents_and_improves_locality() {
     // Sorting (Section 4.2; the engine's curve is Morton, which the paper
     // chose over Hilbert) must be a valid permutation (no agent lost, no
     // duplicate) and must place spatial neighbors near each other in

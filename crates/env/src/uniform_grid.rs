@@ -51,9 +51,8 @@ use crate::{Environment, NeighborQueryScratch, PointCloud, UpdateHint};
 
 /// Below this point count the build runs serially even when the caller
 /// hands it a pool ([`UpdateHint::pool`]): the fork-join overhead of the
-/// parallel path costs more than the whole serial build (measured with the
-/// `env_build` Criterion bench; the paper's Challenge 1 concerns large
-/// populations, where the parallel path wins).
+/// parallel path costs more than the whole serial build (the paper's
+/// Challenge 1 concerns large populations, where the parallel path wins).
 const PARALLEL_BUILD_THRESHOLD: usize = 1 << 16;
 
 /// Box budget of the lattice: at most this many boxes per indexed point.

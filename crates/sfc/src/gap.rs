@@ -144,18 +144,9 @@ impl GapOffsets {
         &self.entries
     }
 
-    /// Morton code of the box with the given in-domain Morton rank
-    /// (paper Figure 3E: "iterate over all indices and add the offset").
-    ///
-    /// O(log #entries); for bulk conversion prefer [`GapOffsets::iter_codes`].
-    pub fn rank_to_code(&self, rank: u64) -> u64 {
-        debug_assert!(rank < self.num_boxes);
-        let idx = self.entries.partition_point(|&(c, _)| c <= rank) - 1;
-        rank + self.entries[idx].1
-    }
-
     /// Iterates the Morton codes of all in-domain boxes in Morton order, in
-    /// O(#boxes + #entries) total time.
+    /// O(#boxes + #entries) total time (paper Figure 3E: "iterate over all
+    /// indices and add the offset").
     pub fn iter_codes(&self) -> impl Iterator<Item = u64> + '_ {
         let mut entry = 0usize;
         (0..self.num_boxes).map(move |rank| {
@@ -218,7 +209,6 @@ mod tests {
     fn single_box() {
         let g = GapOffsets::compute_3d(1, 1, 1);
         assert_eq!(g.num_boxes(), 1);
-        assert_eq!(g.rank_to_code(0), 0);
     }
 
     /// Brute-force reference: sort Morton codes of all in-domain boxes.
@@ -252,14 +242,6 @@ mod tests {
             let g = GapOffsets::compute_3d(nx, ny, nz);
             let got: Vec<u64> = g.iter_codes().collect();
             assert_eq!(got, reference_3d(nx, ny, nz), "dims ({nx},{ny},{nz})");
-        }
-    }
-
-    #[test]
-    fn rank_to_code_matches_iter() {
-        let g = GapOffsets::compute_3d(5, 3, 7);
-        for (rank, code) in g.iter_codes().enumerate() {
-            assert_eq!(g.rank_to_code(rank as u64), code);
         }
     }
 

@@ -14,7 +14,7 @@
 //! | [`env`](mod@env) | neighbor-search environments: uniform grid, kd-tree, octree |
 //! | [`alloc`](mod@alloc) | the NUMA-aware pool memory allocator |
 //! | [`numa`](mod@numa) | virtual NUMA topology + work-stealing thread pool |
-//! | [`sfc`](mod@sfc) | Morton curve (the engine's sort order) and the gap-offset enumeration; a Hilbert codec backs only the enumeration micro-bench, and nothing re-measures the paper's end-to-end 0.54% |
+//! | [`sfc`](mod@sfc) | Morton curve (the engine's sort order), the gap-offset enumeration and the Morton-range partition of the sharded engine |
 //! | [`diffusion`](mod@diffusion) | extracellular substance diffusion |
 //! | [`neuro`](mod@neuro) | neuron somas, neurite elements, growth cones |
 //! | [`models`](mod@models) | the five benchmark simulations + cell sorting |

@@ -588,6 +588,80 @@ mod corrupt_checkpoints {
         }
     }
 
+    /// Built-in behaviours that restore but whose first step cannot run: a
+    /// grid index past the restored diffusion grids (the step indexes out
+    /// of bounds) and NaN or crossed random-walk bounds (`f64::clamp`
+    /// panics). Each restore is a typed error naming AGENTS; the same
+    /// behaviours with usable values restore.
+    #[test]
+    fn unrunnable_builtin_behavior_is_malformed_agents() {
+        use biodynamo::models::{Chemotaxis, RandomWalk, Secretion};
+        use biodynamo::neuro::GrowthCone;
+        // One diffusion grid and one cell carrying `behavior`, never stepped.
+        fn one_grid_checkpoint(behavior: impl Behavior + 'static) -> Vec<u8> {
+            let mut sim = Simulation::new(small_param());
+            sim.add_diffusion_grid(DiffusionGrid::new(
+                "substance",
+                0.3,
+                0.01,
+                8,
+                Real3::splat(0.0),
+                80.0,
+            ));
+            let mut cell = Cell::new(sim.new_uid())
+                .with_position(Real3::splat(40.0))
+                .with_diameter(8.0);
+            cell.base_mut()
+                .add_behavior(new_behavior_box(behavior, sim.memory_manager(), 0));
+            sim.add_agent(cell);
+            checkpoint(&sim).expect("checkpoint")
+        }
+        let secretion = |grid| one_grid_checkpoint(Secretion { grid, amount: 1.0 });
+        let chemotaxis = |grid| one_grid_checkpoint(Chemotaxis { grid, speed: 1.0 });
+        let cone = |grid| {
+            one_grid_checkpoint(GrowthCone {
+                guidance_substance: Some(grid),
+                ..GrowthCone::default()
+            })
+        };
+        let walk = |min, max| {
+            one_grid_checkpoint(RandomWalk {
+                step: 1.0,
+                min,
+                max,
+            })
+        };
+        let reg = Registry::with_builtin_types();
+        for (label, bytes) in [
+            ("secretion into grid 0", secretion(0)),
+            ("chemotaxis on grid 0", chemotaxis(0)),
+            ("growth cone guided by grid 0", cone(0)),
+            (
+                "growth cone without guidance",
+                one_grid_checkpoint(GrowthCone::default()),
+            ),
+            ("walk in [0, 50]", walk(0.0, 50.0)),
+        ] {
+            assert!(restore(&bytes, &reg).is_ok(), "{label}");
+        }
+        let nan = f64::NAN;
+        for (label, bytes) in [
+            ("secretion into grid 7", secretion(7)),
+            ("chemotaxis on grid 1", chemotaxis(1)),
+            ("growth cone guided by grid 1", cone(1)),
+            ("walk in [50, 0]", walk(50.0, 0.0)),
+            ("walk in [nan, 50]", walk(nan, 50.0)),
+            ("walk in [0, nan]", walk(0.0, nan)),
+        ] {
+            match restore(&bytes, &reg).err() {
+                Some(CheckpointError::Malformed { section, .. }) => {
+                    assert_eq!(section, "AGENTS", "{label}")
+                }
+                other => panic!("{label}: unexpected result {other:?}"),
+            }
+        }
+    }
+
     /// A checkpoint from a *sharded* run, with every corruption mode aimed
     /// at its SHARDS section: a plain payload flip is caught by the section
     /// checksum; fully re-sealed corruptions (valid checksums, impossible
@@ -849,7 +923,7 @@ mod supervised_recovery {
     }
 
     #[test]
-    fn delta_gap_replays_longer_but_stays_conformant() {
+    fn skipped_capture_replays_longer_but_stays_conformant() {
         let plan = FaultPlan::new()
             .push(FaultSite::CheckpointCapture, 6, FaultKind::SkippedCapture)
             .push(FaultSite::BeforeOp("agent_ops".into()), 8, FaultKind::Panic);
