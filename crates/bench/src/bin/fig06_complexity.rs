@@ -84,7 +84,13 @@ fn main() {
             .join(" "),
     );
 
-    let mut table = Table::new(["model", "agents", "s/iteration", "peak memory"]);
+    let mut table = Table::new([
+        "model",
+        "agents",
+        "s/iteration",
+        "peak memory",
+        "peak B/agent",
+    ]);
     let mut phases = Table::new([
         "model",
         "agents",
@@ -107,6 +113,10 @@ fn main() {
                 scale_label(agents),
                 fmt_secs(report.per_iter_secs()),
                 fmt_bytes(report.peak_rss_bytes),
+                match report.peak_rss_bytes {
+                    0 => "n/a".to_string(),
+                    bytes => format!("{:.0}", bytes as f64 / agents as f64),
+                },
             ]);
             if args.phase_csv {
                 let total: f64 = report.buckets.values().sum();

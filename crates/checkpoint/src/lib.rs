@@ -134,7 +134,9 @@ pub fn restore_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdm_core::{Cell, Real3};
+    use bdm_core::testing::{assert_identical, fingerprint};
+    use bdm_core::{new_behavior_box, Agent, Cell, Real3};
+    use bdm_models::{RandomWalk, TypeAdhesion};
 
     fn small_sim() -> Simulation {
         let mut sim = Simulation::new(Param {
@@ -166,6 +168,56 @@ mod tests {
             "round trip",
         );
         assert_eq!(restored.iteration(), 3);
+    }
+
+    #[test]
+    fn spilled_behavior_list_round_trips_in_order() {
+        // No model attaches three behaviors: the third spills the agent's
+        // inline list to a `Vec`, and the order must survive the round trip.
+        let mut sim = small_sim();
+        let uid = sim.new_uid();
+        let mut cell = Cell::new(uid)
+            .with_position(Real3::splat(30.0))
+            .with_diameter(10.0);
+        let walk = |step| RandomWalk {
+            step,
+            min: 0.0,
+            max: 80.0,
+        };
+        let adhesion = TypeAdhesion {
+            radius: 12.0,
+            speed: 0.5,
+        };
+        let mm = sim.memory_manager();
+        cell.base_mut()
+            .add_behavior(new_behavior_box(walk(0.5), mm, 0));
+        cell.base_mut()
+            .add_behavior(new_behavior_box(adhesion, mm, 0));
+        cell.base_mut()
+            .add_behavior(new_behavior_box(walk(1.5), mm, 0));
+        sim.add_agent(cell);
+        sim.simulate(2);
+
+        let bytes = checkpoint(&sim).unwrap();
+        let mut restored = restore(&bytes, &Registry::with_builtin_types()).unwrap();
+        let before = fingerprint(&sim);
+        let tags: Vec<&str> = before.agents[&uid.0]
+            .behaviors
+            .iter()
+            .map(|(tag, _)| tag.as_str())
+            .collect();
+        assert_eq!(
+            tags,
+            [
+                "models.RandomWalk",
+                "models.TypeAdhesion",
+                "models.RandomWalk"
+            ]
+        );
+        assert_identical(&before, &fingerprint(&restored), "round trip");
+        sim.simulate(3);
+        restored.simulate(3);
+        assert_identical(&fingerprint(&sim), &fingerprint(&restored), "replay");
     }
 
     #[test]

@@ -620,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_gap_lengthens_replay_but_stays_conformant() {
+    fn skipped_capture_lengthens_replay_but_stays_conformant() {
         let plan = FaultPlan::new()
             .push(FaultSite::CheckpointCapture, 4, FaultKind::SkippedCapture)
             .push(FaultSite::BeforeOp("agent_ops".into()), 5, FaultKind::Panic);

@@ -54,7 +54,116 @@ pub struct AgentBase {
     uid: AgentUid,
     position: Real3,
     diameter: f64,
-    behaviors: Vec<BehaviorBox>,
+    behaviors: BehaviorList,
+}
+
+// Every concrete agent embeds the base, so a field added here moves every
+// agent type up a pool size class (16-byte steps): fail the build instead.
+const _: () = assert!(std::mem::size_of::<AgentBase>() == 88);
+
+/// An agent's behaviors, stored inside the agent for up to two and spilled
+/// to a `Vec` from the third on. Every model attaches at most two, so the
+/// common case costs no heap allocation of its own: the list moves with the
+/// agent through the sort's deep clone instead of leaving a 64-byte malloc
+/// chunk per agent and generation behind in the workers' arenas. A spilled
+/// list that shrinks back to two returns inline.
+#[derive(Default)]
+pub(crate) enum BehaviorList {
+    #[default]
+    Zero,
+    One([BehaviorBox; 1]),
+    Two([BehaviorBox; 2]),
+    Many(Vec<BehaviorBox>),
+}
+
+// The enum's tag fits in a niche of the boxes, so the inline list costs no
+// more than the two boxes it holds.
+const _: () = assert!(std::mem::size_of::<BehaviorList>() == 48);
+
+impl BehaviorList {
+    /// The behaviors in order.
+    pub(crate) fn as_slice(&self) -> &[BehaviorBox] {
+        match self {
+            BehaviorList::Zero => &[],
+            BehaviorList::One(b) => b,
+            BehaviorList::Two(b) => b,
+            BehaviorList::Many(v) => v,
+        }
+    }
+
+    /// The behaviors in order, mutably.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [BehaviorBox] {
+        match self {
+            BehaviorList::Zero => &mut [],
+            BehaviorList::One(b) => b,
+            BehaviorList::Two(b) => b,
+            BehaviorList::Many(v) => v,
+        }
+    }
+
+    /// Number of behaviors.
+    pub(crate) fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Appends `new`; the third behavior spills the list to a `Vec`.
+    pub(crate) fn push(&mut self, new: BehaviorBox) {
+        *self = match std::mem::take(self) {
+            BehaviorList::Zero => BehaviorList::One([new]),
+            BehaviorList::One([a]) => BehaviorList::Two([a, new]),
+            BehaviorList::Two([a, b]) => BehaviorList::Many(vec![a, b, new]),
+            BehaviorList::Many(mut v) => {
+                v.push(new);
+                BehaviorList::Many(v)
+            }
+        };
+    }
+
+    /// Removes and returns the behavior at `i`; the last one takes its
+    /// place (`Vec::swap_remove`). A spilled list left with two or fewer
+    /// returns inline.
+    ///
+    /// # Panics
+    /// If `i` is out of bounds.
+    pub(crate) fn swap_remove(&mut self, i: usize) -> BehaviorBox {
+        let (removed, rest) = match (std::mem::take(self), i) {
+            (BehaviorList::One([a]), 0) => (a, BehaviorList::Zero),
+            (BehaviorList::Two([a, b]), 0) => (a, BehaviorList::One([b])),
+            (BehaviorList::Two([a, b]), 1) => (b, BehaviorList::One([a])),
+            (BehaviorList::Many(mut v), _) => {
+                let removed = v.swap_remove(i);
+                let rest = match v.len() {
+                    3.. => BehaviorList::Many(v),
+                    _ => v.into_iter().collect(),
+                };
+                (removed, rest)
+            }
+            (list, _) => panic!("behavior index {i} out of bounds (len {})", list.len()),
+        };
+        *self = rest;
+        removed
+    }
+
+    /// Appends every behavior of `other`, in order.
+    pub(crate) fn append(&mut self, other: BehaviorList) {
+        match other {
+            BehaviorList::Zero => {}
+            BehaviorList::One([a]) => self.push(a),
+            BehaviorList::Two([a, b]) => {
+                self.push(a);
+                self.push(b);
+            }
+            BehaviorList::Many(v) => v.into_iter().for_each(|b| self.push(b)),
+        }
+    }
+}
+
+impl FromIterator<BehaviorBox> for BehaviorList {
+    fn from_iter<I: IntoIterator<Item = BehaviorBox>>(iter: I) -> BehaviorList {
+        let mut list = BehaviorList::Zero;
+        iter.into_iter().for_each(|b| list.push(b));
+        list
+    }
 }
 
 impl std::fmt::Debug for AgentBase {
@@ -75,7 +184,7 @@ impl AgentBase {
             uid,
             position: Real3::ZERO,
             diameter: 10.0,
-            behaviors: Vec::new(),
+            behaviors: BehaviorList::Zero,
         }
     }
 
@@ -126,7 +235,7 @@ impl AgentBase {
 
     /// The agent's behaviors.
     pub fn behaviors(&self) -> &[BehaviorBox] {
-        &self.behaviors
+        self.behaviors.as_slice()
     }
 
     /// Adds a behavior.
@@ -136,15 +245,15 @@ impl AgentBase {
 
     /// Takes the behavior list out (the engine runs behaviors detached from
     /// the agent to satisfy the borrow checker, then puts them back).
-    pub(crate) fn take_behaviors(&mut self) -> Vec<BehaviorBox> {
+    pub(crate) fn take_behaviors(&mut self) -> BehaviorList {
         std::mem::take(&mut self.behaviors)
     }
 
     /// Puts the behavior list back after execution. Behaviors the agent
     /// added *during* execution were pushed onto the (temporarily empty)
     /// list and are appended behind the surviving originals.
-    pub(crate) fn put_behaviors(&mut self, mut original: Vec<BehaviorBox>) {
-        original.append(&mut self.behaviors);
+    pub(crate) fn put_behaviors(&mut self, mut original: BehaviorList) {
+        original.append(std::mem::take(&mut self.behaviors));
         self.behaviors = original;
     }
 
@@ -161,7 +270,7 @@ impl AgentBase {
             position: self.position,
             diameter: self.diameter,
             behaviors: self
-                .behaviors
+                .behaviors()
                 .iter()
                 .filter(|b| b.copy_to_new())
                 .map(|b| b.clone_behavior(mm, domain))
@@ -177,7 +286,7 @@ impl AgentBase {
             position: self.position,
             diameter: self.diameter,
             behaviors: self
-                .behaviors
+                .behaviors()
                 .iter()
                 .map(|b| b.clone_behavior(mm, domain))
                 .collect(),
@@ -427,12 +536,137 @@ impl Agent for Cell {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::behavior::{clone_behavior_box, new_behavior_box, Behavior, BehaviorControl};
+    use crate::context::AgentContext;
     use bdm_alloc::PoolConfig;
 
     fn mm() -> MemoryManager {
         MemoryManager::new(1, 1, PoolConfig::default())
+    }
+
+    /// A behavior known by its id: it runs `control` and, when `spawn` is
+    /// set, attaches a behavior with that id to its agent during the run.
+    #[derive(Clone)]
+    pub(crate) struct Tagged {
+        pub id: u8,
+        pub control: BehaviorControl,
+        pub copy: bool,
+        pub spawn: Option<u8>,
+    }
+
+    impl Tagged {
+        pub(crate) fn keep(id: u8) -> Tagged {
+            Tagged {
+                id,
+                control: BehaviorControl::Keep,
+                copy: true,
+                spawn: None,
+            }
+        }
+    }
+
+    impl Behavior for Tagged {
+        fn run(&mut self, agent: &mut dyn Agent, ctx: &mut AgentContext<'_>) -> BehaviorControl {
+            if let Some(id) = self.spawn.take() {
+                let b = new_behavior_box(Tagged::keep(id), ctx.memory_manager(), 0);
+                agent.base_mut().add_behavior(b);
+            }
+            self.control
+        }
+        fn clone_behavior(&self, mm: &MemoryManager, domain: usize) -> BehaviorBox {
+            clone_behavior_box(self, mm, domain)
+        }
+        fn copy_to_new(&self) -> bool {
+            self.copy
+        }
+        fn checkpoint_write(&self, out: &mut bdm_util::ByteWriter) {
+            out.put_u8(self.id);
+        }
+    }
+
+    /// The ids of `behaviors`, in order.
+    pub(crate) fn ids(behaviors: &[BehaviorBox]) -> Vec<u8> {
+        behaviors
+            .iter()
+            .map(|b| {
+                let mut w = bdm_util::ByteWriter::new();
+                b.checkpoint_write(&mut w);
+                w.as_slice()[0]
+            })
+            .collect()
+    }
+
+    fn tagged(id: u8, mm: &MemoryManager) -> BehaviorBox {
+        new_behavior_box(Tagged::keep(id), mm, 0)
+    }
+
+    #[test]
+    fn behavior_list_spills_at_three_and_shrinks_back() {
+        let mm = mm();
+        let mut list = BehaviorList::default();
+        assert!(matches!(list, BehaviorList::Zero));
+        list.push(tagged(1, &mm));
+        assert!(matches!(list, BehaviorList::One(_)));
+        list.push(tagged(2, &mm));
+        assert!(matches!(list, BehaviorList::Two(_)));
+        list.push(tagged(3, &mm));
+        assert!(matches!(list, BehaviorList::Many(_)));
+        assert_eq!(ids(list.as_slice()), [1, 2, 3]);
+
+        // Swap-remove moves the last behavior into the hole, and a list of
+        // two returns inline.
+        assert_eq!(ids(&[list.swap_remove(0)]), [1]);
+        assert!(matches!(list, BehaviorList::Two(_)));
+        assert_eq!(ids(list.as_slice()), [3, 2]);
+        assert_eq!(ids(&[list.swap_remove(1)]), [2]);
+        assert!(matches!(list, BehaviorList::One(_)));
+        assert_eq!(ids(&[list.swap_remove(0)]), [3]);
+        assert!(matches!(list, BehaviorList::Zero));
+
+        let mut list: BehaviorList = (1..=4).map(|id| tagged(id, &mm)).collect();
+        assert_eq!(ids(list.as_slice()), [1, 2, 3, 4]);
+        list.swap_remove(1);
+        assert!(matches!(list, BehaviorList::Many(_)));
+        assert_eq!(ids(list.as_slice()), [1, 4, 3]);
+        list.append((5..=6).map(|id| tagged(id, &mm)).collect());
+        assert_eq!(ids(list.as_slice()), [1, 4, 3, 5, 6]);
+        drop(list);
+        assert_eq!(mm.outstanding(), 0, "every behavior dropped exactly once");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn behavior_list_swap_remove_out_of_bounds_panics() {
+        let mm = mm();
+        let mut list: BehaviorList = (1..=2).map(|id| tagged(id, &mm)).collect();
+        list.swap_remove(2);
+    }
+
+    #[test]
+    fn clone_for_daughter_filters_copy_to_new_in_order() {
+        let mm = mm();
+        let mut base = AgentBase::new(AgentUid(1));
+        for id in 1..=4 {
+            let b = Tagged {
+                copy: id != 2,
+                ..Tagged::keep(id)
+            };
+            base.add_behavior(new_behavior_box(b, &mm, 0));
+        }
+        let daughter = base.clone_for_daughter(AgentUid(2), &mm, 0);
+        assert_eq!(ids(daughter.behaviors()), [1, 3, 4]);
+        assert!(matches!(daughter.behaviors, BehaviorList::Many(_)));
+        let clone = base.clone_in(&mm, 0);
+        assert_eq!(ids(clone.behaviors()), [1, 2, 3, 4]);
+        base.behaviors.swap_remove(0);
+        base.behaviors.swap_remove(0);
+        let second = base.clone_for_daughter(AgentUid(3), &mm, 0);
+        assert_eq!(ids(second.behaviors()), [3]);
+        assert!(matches!(second.behaviors, BehaviorList::One(_)));
+        drop((base, daughter, second, clone));
+        assert_eq!(mm.outstanding(), 0);
     }
 
     #[test]

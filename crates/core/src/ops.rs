@@ -15,13 +15,11 @@ use crate::resource_manager::{split_global, StaticFlags, VIOL_CUR, VIOL_NEXT};
 pub(crate) fn run_behaviors(agent: &mut dyn Agent, ctx: &mut AgentContext<'_>) {
     let mut behaviors = agent.base_mut().take_behaviors();
     let mut i = 0;
-    let mut len = behaviors.len();
-    while i < len {
-        match behaviors[i].run(agent, ctx) {
+    while i < behaviors.len() {
+        match behaviors.as_mut_slice()[i].run(agent, ctx) {
             BehaviorControl::Keep => i += 1,
             BehaviorControl::RemoveSelf => {
                 behaviors.swap_remove(i);
-                len -= 1;
             }
         }
     }
@@ -277,4 +275,88 @@ pub(crate) fn run_mechanics(
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use bdm_alloc::MemoryManager;
+    use bdm_env::UniformGridEnvironment;
+    use bdm_util::SimRng;
+
+    use super::*;
+    use crate::agent::tests::{ids, Tagged};
+    use crate::agent::{AgentHandle, AgentUid, Cell};
+    use crate::behavior::new_behavior_box;
+    use crate::context::{ExecutionContext, Snapshot};
+
+    /// Runs the behaviors of a cell carrying `behaviors` once and returns
+    /// the ids it carries afterwards.
+    fn run_once(behaviors: Vec<Tagged>) -> Vec<u8> {
+        let mm = MemoryManager::system_only(1, 1);
+        let mut cell = Cell::new(AgentUid(1));
+        for b in behaviors {
+            cell.base_mut().add_behavior(new_behavior_box(b, &mm, 0));
+        }
+        let env = UniformGridEnvironment::new();
+        let snapshot = Snapshot::default();
+        let mut exec = ExecutionContext::new(1);
+        let mut ctx = AgentContext {
+            exec: &mut exec,
+            env: &env,
+            snapshot: &snapshot,
+            grid: None,
+            mm: &mm,
+            diffusion: &[],
+            alloc_domain: 0,
+            self_handle: AgentHandle::new(0, 0),
+            self_global: 0,
+            dt: 1.0,
+            iteration: 1,
+            rng: SimRng::new(1),
+            uid_seq: 0,
+            self_uid: AgentUid(1),
+        };
+        run_behaviors(&mut cell, &mut ctx);
+        ids(cell.base().behaviors())
+    }
+
+    fn remove(id: u8) -> Tagged {
+        Tagged {
+            control: BehaviorControl::RemoveSelf,
+            ..Tagged::keep(id)
+        }
+    }
+
+    #[test]
+    fn remove_self_swap_removes_and_runs_the_moved_behavior() {
+        // 2 leaves; 4 takes its slot and runs there, then 3 runs.
+        let kept = run_once(vec![
+            Tagged::keep(1),
+            remove(2),
+            Tagged::keep(3),
+            Tagged::keep(4),
+        ]);
+        assert_eq!(kept, [1, 4, 3]);
+        // The moved behavior removing itself as well.
+        assert_eq!(run_once(vec![remove(1), Tagged::keep(2), remove(3)]), [2]);
+        assert_eq!(run_once(vec![remove(1), remove(2)]), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn behaviors_added_during_a_run_go_behind_the_survivors() {
+        let spawner = Tagged {
+            spawn: Some(9),
+            ..Tagged::keep(1)
+        };
+        assert_eq!(
+            run_once(vec![spawner.clone(), remove(2), Tagged::keep(3)]),
+            [1, 3, 9]
+        );
+        assert_eq!(run_once(vec![spawner.clone()]), [1, 9]);
+        let leaving_spawner = Tagged {
+            control: BehaviorControl::RemoveSelf,
+            ..spawner
+        };
+        assert_eq!(run_once(vec![leaving_spawner, Tagged::keep(2)]), [2, 9]);
+    }
 }

@@ -16,16 +16,19 @@
 //!   The paper bounds the rebuild with timestamped boxes that are never
 //!   zeroed; bounding the box count bounds the same work without a second
 //!   structure, and bounds memory too.
-//! * **Three sweeps, one count row** — one sweep over the cloud computes
-//!   each agent's flat box index and counts it into the single per-box
-//!   count row; on the caller's pool ([`UpdateHint::pool`]) one contiguous
-//!   agent range per worker, with relaxed atomic increments (they commute,
-//!   so the histogram does not depend on scheduling). One sweep over the
-//!   boxes then turns the row into the offset table, the per-box scatter
-//!   cursors and the occupancy bitmap together. The scatter runs one task
-//!   per contiguous box range, each scanning the agents in index order, so
-//!   the writes are disjoint and agents of a box land in ascending
-//!   agent-index order regardless of the worker count and scheduling.
+//! * **Three sweeps, one per-box table** — one sweep over the cloud
+//!   computes each agent's flat box index and counts box `b` into entry
+//!   `b + 1` of the offset table itself; on the caller's pool
+//!   ([`UpdateHint::pool`]) one contiguous agent range per worker, with
+//!   relaxed atomic increments (they commute, so the histogram does not
+//!   depend on scheduling). One sweep over the boxes then turns each count
+//!   into its box's start in place and writes the occupancy bitmap. The
+//!   scatter uses entry `b + 1` as box `b`'s cursor, so when it is done the
+//!   entry holds `start(b + 1)` and the table is complete: the build needs
+//!   no second per-box row. The scatter runs one task per contiguous box
+//!   range, each scanning the agents in index order, so the writes are
+//!   disjoint and agents of a box land in ascending agent-index order
+//!   regardless of the worker count and scheduling.
 //! * **3×3×3 search** — a fixed-radius query visits the query box and its 26
 //!   surrounding boxes; complete because the box edge is never smaller than
 //!   the build radius. Boxes adjacent in x are adjacent in the sorted slots,
@@ -56,8 +59,8 @@ use crate::{Environment, NeighborQueryScratch, PointCloud, UpdateHint};
 const PARALLEL_BUILD_THRESHOLD: usize = 1 << 16;
 
 /// Box budget of the lattice: at most this many boxes per indexed point.
-/// Beyond it the per-box passes of the rebuild (offset table, count rows,
-/// occupancy bitmap — all O(#boxes)) would dominate the O(#agents) work, so
+/// Beyond it the per-box passes of the rebuild (offset table, occupancy
+/// bitmap — all O(#boxes)) would dominate the O(#agents) work, so
 /// [`UniformGridEnvironment::lattice_for`] coarsens the box edge instead.
 /// A constant, not an option: the smallest value of the measured sweep in
 /// docs/PERFORMANCE.md ("The box budget") that leaves every benchmark
@@ -184,7 +187,9 @@ pub struct UniformGridEnvironment {
     /// Exclusive prefix-sum offset table: box `b`'s agents occupy
     /// `sorted_slots[cell_offsets[b]..cell_offsets[b + 1]]`. `u32` — the
     /// lattice budget guarantees every offset fits — so the O(#boxes) merge
-    /// passes move half the memory of a `usize` table.
+    /// passes move half the memory of a `usize` table. The only per-box
+    /// table of the build: during it, entry `b + 1` is box `b`'s count,
+    /// then its start, then its scatter cursor, which ends as `start(b + 1)`.
     cell_offsets: Vec<u32>,
     /// Interleaved `(position, index)` slots grouped by box (copy taken at
     /// `update()` time) — one contiguous array for the stencil scan.
@@ -197,10 +202,6 @@ pub struct UniformGridEnvironment {
     /// (scratch for the counting sort; the lattice budget guarantees the
     /// flat index fits in 32 bits).
     agent_boxes: Vec<u32>,
-    /// The count row of the counting sort, one entry per box (scratch,
-    /// reused). After the merge sweep each entry is its box's scatter
-    /// cursor.
-    count_scratch: Vec<u32>,
     /// One bit per box, set iff the box holds at least one agent in the
     /// current build. At ~0.3 agents/box (typical 10⁶-agent models) a
     /// large fraction of the stencil's nine runs is empty; testing three
@@ -239,7 +240,6 @@ impl UniformGridEnvironment {
             sorted_slots: Vec::new(),
             sorted_diameters: Vec::new(),
             agent_boxes: Vec::new(),
-            count_scratch: Vec::new(),
             occupancy: Vec::new(),
             diameters_active: false,
             build_count: 0,
@@ -555,16 +555,17 @@ impl UniformGridEnvironment {
     }
 
     /// The count sweep of the build: records every agent's flat box index
-    /// and counts it into the count row. On a pool, one contiguous agent
-    /// range per worker runs in parallel on ONE shared row through relaxed
-    /// atomic increments — they commute, so the row is the same whatever
-    /// the schedule, and it costs neither a row per worker nor their merge.
+    /// and counts box `b` into `cell_offsets[b + 1]` (zeroed by the caller).
+    /// On a pool, one contiguous agent range per worker runs in parallel on
+    /// that ONE shared row through relaxed atomic increments — they
+    /// commute, so the row is the same whatever the schedule, and it costs
+    /// neither a row per worker nor their merge.
     fn count_boxes(&mut self, positions: Positions<'_>, n: usize, pool: Option<&NumaThreadPool>) {
         let Some(pool) = pool else {
             for i in 0..n {
                 let flat = self.flat_index(self.box_coordinates(positions.get(i)));
                 self.agent_boxes[i] = flat as u32;
-                self.count_scratch[flat] += 1;
+                self.cell_offsets[flat + 1] += 1;
             }
             return;
         };
@@ -573,8 +574,8 @@ impl UniformGridEnvironment {
         // accessed through this view inside the parallel region.
         let counts = unsafe {
             std::slice::from_raw_parts(
-                self.count_scratch.as_mut_ptr() as *const AtomicU32,
-                self.count_scratch.len(),
+                self.cell_offsets.as_mut_ptr() as *const AtomicU32,
+                self.cell_offsets.len(),
             )
         };
         let grid = &*self;
@@ -583,33 +584,27 @@ impl UniformGridEnvironment {
                 let flat = grid.flat_index(grid.box_coordinates(positions.get(i)));
                 // SAFETY: slot `i` is written by exactly one task.
                 unsafe { agent_boxes_ptr.write(i, flat as u32) };
-                counts[flat].fetch_add(1, Ordering::Relaxed);
+                counts[flat + 1].fetch_add(1, Ordering::Relaxed);
             }
         });
     }
 
-    /// The merge sweep of the build: ONE pass over the boxes turns the
-    /// count row into the exclusive `cell_offsets` table, rewrites each
-    /// count into its box's scatter cursor and sets the box's occupancy bit
-    /// — a word of 64 boxes at a time, so the bitmap is written once.
+    /// The merge sweep of the build: ONE pass over the boxes turns each
+    /// count in `cell_offsets[b + 1]` into box `b`'s start — the scatter
+    /// cursor — in place, and sets the box's occupancy bit, a word of 64
+    /// boxes at a time so the bitmap is written once.
     fn merge_counts(&mut self, nboxes: usize, n: usize) {
-        self.cell_offsets.resize(nboxes + 1, 0);
         self.occupancy.resize(nboxes.div_ceil(64), 0);
-        let cursors = &mut self.count_scratch[..nboxes];
-        let (first, offsets) = self.cell_offsets.split_at_mut(1);
-        first[0] = 0;
         let mut acc = 0u32;
-        for ((word, cursors), offsets) in self
+        for (word, counts) in self
             .occupancy
             .iter_mut()
-            .zip(cursors.chunks_mut(64))
-            .zip(offsets.chunks_mut(64))
+            .zip(self.cell_offsets[1..].chunks_mut(64))
         {
             let mut bits = 0u64;
-            for (b, (cursor, offset)) in cursors.iter_mut().zip(offsets).enumerate() {
-                let count = std::mem::replace(cursor, acc);
+            for (b, entry) in counts.iter_mut().enumerate() {
+                let count = std::mem::replace(entry, acc);
                 acc += count;
-                *offset = acc;
                 bits |= u64::from(count != 0) << b;
             }
             *word = bits;
@@ -619,7 +614,9 @@ impl UniformGridEnvironment {
 
     /// Scatter pass of the build: every agent's interleaved
     /// `(position, index)` slot — and, when requested, its diameter — goes
-    /// to the cursor of its box. The box space is cut into tiles — contiguous
+    /// to the cursor of its box, `cell_offsets[b + 1]`; advancing it past
+    /// the box's last agent leaves `start(b + 1)` there, which completes the
+    /// offset table. The box space is cut into tiles — contiguous
     /// box ranges balanced by slot count, a whole number of passes per pool
     /// worker (one worker without a pool) — and each tile task scans the
     /// agents in ascending index order and places those of its boxes: tasks
@@ -647,25 +644,26 @@ impl UniformGridEnvironment {
         if diameters.is_some() {
             self.sorted_diameters.resize(n, 0.0);
         }
-        let slot_ptr = SendMut::new(self.sorted_slots.as_mut_ptr());
-        let diam_ptr = SendMut::new(self.sorted_diameters.as_mut_ptr());
-        let cursors_ptr = SendMut::new(self.count_scratch.as_mut_ptr());
-        let flats = &self.agent_boxes[..n];
-        let offsets = &self.cell_offsets;
         // Tile t covers boxes [tile_bounds[t], tile_bounds[t+1]) and
-        // therefore a write window of about n/tiles sorted slots.
+        // therefore a write window of about n/tiles sorted slots. Box `b`
+        // starts at `starts[b]` until the scatter advances it.
         let slot_bytes = SOA_SLOT_BYTES + diameters.map_or(0, |_| std::mem::size_of::<f64>());
         let workers = pool.map_or(1, NumaThreadPool::num_threads);
         let passes = (n * slot_bytes / (SCATTER_TILE_BYTES * workers)).clamp(1, MAX_SCATTER_TILES);
         let tiles = passes * workers;
+        let starts = &self.cell_offsets[1..];
         let mut tile_bounds = vec![0usize; tiles + 1];
         for t in 1..tiles {
             let target = (t * n / tiles) as u32;
-            tile_bounds[t] = offsets
+            tile_bounds[t] = starts
                 .partition_point(|&o| o < target)
                 .clamp(tile_bounds[t - 1], nboxes);
         }
         tile_bounds[tiles] = nboxes;
+        let slot_ptr = SendMut::new(self.sorted_slots.as_mut_ptr());
+        let diam_ptr = SendMut::new(self.sorted_diameters.as_mut_ptr());
+        let cursors_ptr = SendMut::new(self.cell_offsets[1..].as_mut_ptr());
+        let flats = &self.agent_boxes[..n];
         let scatter_tile = |t: usize| {
             let (b0, b1) = (tile_bounds[t] as u32, tile_bounds[t + 1] as u32);
             for (i, &flat) in flats.iter().enumerate() {
@@ -802,8 +800,8 @@ impl Environment for UniformGridEnvironment {
         if self.agent_boxes.len() < n {
             self.agent_boxes.resize(n, 0);
         }
-        self.count_scratch.clear();
-        self.count_scratch.resize(nboxes, 0);
+        self.cell_offsets.clear();
+        self.cell_offsets.resize(nboxes + 1, 0);
         self.count_boxes(positions, n, pool);
         self.merge_counts(nboxes, n);
         // Box-sorted diameters ride along in the same scatter pass, but
@@ -841,7 +839,6 @@ impl Environment for UniformGridEnvironment {
         self.sorted_slots.clear();
         self.sorted_diameters.clear();
         self.agent_boxes.clear();
-        self.count_scratch.clear();
         self.occupancy.clear();
         self.diameters_active = false;
     }
@@ -854,7 +851,6 @@ impl Environment for UniformGridEnvironment {
         let mut bytes = self.cell_offsets.capacity() * std::mem::size_of::<u32>()
             + self.sorted_slots.capacity() * std::mem::size_of::<SortedSlot>()
             + self.agent_boxes.capacity() * std::mem::size_of::<u32>()
-            + self.count_scratch.capacity() * std::mem::size_of::<u32>()
             + self.occupancy.capacity() * std::mem::size_of::<u64>();
         if self.diameters_active {
             bytes += self.sorted_diameters.capacity() * std::mem::size_of::<f64>();
@@ -891,6 +887,126 @@ impl Positions<'_> {
         match self {
             Positions::Slice(s) => s[i],
             Positions::Cloud(c) => c.position(i),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bdm_numa::NumaTopology;
+    use bdm_util::SimRng;
+
+    use super::*;
+    use crate::GridFrame;
+
+    /// Positions with diameters, so the build scatters both.
+    struct Cloud<'a>(&'a [Real3], &'a [f64]);
+
+    impl PointCloud for Cloud<'_> {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn position(&self, idx: usize) -> Real3 {
+            self.0[idx]
+        }
+        fn positions_slice(&self) -> Option<&[Real3]> {
+            Some(self.0)
+        }
+        fn diameters(&self) -> Option<&[f64]> {
+            Some(self.1)
+        }
+    }
+
+    /// The counting sort by definition, over the grid's own box mapping:
+    /// `(offsets, slot order, occupancy bitmap)` with the offsets the
+    /// exclusive prefix sum of the box counts and each box's points in
+    /// ascending index order.
+    fn reference(
+        grid: &UniformGridEnvironment,
+        points: &[Real3],
+    ) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+        let nboxes = grid.num_boxes();
+        let mut members = vec![Vec::new(); nboxes];
+        for (i, &p) in points.iter().enumerate() {
+            members[grid.flat_index(grid.box_coordinates(p))].push(i as u32);
+        }
+        let mut offsets = vec![0];
+        let mut order = Vec::new();
+        let mut occupancy = vec![0u64; nboxes.div_ceil(64)];
+        for (b, m) in members.iter().enumerate() {
+            order.extend(m);
+            offsets.push(order.len() as u32);
+            occupancy[b / 64] |= u64::from(!m.is_empty()) << (b % 64);
+        }
+        (offsets, order, occupancy)
+    }
+
+    /// Rebuilds `grid` over `points` and checks every per-build table
+    /// against [`reference`].
+    fn build_and_check(
+        grid: &mut UniformGridEnvironment,
+        points: &[Real3],
+        frame: Option<GridFrame>,
+        pool: Option<&NumaThreadPool>,
+        what: &str,
+    ) {
+        let diameters: Vec<f64> = (0..points.len()).map(|i| 1.0 + i as f64).collect();
+        let hint = UpdateHint {
+            pool,
+            grid_frame: frame,
+            scatter_diameters: true,
+            ..UpdateHint::default()
+        };
+        grid.update_with(&Cloud(points, &diameters), 3.0, hint);
+        let (offsets, order, occupancy) = reference(grid, points);
+        assert_eq!(grid.cell_offsets, offsets, "{what}: offsets");
+        let slots: Vec<u32> = grid.sorted_slots.iter().map(|s| s.index).collect();
+        assert_eq!(slots, order, "{what}: slot order");
+        assert!(
+            grid.sorted_slots
+                .iter()
+                .all(|s| s.position == points[s.index as usize]),
+            "{what}: slot positions"
+        );
+        let scattered: Vec<f64> = order.iter().map(|&i| diameters[i as usize]).collect();
+        assert_eq!(
+            grid.scattered_diameters(),
+            Some(&scattered[..]),
+            "{what}: diameters"
+        );
+        assert_eq!(grid.occupancy, occupancy, "{what}: occupancy");
+    }
+
+    #[test]
+    fn serial_and_pooled_builds_are_the_reference_counting_sort() {
+        let pool = NumaThreadPool::new(NumaTopology::new(1, 4));
+        let mut rng = SimRng::new(36);
+        // Above the parallel-build threshold: ~0.3 points per box (the
+        // benchmark scenes' occupancy), then ~5 per box.
+        let n = PARALLEL_BUILD_THRESHOLD + 4000;
+        let sparse: Vec<Real3> = (0..n).map(|_| rng.point_in_cube(0.0, 190.0)).collect();
+        let dense: Vec<Real3> = (0..n).map(|_| rng.point_in_cube(0.0, 70.0)).collect();
+        let (min, max) = (Real3::splat(0.0), Real3::splat(190.0));
+        let (box_length, global_dims) = UniformGridEnvironment::lattice_for(min, max, 3.0, n);
+        let window = GridFrame {
+            anchor: min,
+            global_dims,
+            box_offset: [5, 0, 17],
+            dims: [global_dims[0] - 12, global_dims[1], 20],
+            box_length,
+        };
+        for (label, pool) in [("serial", None), ("pooled", Some(&pool))] {
+            // One grid through every build: each one must start from a
+            // clean table whatever the previous build left in it.
+            let mut grid = UniformGridEnvironment::new();
+            for (scene, points, frame) in [
+                ("sparse", &sparse, None),
+                ("dense", &dense, None),
+                ("windowed", &sparse, Some(window)),
+                ("sparse again", &sparse, None),
+            ] {
+                build_and_check(&mut grid, points, frame, pool, &format!("{label} {scene}"));
+            }
         }
     }
 }
