@@ -15,7 +15,7 @@
 use bdm_bench::{emit, header, Args};
 use bdm_checkpoint::{RecoveryPolicy, RingPolicy, SupervisedRunner};
 use bdm_core::testing::{fingerprint, first_divergence};
-use bdm_core::{FaultPlan, FaultSite, HealthPolicy, Param};
+use bdm_core::{FaultPlan, FaultSite, Param};
 use bdm_util::Table;
 
 fn main() {
@@ -49,7 +49,7 @@ fn main() {
             seed: args.seed,
             threads: args.threads,
             numa_domains: args.domains,
-            health: Some(HealthPolicy::every(4)),
+            health_check_every: Some(4),
             ..Param::default()
         };
 
@@ -82,7 +82,6 @@ fn main() {
                     depth: 10,
                 },
                 max_attempts: 4 * faults as u64,
-                degradations: Vec::new(),
             },
         );
         let report = match runner.run(iterations) {

@@ -123,13 +123,7 @@ pub fn report_from_sim(sim: &Simulation, iterations: usize, wall_secs: f64) -> R
         pool_reserved_bytes: mem.reserved_bytes,
         pool_allocations: mem.pool_allocations,
         system_allocations: mem.system_allocations,
-        health_checks_run: stats.health_checks_run,
         violations_detected: stats.violations_detected,
-        recoveries_attempted: stats.recoveries_attempted,
-        recoveries_succeeded: stats.recoveries_succeeded,
-        // Ring residency is supervisor-owned; supervised drivers (the soak
-        // binary) fill it from their RecoveryReport.
-        ckpt_bytes: 0,
     }
 }
 

@@ -265,18 +265,9 @@ pub struct RunReport {
     pub pool_allocations: u64,
     /// Allocations that used the system allocator.
     pub system_allocations: u64,
-    /// Health sentinel scans executed (0 when the sentinel is off).
-    pub health_checks_run: u64,
     /// Health violations detected (sentinel scans + counted sentinel
     /// reroutes of former asserts).
     pub violations_detected: u64,
-    /// Supervisor recovery attempts (rollback + replay).
-    pub recoveries_attempted: u64,
-    /// Recoveries confirmed by a clean replay past the failure point.
-    pub recoveries_succeeded: u64,
-    /// Bytes resident in the supervisor's checkpoint ring at the end of the
-    /// run (0 for unsupervised runs).
-    pub ckpt_bytes: u64,
 }
 
 impl RunReport {
@@ -317,16 +308,12 @@ impl RunReport {
             self.pool_allocations,
             self.system_allocations
         );
-        // Supervision and duty-cycle counters are only emitted when non-zero
-        // so report lines of runs without them stay byte-compatible with
-        // committed CSV protocols.
+        // The duty-cycle and violation counters are only emitted when
+        // non-zero so report lines of runs without them stay byte-compatible
+        // with committed CSV protocols.
         for (key, value) in [
             ("static_engaged", self.static_engaged_iterations),
-            ("health_checks", self.health_checks_run),
             ("violations", self.violations_detected),
-            ("recoveries_attempted", self.recoveries_attempted),
-            ("recoveries_succeeded", self.recoveries_succeeded),
-            ("ckpt_bytes", self.ckpt_bytes),
         ] {
             if value != 0 {
                 let _ = write!(s, " {key}={value}");
@@ -374,11 +361,7 @@ impl RunReport {
             pool_allocations: num("pool_allocs")?,
             system_allocations: num("sys_allocs")?,
             buckets: BTreeMap::new(),
-            health_checks_run: opt_num(&map, "health_checks")?,
             violations_detected: opt_num(&map, "violations")?,
-            recoveries_attempted: opt_num(&map, "recoveries_attempted")?,
-            recoveries_succeeded: opt_num(&map, "recoveries_succeeded")?,
-            ckpt_bytes: opt_num(&map, "ckpt_bytes")?,
         };
         for (key, value) in &map {
             if let Some(name) = key.strip_prefix("bucket.") {
@@ -392,7 +375,7 @@ impl RunReport {
     }
 }
 
-/// Optional u64 key: absent (older binaries / unsupervised runs) reads 0.
+/// Optional u64 key: absent (older binaries, runs that never set it) reads 0.
 fn opt_num(map: &BTreeMap<String, String>, key: &str) -> Result<u64, String> {
     map.get(key)
         .map(|v| {
@@ -513,11 +496,7 @@ mod tests {
             pool_reserved_bytes: 65536,
             pool_allocations: 100,
             system_allocations: 5,
-            health_checks_run: 4,
             violations_detected: 2,
-            recoveries_attempted: 2,
-            recoveries_succeeded: 2,
-            ckpt_bytes: 12345,
             buckets: BTreeMap::new(),
         };
         report.buckets.insert("agent_ops".into(), 0.9);

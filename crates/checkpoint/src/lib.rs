@@ -29,8 +29,8 @@
 //! keeps a bounded in-memory ring of restore points (each one a full
 //! checkpoint), and [`supervise`] drives a simulation with automatic
 //! rollback-and-retry — panics and health-sentinel violations roll back to
-//! the newest good restore point and replay bitwise-identically, with a
-//! configurable degradation ladder and a bounded attempt budget.
+//! the newest good restore point and replay bitwise-identically, within a
+//! bounded attempt budget.
 
 #![warn(missing_docs)]
 
@@ -46,7 +46,7 @@ pub use registry::Registry;
 pub use ring::{CheckpointRing, RingPolicy};
 pub use sections::{Counters, RestoredAgent};
 pub use supervise::{
-    Degradation, RecoveryEvent, RecoveryPolicy, RecoveryReport, SupervisedRunner, SupervisorError,
+    RecoveryEvent, RecoveryPolicy, RecoveryReport, SupervisedRunner, SupervisorError,
 };
 pub use wire::{FORMAT_VERSION, MAGIC};
 
@@ -218,6 +218,38 @@ mod tests {
         sim.simulate(3);
         restored.simulate(3);
         assert_identical(&fingerprint(&sim), &fingerprint(&restored), "replay");
+    }
+
+    /// The sentinel frequency travels through PARAM as one fixed-size
+    /// optional u64, and the restored pipeline registers the sentinel
+    /// exactly when the captured one did, at the same clamped frequency.
+    #[test]
+    fn health_check_frequency_round_trips() {
+        let param_len = |every| {
+            sections::write_param(&Param {
+                health_check_every: every,
+                ..Param::default()
+            })
+            .len()
+        };
+        assert_eq!(param_len(None), param_len(Some(3)));
+        for every in [None, Some(0), Some(3)] {
+            let mut sim = Simulation::new(Param {
+                health_check_every: every,
+                ..small_sim().param().clone()
+            });
+            sim.simulate(2);
+            let bytes = checkpoint(&sim).unwrap();
+            let restored = restore(&bytes, &Registry::with_builtin_types()).unwrap();
+            assert_eq!(restored.param().health_check_every, every);
+            assert_eq!(
+                restored
+                    .scheduler()
+                    .frequency(bdm_core::builtin::HEALTH_CHECK),
+                every.map(|f| f.max(1)),
+                "health_check_every: {every:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [`CheckpointError`]. The layouts are documented field-by-field in
 //! `docs/ARCHITECTURE.md`.
 
-use bdm_core::{EnvironmentKind, HealthPolicy, InteractionForce, Param, Simulation, StaticFlags};
+use bdm_core::{EnvironmentKind, InteractionForce, Param, Simulation, StaticFlags};
 use bdm_util::{ByteReader, ByteWriter, Real3};
 
 use crate::error::{truncated, CheckpointError};
@@ -43,20 +43,8 @@ pub fn write_param(p: &Param) -> Vec<u8> {
     opt_u64(&mut w, p.threads.map(|t| t as u64));
     opt_u64(&mut w, p.numa_domains.map(|d| d as u64));
     w.put_u64(p.iteration_block_size as u64);
-    // Health policy (format v2): fixed-size like the opt_* fields — absent
-    // policies write zeroed placeholders so the payload length is stable.
-    w.put_u8(u8::from(p.health.is_some()));
-    let h = p.health.clone().unwrap_or_default();
-    w.put_u64(h.frequency);
-    w.put_u8(u8::from(h.bounds.is_some()));
-    let (lo, hi) = h.bounds.unwrap_or((Real3::ZERO, Real3::ZERO));
-    for v in [lo, hi] {
-        w.put_f64(v.x());
-        w.put_f64(v.y());
-        w.put_f64(v.z());
-    }
-    opt_u64(&mut w, h.max_agents);
-    w.put_u8(u8::from(h.check_diffusion));
+    // Health-sentinel frequency (format v8).
+    opt_u64(&mut w, p.health_check_every);
     // Shard count (format v3).
     w.put_u64(p.shards as u64);
     w.into_bytes()
@@ -104,26 +92,7 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
     let threads = take_opt_u64(r, S_PARAM)?.map(|v| v as usize);
     let numa_domains = take_opt_u64(r, S_PARAM)?.map(|v| v as usize);
     let iteration_block_size = r.take_u64().map_err(truncated(S_PARAM))? as usize;
-    let health_some = r.take_u8().map_err(truncated(S_PARAM))? != 0;
-    let health_frequency = r.take_u64().map_err(truncated(S_PARAM))?;
-    let bounds_some = r.take_u8().map_err(truncated(S_PARAM))? != 0;
-    let mut bounds_vals = [0.0f64; 6];
-    for v in &mut bounds_vals {
-        *v = r.take_f64().map_err(truncated(S_PARAM))?;
-    }
-    let health_max_agents = take_opt_u64(r, S_PARAM)?;
-    let health_check_diffusion = r.take_u8().map_err(truncated(S_PARAM))? != 0;
-    let health = health_some.then(|| HealthPolicy {
-        frequency: health_frequency,
-        bounds: bounds_some.then(|| {
-            (
-                Real3::new(bounds_vals[0], bounds_vals[1], bounds_vals[2]),
-                Real3::new(bounds_vals[3], bounds_vals[4], bounds_vals[5]),
-            )
-        }),
-        max_agents: health_max_agents,
-        check_diffusion: health_check_diffusion,
-    });
+    let health_check_every = take_opt_u64(r, S_PARAM)?;
     let shards = r.take_u64().map_err(truncated(S_PARAM))? as usize;
     if !(1..=bdm_core::MAX_SHARDS).contains(&shards) {
         return Err(malformed(S_PARAM, format!("invalid shard count {shards}")));
@@ -175,7 +144,7 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
         numa_domains,
         iteration_block_size,
         shards,
-        health,
+        health_check_every,
     })
 }
 

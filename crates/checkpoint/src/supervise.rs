@@ -1,4 +1,4 @@
-//! Supervised execution: catch faults, roll back, retry, degrade.
+//! Supervised execution: catch faults, roll back, replay.
 //!
 //! [`SupervisedRunner`] owns a [`Simulation`] and drives it like
 //! [`Simulation::simulate`], but wraps every step in a panic boundary and
@@ -7,51 +7,33 @@
 //! sentinel — the runner rolls the simulation back to the newest good
 //! restore point in its [`CheckpointRing`] and replays. Because the engine
 //! is deterministic and injected faults fire exactly once, a plain
-//! rollback-and-retry converges to the *bitwise identical* state an
+//! rollback-and-replay converges to the *bitwise identical* state an
 //! uninterrupted run would have reached.
 //!
-//! ## The recovery ladder
+//! ## Recovery
 //!
-//! 1. **Plain retry** — restore the newest restore point, replay.
-//! 2. **Degrade** — on repeated failures of the same window, apply the
-//!    configured [`Degradation`]s in order (e.g. fall back to the
-//!    brute-force neighbor backend, disable an offending operation), then
-//!    retry. Degradations trade fidelity/performance for progress and are
-//!    off by default.
-//! 3. **Walk back** — if a restore point itself is corrupt (checksum
+//! 1. **Plain retry** — restore the newest restore point, replay. A
+//!    window that fails again is retried the same way: a fault that
+//!    recurs on a deterministic replay is a bug to report, not one to
+//!    run around with a different configuration.
+//! 2. **Walk back** — if a restore point itself is corrupt (checksum
 //!    failure), drop it and retry against the next-older one.
-//! 4. **Give up** — after [`RecoveryPolicy::max_attempts`] total recovery
+//! 3. **Give up** — after [`RecoveryPolicy::max_attempts`] total recovery
 //!    attempts, return [`SupervisorError::BudgetExhausted`]; with no intact
 //!    restore point left, [`SupervisorError::NoRestorePoint`]. The runner
 //!    never aborts the process.
 //!
-//! Recovery activity is surfaced twice: live in the simulation's
-//! [`SimStats`](bdm_core::SimStats) counters (survives into bench reports)
-//! and summarized in the returned [`RecoveryReport`].
+//! Recovery activity is reported in one place, the returned
+//! [`RecoveryReport`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bdm_core::supervisor::HealthViolation;
-use bdm_core::{EnvironmentKind, FaultKind, FaultSite, Param, Simulation};
+use bdm_core::{FaultKind, FaultSite, Param, Simulation};
 
 use crate::error::CheckpointError;
 use crate::registry::Registry;
 use crate::ring::{CheckpointRing, RingPolicy};
-
-/// A fidelity/performance trade applied to the restored simulation when
-/// plain rollback-and-retry keeps failing (see the module docs). Note that
-/// degradations change the execution configuration, so a degraded run is no
-/// longer bitwise comparable to the undisturbed one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Degradation {
-    /// Swap the neighbor-search backend for the O(n²) brute-force reference
-    /// (slow but structurally trivial).
-    UseBruteEnvironment,
-    /// Turn off static-agent detection (every agent recomputed every step).
-    DisableStaticDetection,
-    /// Disable the named operation in the scheduler.
-    DisableOp(String),
-}
 
 /// Bounds and knobs for a [`SupervisedRunner`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,10 +43,6 @@ pub struct RecoveryPolicy {
     /// Total recovery attempts allowed across the run before
     /// [`SupervisorError::BudgetExhausted`].
     pub max_attempts: u64,
-    /// Escalation ladder: the `k`-th consecutive failure of the same window
-    /// (k ≥ 2) applies `degradations[k - 2]` (clamped to the last entry).
-    /// Empty (the default) keeps every retry bitwise-faithful.
-    pub degradations: Vec<Degradation>,
 }
 
 impl Default for RecoveryPolicy {
@@ -72,7 +50,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             ring: RingPolicy::default(),
             max_attempts: 5,
-            degradations: Vec::new(),
         }
     }
 }
@@ -86,8 +63,6 @@ pub struct RecoveryEvent {
     pub restored_from: u64,
     /// Human-readable failure cause (panic message or violation summary).
     pub cause: String,
-    /// Degradation applied on this recovery, if the ladder escalated.
-    pub degradation: Option<Degradation>,
 }
 
 /// Summary of a supervised run.
@@ -103,8 +78,6 @@ pub struct RecoveryReport {
     pub attempts: u64,
     /// Recoveries confirmed by a clean replay past the failure point.
     pub succeeded: u64,
-    /// Degradations applied by the escalation ladder.
-    pub degradations_applied: u64,
     /// Checkpoint captures performed by the ring.
     pub captures: u64,
     /// Bytes resident in the restore-point ring at the end of the run.
@@ -175,7 +148,6 @@ pub struct SupervisedRunner {
     registry: Registry,
     build: Box<dyn Fn(Param) -> Simulation>,
     report: RecoveryReport,
-    consecutive_failures: u64,
     pending_verify: Option<u64>,
 }
 
@@ -191,7 +163,6 @@ impl SupervisedRunner {
             registry: Registry::with_builtin_types(),
             build: Box::new(Simulation::new),
             report: RecoveryReport::default(),
-            consecutive_failures: 0,
             pending_verify: None,
         }
     }
@@ -244,8 +215,7 @@ impl SupervisedRunner {
     /// final forced health scan so silent corruption injected after the
     /// last scheduled scan is still caught and rolled back before
     /// returning. On success the simulation state is bitwise what an
-    /// undisturbed run would have produced, provided no degradation was
-    /// applied.
+    /// undisturbed run would have produced.
     pub fn run(&mut self, iterations: u64) -> Result<RecoveryReport, SupervisorError> {
         let target = self.sim.iteration() + iterations;
         self.report.iterations += iterations;
@@ -268,7 +238,6 @@ impl SupervisedRunner {
         }
         self.report.captures = self.ring.captures();
         self.report.ring_bytes = self.ring.resident_bytes();
-        self.sync_counters();
         Ok(self.report.clone())
     }
 
@@ -291,9 +260,7 @@ impl SupervisedRunner {
                         // A clean step carried us past the failure point:
                         // the recovery held.
                         self.pending_verify = None;
-                        self.consecutive_failures = 0;
                         self.report.succeeded += 1;
-                        self.sync_counters();
                     }
                 }
                 if self.ring.is_due(self.sim.iteration()) {
@@ -345,7 +312,6 @@ impl SupervisedRunner {
             });
         }
         self.report.attempts += 1;
-        self.consecutive_failures += 1;
         // The fault plan lives outside checkpoints; carry it (with its
         // fired flags) across the rollback so each fault fires only once.
         let plan = self.sim.take_fault_plan();
@@ -372,48 +338,13 @@ impl SupervisedRunner {
         if let Some(p) = plan {
             self.sim.set_fault_plan(p);
         }
-        let degradation = if self.consecutive_failures >= 2 && !self.policy.degradations.is_empty()
-        {
-            let idx =
-                ((self.consecutive_failures - 2) as usize).min(self.policy.degradations.len() - 1);
-            let d = self.policy.degradations[idx].clone();
-            self.apply_degradation(&d);
-            self.report.degradations_applied += 1;
-            Some(d)
-        } else {
-            None
-        };
         self.pending_verify = Some(failed_iteration);
         self.report.recoveries.push(RecoveryEvent {
             failed_iteration,
             restored_from,
             cause,
-            degradation,
         });
-        self.sync_counters();
         Ok(())
-    }
-
-    fn apply_degradation(&mut self, d: &Degradation) {
-        match d {
-            Degradation::UseBruteEnvironment => {
-                self.sim.set_environment_kind(EnvironmentKind::Brute);
-            }
-            Degradation::DisableStaticDetection => {
-                self.sim.set_detect_static_agents(false);
-            }
-            Degradation::DisableOp(name) => {
-                self.sim.scheduler_mut().set_enabled(name, false);
-            }
-        }
-    }
-
-    /// Pushes the running recovery totals into the simulation's stats (a
-    /// restore resets them to the captured values, so they are re-applied
-    /// after every rollback).
-    fn sync_counters(&mut self) {
-        self.sim
-            .set_recovery_counters(self.report.attempts, self.report.succeeded);
     }
 }
 
@@ -449,7 +380,6 @@ fn describe_violations(viols: &[HealthViolation]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdm_core::supervisor::HealthPolicy;
     use bdm_core::{Cell, FaultPlan, Real3};
 
     fn seeded_sim(faults: Option<FaultPlan>) -> Simulation {
@@ -457,7 +387,7 @@ mod tests {
             threads: Some(2),
             numa_domains: Some(2),
             interaction_radius: Some(12.0),
-            health: Some(HealthPolicy::every(2)),
+            health_check_every: Some(2),
             ..Param::default()
         });
         if let Some(plan) = faults {
@@ -504,9 +434,6 @@ mod tests {
             &bdm_core::testing::fingerprint(runner.sim()),
             "panic recovery",
         );
-        let stats = runner.sim().stats();
-        assert_eq!(stats.recoveries_attempted, 1);
-        assert_eq!(stats.recoveries_succeeded, 1);
     }
 
     #[test]
@@ -553,7 +480,6 @@ mod tests {
             RecoveryPolicy {
                 ring: ring_policy(),
                 max_attempts: 2,
-                degradations: Vec::new(),
             },
         );
         let err = runner.run(10).unwrap_err();
@@ -561,31 +487,6 @@ mod tests {
             matches!(err, SupervisorError::BudgetExhausted { attempts: 2, .. }),
             "{err}"
         );
-    }
-
-    #[test]
-    fn repeated_failure_escalates_degradation() {
-        // Two panics at the same site force a second consecutive recovery,
-        // which applies the first ladder entry.
-        let plan = FaultPlan::new()
-            .push(FaultSite::BeforeOp("agent_ops".into()), 5, FaultKind::Panic)
-            .push(FaultSite::BeforeOp("agent_ops".into()), 5, FaultKind::Panic);
-        let mut runner = SupervisedRunner::new(
-            seeded_sim(Some(plan)),
-            RecoveryPolicy {
-                ring: ring_policy(),
-                max_attempts: 5,
-                degradations: vec![Degradation::DisableStaticDetection],
-            },
-        );
-        let report = runner.run(10).unwrap();
-        assert_eq!(report.attempts, 2);
-        assert_eq!(report.degradations_applied, 1);
-        assert_eq!(
-            report.recoveries[1].degradation,
-            Some(Degradation::DisableStaticDetection)
-        );
-        assert!(!runner.sim().param().detect_static_agents);
     }
 
     #[test]

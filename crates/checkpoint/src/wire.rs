@@ -3,7 +3,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"BDMCKPT\0"
-//! 8       4     format version (u32 LE, currently 7)
+//! 8       4     format version (u32 LE, currently 8)
 //! 12      4     section count (u32 LE)
 //!         ...   sections, each:
 //!                 4   tag (ASCII fourcc: PARM FORC CNTR AGNT DIFF SCHD SHRD)
@@ -31,8 +31,9 @@ pub const MAGIC: [u8; 8] = *b"BDMCKPT\0";
 /// flag); v6 dropped delta checkpoints: the header lost its kind byte and
 /// base file id, COUNTERS its change counters (agent generation, grid
 /// versions) and DIFF its per-grid version; v7 dropped the neighbor-access
-/// byte from PARAM. Older files are rejected rather than silently misread.
-pub const FORMAT_VERSION: u32 = 7;
+/// byte from PARAM; v8 shrank PARAM's health policy to one optional
+/// frequency. Older files are rejected rather than silently misread.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Section tags, in canonical file order.
 pub mod tag {

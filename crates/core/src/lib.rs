@@ -62,7 +62,7 @@ pub use scheduler::{builtin, OpInfo, OpKind, Operation, Scheduler};
 pub use sharded::{ShardManifest, ShardReport, ShardStats, MAX_SHARDS};
 pub use simulation::{SimStats, Simulation};
 pub use sorting::SortPhases;
-pub use supervisor::{HealthPolicy, HealthViolation, HealthViolationKind};
+pub use supervisor::{HealthViolation, HealthViolationKind};
 
 // Re-exported engine substrates for convenience.
 pub use bdm_alloc::{MemoryManager, PoolBox, PoolConfig};

@@ -100,13 +100,14 @@ pub struct Param {
     /// its neighbor queries). Requires the uniform-grid environment;
     /// capped at [`MAX_SHARDS`](crate::sharded::MAX_SHARDS).
     pub shards: usize,
-    /// Health-sentinel policy: when set, the default scheduler registers
-    /// the built-in `health_check` operation with the policy's frequency,
-    /// scanning for non-finite state, bounds escapes, and agent-count
-    /// explosions (see [`crate::supervisor`]). `None` (the default)
-    /// registers no sentinel. Carried in the checkpoint PARAM section so a
-    /// restored simulation re-creates the identical pipeline.
-    pub health: Option<crate::supervisor::HealthPolicy>,
+    /// Health-sentinel frequency: `Some(f)` registers the built-in
+    /// `health_check` operation, which scans for non-finite positions,
+    /// invalid diameters and non-finite concentrations every `f`
+    /// iterations (`f` clamped to ≥ 1; see [`crate::supervisor`]). `None`
+    /// (the default) registers no sentinel. Carried in the checkpoint
+    /// PARAM section so a restored simulation re-creates the identical
+    /// pipeline.
+    pub health_check_every: Option<u64>,
 }
 
 impl Default for Param {
@@ -128,7 +129,7 @@ impl Default for Param {
             numa_domains: None,
             iteration_block_size: 1000,
             shards: 1,
-            health: None,
+            health_check_every: None,
         }
     }
 }

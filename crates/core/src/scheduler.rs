@@ -46,7 +46,7 @@ pub mod builtin {
     /// Figure 5 name; see [`Scheduler::time_buckets`](super::Scheduler::time_buckets)).
     pub const STANDALONE_BUCKET: &str = "standalone_ops";
     /// Health-sentinel scan (registered when
-    /// [`Param::health`](crate::param::Param::health) is set; see
+    /// [`Param::health_check_every`](crate::param::Param::health_check_every) is set; see
     /// [`crate::supervisor`]).
     pub const HEALTH_CHECK: &str = "health_check";
 }

@@ -79,11 +79,6 @@ pub struct SimStats {
     /// Health violations detected (sentinel scans + mechanics-kernel
     /// non-finite force accumulations).
     pub violations_detected: u64,
-    /// Recovery attempts a supervisor performed on this simulation
-    /// (maintained via [`Simulation::set_recovery_counters`]).
-    pub recoveries_attempted: u64,
-    /// Recovery attempts that completed the previously-failing window.
-    pub recoveries_succeeded: u64,
 }
 
 /// The central simulation object: owns the agents, environment, diffusion
@@ -527,23 +522,15 @@ impl Simulation {
     /// operation's frequency (a supervisor forces a scan before every
     /// checkpoint capture so corrupted state is never checkpointed).
     ///
-    /// Scans agent positions/diameters for non-finite values, positions
-    /// against [`HealthPolicy::bounds`], the agent count against
-    /// [`HealthPolicy::max_agents`], and — when
-    /// [`HealthPolicy::check_diffusion`] — every diffusion grid's
-    /// concentration array.
-    ///
-    /// [`HealthPolicy::bounds`]: crate::supervisor::HealthPolicy::bounds
-    /// [`HealthPolicy::max_agents`]: crate::supervisor::HealthPolicy::max_agents
-    /// [`HealthPolicy::check_diffusion`]: crate::supervisor::HealthPolicy::check_diffusion
-    ///
+    /// Scans every agent for a non-finite position and a non-finite or
+    /// negative diameter, and every diffusion grid for a non-finite
+    /// concentration (reported once per grid, at the first such box).
     /// Findings are recorded as typed
     /// [`HealthViolation`]s (capped; exact totals in
     /// [`SimStats::violations_detected`]) and the number found by *this*
     /// scan is returned. The scan mutates nothing step-relevant, so it never
     /// perturbs bit-reproducibility.
     pub fn run_health_check(&mut self) -> usize {
-        let policy = self.param.health.clone().unwrap_or_default();
         let iteration = self.iteration;
         let mut found = 0usize;
         let mut records: Vec<HealthViolation> = Vec::new();
@@ -552,7 +539,6 @@ impl Simulation {
                 records.push(v);
             }
         };
-        let bounds = policy.bounds;
         self.rm.for_each_agent(|_h, a| {
             let p = a.position();
             let d = a.diameter();
@@ -567,25 +553,6 @@ impl Simulation {
                         detail: format!("({}, {}, {})", p.x(), p.y(), p.z()),
                     },
                 );
-            } else if let Some((lo, hi)) = bounds {
-                let escaped = p.x() < lo.x()
-                    || p.y() < lo.y()
-                    || p.z() < lo.z()
-                    || p.x() > hi.x()
-                    || p.y() > hi.y()
-                    || p.z() > hi.z();
-                if escaped {
-                    found += 1;
-                    push(
-                        &mut records,
-                        HealthViolation {
-                            kind: HealthViolationKind::OutOfBounds,
-                            iteration,
-                            agent: Some(a.uid().0),
-                            detail: format!("({}, {}, {})", p.x(), p.y(), p.z()),
-                        },
-                    );
-                }
             }
             if !d.is_finite() || d < 0.0 {
                 found += 1;
@@ -600,33 +567,16 @@ impl Simulation {
                 );
             }
         });
-        if policy.check_diffusion {
-            for (gi, grid) in self.diffusion.iter().enumerate() {
-                if let Some(bi) = grid.concentrations().iter().position(|c| !c.is_finite()) {
-                    found += 1;
-                    push(
-                        &mut records,
-                        HealthViolation {
-                            kind: HealthViolationKind::NonFiniteConcentration,
-                            iteration,
-                            agent: None,
-                            detail: format!("grid #{gi} ({}) box {bi}", grid.name()),
-                        },
-                    );
-                }
-            }
-        }
-        if let Some(max) = policy.max_agents {
-            let n = self.rm.num_agents() as u64;
-            if n > max {
+        for (gi, grid) in self.diffusion.iter().enumerate() {
+            if let Some(bi) = grid.concentrations().iter().position(|c| !c.is_finite()) {
                 found += 1;
                 push(
                     &mut records,
                     HealthViolation {
-                        kind: HealthViolationKind::AgentExplosion,
+                        kind: HealthViolationKind::NonFiniteConcentration,
                         iteration,
                         agent: None,
-                        detail: format!("{n} agents > limit {max}"),
+                        detail: format!("grid #{gi} ({}) box {bi}", grid.name()),
                     },
                 );
             }
@@ -644,33 +594,7 @@ impl Simulation {
         self.health.take()
     }
 
-    /// Overwrites the recovery counters of [`SimStats`]. Called by a
-    /// supervisor after each restore: restoring replaces the simulation
-    /// object (and its stats), so the supervisor re-applies its running
-    /// totals to keep soak reports observable from `stats()`.
-    pub fn set_recovery_counters(&mut self, attempted: u64, succeeded: u64) {
-        self.stats.recoveries_attempted = attempted;
-        self.stats.recoveries_succeeded = succeeded;
-    }
-
-    // -- Degradation switches (recovery ladder) ---------------------------
-
-    /// Replaces the neighbor-search backend at runtime — the "force the
-    /// brute-force/kd-tree backend" degradation of the recovery ladder. The
-    /// new index is built on the next `environment_update` run.
-    pub fn set_environment_kind(&mut self, kind: bdm_env::EnvironmentKind) {
-        self.param.environment = kind;
-        self.env = kind.create();
-        if kind != bdm_env::EnvironmentKind::UniformGrid {
-            // Sharded execution is grid-only; degrading the backend also
-            // degrades to the single-engine path (results stay bitwise —
-            // shard-count invariance means K shards and one engine agree).
-            self.param.shards = 1;
-            self.sharded = None;
-        }
-        // The old snapshot still matches the agents; only the index is new.
-        self.snapshot_generation = self.snapshot_generation.wrapping_sub(1);
-    }
+    // -- Static detection --------------------------------------------------
 
     /// Arms or disarms static-agent detection at runtime. Either switch
     /// clears every static flag and pending wake, and arming starts engaged:
@@ -1321,13 +1245,12 @@ fn default_scheduler(param: &Param) -> Scheduler {
             scheduler.set_enabled(builtin::AGENT_SORTING, false);
         }
     }
-    if let Some(health) = &param.health {
+    if let Some(every) = param.health_check_every {
         // Last Post stage: scans the committed state of the iteration.
         // Driven by Param so checkpoint restore re-creates the same
         // pipeline from the restored parameters alone.
-        scheduler.add_op(HealthCheckOp {
-            frequency: health.frequency.max(1),
-        });
+        // The scheduler clamps the frequency to ≥ 1.
+        scheduler.add_op(HealthCheckOp { frequency: every });
     }
     scheduler
 }

@@ -5,18 +5,19 @@
 //! every downstream iteration (release builds). This module provides the
 //! pieces of that first line of defense:
 //!
-//! * [`HealthPolicy`] — what to scan and how often, carried in
-//!   [`Param::health`](crate::param::Param::health) so checkpoint restore
-//!   re-creates the exact same pipeline (the sentinel op is registered by
-//!   `default_scheduler` whenever the policy is present).
+//! * A fixed scan, [`Simulation::run_health_check`]: non-finite
+//!   positions, invalid diameters and non-finite diffusion
+//!   concentrations; the mechanics kernel adds non-finite forces as it
+//!   finds them. How often the scan runs is
+//!   [`Param::health_check_every`](crate::param::Param::health_check_every),
+//!   carried in the checkpoint so a restore re-creates the same pipeline
+//!   (the sentinel op is registered by `default_scheduler` whenever the
+//!   frequency is set).
 //! * [`HealthViolation`] / [`HealthViolationKind`] — a typed finding: which
 //!   agent, which field, which iteration — instead of a panic.
 //! * The built-in `health_check` [`Operation`]
-//!   (name [`builtin::HEALTH_CHECK`]),
-//!   which runs
-//!   [`Simulation::run_health_check`](crate::Simulation::run_health_check)
-//!   at the configured frequency
-//!   as the last `Post` stage of the pipeline.
+//!   (name [`builtin::HEALTH_CHECK`]), which runs the scan at that
+//!   frequency as the last `Post` stage of the pipeline.
 //! * Process-global *write sentinels* ([`write_sentinel_counts`]) that count
 //!   non-finite position / invalid diameter writes at the setter itself —
 //!   the always-on replacement for the release-silent `debug_assert!`s that
@@ -29,8 +30,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bdm_util::Real3;
-
 use crate::scheduler::{builtin, OpKind, Operation};
 use crate::simulation::Simulation;
 
@@ -40,50 +39,6 @@ use crate::simulation::Simulation;
 /// does not allocate a gigabyte of diagnostics.
 pub const MAX_RECORDED_VIOLATIONS: usize = 128;
 
-/// What the health sentinel scans for and how often.
-///
-/// Stored in [`Param::health`](crate::param::Param::health): when present,
-/// the default scheduler registers the built-in `health_check` operation
-/// with [`HealthPolicy::frequency`]. The policy travels through checkpoints
-/// (PARAM section), so a restored simulation re-creates the same sentinel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthPolicy {
-    /// Run the scan on every iteration that is a multiple of this value
-    /// (iterations count from 1; clamped to ≥ 1 at registration).
-    pub frequency: u64,
-    /// When set, any agent position outside the axis-aligned box
-    /// `[min, max]` is reported as [`HealthViolationKind::OutOfBounds`].
-    pub bounds: Option<(Real3, Real3)>,
-    /// When set, a total agent count above this value is reported as
-    /// [`HealthViolationKind::AgentExplosion`].
-    pub max_agents: Option<u64>,
-    /// Scan every diffusion grid's concentration array for non-finite
-    /// values. On by default; the scan is a contiguous `f64` sweep.
-    pub check_diffusion: bool,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            frequency: 8,
-            bounds: None,
-            max_agents: None,
-            check_diffusion: true,
-        }
-    }
-}
-
-impl HealthPolicy {
-    /// A policy that scans every `frequency` iterations with all structural
-    /// checks (finiteness, diffusion) and no bounds/count limits.
-    pub fn every(frequency: u64) -> HealthPolicy {
-        HealthPolicy {
-            frequency: frequency.max(1),
-            ..HealthPolicy::default()
-        }
-    }
-}
-
 /// The field/invariant a [`HealthViolation`] refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HealthViolationKind {
@@ -91,12 +46,8 @@ pub enum HealthViolationKind {
     NonFinitePosition,
     /// An agent diameter that is NaN, infinite, or negative.
     InvalidDiameter,
-    /// An agent position outside [`HealthPolicy::bounds`].
-    OutOfBounds,
     /// A non-finite value in a diffusion grid's concentration array.
     NonFiniteConcentration,
-    /// Total agent count above [`HealthPolicy::max_agents`].
-    AgentExplosion,
     /// A non-finite force/displacement produced by the mechanics kernel
     /// (counted per accumulation window by the worker contexts).
     NonFiniteForce,
@@ -108,9 +59,7 @@ impl HealthViolationKind {
         match self {
             HealthViolationKind::NonFinitePosition => "non-finite position",
             HealthViolationKind::InvalidDiameter => "invalid diameter",
-            HealthViolationKind::OutOfBounds => "out of bounds",
             HealthViolationKind::NonFiniteConcentration => "non-finite concentration",
-            HealthViolationKind::AgentExplosion => "agent explosion",
             HealthViolationKind::NonFiniteForce => "non-finite force",
         }
     }
@@ -215,9 +164,11 @@ pub fn write_sentinel_counts() -> (u64, u64) {
     )
 }
 
-/// The built-in `health_check` operation: runs the sentinel scan at the
-/// policy frequency as the last `Post` stage. Registered by the default
-/// scheduler when [`Param::health`](crate::param::Param::health) is set.
+/// The built-in `health_check` operation: runs the sentinel scan every
+/// `frequency` iterations as the last `Post` stage. Registered by the
+/// default scheduler when
+/// [`Param::health_check_every`](crate::param::Param::health_check_every)
+/// is set.
 pub(crate) struct HealthCheckOp {
     pub(crate) frequency: u64,
 }
@@ -241,11 +192,65 @@ impl Operation for HealthCheckOp {
 mod tests {
     use super::*;
 
+    /// Each kind of finding the scan makes, named by kind and by agent uid
+    /// or grid: a NaN position written by a planted fault, a negative
+    /// diameter set at construction, and a NaN concentration seeded into
+    /// the second of two grids.
     #[test]
-    fn policy_every_clamps_frequency() {
-        assert_eq!(HealthPolicy::every(0).frequency, 1);
-        assert_eq!(HealthPolicy::every(5).frequency, 5);
-        assert!(HealthPolicy::default().check_diffusion);
+    fn scan_classifies_each_finding() {
+        use crate::{Cell, DiffusionGrid, FaultKind, FaultPlan, FaultSite, Param, Real3};
+
+        let mut sim = Simulation::new(Param {
+            threads: Some(1),
+            numa_domains: Some(1),
+            enable_mechanics: false,
+            interaction_radius: Some(10.0),
+            ..Param::default()
+        });
+        sim.add_diffusion_grid(DiffusionGrid::new("clean", 0.1, 0.0, 4, Real3::ZERO, 40.0));
+        let mut poisoned = DiffusionGrid::new("poisoned", 0.1, 0.0, 4, Real3::ZERO, 40.0);
+        let mut values = vec![0.0; 4 * 4 * 4];
+        values[21] = f64::NAN;
+        poisoned.set_concentrations(&values);
+        sim.add_diffusion_grid(poisoned);
+        let uids: Vec<u64> = [(5.0, 8.0), (20.0, -1.0), (35.0, 8.0)]
+            .into_iter()
+            .map(|(at, diameter)| {
+                let uid = sim.new_uid();
+                sim.add_agent(
+                    Cell::new(uid)
+                        .with_position(Real3::splat(at))
+                        .with_diameter(diameter),
+                );
+                uid.0
+            })
+            .collect();
+        sim.set_fault_plan(FaultPlan::new().push(
+            FaultSite::BeforeOp("teardown".into()),
+            1,
+            FaultKind::NanPosition { agent_index: 2 },
+        ));
+        sim.step();
+
+        assert_eq!(sim.run_health_check(), 3);
+        let found = sim.take_health_violations();
+        let kinds: Vec<_> = found.iter().map(|v| (v.kind, v.agent)).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                (HealthViolationKind::InvalidDiameter, Some(uids[1])),
+                (HealthViolationKind::NonFinitePosition, Some(uids[2])),
+                (HealthViolationKind::NonFiniteConcentration, None),
+            ],
+            "{found:?}"
+        );
+        assert!(
+            found[2].detail.starts_with("grid #1 (poisoned)"),
+            "{found:?}"
+        );
+        assert!(found.iter().all(|v| v.iteration == 1));
+        assert_eq!(sim.stats().violations_detected, 3);
+        assert_eq!(sim.stats().health_checks_run, 1);
     }
 
     #[test]

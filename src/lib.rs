@@ -98,9 +98,9 @@ pub mod prelude {
         clone_agent_box, clone_behavior_box, new_agent_box, new_behavior_box, Agent, AgentBase,
         AgentBox, AgentContext, AgentHandle, AgentUid, Behavior, BehaviorBox, BehaviorControl,
         BoundaryCondition, Cell, CloneIn, DiffusionGrid, EnvironmentKind, FaultKind, FaultPlan,
-        FaultSite, HealthPolicy, HealthViolation, HealthViolationKind, InteractionForce,
-        MemoryManager, Neighbor, OpInfo, OpKind, Operation, OptLevel, Param, Real3, Scheduler,
-        SimRng, SimStats, Simulation, Snapshot,
+        FaultSite, HealthViolation, HealthViolationKind, InteractionForce, MemoryManager, Neighbor,
+        OpInfo, OpKind, Operation, OptLevel, Param, Real3, Scheduler, SimRng, SimStats, Simulation,
+        Snapshot,
     };
     pub use bdm_models::BenchmarkModel;
 }

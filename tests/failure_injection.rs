@@ -325,7 +325,7 @@ mod corrupt_checkpoints {
     }
 
     /// A future format version, and the retired one before the current
-    /// (whose PARAM section holds four more fields), are rejected as
+    /// (whose PARAM section holds the 68-byte health policy), are rejected as
     /// `VersionMismatch` naming the found version — even with a valid
     /// whole-file checksum, which the writer of that version would produce.
     #[test]
@@ -777,12 +777,10 @@ mod corrupt_checkpoints {
 // The contract of the supervised runtime: a run with injected faults,
 // executed under the SupervisedRunner, finishes **bitwise identical** to the
 // same run without faults — rollback + deterministic replay erases the
-// fault entirely (as long as no degradation is applied).
+// fault entirely.
 
 mod supervised_recovery {
-    use biodynamo::checkpoint::{
-        Degradation, RecoveryPolicy, RingPolicy, SupervisedRunner, SupervisorError,
-    };
+    use biodynamo::checkpoint::{RecoveryPolicy, RingPolicy, SupervisedRunner, SupervisorError};
     use biodynamo::core::testing::{assert_identical, fingerprint, first_divergence};
     use biodynamo::models::all_models;
     use biodynamo::prelude::*;
@@ -797,7 +795,7 @@ mod supervised_recovery {
             threads: Some(2),
             numa_domains: Some(2),
             seed: 7331,
-            health: Some(HealthPolicy::every(2)),
+            health_check_every: Some(2),
             ..Param::default()
         }
     }
@@ -843,12 +841,7 @@ mod supervised_recovery {
             &fingerprint(runner.sim()),
             "op panic",
         );
-        // Recovery activity is visible in the engine stats (satellite: bench
-        // reports carry these fields).
-        let stats = runner.sim().stats();
-        assert_eq!(stats.recoveries_attempted, 1);
-        assert_eq!(stats.recoveries_succeeded, 1);
-        assert!(stats.health_checks_run > 0);
+        assert!(runner.sim().stats().health_checks_run > 0);
     }
 
     #[test]
@@ -960,7 +953,6 @@ mod supervised_recovery {
             RecoveryPolicy {
                 ring: small_ring(),
                 max_attempts: 3,
-                degradations: Vec::new(),
             },
         );
         match runner.run(ITERATIONS).unwrap_err() {
@@ -970,9 +962,11 @@ mod supervised_recovery {
     }
 
     #[test]
-    fn degradation_ladder_escalates_in_order() {
-        // Three failures of the same window: plain retry, then ladder rung
-        // one, then rung two.
+    fn recurring_fault_is_replayed_from_the_same_point_bitwise() {
+        // The same window fails three times: each recovery is a plain
+        // retry from the same restore point, one clean pass past the
+        // failure confirms the recovery, and the replay ends bitwise on
+        // the undisturbed run.
         let site = || FaultSite::BeforeOp("agent_ops".into());
         let plan = FaultPlan::new()
             .push(site(), 5, FaultKind::Panic)
@@ -983,25 +977,25 @@ mod supervised_recovery {
             RecoveryPolicy {
                 ring: small_ring(),
                 max_attempts: 8,
-                degradations: vec![
-                    Degradation::DisableStaticDetection,
-                    Degradation::UseBruteEnvironment,
-                ],
             },
         );
         let report = runner.run(ITERATIONS).unwrap();
+        assert_eq!(report.panics_caught, 3);
         assert_eq!(report.attempts, 3);
-        assert_eq!(report.recoveries[0].degradation, None);
-        assert_eq!(
-            report.recoveries[1].degradation,
-            Some(Degradation::DisableStaticDetection)
+        assert_eq!(report.recoveries.len(), 3);
+        assert!(
+            report
+                .recoveries
+                .iter()
+                .all(|r| r.failed_iteration == 5 && r.restored_from == 3),
+            "{report:?}"
         );
-        assert_eq!(
-            report.recoveries[2].degradation,
-            Some(Degradation::UseBruteEnvironment)
+        assert_eq!(report.succeeded, 1);
+        assert_identical(
+            &fingerprint(&reference()),
+            &fingerprint(runner.sim()),
+            "recurring fault",
         );
-        assert!(!runner.sim().param().detect_static_agents);
-        assert_eq!(runner.sim().environment_name(), "brute_force");
     }
 
     proptest! {
@@ -1025,7 +1019,7 @@ mod supervised_recovery {
                 threads: Some(2),
                 numa_domains: Some(2),
                 seed: 1009,
-                health: Some(HealthPolicy::every(2)),
+                health_check_every: Some(2),
                 ..Param::default()
             };
             let build = |plan: Option<FaultPlan>| {
@@ -1064,7 +1058,6 @@ mod supervised_recovery {
                 RecoveryPolicy {
                     ring: RingPolicy { interval, depth: 3 * depth },
                     max_attempts: 8,
-                    degradations: Vec::new(),
                 },
             );
             let report = runner.run(iterations).unwrap();

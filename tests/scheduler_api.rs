@@ -91,6 +91,22 @@ fn default_pipeline_is_algorithm_1() {
     });
     assert_eq!(sorted.scheduler().frequency("agent_sorting"), Some(7));
     assert!(sorted.scheduler().is_enabled("agent_sorting"));
+    // A sentinel frequency appends the health check as the last op, with
+    // the frequency clamped to at least 1.
+    for (every, frequency) in [(0, 1), (1, 1), (5, 5)] {
+        let checked = Simulation::new(Param {
+            health_check_every: Some(every),
+            ..threads(1)
+        });
+        let names = checked.scheduler().op_names();
+        assert_eq!(names.last().map(String::as_str), Some("health_check"));
+        assert_eq!(names.len(), 8);
+        assert_eq!(
+            checked.scheduler().frequency("health_check"),
+            Some(frequency),
+            "health_check_every: Some({every})"
+        );
+    }
 }
 
 #[test]
