@@ -198,14 +198,24 @@ pub struct ExecutionContext {
     /// new position was served by the force scan's shell instead of a
     /// second neighbor query.
     pub(crate) shell_wakes: u64,
+    /// Mechanics statistics: force scans served by the shell a behavior's
+    /// neighbor query of the same agent had staged.
+    pub(crate) shell_reuses: u64,
     /// Non-finite force accumulations observed by the mechanics kernel
     /// (folded into a typed health violation after the agent phase).
     pub(crate) nonfinite_forces: u64,
     /// Reusable neighbor-query scratch: queries issued through this thread's
     /// [`AgentContext`] allocate nothing in steady state.
     pub(crate) query_scratch: NeighborQueryScratch,
-    /// The candidate shell of this worker's last box-batched mechanics scan
-    /// (see [`AgentContext::for_each_neighbor_mech`]).
+    /// The candidate shell staged for the running agent, if any. The
+    /// agent's first grid query stages it — a behavior's
+    /// [`AgentContext::for_each_neighbor`] or, failing that, the force scan
+    /// [`AgentContext::for_each_neighbor_mech`] — and every later query of
+    /// the agent at the bitwise-same position within the shell reuses it:
+    /// the behaviors' queries, the force scan, then
+    /// [`AgentContext::wake_from_shell`]. Only agents that run a mechanics
+    /// pass stage; [`ExecutionContext::start_agent`] forgets the list before
+    /// each agent.
     pub(crate) mech_shell: MechShell,
     /// One-entry cache of the box-batched mechanics path: the resolved
     /// stencil runs of the last queried box. All agents resident in one box
@@ -240,6 +250,33 @@ pub(crate) struct MechShell {
     /// stencil's candidate count, so the compaction stores unconditionally.
     entries: Vec<(u32, f64)>,
     len: usize,
+    /// What `..len` was staged for; `None` when nothing is staged for the
+    /// running agent.
+    key: Option<ShellKey>,
+}
+
+impl MechShell {
+    /// The staged `(slot, d²)` list, in stencil scan order.
+    #[inline]
+    fn staged(&self) -> &[(u32, f64)] {
+        &self.entries[..self.len]
+    }
+}
+
+/// Identity of a staged shell: a list serves only the bitwise position,
+/// the shell radius, the grid view and the grid build it was compacted
+/// for — and only the agent it was staged for, because
+/// [`ExecutionContext::start_agent`] drops the key before the next one.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct ShellKey {
+    /// Bits of the scanned position.
+    pos: [u64; 3],
+    /// Bits of the shell radius.
+    shell: u64,
+    /// [`GridView::cache_key`] of the scanned grid.
+    view: u32,
+    /// [`UniformGridEnvironment::build_count`] of the scanned grid.
+    build: u64,
 }
 
 impl ExecutionContext {
@@ -270,6 +307,13 @@ impl ExecutionContext {
     /// Queues a removal (used by tests and the benchmark harness).
     pub fn queue_removal(&mut self, handle: AgentHandle) {
         self.removals.push(handle);
+    }
+
+    /// Forgets the staged shell before the next agent runs on this worker:
+    /// a list never serves another agent.
+    #[inline]
+    pub(crate) fn start_agent(&mut self) {
+        self.mech_shell.key = None;
     }
 }
 
@@ -320,6 +364,11 @@ pub struct AgentContext<'a> {
     pub(crate) self_handle: AgentHandle,
     /// Global index of the agent currently being processed.
     pub(crate) self_global: usize,
+    /// Shell radius of the agent's mechanics pass
+    /// ([`crate::ops::MechanicsConfig::shell_radius`]) while its behaviors
+    /// run; `None` for an agent without one, whose queries do not stage,
+    /// and from the start of the mechanics pass on.
+    pub(crate) shell_radius: Option<f64>,
     /// Simulation time step.
     pub dt: f64,
     /// Current iteration (1-based).
@@ -369,6 +418,18 @@ impl<'a> AgentContext<'a> {
     /// the kernel calls the accessor. Queries reuse this thread's
     /// [`NeighborQueryScratch`], so they allocate nothing in steady state
     /// (hence `&mut self`).
+    ///
+    /// On the uniform grid, an agent that will run a mechanics pass serves
+    /// the query from its staged shell (`ExecutionContext::mech_shell`):
+    /// the first query stages the force scan's candidate list around `pos`,
+    /// and this query, the agent's later ones at the same position and the
+    /// force scan itself filter that list by their own `d²` instead of
+    /// rescanning the stencil. Every other agent — and any radius beyond
+    /// the shell — takes the direct stencil query: staging costs a
+    /// compaction that pays off only when a force scan reuses it, and
+    /// staging every query bought `epidemiology`, which runs no mechanics,
+    /// nothing (docs/PERFORMANCE.md, "One neighbourhood scan per agent").
+    /// Both routes visit bitwise the same `(index, position, d²)` sequence.
     pub fn for_each_neighbor(
         &mut self,
         pos: Real3,
@@ -392,10 +453,25 @@ impl<'a> AgentContext<'a> {
             // completeness) in the same relative order (ascending-global
             // member insertion), so its remapped visit sequence is bitwise
             // that of the single-engine query.
-            view.grid
-                .for_each_neighbor_soa(pos, Some(view.self_index), radius, |idx, p, d2| {
-                    visit(view.global(idx), p, d2)
-                });
+            match self.stage_shell_for(view, radius) {
+                Some(shell) => {
+                    self.stage(view, pos, shell);
+                    let slots = view.grid.slots();
+                    let r2 = radius * radius;
+                    for &(i, d2) in self.exec.mech_shell.staged() {
+                        if d2 <= r2 {
+                            let s = &slots[i as usize];
+                            visit(view.global(s.index as usize), s.position, d2);
+                        }
+                    }
+                }
+                None => view.grid.for_each_neighbor_soa(
+                    pos,
+                    Some(view.self_index),
+                    radius,
+                    |idx, p, d2| visit(view.global(idx), p, d2),
+                ),
+            }
         } else {
             self.env.for_each_neighbor(
                 &SnapshotCloud(snapshot),
@@ -408,30 +484,117 @@ impl<'a> AgentContext<'a> {
         }
     }
 
-    /// Box-batched mechanics neighbor scan — the grid query of
-    /// [`AgentContext::for_each_neighbor`] specialized for the force
-    /// kernel, in two stages. The visitor receives `(position, diameter,
-    /// distance²)` of every neighbor within `radius`:
+    /// The shell a grid query of `radius` stages, or `None` when it takes
+    /// the direct route: the agent runs no mechanics pass, the force scan
+    /// will not take the grid route (unscattered diameters), or `radius`
+    /// lies beyond the shell or the build radius (where the direct query
+    /// asserts).
+    #[inline]
+    fn stage_shell_for(&self, view: GridView<'_>, radius: f64) -> Option<f64> {
+        let shell = self.shell_radius?;
+        (radius * radius <= shell * shell
+            && view.grid.radius_within_build(radius)
+            && view.grid.scattered_diameters().is_some())
+        .then_some(shell)
+    }
+
+    /// Stages the shell around `pos` in [`ExecutionContext::mech_shell`]
+    /// unless the running agent already staged it for the bitwise-same
+    /// position, shell radius, grid view and build; returns whether the
+    /// staged list was reused.
     ///
     /// * the ≤9 **stencil runs** come from this worker's one-entry cache —
     ///   every agent resident in the same box reuses the same row offsets
     ///   ([`ExecutionContext::mech_stencil`]);
-    /// * stage one is a **branchless compaction**: one bounds-check-free
+    /// * the list is a **branchless compaction**: one bounds-check-free
     ///   pass over the runs' interleaved 32-byte slots stores `(slot, d²)`
     ///   of every candidate and advances the write cursor by
-    ///   `d² ≤ shell² && not self` — no data-dependent branch in the scan;
-    /// * stage two walks that compact list in scan order and visits the
-    ///   entries with `d² ≤ radius²`; the **diameter** streams from the
-    ///   grid's box-sorted scatter (a bitwise copy of
-    ///   `snapshot.diameters[index]`) instead of a random per-neighbor
-    ///   gather.
+    ///   `d² ≤ shell² && not self` — no data-dependent branch in the scan.
+    ///   (Compacting with a branchy `Vec::push` instead made `oncology`
+    ///   `agent_ops` at 10⁵ agents 23% *slower*, 0.067–0.070 → 0.083–0.084 s.)
+    ///
+    /// The candidates, their scan order, their `d²` expression and the
+    /// self-exclusion are those of
+    /// [`UniformGridEnvironment::for_each_neighbor_soa`], so filtering the
+    /// list by `d² ≤ r²` for any `r ≤ shell` visits bitwise what that query
+    /// visits.
+    ///
+    /// Kept out of line: inlined into every `for_each_neighbor` instance,
+    /// it read `epidemiology` — which never stages — 4–8% slower per
+    /// iteration (bench/baselines/AB_39.txt).
+    #[inline(never)]
+    fn stage(&mut self, view: GridView<'_>, pos: Real3, shell: f64) -> bool {
+        let grid = view.grid;
+        let build = grid.build_count();
+        let key = ShellKey {
+            pos: [0, 1, 2].map(|a| pos[a].to_bits()),
+            shell: shell.to_bits(),
+            view: view.cache_key,
+            build,
+        };
+        let exec = &mut *self.exec;
+        let out = &mut exec.mech_shell;
+        if out.key == Some(key) {
+            return true;
+        }
+        let slots = grid.slots();
+        let bc = grid.box_coordinates(pos);
+        let cache = &mut exec.mech_stencil;
+        if cache.build != build || cache.bc != bc || cache.key != view.cache_key {
+            *cache = StencilCache {
+                build,
+                bc,
+                key: view.cache_key,
+                runs: grid.stencil_runs(bc),
+            };
+            let candidates = cache
+                .runs
+                .runs()
+                .iter()
+                .map(|&(s, e)| (e - s) as usize)
+                .sum();
+            if out.entries.len() < candidates {
+                out.entries.resize(candidates, (0, 0.0));
+            }
+        }
+        let shell2 = shell * shell;
+        let mut len = 0;
+        for &(start, end) in cache.runs.runs() {
+            debug_assert!(end as usize <= slots.len());
+            for i in start..end {
+                // SAFETY: stencil runs are produced by the grid that owns
+                // `slots` for the same build (checked via `build_count`
+                // above), so `start..end` indexes in bounds.
+                let s = unsafe { slots.get_unchecked(i as usize) };
+                let d2 = pos.distance_sq(&s.position);
+                // SAFETY: `len` never exceeds the stores already made in
+                // this scan, so it stays below the cached stencil's
+                // candidate count, which `entries` was grown to when the
+                // runs were cached.
+                unsafe { *out.entries.get_unchecked_mut(len) = (i, d2) };
+                len += usize::from((d2 <= shell2) & (s.index as usize != view.self_index));
+            }
+        }
+        out.len = len;
+        out.key = Some(key);
+        false
+    }
+
+    /// Box-batched mechanics neighbor scan — the grid query of
+    /// [`AgentContext::for_each_neighbor`] specialized for the force
+    /// kernel. The visitor receives `(position, diameter, distance²)` of
+    /// every neighbor within `radius`, in scan order, from the agent's
+    /// staged shell: the list a behavior's query of this agent staged at
+    /// the bitwise-same position is reused (counted in `shell_reuses`);
+    /// otherwise this scan stages it (see `AgentContext::stage`). The
+    /// **diameter** streams from the grid's box-sorted scatter (a bitwise
+    /// copy of `snapshot.diameters[index]`) instead of a random
+    /// per-neighbor gather.
     ///
     /// `shell ≥ radius` is the reach the caller needs beyond the force:
     /// the list stays in [`ExecutionContext::mech_shell`] for
     /// [`AgentContext::wake_from_shell`], so a static-detection mover does
-    /// not query its neighborhood a second time. (Compacting with a branchy
-    /// `Vec::push` instead made `oncology` `agent_ops` at 10⁵ agents 23%
-    /// *slower*, 0.067–0.070 → 0.083–0.084 s.)
+    /// not query its neighborhood a second time.
     ///
     /// Visit order, the visited set, and every visited value are bitwise
     /// those of the generic query (same shared stencil traversal, the
@@ -458,55 +621,18 @@ impl<'a> AgentContext<'a> {
         let Some(diameters) = grid.scattered_diameters() else {
             return false;
         };
+        let reused = self.stage(view, pos, shell);
+        self.exec.shell_reuses += u64::from(reused);
         let slots = grid.slots();
-        let bc = grid.box_coordinates(pos);
-        let build = grid.build_count();
-        let exec = &mut *self.exec;
-        let cache = &mut exec.mech_stencil;
-        let out = &mut exec.mech_shell;
-        if cache.build != build || cache.bc != bc || cache.key != view.cache_key {
-            *cache = StencilCache {
-                build,
-                bc,
-                key: view.cache_key,
-                runs: grid.stencil_runs(bc),
-            };
-            let candidates = cache
-                .runs
-                .runs()
-                .iter()
-                .map(|&(s, e)| (e - s) as usize)
-                .sum();
-            if out.entries.len() < candidates {
-                out.entries.resize(candidates, (0, 0.0));
-            }
-        }
         debug_assert_eq!(diameters.len(), slots.len());
-        let shell2 = shell * shell;
-        let mut len = 0;
-        for &(start, end) in cache.runs.runs() {
-            debug_assert!(end as usize <= slots.len());
-            for i in start..end {
-                // SAFETY: stencil runs are produced by the grid that owns
-                // `slots` for the same build (checked via `build_count`
-                // above), so `start..end` indexes in bounds.
-                let s = unsafe { slots.get_unchecked(i as usize) };
-                let d2 = pos.distance_sq(&s.position);
-                // SAFETY: `len` never exceeds the stores already made in
-                // this scan, so it stays below the cached stencil's
-                // candidate count, which `entries` was grown to when the
-                // runs were cached.
-                unsafe { *out.entries.get_unchecked_mut(len) = (i, d2) };
-                len += usize::from((d2 <= shell2) & (s.index as usize != view.self_index));
-            }
-        }
-        out.len = len;
         let r2 = radius * radius;
-        for &(i, d2) in &out.entries[..len] {
+        for &(i, d2) in self.exec.mech_shell.staged() {
             if d2 <= r2 {
-                // SAFETY: `i` came from the runs above; `diameters` is
-                // scattered alongside `slots` in the same rebuild pass and
-                // has the same length (debug-asserted above).
+                // SAFETY: `i` was staged from this grid's stencil runs —
+                // the key matched its view and build, and a key never
+                // outlives its agent — and `diameters` is scattered
+                // alongside `slots` in the same rebuild pass and has the
+                // same length (debug-asserted above).
                 let (s, diameter) = unsafe {
                     (
                         slots.get_unchecked(i as usize),
@@ -519,9 +645,9 @@ impl<'a> AgentContext<'a> {
         true
     }
 
-    /// The static-detection wake of the agent whose mechanics scan
-    /// ([`AgentContext::for_each_neighbor_mech`]) ran last on this worker,
-    /// served from the shell that scan kept: raises every shell agent
+    /// The static-detection wake of the running agent, served from the
+    /// shell its mechanics scan ([`AgentContext::for_each_neighbor_mech`])
+    /// staged or reused: raises every shell agent
     /// within `radius` of the scanned position and — when `moved_to` lies in
     /// the scanned box — every one within `radius` of `moved_to`.
     ///
@@ -543,7 +669,8 @@ impl<'a> AgentContext<'a> {
             .expect("a mechanics shell is only kept on the grid path");
         let slots = view.grid.slots();
         let shell = &self.exec.mech_shell;
-        let entries = &shell.entries[..shell.len];
+        debug_assert!(shell.key.is_some(), "the wake follows the force scan");
+        let entries = shell.staged();
         let r2 = radius * radius;
         let moved_to =
             moved_to.filter(|&p| view.grid.box_coordinates(p) == self.exec.mech_stencil.bc);
@@ -734,6 +861,36 @@ mod tests {
         grid
     }
 
+    /// The context `run_agent_ops` hands agent `global` (no behavior
+    /// state), querying `grid`; `shell_radius` says whether it stages.
+    fn agent_ctx<'a>(
+        exec: &'a mut ExecutionContext,
+        env: &'a dyn Environment,
+        snapshot: &'a Snapshot,
+        mm: &'a MemoryManager,
+        grid: Option<GridView<'a>>,
+        global: usize,
+        shell_radius: Option<f64>,
+    ) -> AgentContext<'a> {
+        AgentContext {
+            exec,
+            env,
+            snapshot,
+            grid,
+            mm,
+            diffusion: &[],
+            alloc_domain: 0,
+            self_handle: AgentHandle::new(0, global),
+            self_global: global,
+            shell_radius,
+            dt: 1.0,
+            iteration: 1,
+            rng: agent_rng(1, AgentUid(global as u64), 1),
+            uid_seq: 0,
+            self_uid: AgentUid(global as u64),
+        }
+    }
+
     /// Global indices `for_each_neighbor` visits around `pos`.
     fn neighbors(ctx: &mut AgentContext<'_>, pos: Real3, radius: f64) -> Vec<usize> {
         let mut out = Vec::new();
@@ -762,22 +919,7 @@ mod tests {
         let mut rng = SimRng::new(0x5eed);
         let mut targets = [0; 2];
         for &(global, view) in views {
-            let mut ctx = AgentContext {
-                exec: &mut exec,
-                env,
-                snapshot,
-                grid: Some(view),
-                mm: &mm,
-                diffusion: &[],
-                alloc_domain: 0,
-                self_handle: AgentHandle::new(0, global),
-                self_global: global,
-                dt: 1.0,
-                iteration: 1,
-                rng: agent_rng(1, AgentUid(global as u64), 1),
-                uid_seq: 0,
-                self_uid: AgentUid(global as u64),
-            };
+            let mut ctx = agent_ctx(&mut exec, env, snapshot, &mm, Some(view), global, None);
             let pos = snapshot.positions[global];
             let bits = |p: Real3, d: f64, d2: f64| [p.x(), p.y(), p.z(), d, d2].map(f64::to_bits);
             let mut generic = Vec::new();
@@ -817,17 +959,19 @@ mod tests {
         targets
     }
 
+    /// Agent `global`'s view of the global grid.
+    fn global_view(grid: &UniformGridEnvironment, global: usize) -> GridView<'_> {
+        GridView {
+            grid,
+            self_index: global,
+            remap: None,
+            cache_key: u32::MAX,
+        }
+    }
+
     fn global_views(grid: &UniformGridEnvironment) -> Vec<(usize, GridView<'_>)> {
         (0..grid.slots().len())
-            .map(|global| {
-                let view = GridView {
-                    grid,
-                    self_index: global,
-                    remap: None,
-                    cache_key: u32::MAX,
-                };
-                (global, view)
-            })
+            .map(|global| (global, global_view(grid, global)))
             .collect()
     }
 
@@ -888,7 +1032,228 @@ mod tests {
         let mut st = crate::sharded::ShardedState::new(2);
         st.exchange(&snapshot, &pool, radius, 1, 1, 3);
         st.build_grids(true, radius, snapshot.bounds, &pool);
-        let views: Vec<(usize, GridView<'_>)> = (0..snapshot.len())
+        let views = shard_views(&st, snapshot.len());
+        assert!(views.iter().any(|(g, v)| v.self_index != *g));
+        let targets = assert_routes_agree(&snapshot, &st.grids[0], &views, radius, 1.5, "K = 2");
+        assert!(targets.iter().all(|&t| t > 0), "K = 2: {targets:?}");
+    }
+
+    /// `(global index, position bits, d² bits)` of one visit.
+    type Visit = (usize, [u64; 3], u64);
+
+    fn position_bits(p: Real3) -> [u64; 3] {
+        [p.x(), p.y(), p.z()].map(f64::to_bits)
+    }
+
+    fn visit(index: usize, p: Real3, d2: f64) -> Visit {
+        (index, position_bits(p), d2.to_bits())
+    }
+
+    /// What `ctx.for_each_neighbor` visits around `pos`.
+    fn visits(ctx: &mut AgentContext<'_>, pos: Real3, radius: f64) -> Vec<Visit> {
+        let mut out = Vec::new();
+        ctx.for_each_neighbor(pos, radius, |idx, n, d2| {
+            out.push(visit(idx, n.position(), d2))
+        });
+        out
+    }
+
+    /// What the unstaged grid query of `view` visits around `pos`.
+    fn direct(view: GridView<'_>, pos: Real3, radius: f64) -> Vec<Visit> {
+        let mut out = Vec::new();
+        view.grid
+            .for_each_neighbor_soa(pos, Some(view.self_index), radius, |idx, p, d2| {
+                out.push(visit(view.global(idx), p, d2))
+            });
+        out
+    }
+
+    /// Staging against both unstaged routes, for every `(global index,
+    /// view)` in order with the per-agent reset between agents: a
+    /// behavior query stages, a second one with a smaller radius and the
+    /// force scan reuse, and the wake raises the force neighborhood — each
+    /// visit sequence bitwise that of `for_each_neighbor_soa` and of the
+    /// generic query on `global_grid`. A query at a moved position
+    /// restages, and so does the force scan back at the first position; a
+    /// radius beyond the shell takes the direct route. Returns the number
+    /// of reused force scans.
+    fn assert_staging_agrees(
+        snapshot: &Snapshot,
+        global_grid: &UniformGridEnvironment,
+        views: &[(usize, GridView<'_>)],
+        radius: f64,
+        shell: f64,
+        what: &str,
+    ) -> u64 {
+        let mm = MemoryManager::system_only(1, 1);
+        let mut exec = ExecutionContext::new(1);
+        let mut generic_exec = ExecutionContext::new(1);
+        let mut generic = |global: usize, pos: Real3, r: f64| {
+            let mut ctx = agent_ctx(
+                &mut generic_exec,
+                global_grid,
+                snapshot,
+                &mm,
+                None,
+                global,
+                None,
+            );
+            visits(&mut ctx, pos, r)
+        };
+        let mut rng = SimRng::new(0x57a9e);
+        for &(global, view) in views {
+            let pos = snapshot.positions[global];
+            let what = format!("{what}: agent {global}");
+            let want = direct(view, pos, radius);
+            assert_eq!(generic(global, pos, radius), want, "{what}: routes differ");
+
+            // Beyond the shell (a shell below the build radius): direct.
+            exec.start_agent();
+            let mut ctx = agent_ctx(
+                &mut exec,
+                global_grid,
+                snapshot,
+                &mm,
+                Some(view),
+                global,
+                Some(radius * 0.6),
+            );
+            assert_eq!(
+                visits(&mut ctx, pos, radius),
+                want,
+                "{what}: beyond the shell"
+            );
+            assert!(
+                ctx.exec.mech_shell.key.is_none(),
+                "{what}: staged beyond the shell"
+            );
+
+            exec.start_agent();
+            let mut ctx = agent_ctx(
+                &mut exec,
+                global_grid,
+                snapshot,
+                &mm,
+                Some(view),
+                global,
+                Some(shell),
+            );
+            let reuses = ctx.exec.shell_reuses;
+            assert_eq!(visits(&mut ctx, pos, radius), want, "{what}: staging query");
+            assert!(ctx.exec.mech_shell.key.is_some(), "{what}: nothing staged");
+            let half = direct(view, pos, radius * 0.5);
+            assert_eq!(
+                generic(global, pos, radius * 0.5),
+                half,
+                "{what}: routes differ"
+            );
+            assert_eq!(
+                visits(&mut ctx, pos, radius * 0.5),
+                half,
+                "{what}: reusing query"
+            );
+
+            // The force scan's `(position, diameter, d²)` bits.
+            let force = |want: &[Visit]| -> Vec<([u64; 3], u64, u64)> {
+                want.iter()
+                    .map(|&(i, p, d2)| (p, snapshot.diameters[i].to_bits(), d2))
+                    .collect()
+            };
+            let mech = |ctx: &mut AgentContext<'_>, at: Real3| {
+                let mut out = Vec::new();
+                assert!(
+                    ctx.for_each_neighbor_mech(at, radius, shell, &mut |p, d, d2| {
+                        out.push((position_bits(p), d.to_bits(), d2.to_bits()))
+                    })
+                );
+                out
+            };
+            assert_eq!(
+                mech(&mut ctx, pos),
+                force(&want),
+                "{what}: reused force scan"
+            );
+            assert_eq!(
+                ctx.exec.shell_reuses,
+                reuses + 1,
+                "{what}: force scan restaged"
+            );
+            let mut raised = BTreeSet::new();
+            ctx.wake_from_shell(radius, None, |g| {
+                raised.insert(g);
+            });
+            let old: BTreeSet<usize> = want.iter().map(|v| v.0).collect();
+            assert_eq!(raised, old, "{what}: wake");
+
+            // A move restages, and so does the force scan back at `pos`.
+            let moved = pos + rng.point_in_cube(-0.5, 0.5);
+            let want_moved = direct(view, moved, radius);
+            assert_eq!(
+                generic(global, moved, radius),
+                want_moved,
+                "{what}: routes differ"
+            );
+            assert_eq!(visits(&mut ctx, moved, radius), want_moved, "{what}: moved");
+            assert_eq!(
+                mech(&mut ctx, pos),
+                force(&want),
+                "{what}: force scan after a move"
+            );
+            assert_eq!(
+                ctx.exec.shell_reuses,
+                reuses + 1,
+                "{what}: reused a moved list"
+            );
+        }
+        exec.shell_reuses
+    }
+
+    /// `scene` with every even agent of the first `pairs` pairs copied bit
+    /// for bit onto the odd one: consecutive agents at one position, which
+    /// only the per-agent reset keeps from sharing a list.
+    fn with_twins(scene: Snapshot, pairs: usize) -> Snapshot {
+        let mut positions = scene.positions;
+        for k in 0..pairs {
+            positions[2 * k + 1] = positions[2 * k];
+        }
+        snapshot_with(positions, scene.diameters)
+    }
+
+    #[test]
+    fn staged_queries_and_unstaged_routes_agree_on_every_grid() {
+        let radius = 3.0;
+        let scene = with_twins(random_scene(11, 600, 24.0), 40);
+        let grid = scattered_grid(&scene, radius);
+        // Detection on: the shell reaches a step beyond the radius; off:
+        // the shell is the radius.
+        for (shell, what) in [((radius + 1.5) * (1.0 + 1e-9), "on"), (radius, "off")] {
+            let reuses =
+                assert_staging_agrees(&scene, &grid, &global_views(&grid), radius, shell, what);
+            assert_eq!(reuses, scene.len() as u64, "{what}");
+        }
+    }
+
+    #[test]
+    fn staged_queries_and_unstaged_routes_agree_on_shard_views() {
+        let radius = 3.0;
+        let scene = with_twins(random_scene(11, 600, 24.0), 40);
+        let grid = scattered_grid(&scene, radius);
+        let pool = bdm_numa::NumaThreadPool::new(bdm_numa::NumaTopology::single_domain(1));
+        let mut st = crate::sharded::ShardedState::new(2);
+        st.exchange(&scene, &pool, radius, 1, 1, 3);
+        st.build_grids(true, radius, scene.bounds, &pool);
+        let views = shard_views(&st, scene.len());
+        for (shell, what) in [
+            ((radius + 1.5) * (1.0 + 1e-9), "K = 2 on"),
+            (radius, "K = 2 off"),
+        ] {
+            assert_staging_agrees(&scene, &grid, &views, radius, shell, what);
+        }
+    }
+
+    /// Every agent's view of its owner's windowed grid.
+    fn shard_views(st: &crate::sharded::ShardedState, n: usize) -> Vec<(usize, GridView<'_>)> {
+        (0..n)
             .map(|global| {
                 let s = st.owner[global] as usize;
                 let view = GridView {
@@ -899,10 +1264,63 @@ mod tests {
                 };
                 (global, view)
             })
-            .collect();
-        assert!(views.iter().any(|(g, v)| v.self_index != *g));
-        let targets = assert_routes_agree(&snapshot, &st.grids[0], &views, radius, 1.5, "K = 2");
-        assert!(targets.iter().all(|&t| t > 0), "K = 2: {targets:?}");
+            .collect()
+    }
+
+    #[test]
+    fn shell_key_keeps_a_list_to_its_view_and_build() {
+        // No per-agent reset here: the key alone must refuse a list staged
+        // on another grid view or an earlier build of the same grid.
+        let radius = 3.0;
+        let shell = radius;
+        let scene = random_scene(11, 600, 24.0);
+        let mut grid = scattered_grid(&scene, radius);
+        let pool = bdm_numa::NumaThreadPool::new(bdm_numa::NumaTopology::single_domain(1));
+        let mut st = crate::sharded::ShardedState::new(2);
+        st.exchange(&scene, &pool, radius, 1, 1, 3);
+        st.build_grids(true, radius, scene.bounds, &pool);
+        let mm = MemoryManager::system_only(1, 1);
+        let mut exec = ExecutionContext::new(1);
+        for (global, shard_view) in shard_views(&st, scene.len()) {
+            let pos = scene.positions[global];
+            for view in [global_view(&grid, global), shard_view] {
+                let mut ctx = agent_ctx(
+                    &mut exec,
+                    &grid,
+                    &scene,
+                    &mm,
+                    Some(view),
+                    global,
+                    Some(shell),
+                );
+                assert_eq!(
+                    visits(&mut ctx, pos, radius),
+                    direct(view, pos, radius),
+                    "agent {global}"
+                );
+            }
+        }
+
+        // The same grid rebuilt around the same agent 0, every other agent
+        // shifted: build 2 must not reuse what build 1 staged.
+        let mut shifted = scene.positions.clone();
+        for p in &mut shifted[1..] {
+            *p += Real3::new(0.7, -0.4, 0.3);
+        }
+        let shifted = snapshot_with(shifted, scene.diameters.clone());
+        let pos = scene.positions[0];
+        let view = Some(global_view(&grid, 0));
+        let mut ctx = agent_ctx(&mut exec, &grid, &scene, &mm, view, 0, Some(shell));
+        let before = visits(&mut ctx, pos, radius);
+        grid.update_with(&SnapshotCloud(&shifted), radius, scatter_hint(&shifted));
+        let view = Some(global_view(&grid, 0));
+        let mut ctx = agent_ctx(&mut exec, &grid, &shifted, &mm, view, 0, Some(shell));
+        let after = visits(&mut ctx, pos, radius);
+        assert_eq!(after, direct(global_view(&grid, 0), pos, radius));
+        assert_ne!(
+            after, before,
+            "the rebuild must change agent 0's neighborhood"
+        );
     }
 
     #[test]

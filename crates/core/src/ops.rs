@@ -77,8 +77,10 @@ impl MechanicsConfig {
     /// static detection on it reaches every agent a step of at most
     /// `max_displacement` can bring within `search_radius`, so the same
     /// scan serves the wake around a mover's new position; without
-    /// detection there is no wake and the shell is the search radius.
-    fn shell_radius(&self) -> f64 {
+    /// detection there is no wake and the shell is the search radius. A
+    /// behavior's grid query of an agent that runs a mechanics pass stages
+    /// this shell, so the force scan reuses it.
+    pub(crate) fn shell_radius(&self) -> f64 {
         if !self.detect_static {
             return self.search_radius;
         }
@@ -157,6 +159,9 @@ pub(crate) fn run_mechanics(
     // Condition (iii): new agents announce their presence to their
     // neighborhood on their first mechanics pass.
     let is_first_pass = flags.created_iter > 0 && flags.created_iter + 1 == ctx.iteration;
+    // The behaviors are done: from here on only the force scan stages, and
+    // the fallback and wake queries take the direct route.
+    ctx.shell_radius = None;
 
     if cfg.detect_static {
         // Consume the violation flag set by neighbors during the previous
@@ -176,7 +181,9 @@ pub(crate) fn run_mechanics(
     // diameters, positions AND diameters stream from the grid's box-sorted
     // arrays, the stencil is resolved once per box, and one branchless pass
     // compacts the candidates within the shell radius that the force sum
-    // and the wake below both walk. Bit-identical to the generic query:
+    // and the wake below both walk — the pass a behavior's query of this
+    // agent at the same position already made, if one did. Bit-identical
+    // to the generic query:
     // same visit order (shared stencil traversal), bitwise-copied
     // diameters, and `sphere_sphere_sq` fed the scan's d² equals
     // `sphere_sphere` bit for bit (see its docs).
@@ -310,6 +317,7 @@ mod tests {
             alloc_domain: 0,
             self_handle: AgentHandle::new(0, 0),
             self_global: 0,
+            shell_radius: None,
             dt: 1.0,
             iteration: 1,
             rng: SimRng::new(1),

@@ -63,6 +63,10 @@ pub struct SimStats {
     /// position stayed in the scanned box — instead of a second neighbor
     /// query.
     pub shell_wakes: u64,
+    /// Batched force scans served by the candidate shell a behavior's
+    /// neighbor query of the same agent, at the same position, had staged
+    /// — instead of a second stencil scan.
+    pub shell_reuses: u64,
     /// Force calculations skipped by static detection (Section 5).
     pub static_skipped: u64,
     /// Agent phases that ran static detection: armed
@@ -1048,6 +1052,7 @@ impl Simulation {
             self.stats.static_skipped += skipped;
             self.stats.batched_force_queries += std::mem::take(&mut ctx.batched_force_queries);
             self.stats.shell_wakes += std::mem::take(&mut ctx.shell_wakes);
+            self.stats.shell_reuses += std::mem::take(&mut ctx.shell_reuses);
             nonfinite += std::mem::take(&mut ctx.nonfinite_forces);
         }
         // The mechanics kernel counts non-finite force accumulations instead
@@ -1117,6 +1122,7 @@ impl Simulation {
         let flag_ptrs = &flag_ptrs;
         let violations_ref = &violations;
         let mech_ref = &mech;
+        let shell = mech.shell_radius();
 
         let body =
             move |worker: bdm_numa::WorkerCtx, domain: usize, range: std::ops::Range<usize>| {
@@ -1149,6 +1155,12 @@ impl Simulation {
                             cache_key: u32::MAX,
                         }),
                     };
+                    // A fresh agent: its queries stage a new shell, and
+                    // only when it will run a mechanics pass (a staging
+                    // hint; the pass itself asks again after the
+                    // behaviors).
+                    exec.start_agent();
+                    let mechanics = enable_mechanics && agent.participates_in_mechanics();
                     let mut actx = AgentContext {
                         exec,
                         env,
@@ -1159,6 +1171,7 @@ impl Simulation {
                         alloc_domain: worker.domain,
                         self_handle: crate::agent::AgentHandle::new(domain, i),
                         self_global: global,
+                        shell_radius: mechanics.then_some(shell),
                         dt,
                         iteration,
                         rng: agent_rng(seed, uid, iteration),

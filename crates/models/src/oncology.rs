@@ -112,7 +112,9 @@ impl BenchmarkModel for Oncology {
         param.simulation_time_step = 1.0;
         param.enable_mechanics = true;
         // The crowding query (15 µm) exceeds the largest cell diameter, so
-        // the neighbor index must be built for it explicitly.
+        // the neighbor index must be built for it explicitly. It is also
+        // the force scan's radius: the crowding count stages the agent's
+        // candidate shell and the force scan reuses that one list.
         param.interaction_radius = Some(15.0);
         let growth = TumorGrowth {
             crowding_radius: 15.0,

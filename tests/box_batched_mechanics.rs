@@ -58,6 +58,47 @@ fn box_batched_path_serves_every_clustering_force_query() {
     );
 }
 
+#[test]
+fn force_scans_reuse_the_shell_a_behavior_staged() {
+    let stats = |name: &str| {
+        let mut sim = biodynamo::models::model_by_name(name, 2000)
+            .expect("known model")
+            .build(param());
+        sim.simulate(10);
+        sim.stats()
+    };
+    // TumorGrowth's crowding count stages the shell at the agent's
+    // position; only dividers and apoptotic agents reach the force scan
+    // elsewhere (or without a query).
+    let oncology = stats("oncology");
+    assert!(oncology.force_calculations > 0);
+    assert!(
+        oncology.shell_reuses * 100 >= oncology.force_calculations * 95,
+        "oncology: {} of {} force scans reused",
+        oncology.shell_reuses,
+        oncology.force_calculations
+    );
+    // No neighbor-querying behavior (cell_clustering) or no mechanics
+    // pass (epidemiology): nothing stages for a force scan to reuse.
+    for name in ["cell_clustering", "epidemiology"] {
+        assert_eq!(stats(name).shell_reuses, 0, "{name}");
+    }
+    // TypeAdhesion moves every agent with a same-type neighbor after its
+    // query, and a moved agent's force scan restages.
+    let sorting = stats("cell_sorting");
+    assert!(
+        0 < sorting.shell_reuses && sorting.shell_reuses < sorting.force_calculations,
+        "cell_sorting: {} of {} force scans reused",
+        sorting.shell_reuses,
+        sorting.force_calculations
+    );
+    eprintln!(
+        "force scans reusing a staged shell: oncology {:.3}, cell_sorting {:.3}",
+        oncology.shell_reuses as f64 / oncology.force_calculations as f64,
+        sorting.shell_reuses as f64 / sorting.force_calculations as f64
+    );
+}
+
 /// Runs a scene with static detection on as `param` says and as
 /// `reference` says, and asserts bitwise-equal fingerprints, wake flags
 /// included. Returns the `param` run.
