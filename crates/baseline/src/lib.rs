@@ -23,6 +23,25 @@
 
 use bdm_util::{Real3, SimRng};
 
+/// Uniform direction from three normalised standard-normal components.
+///
+/// The engine's `SimRng::unit_vector` draws the same law in fewer
+/// uniforms; this engine keeps its own draw so that its trajectories, and
+/// the timings calibrated on them, stay what they were.
+fn gaussian_direction(rng: &mut SimRng) -> Real3 {
+    loop {
+        let v = Real3::new(
+            rng.gaussian(0.0, 1.0),
+            rng.gaussian(0.0, 1.0),
+            rng.gaussian(0.0, 1.0),
+        );
+        let n = v.norm();
+        if n > 1e-12 {
+            return v / n;
+        }
+    }
+}
+
 /// An agent of the baseline engine (AoS, boxed).
 #[derive(Debug, Clone)]
 pub struct BaselineAgent {
@@ -342,7 +361,7 @@ pub fn proliferation(seed: u64, n: usize) -> BaselineEngine {
             let v = 4.0 / 3.0 * std::f64::consts::PI * r * r * r + 100.0;
             a.diameter = 2.0 * (3.0 * v / (4.0 * std::f64::consts::PI)).cbrt();
         } else {
-            let dir = rng.unit_vector();
+            let dir = gaussian_direction(rng);
             let r = a.diameter / 2.0;
             let v = 4.0 / 3.0 * std::f64::consts::PI * r * r * r / 2.0;
             a.diameter = 2.0 * (3.0 * v / (4.0 * std::f64::consts::PI)).cbrt();
@@ -368,7 +387,7 @@ pub fn epidemiology(seed: u64, n: usize) -> BaselineEngine {
     }
     e.add_rule(Box::new(move |i, agents, nb, rng, _births| {
         // Random walk.
-        let dir = rng.unit_vector();
+        let dir = gaussian_direction(rng);
         let p = (agents[i].position + dir * 6.0).clamp_scalar(0.0, extent);
         agents[i].position = p;
         // Infection dynamics.
@@ -487,7 +506,7 @@ pub fn neurite_growth(seed: u64, n_initial: usize) -> BaselineEngine {
             return;
         }
         // Climb in +z with lateral jitter, deposit a trail sphere behind.
-        let jitter = rng.unit_vector() * 0.6;
+        let jitter = gaussian_direction(rng) * 0.6;
         let dir = (Real3::new(jitter.x(), jitter.y(), 1.0)).normalized();
         let old = agents[i].position;
         agents[i].position = old + dir * 2.0;
@@ -512,7 +531,7 @@ pub fn oncology(seed: u64, n: usize) -> BaselineEngine {
     let mut e = BaselineEngine::new(seed, 15.0);
     let mut rng = SimRng::new(seed ^ 0x0c0);
     for _ in 0..n {
-        let dir = rng.unit_vector();
+        let dir = gaussian_direction(&mut rng);
         let dist = r * rng.uniform().cbrt();
         e.add_agent(BaselineAgent::new(
             center + dir * dist,
@@ -532,7 +551,7 @@ pub fn oncology(seed: u64, n: usize) -> BaselineEngine {
                 let v = 4.0 / 3.0 * std::f64::consts::PI * rr * rr * rr + 40.0;
                 a.diameter = 2.0 * (3.0 * v / (4.0 * std::f64::consts::PI)).cbrt();
             } else {
-                let dir = rng.unit_vector();
+                let dir = gaussian_direction(rng);
                 let rr = a.diameter / 2.0;
                 let v = 4.0 / 3.0 * std::f64::consts::PI * rr * rr * rr / 2.0;
                 a.diameter = 2.0 * (3.0 * v / (4.0 * std::f64::consts::PI)).cbrt();

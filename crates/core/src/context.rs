@@ -167,8 +167,19 @@ pub(crate) type DeferredFn = Box<dyn FnOnce(&mut dyn Agent) + Send>;
 #[derive(Default)]
 #[repr(align(128))]
 pub struct ExecutionContext {
-    /// New agents per target NUMA domain.
+    /// New agents per target NUMA domain (the domain of the agent that
+    /// created them).
     pub(crate) new_agents: Vec<Vec<AgentBox>>,
+    /// Per domain, one mark per agent-phase chunk that created an agent:
+    /// `(global index of the chunk's first agent, offset of its first new
+    /// agent in `new_agents[domain]`)`. A chunk's agents run in ascending
+    /// index, so committing the chunks in ascending key gives every newborn
+    /// a slot that does not depend on which worker ran or stole its
+    /// parent's chunk. Agents queued before the first mark
+    /// ([`ExecutionContext::queue_new_agent`]) are committed first.
+    pub(crate) birth_chunks: Vec<Vec<(usize, usize)>>,
+    /// Key of the running chunk until its first new agent marks it.
+    pub(crate) open_birth_chunk: Option<usize>,
     /// Agents to remove (handles valid until commit).
     pub(crate) removals: Vec<AgentHandle>,
     /// Deferred mutations of other agents.
@@ -284,6 +295,7 @@ impl ExecutionContext {
     pub fn new(num_domains: usize) -> ExecutionContext {
         ExecutionContext {
             new_agents: (0..num_domains).map(|_| Vec::new()).collect(),
+            birth_chunks: (0..num_domains).map(|_| Vec::new()).collect(),
             ..ExecutionContext::default()
         }
     }
@@ -358,7 +370,8 @@ pub struct AgentContext<'a> {
     pub(crate) grid: Option<GridView<'a>>,
     pub(crate) mm: &'a MemoryManager,
     pub(crate) diffusion: &'a [DiffusionGrid],
-    /// NUMA domain new agents are allocated on (the worker's domain).
+    /// NUMA domain new agents are allocated on (the worker's domain; they
+    /// are committed to the domain of the agent that created them).
     pub(crate) alloc_domain: usize,
     /// Handle of the agent currently being processed.
     pub(crate) self_handle: AgentHandle,
@@ -393,7 +406,8 @@ impl<'a> AgentContext<'a> {
         self.mm
     }
 
-    /// The NUMA domain new agents created by this context land on.
+    /// The NUMA domain new agents created by this context are allocated
+    /// on (the running worker's).
     pub fn alloc_domain(&self) -> usize {
         self.alloc_domain
     }
@@ -708,10 +722,16 @@ impl<'a> AgentContext<'a> {
     }
 
     /// Queues a new agent for insertion at the end of the iteration
-    /// (committed with the parallel addition of paper Section 3.2).
+    /// (committed with the parallel addition of paper Section 3.2) into the
+    /// current agent's domain, in agent order.
     pub fn new_agent<A: Agent + 'static>(&mut self, agent: A) {
         let boxed = new_agent_box(agent, self.mm, self.alloc_domain);
-        self.exec.new_agents[self.alloc_domain].push(boxed);
+        let domain = self.self_handle.domain as usize;
+        let exec = &mut *self.exec;
+        if let Some(key) = exec.open_birth_chunk.take() {
+            exec.birth_chunks[domain].push((key, exec.new_agents[domain].len()));
+        }
+        exec.new_agents[domain].push(boxed);
     }
 
     /// Queues the current agent for removal.

@@ -263,16 +263,7 @@ impl ResourceManager {
                 continue;
             }
             stats.added += total;
-            let store = &mut self.domains[d];
-            if parallel {
-                parallel_append(store, ctxs, d, iteration, pool);
-            } else {
-                for ctx in ctxs.iter_mut() {
-                    for agent in ctx.new_agents[d].drain(..) {
-                        store.push(agent, iteration);
-                    }
-                }
-            }
+            append(&mut self.domains[d], ctxs, d, iteration, pool, parallel);
         }
         // A commit without additions or removals leaves every index and
         // agent untouched — only structural change advances the generation
@@ -467,47 +458,91 @@ fn parallel_remove(store: &mut DomainStore, indices: &[u32], pool: &NumaThreadPo
     store.truncate(new_size);
 }
 
-/// Parallel append: grow once, then let every worker move its own queued
-/// agents into its disjoint slice (paper Section 3.2, "additions are
+/// Appends the agents queued for `domain` chunk by chunk in ascending key
+/// (`ExecutionContext::birth_chunks`), so a newborn's slot is a function of
+/// the state, not of which worker ran its parent. The store grows once;
+/// then every context's agents move into their precomputed slots, with
+/// `parallel` each by its own worker (paper Section 3.2, "additions are
 /// trivial").
-fn parallel_append(
+fn append(
     store: &mut DomainStore,
     ctxs: &mut [ExecutionContext],
     domain: usize,
     iteration: u64,
     pool: &NumaThreadPool,
+    parallel: bool,
 ) {
+    // Runs `(key, context, start, end)` of the queued lists; the run before
+    // a context's first mark was queued outside the agent phase (key None).
+    let mut runs = Vec::new();
+    for (t, ctx) in ctxs.iter().enumerate() {
+        let marks = &ctx.birth_chunks[domain];
+        let keys = std::iter::once(None).chain(marks.iter().map(|m| Some(m.0)));
+        let starts = std::iter::once(0).chain(marks.iter().map(|m| m.1));
+        let ends = marks
+            .iter()
+            .map(|m| m.1)
+            .chain([ctx.new_agents[domain].len()]);
+        for ((key, start), end) in keys.zip(starts).zip(ends) {
+            if end > start {
+                runs.push((key, t, start, end));
+            }
+        }
+    }
+    // Stable: runs with equal keys keep context order.
+    runs.sort_by_key(|r| r.0);
+    // Per context, `(start of a run in its list, first slot of the run)` in
+    // list order.
+    let mut slots: Vec<Vec<(usize, usize)>> = vec![Vec::new(); ctxs.len()];
+    let mut total = 0;
+    for &(_, t, start, end) in &runs {
+        slots[t].push((start, total));
+        total += end - start;
+    }
+    for s in &mut slots {
+        s.sort_unstable();
+    }
+
     let old_len = store.len();
-    let mut per_thread: Vec<usize> = ctxs.iter().map(|c| c.new_agents[domain].len()).collect();
-    let total = prefix_sum_exclusive(&mut per_thread);
     store.agents.reserve(total);
     store.flags.reserve(total);
     store.violations.reserve(total);
     {
-        assert_eq!(
-            ctxs.len(),
-            pool.num_threads(),
-            "one execution context per worker thread"
-        );
         let agents_ptr = SendMut::new(unsafe { store.agents.as_mut_ptr().add(old_len) });
         let flags_ptr = SendMut::new(unsafe { store.flags.as_mut_ptr().add(old_len) });
         let viol_ptr = SendMut::new(unsafe { store.violations.as_mut_ptr().add(old_len) });
         let ctxs_ptr = SendMut::new(ctxs.as_mut_ptr());
-        let per_thread = &per_thread;
-        pool.broadcast(&move |wctx| {
-            // SAFETY: each context is accessed by exactly its own worker.
-            let ctx = unsafe { ctxs_ptr.get_mut(wctx.thread_id) };
-            let base = per_thread[wctx.thread_id];
+        let slots = &slots;
+        let move_context = move |t: usize| {
+            // SAFETY: each context is accessed by exactly one caller.
+            let ctx = unsafe { ctxs_ptr.get_mut(t) };
+            let runs = &slots[t];
+            let mut r = 0;
             for (j, agent) in ctx.new_agents[domain].drain(..).enumerate() {
-                // SAFETY: slot base+j is within the reserved region and
-                // written exactly once.
+                while r + 1 < runs.len() && runs[r + 1].0 <= j {
+                    r += 1;
+                }
+                let slot = runs[r].1 + (j - runs[r].0);
+                // SAFETY: every slot below `total` is within the reserved
+                // region and written exactly once (the runs tile it).
                 unsafe {
-                    agents_ptr.write(base + j, agent);
-                    flags_ptr.write(base + j, StaticFlags::new(iteration));
-                    viol_ptr.write(base + j, AtomicU8::new(0));
+                    agents_ptr.write(slot, agent);
+                    flags_ptr.write(slot, StaticFlags::new(iteration));
+                    viol_ptr.write(slot, AtomicU8::new(0));
                 }
             }
-        });
+            ctx.birth_chunks[domain].clear();
+        };
+        if parallel {
+            assert_eq!(
+                ctxs.len(),
+                pool.num_threads(),
+                "one execution context per worker thread"
+            );
+            pool.broadcast(&|wctx| move_context(wctx.thread_id));
+        } else {
+            (0..ctxs.len()).for_each(move_context);
+        }
         // SAFETY: all `total` slots were initialized above.
         unsafe {
             store.agents.set_len(old_len + total);

@@ -1128,9 +1128,11 @@ impl Simulation {
             move |worker: bdm_numa::WorkerCtx, domain: usize, range: std::ops::Range<usize>| {
                 // SAFETY: each worker accesses only its own execution context.
                 let exec = unsafe { ctxs_ptr.get_mut(worker.thread_id) };
-                // The chunk's secretions are keyed by its first agent (see
-                // `ExecutionContext::secretion_chunks`).
+                // The chunk's secretions and new agents are keyed by its
+                // first agent (see `ExecutionContext::secretion_chunks` and
+                // `birth_chunks`).
                 exec.open_chunk = Some((iteration, offsets_ref[domain] + range.start));
+                exec.open_birth_chunk = Some(offsets_ref[domain] + range.start);
                 for i in range {
                     // SAFETY: each (domain, i) is processed by exactly one task.
                     let agent_box = unsafe { agent_ptrs[domain].get_mut(i) };

@@ -179,16 +179,25 @@ impl DiffusionGrid {
         self.edge
     }
 
-    /// Box index containing `pos` (positions outside clamp to the border).
+    /// Voxel coordinates `[x, y, z]` of the box containing `pos` (positions
+    /// outside clamp to the border).
     #[inline]
-    pub fn box_index(&self, pos: Real3) -> usize {
+    fn voxel_of(&self, pos: Real3) -> [usize; 3] {
         let r = self.resolution;
         let mut idx = [0usize; 3];
         for a in 0..3 {
             let rel = (pos[a] - self.min[a]) * self.inv_box_length;
             idx[a] = (rel.max(0.0) as usize).min(r - 1);
         }
-        idx[0] + r * (idx[1] + r * idx[2])
+        idx
+    }
+
+    /// Box index containing `pos` (positions outside clamp to the border).
+    #[inline]
+    pub fn box_index(&self, pos: Real3) -> usize {
+        let r = self.resolution;
+        let [x, y, z] = self.voxel_of(pos);
+        x + r * (y + r * z)
     }
 
     /// Concentration of the box containing `pos`.
@@ -203,31 +212,25 @@ impl DiffusionGrid {
         self.c[i] += amount;
     }
 
-    /// Central-difference concentration gradient at `pos`
-    /// (used by chemotaxis behaviors).
+    /// Central-difference concentration gradient at `pos` (used by
+    /// chemotaxis behaviors, once per agent per iteration) over the six
+    /// face neighbours of the box containing `pos`; at the border the box
+    /// itself stands in for the missing neighbour. The box's coordinates
+    /// come straight from `pos`, as in [`DiffusionGrid::box_index`], so the
+    /// lookup divides nothing.
     pub fn gradient_at(&self, pos: Real3) -> Real3 {
         let r = self.resolution;
-        let flat = self.box_index(pos);
-        let x = flat % r;
-        let y = (flat / r) % r;
-        let z = flat / (r * r);
+        let [x, y, z] = self.voxel_of(pos);
+        let flat = x + r * (y + r * z);
         let h2 = 2.0 * self.box_length;
-        let sample = |xx: usize, yy: usize, zz: usize| self.c[xx + r * (yy + r * zz)];
-        let d = |lo: f64, hi: f64| (hi - lo) / h2;
-        Real3::new(
-            d(
-                sample(x.saturating_sub(1), y, z),
-                sample((x + 1).min(r - 1), y, z),
-            ),
-            d(
-                sample(x, y.saturating_sub(1), z),
-                sample(x, (y + 1).min(r - 1), z),
-            ),
-            d(
-                sample(x, y, z.saturating_sub(1)),
-                sample(x, y, (z + 1).min(r - 1)),
-            ),
-        )
+        // One axis: the neighbours `stride` below and above, or the box
+        // itself where `coord` sits on the border.
+        let d = |coord: usize, stride: usize| {
+            let lo = if coord > 0 { flat - stride } else { flat };
+            let hi = if coord + 1 < r { flat + stride } else { flat };
+            (self.c[hi] - self.c[lo]) / h2
+        };
+        Real3::new(d(x, 1), d(y, r), d(z, r * r))
     }
 
     /// Sum of all concentrations (∝ total substance mass).
@@ -643,6 +646,35 @@ mod tests {
             "gradient x must point toward source: {grad:?}"
         );
         assert!(grad.y().abs() < grad.x());
+    }
+
+    #[test]
+    fn gradient_at_reads_the_face_neighbours() {
+        // Against the same central difference taken from coordinates
+        // recovered out of the flat box index, border boxes included.
+        let mut g = grid(5);
+        let mut rng = bdm_util::SimRng::new(11);
+        for i in 0..g.num_volumes() {
+            g.c[i] = rng.uniform();
+        }
+        let r = g.resolution;
+        let h2 = 2.0 * g.box_length;
+        let at = |x: usize, y: usize, z: usize| g.c[x + r * (y + r * z)];
+        for _ in 0..2000 {
+            let pos = rng.point_in_cube(-1.0, 11.0);
+            let flat = g.box_index(pos);
+            let (x, y, z) = (flat % r, (flat / r) % r, flat / (r * r));
+            let (lo, hi) = (
+                |c: usize| c.saturating_sub(1),
+                |c: usize| (c + 1).min(r - 1),
+            );
+            let expect = Real3::new(
+                (at(hi(x), y, z) - at(lo(x), y, z)) / h2,
+                (at(x, hi(y), z) - at(x, lo(y), z)) / h2,
+                (at(x, y, hi(z)) - at(x, y, lo(z))) / h2,
+            );
+            assert_eq!(g.gradient_at(pos), expect, "{pos:?}");
+        }
     }
 
     #[test]
