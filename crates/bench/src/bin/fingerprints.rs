@@ -8,10 +8,8 @@
 //! and serialized behaviors, plus the iteration and uid counter. Per model
 //! the uniform grid runs at K ∈ {1, 2} shards × static detection
 //! {off, armed}; `cell_clustering` and `oncology` also run on the kd-tree
-//! and the brute-force environment (detection armed). Models that add or
-//! remove agents (`oncology`, `neuroscience`, `cell_proliferation`) are
-//! run-to-run reproducible on one thread only and run there; the others
-//! run on two.
+//! and the brute-force environment (detection armed). Every run uses two
+//! threads and two NUMA domains.
 //!
 //! ```text
 //! cargo run --release -p bdm_bench --bin fingerprints > after.txt
@@ -38,10 +36,6 @@ fn main() {
     let iterations = args.iterations.unwrap_or(30);
     let mut mismatches = Vec::new();
     for name in args.selected_models() {
-        let threads = match name.as_str() {
-            "oncology" | "neuroscience" | "cell_proliferation" => 1,
-            _ => 2,
-        };
         let mut runs = Vec::new();
         for shards in [1, 2] {
             for detect in [false, true] {
@@ -57,8 +51,8 @@ fn main() {
         for (environment, shards, detect) in runs {
             let param = Param {
                 seed: args.seed,
-                threads: Some(threads),
-                numa_domains: Some(threads),
+                threads: Some(2),
+                numa_domains: Some(2),
                 environment,
                 shards,
                 detect_static_agents: detect,

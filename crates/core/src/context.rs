@@ -218,15 +218,14 @@ pub struct ExecutionContext {
     /// Reusable neighbor-query scratch: queries issued through this thread's
     /// [`AgentContext`] allocate nothing in steady state.
     pub(crate) query_scratch: NeighborQueryScratch,
-    /// The candidate shell staged for the running agent, if any. The
-    /// agent's first grid query stages it — a behavior's
+    /// The candidate shell staged for the running agent, if any. Every grid
+    /// query of the agent reads it: the first one stages it — a behavior's
     /// [`AgentContext::for_each_neighbor`] or, failing that, the force scan
-    /// [`AgentContext::for_each_neighbor_mech`] — and every later query of
-    /// the agent at the bitwise-same position within the shell reuses it:
+    /// [`AgentContext::for_each_neighbor_mech`] — and every later query at
+    /// the bitwise-same position and a radius the list reaches reuses it:
     /// the behaviors' queries, the force scan, then
-    /// [`AgentContext::wake_from_shell`]. Only agents that run a mechanics
-    /// pass stage; [`ExecutionContext::start_agent`] forgets the list before
-    /// each agent.
+    /// [`AgentContext::wake_from_shell`]. [`ExecutionContext::start_agent`]
+    /// forgets the list before each agent.
     pub(crate) mech_shell: MechShell,
     /// One-entry cache of the box-batched mechanics path: the resolved
     /// stencil runs of the last queried box. All agents resident in one box
@@ -253,14 +252,19 @@ pub(crate) struct StencilCache {
     runs: StencilRuns,
 }
 
-/// See [`ExecutionContext::mech_shell`].
+/// See [`ExecutionContext::mech_shell`]: a cache of one `(slot, d²)` list,
+/// keyed by [`ShellKey`] and valid for every query radius up to the one it
+/// was staged at.
 #[derive(Default)]
 pub(crate) struct MechShell {
-    /// `(slot, d²)` of every stencil candidate within the shell radius, in
+    /// `(slot, d²)` of every stencil candidate within the staged radius, in
     /// scan order; only `..len` is valid. Never shorter than the cached
     /// stencil's candidate count, so the compaction stores unconditionally.
     entries: Vec<(u32, f64)>,
     len: usize,
+    /// Square of the radius `..len` was staged at: the list holds every
+    /// candidate with `d²` up to it.
+    reach2: f64,
     /// What `..len` was staged for; `None` when nothing is staged for the
     /// running agent.
     key: Option<ShellKey>,
@@ -275,15 +279,13 @@ impl MechShell {
 }
 
 /// Identity of a staged shell: a list serves only the bitwise position,
-/// the shell radius, the grid view and the grid build it was compacted
-/// for — and only the agent it was staged for, because
-/// [`ExecutionContext::start_agent`] drops the key before the next one.
+/// the grid view and the grid build it was compacted for — and only the
+/// agent it was staged for, because [`ExecutionContext::start_agent`]
+/// drops the key before the next one.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct ShellKey {
     /// Bits of the scanned position.
     pos: [u64; 3],
-    /// Bits of the shell radius.
-    shell: u64,
     /// [`GridView::cache_key`] of the scanned grid.
     view: u32,
     /// [`UniformGridEnvironment::build_count`] of the scanned grid.
@@ -378,9 +380,9 @@ pub struct AgentContext<'a> {
     /// Global index of the agent currently being processed.
     pub(crate) self_global: usize,
     /// Shell radius of the agent's mechanics pass
-    /// ([`crate::ops::MechanicsConfig::shell_radius`]) while its behaviors
-    /// run; `None` for an agent without one, whose queries do not stage,
-    /// and from the start of the mechanics pass on.
+    /// ([`crate::ops::MechanicsConfig::shell_radius`]); `None` for an agent
+    /// without one. A staging hint: a grid query stages at least this far,
+    /// so the force scan and the wake reuse what a behavior staged.
     pub(crate) shell_radius: Option<f64>,
     /// Simulation time step.
     pub dt: f64,
@@ -433,17 +435,10 @@ impl<'a> AgentContext<'a> {
     /// [`NeighborQueryScratch`], so they allocate nothing in steady state
     /// (hence `&mut self`).
     ///
-    /// On the uniform grid, an agent that will run a mechanics pass serves
-    /// the query from its staged shell (`ExecutionContext::mech_shell`):
-    /// the first query stages the force scan's candidate list around `pos`,
-    /// and this query, the agent's later ones at the same position and the
-    /// force scan itself filter that list by their own `d²` instead of
-    /// rescanning the stencil. Every other agent — and any radius beyond
-    /// the shell — takes the direct stencil query: staging costs a
-    /// compaction that pays off only when a force scan reuses it, and
-    /// staging every query bought `epidemiology`, which runs no mechanics,
-    /// nothing (docs/PERFORMANCE.md, "One neighbourhood scan per agent").
-    /// Both routes visit bitwise the same `(index, position, d²)` sequence.
+    /// On the uniform grid the query filters the agent's staged shell (see
+    /// `AgentContext::stage`), as its later queries, its force scan and its
+    /// wake do, and visits bitwise what
+    /// [`UniformGridEnvironment::for_each_neighbor_soa`] visits.
     pub fn for_each_neighbor(
         &mut self,
         pos: Real3,
@@ -460,32 +455,17 @@ impl<'a> AgentContext<'a> {
             f(index, neighbor, d2)
         };
         if let Some(view) = self.grid {
-            // The kernel closure monomorphizes straight into the nine-run
-            // scan — no virtual call per query or per neighbor (the
+            // The kernel closure monomorphizes straight into the filter
+            // loop — no virtual call per query or per neighbor (the
             // dominant cost at 10⁶ agents). A shard grid holds exactly the
             // within-radius agents the global grid holds (halo
             // completeness) in the same relative order (ascending-global
             // member insertion), so its remapped visit sequence is bitwise
             // that of the single-engine query.
-            match self.stage_shell_for(view, radius) {
-                Some(shell) => {
-                    self.stage(view, pos, shell);
-                    let slots = view.grid.slots();
-                    let r2 = radius * radius;
-                    for &(i, d2) in self.exec.mech_shell.staged() {
-                        if d2 <= r2 {
-                            let s = &slots[i as usize];
-                            visit(view.global(s.index as usize), s.position, d2);
-                        }
-                    }
-                }
-                None => view.grid.for_each_neighbor_soa(
-                    pos,
-                    Some(view.self_index),
-                    radius,
-                    |idx, p, d2| visit(view.global(idx), p, d2),
-                ),
-            }
+            self.stage(view, pos, radius, radius);
+            self.for_each_staged(view, radius, None, |_, s, d2| {
+                visit(view.global(s.index as usize), s.position, d2)
+            });
         } else {
             self.env.for_each_neighbor(
                 &SnapshotCloud(snapshot),
@@ -498,24 +478,17 @@ impl<'a> AgentContext<'a> {
         }
     }
 
-    /// The shell a grid query of `radius` stages, or `None` when it takes
-    /// the direct route: the agent runs no mechanics pass, the force scan
-    /// will not take the grid route (unscattered diameters), or `radius`
-    /// lies beyond the shell or the build radius (where the direct query
-    /// asserts).
-    #[inline]
-    fn stage_shell_for(&self, view: GridView<'_>, radius: f64) -> Option<f64> {
-        let shell = self.shell_radius?;
-        (radius * radius <= shell * shell
-            && view.grid.radius_within_build(radius)
-            && view.grid.scattered_diameters().is_some())
-        .then_some(shell)
-    }
-
-    /// Stages the shell around `pos` in [`ExecutionContext::mech_shell`]
-    /// unless the running agent already staged it for the bitwise-same
-    /// position, shell radius, grid view and build; returns whether the
-    /// staged list was reused.
+    /// Makes [`ExecutionContext::mech_shell`] hold every candidate within
+    /// `reach ≥ radius` of `pos`; returns whether the running agent's list
+    /// already did (same position bits, grid view and build, staged at
+    /// least that far). Otherwise it restages at the larger of `reach` and
+    /// the shell hint ([`AgentContext::shell_radius`]), so a narrower query
+    /// never clobbers the list the force scan and the wake read.
+    ///
+    /// It checks the query as `for_each_neighbor_soa` does, in its order:
+    /// an empty grid (one a pipeline without `environment_update` never
+    /// built) stages nothing, and otherwise a `radius` beyond the build
+    /// radius panics with the grid's `Param::interaction_radius` message.
     ///
     /// * the ≤9 **stencil runs** come from this worker's one-entry cache —
     ///   every agent resident in the same box reuses the same row offsets
@@ -523,34 +496,41 @@ impl<'a> AgentContext<'a> {
     /// * the list is a **branchless compaction**: one bounds-check-free
     ///   pass over the runs' interleaved 32-byte slots stores `(slot, d²)`
     ///   of every candidate and advances the write cursor by
-    ///   `d² ≤ shell² && not self` — no data-dependent branch in the scan.
+    ///   `d² ≤ reach² && not self` — no data-dependent branch in the scan.
     ///   (Compacting with a branchy `Vec::push` instead made `oncology`
     ///   `agent_ops` at 10⁵ agents 23% *slower*, 0.067–0.070 → 0.083–0.084 s.)
     ///
     /// The candidates, their scan order, their `d²` expression and the
-    /// self-exclusion are those of
-    /// [`UniformGridEnvironment::for_each_neighbor_soa`], so filtering the
-    /// list by `d² ≤ r²` for any `r ≤ shell` visits bitwise what that query
-    /// visits.
+    /// self-exclusion are those of `for_each_neighbor_soa`, so filtering the
+    /// list by `d² ≤ r²` for any `r` up to the staged radius visits bitwise
+    /// what that query visits.
     ///
     /// Kept out of line: inlined into every `for_each_neighbor` instance,
-    /// it read `epidemiology` — which never stages — 4–8% slower per
-    /// iteration (bench/baselines/AB_39.txt).
+    /// it read `epidemiology` 4–8% slower per iteration
+    /// (bench/baselines/AB_39.txt).
     #[inline(never)]
-    fn stage(&mut self, view: GridView<'_>, pos: Real3, shell: f64) -> bool {
+    fn stage(&mut self, view: GridView<'_>, pos: Real3, radius: f64, reach: f64) -> bool {
         let grid = view.grid;
+        let exec = &mut *self.exec;
+        let out = &mut exec.mech_shell;
+        if grid.slots().is_empty() {
+            out.len = 0;
+            out.key = None;
+            return false;
+        }
+        grid.assert_query_radius(radius);
         let build = grid.build_count();
         let key = ShellKey {
             pos: [0, 1, 2].map(|a| pos[a].to_bits()),
-            shell: shell.to_bits(),
             view: view.cache_key,
             build,
         };
-        let exec = &mut *self.exec;
-        let out = &mut exec.mech_shell;
-        if out.key == Some(key) {
+        let reach2 = reach * reach;
+        if out.key == Some(key) && reach2 <= out.reach2 {
             return true;
         }
+        let hint = self.shell_radius.unwrap_or(0.0);
+        let reach2 = reach2.max(hint * hint);
         let slots = grid.slots();
         let bc = grid.box_coordinates(pos);
         let cache = &mut exec.mech_stencil;
@@ -571,7 +551,6 @@ impl<'a> AgentContext<'a> {
                 out.entries.resize(candidates, (0, 0.0));
             }
         }
-        let shell2 = shell * shell;
         let mut len = 0;
         for &(start, end) in cache.runs.runs() {
             debug_assert!(end as usize <= slots.len());
@@ -586,12 +565,38 @@ impl<'a> AgentContext<'a> {
                 // candidate count, which `entries` was grown to when the
                 // runs were cached.
                 unsafe { *out.entries.get_unchecked_mut(len) = (i, d2) };
-                len += usize::from((d2 <= shell2) & (s.index as usize != view.self_index));
+                len += usize::from((d2 <= reach2) & (s.index as usize != view.self_index));
             }
         }
         out.len = len;
+        out.reach2 = reach2;
         out.key = Some(key);
         false
+    }
+
+    /// The one filter loop of the staged readers: calls `f(slot index,
+    /// slot, d²)`, in scan order, for every staged candidate within
+    /// `radius` of the staged position or of `moved_to`. Runs right after
+    /// [`AgentContext::stage`] on `view`.
+    #[inline(always)]
+    fn for_each_staged(
+        &self,
+        view: GridView<'_>,
+        radius: f64,
+        moved_to: Option<Real3>,
+        mut f: impl FnMut(u32, &bdm_env::SortedSlot, f64),
+    ) {
+        let slots = view.grid.slots();
+        let r2 = radius * radius;
+        for &(i, d2) in self.exec.mech_shell.staged() {
+            // SAFETY: `i` was staged from this grid's stencil runs — the
+            // key matched its view and build, and a key never outlives its
+            // agent.
+            let s = unsafe { slots.get_unchecked(i as usize) };
+            if d2 <= r2 || moved_to.is_some_and(|p| p.distance_sq(&s.position) <= r2) {
+                f(i, s, d2);
+            }
+        }
     }
 
     /// Box-batched mechanics neighbor scan — the grid query of
@@ -614,9 +619,9 @@ impl<'a> AgentContext<'a> {
     /// those of the generic query (same shared stencil traversal, the
     /// same `d²` expression, copied diameters). Returns `false` without
     /// visiting anything when the batched path cannot serve the query —
-    /// non-grid environment, diameters not scattered this iteration, or a
-    /// radius beyond the build radius — and the caller falls back to
-    /// [`AgentContext::for_each_neighbor`] plus the lazy diameter load.
+    /// non-grid environment, or diameters not scattered this iteration —
+    /// and the caller falls back to [`AgentContext::for_each_neighbor`]
+    /// plus the lazy diameter load.
     pub(crate) fn for_each_neighbor_mech(
         &mut self,
         pos: Real3,
@@ -628,42 +633,24 @@ impl<'a> AgentContext<'a> {
         let Some(view) = self.grid else {
             return false;
         };
-        let grid = view.grid;
-        if !grid.radius_within_build(radius) {
-            return false;
-        }
-        let Some(diameters) = grid.scattered_diameters() else {
+        let Some(diameters) = view.grid.scattered_diameters() else {
             return false;
         };
-        let reused = self.stage(view, pos, shell);
+        let reused = self.stage(view, pos, radius, shell);
         self.exec.shell_reuses += u64::from(reused);
-        let slots = grid.slots();
-        debug_assert_eq!(diameters.len(), slots.len());
-        let r2 = radius * radius;
-        for &(i, d2) in self.exec.mech_shell.staged() {
-            if d2 <= r2 {
-                // SAFETY: `i` was staged from this grid's stencil runs —
-                // the key matched its view and build, and a key never
-                // outlives its agent — and `diameters` is scattered
-                // alongside `slots` in the same rebuild pass and has the
-                // same length (debug-asserted above).
-                let (s, diameter) = unsafe {
-                    (
-                        slots.get_unchecked(i as usize),
-                        *diameters.get_unchecked(i as usize),
-                    )
-                };
-                f(s.position, diameter, d2);
-            }
-        }
+        self.for_each_staged(view, radius, None, |i, s, d2| {
+            f(s.position, diameters[i as usize], d2)
+        });
         true
     }
 
-    /// The static-detection wake of the running agent, served from the
-    /// shell its mechanics scan ([`AgentContext::for_each_neighbor_mech`])
-    /// staged or reused: raises every shell agent
-    /// within `radius` of the scanned position and — when `moved_to` lies in
-    /// the scanned box — every one within `radius` of `moved_to`.
+    /// The static-detection wake of the running agent at `pos`, served
+    /// from the shell its mechanics scan
+    /// ([`AgentContext::for_each_neighbor_mech`]) staged or reused — or
+    /// restaged at `shell` when a query in between left another list:
+    /// raises every shell agent within `radius` of `pos` and — when
+    /// `moved_to` lies in the scanned box — every one within `radius` of
+    /// `moved_to`.
     ///
     /// A query around `moved_to` would scan the same stencil runs, accept
     /// with the same `d²` expression and exclude the same self index, so
@@ -673,27 +660,22 @@ impl<'a> AgentContext<'a> {
     /// scanned position). Returns whether `moved_to` was served; when it
     /// was not, the caller queries around it.
     pub(crate) fn wake_from_shell(
-        &self,
+        &mut self,
+        pos: Real3,
         radius: f64,
+        shell: f64,
         moved_to: Option<Real3>,
         mut raise: impl FnMut(usize),
     ) -> bool {
         let view = self
             .grid
             .expect("a mechanics shell is only kept on the grid path");
-        let slots = view.grid.slots();
-        let shell = &self.exec.mech_shell;
-        debug_assert!(shell.key.is_some(), "the wake follows the force scan");
-        let entries = shell.staged();
-        let r2 = radius * radius;
+        self.stage(view, pos, radius, shell);
         let moved_to =
             moved_to.filter(|&p| view.grid.box_coordinates(p) == self.exec.mech_stencil.bc);
-        for &(i, d2) in entries {
-            let s = &slots[i as usize];
-            if d2 <= r2 || moved_to.is_some_and(|p| p.distance_sq(&s.position) <= r2) {
-                raise(view.global(s.index as usize));
-            }
-        }
+        self.for_each_staged(view, radius, moved_to, |_, s, _| {
+            raise(view.global(s.index as usize))
+        });
         moved_to.is_some()
     }
 
@@ -882,7 +864,7 @@ mod tests {
     }
 
     /// The context `run_agent_ops` hands agent `global` (no behavior
-    /// state), querying `grid`; `shell_radius` says whether it stages.
+    /// state), querying `grid` with the staging hint `shell_radius`.
     fn agent_ctx<'a>(
         exec: &'a mut ExecutionContext,
         env: &'a dyn Environment,
@@ -911,153 +893,6 @@ mod tests {
         }
     }
 
-    /// Global indices `for_each_neighbor` visits around `pos`.
-    fn neighbors(ctx: &mut AgentContext<'_>, pos: Real3, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        ctx.for_each_neighbor(pos, radius, |idx, _, _| out.push(idx));
-        out
-    }
-
-    /// Both mechanics routes for every `(global index, view)` pair: the
-    /// shell scan visits bitwise what the generic query plus the lazy
-    /// diameter load visits, in the same order, and the shell wake — plus
-    /// a box crosser's second query — raises exactly the union of the
-    /// generic queries around the old and the new position. Each agent
-    /// moves to a random target at most `max_step` away. Returns the
-    /// number of same-box and of box-crossing targets.
-    fn assert_routes_agree(
-        snapshot: &Snapshot,
-        env: &dyn Environment,
-        views: &[(usize, GridView<'_>)],
-        radius: f64,
-        max_step: f64,
-        what: &str,
-    ) -> [usize; 2] {
-        let shell = (radius + max_step) * (1.0 + 1e-9);
-        let mm = MemoryManager::system_only(1, 1);
-        let mut exec = ExecutionContext::new(1);
-        let mut rng = SimRng::new(0x5eed);
-        let mut targets = [0; 2];
-        for &(global, view) in views {
-            let mut ctx = agent_ctx(&mut exec, env, snapshot, &mm, Some(view), global, None);
-            let pos = snapshot.positions[global];
-            let bits = |p: Real3, d: f64, d2: f64| [p.x(), p.y(), p.z(), d, d2].map(f64::to_bits);
-            let mut generic = Vec::new();
-            ctx.for_each_neighbor(pos, radius, |_, n, d2| {
-                generic.push(bits(n.position(), n.diameter(), d2))
-            });
-            let mut mech = Vec::new();
-            let served = ctx.for_each_neighbor_mech(pos, radius, shell, &mut |p, d, d2| {
-                mech.push(bits(p, d, d2))
-            });
-            assert!(served, "{what}: agent {global} declined");
-            assert_eq!(mech, generic, "{what}: agent {global}");
-
-            let old: BTreeSet<usize> = neighbors(&mut ctx, pos, radius).into_iter().collect();
-            let mut raised = BTreeSet::new();
-            assert!(!ctx.wake_from_shell(radius, None, |g| {
-                raised.insert(g);
-            }));
-            assert_eq!(raised, old, "{what}: agent {global} in place");
-
-            let reach = max_step / 3f64.sqrt() * 0.999;
-            let target = pos + rng.point_in_cube(-reach, reach);
-            let mut raised = BTreeSet::new();
-            let served = ctx.wake_from_shell(radius, Some(target), |g| {
-                raised.insert(g);
-            });
-            let same_box = view.grid.box_coordinates(target) == view.grid.box_coordinates(pos);
-            assert_eq!(served, same_box, "{what}: agent {global}");
-            targets[usize::from(!same_box)] += 1;
-            let new = neighbors(&mut ctx, target, radius);
-            if !served {
-                raised.extend(new.iter().copied());
-            }
-            let union: BTreeSet<usize> = old.union(&new.into_iter().collect()).copied().collect();
-            assert_eq!(raised, union, "{what}: agent {global} to {target:?}");
-        }
-        targets
-    }
-
-    /// Agent `global`'s view of the global grid.
-    fn global_view(grid: &UniformGridEnvironment, global: usize) -> GridView<'_> {
-        GridView {
-            grid,
-            self_index: global,
-            remap: None,
-            cache_key: u32::MAX,
-        }
-    }
-
-    fn global_views(grid: &UniformGridEnvironment) -> Vec<(usize, GridView<'_>)> {
-        (0..grid.slots().len())
-            .map(|global| (global, global_view(grid, global)))
-            .collect()
-    }
-
-    fn random_scene(seed: u64, n: usize, extent: f64) -> Snapshot {
-        let mut rng = SimRng::new(seed);
-        let positions = (0..n).map(|_| rng.point_in_cube(0.0, extent)).collect();
-        let diameters = (0..n).map(|_| rng.uniform_in(1.0, 4.0)).collect();
-        snapshot_with(positions, diameters)
-    }
-
-    #[test]
-    fn shell_scan_and_generic_query_agree_on_every_grid() {
-        let radius = 3.0;
-        // Random: crowded boxes, every stencil clamp of the grid border.
-        let random = random_scene(11, 600, 24.0);
-        // Lattice: every agent on a box face, spacing the radius, so the
-        // `d² ≤ r²` ties sit exactly on the edge.
-        let mut at = Vec::new();
-        for i in 0..512 {
-            at.push(Real3::new(
-                (i % 8) as f64 * radius,
-                (i / 8 % 8) as f64 * radius,
-                (i / 64) as f64 * radius,
-            ));
-        }
-        let lattice = snapshot_with(at, (0..512).map(|i| 2.0 + (i % 3) as f64).collect());
-        for (snapshot, what) in [(&random, "random"), (&lattice, "lattice")] {
-            let grid = scattered_grid(snapshot, radius);
-            let targets =
-                assert_routes_agree(snapshot, &grid, &global_views(&grid), radius, 1.5, what);
-            assert!(targets.iter().all(|&t| t > 0), "{what}: {targets:?}");
-        }
-
-        // Coarsened: ~3·10⁵ radius-sized boxes for 60 agents, each of the
-        // first 20 with a companion inside the radius.
-        let mut sparse = random_scene(41, 40, 2000.0);
-        for k in 0..20 {
-            sparse
-                .positions
-                .push(sparse.positions[k] + Real3::splat(5.0));
-            sparse.diameters.push(2.0);
-        }
-        let sparse = snapshot_with(sparse.positions, sparse.diameters);
-        let grid = scattered_grid(&sparse, 30.0);
-        assert!(grid.box_length() > 30.0, "the lattice must coarsen");
-        let targets =
-            assert_routes_agree(&sparse, &grid, &global_views(&grid), 30.0, 15.0, "sparse");
-        assert!(targets[0] > 0, "sparse: {targets:?}");
-    }
-
-    #[test]
-    fn shell_scan_and_generic_query_agree_on_shard_views() {
-        // The random scene split in two: each agent queries its owner's
-        // windowed grid with a shard-local self index and a remap.
-        let radius = 3.0;
-        let snapshot = random_scene(11, 600, 24.0);
-        let pool = bdm_numa::NumaThreadPool::new(bdm_numa::NumaTopology::single_domain(1));
-        let mut st = crate::sharded::ShardedState::new(2);
-        st.exchange(&snapshot, &pool, radius, 1, 1, 3);
-        st.build_grids(true, radius, snapshot.bounds, &pool);
-        let views = shard_views(&st, snapshot.len());
-        assert!(views.iter().any(|(g, v)| v.self_index != *g));
-        let targets = assert_routes_agree(&snapshot, &st.grids[0], &views, radius, 1.5, "K = 2");
-        assert!(targets.iter().all(|&t| t > 0), "K = 2: {targets:?}");
-    }
-
     /// `(global index, position bits, d² bits)` of one visit.
     type Visit = (usize, [u64; 3], u64);
 
@@ -1078,7 +913,8 @@ mod tests {
         out
     }
 
-    /// What the unstaged grid query of `view` visits around `pos`.
+    /// What the grid's own query of `view` visits around `pos`: the
+    /// reference every staged read is held to.
     fn direct(view: GridView<'_>, pos: Real3, radius: f64) -> Vec<Visit> {
         let mut out = Vec::new();
         view.grid
@@ -1088,187 +924,171 @@ mod tests {
         out
     }
 
-    /// Staging against both unstaged routes, for every `(global index,
-    /// view)` in order with the per-agent reset between agents: a
-    /// behavior query stages, a second one with a smaller radius and the
-    /// force scan reuse, and the wake raises the force neighborhood — each
-    /// visit sequence bitwise that of `for_each_neighbor_soa` and of the
-    /// generic query on `global_grid`. A query at a moved position
-    /// restages, and so does the force scan back at the first position; a
-    /// radius beyond the shell takes the direct route. Returns the number
-    /// of reused force scans.
-    fn assert_staging_agrees(
+    /// The staged route against the grid's own scan, for every `(global
+    /// index, view)` in order with the per-agent reset between agents.
+    /// Every visit sequence is bitwise that of `for_each_neighbor_soa` on
+    /// the view and of the generic query on `global_grid`:
+    ///
+    /// * even agents carry the shell hint, so their first query stages the
+    ///   shell and the force scan reuses it; odd agents carry none, so with
+    ///   detection on the force scan widens the list their query staged;
+    /// * a query at half the radius reuses the list, before the force scan
+    ///   and again between it and the wake;
+    /// * the wake raises the force neighborhood and, with detection on, the
+    ///   union of it and the neighborhood of a target at most `max_step`
+    ///   away, served from the shell when the target lies in the scanned
+    ///   box;
+    /// * a query at the target restages, and so does the force scan back
+    ///   at the first position.
+    ///
+    /// Returns the number of same-box and of box-crossing targets.
+    fn assert_staged_route_agrees(
         snapshot: &Snapshot,
         global_grid: &UniformGridEnvironment,
         views: &[(usize, GridView<'_>)],
         radius: f64,
-        shell: f64,
+        max_step: f64,
+        detect: bool,
         what: &str,
-    ) -> u64 {
+    ) -> [usize; 2] {
+        let shell = if detect {
+            (radius + max_step) * (1.0 + 1e-9)
+        } else {
+            radius
+        };
         let mm = MemoryManager::system_only(1, 1);
         let mut exec = ExecutionContext::new(1);
         let mut generic_exec = ExecutionContext::new(1);
         let mut generic = |global: usize, pos: Real3, r: f64| {
-            let mut ctx = agent_ctx(
-                &mut generic_exec,
-                global_grid,
-                snapshot,
-                &mm,
-                None,
-                global,
-                None,
-            );
+            let env = global_grid;
+            let mut ctx = agent_ctx(&mut generic_exec, env, snapshot, &mm, None, global, None);
             visits(&mut ctx, pos, r)
         };
-        let mut rng = SimRng::new(0x57a9e);
+        // The force scan's `(position, diameter, d²)` bits.
+        let force = |want: &[Visit]| -> Vec<([u64; 3], u64, u64)> {
+            want.iter()
+                .map(|&(i, p, d2)| (p, snapshot.diameters[i].to_bits(), d2))
+                .collect()
+        };
+        let mech = |ctx: &mut AgentContext<'_>, at: Real3, what: &str| {
+            let mut out = Vec::new();
+            let served = ctx.for_each_neighbor_mech(at, radius, shell, &mut |p, d, d2| {
+                out.push((position_bits(p), d.to_bits(), d2.to_bits()))
+            });
+            assert!(served, "{what}: the force scan declined");
+            out
+        };
+        let mut rng = SimRng::new(0x5eed);
+        let mut targets = [0; 2];
         for &(global, view) in views {
             let pos = snapshot.positions[global];
             let what = format!("{what}: agent {global}");
             let want = direct(view, pos, radius);
-            assert_eq!(generic(global, pos, radius), want, "{what}: routes differ");
-
-            // Beyond the shell (a shell below the build radius): direct.
-            exec.start_agent();
-            let mut ctx = agent_ctx(
-                &mut exec,
-                global_grid,
-                snapshot,
-                &mm,
-                Some(view),
-                global,
-                Some(radius * 0.6),
-            );
-            assert_eq!(
-                visits(&mut ctx, pos, radius),
-                want,
-                "{what}: beyond the shell"
-            );
-            assert!(
-                ctx.exec.mech_shell.key.is_none(),
-                "{what}: staged beyond the shell"
-            );
-
-            exec.start_agent();
-            let mut ctx = agent_ctx(
-                &mut exec,
-                global_grid,
-                snapshot,
-                &mm,
-                Some(view),
-                global,
-                Some(shell),
-            );
-            let reuses = ctx.exec.shell_reuses;
-            assert_eq!(visits(&mut ctx, pos, radius), want, "{what}: staging query");
-            assert!(ctx.exec.mech_shell.key.is_some(), "{what}: nothing staged");
             let half = direct(view, pos, radius * 0.5);
+            assert_eq!(generic(global, pos, radius), want, "{what}: routes differ");
             assert_eq!(
                 generic(global, pos, radius * 0.5),
                 half,
                 "{what}: routes differ"
             );
+
+            exec.start_agent();
+            let hinted = global % 2 == 0;
+            let hint = hinted.then_some(shell);
+            let mut ctx = agent_ctx(
+                &mut exec,
+                global_grid,
+                snapshot,
+                &mm,
+                Some(view),
+                global,
+                hint,
+            );
+            assert_eq!(visits(&mut ctx, pos, radius), want, "{what}: staging query");
             assert_eq!(
                 visits(&mut ctx, pos, radius * 0.5),
                 half,
                 "{what}: reusing query"
             );
-
-            // The force scan's `(position, diameter, d²)` bits.
-            let force = |want: &[Visit]| -> Vec<([u64; 3], u64, u64)> {
-                want.iter()
-                    .map(|&(i, p, d2)| (p, snapshot.diameters[i].to_bits(), d2))
-                    .collect()
-            };
-            let mech = |ctx: &mut AgentContext<'_>, at: Real3| {
-                let mut out = Vec::new();
-                assert!(
-                    ctx.for_each_neighbor_mech(at, radius, shell, &mut |p, d, d2| {
-                        out.push((position_bits(p), d.to_bits(), d2.to_bits()))
-                    })
-                );
-                out
-            };
+            let reuses = ctx.exec.shell_reuses;
             assert_eq!(
-                mech(&mut ctx, pos),
+                mech(&mut ctx, pos, &what),
                 force(&want),
-                "{what}: reused force scan"
+                "{what}: force scan"
             );
             assert_eq!(
                 ctx.exec.shell_reuses,
-                reuses + 1,
-                "{what}: force scan restaged"
+                reuses + u64::from(hinted || !detect),
+                "{what}: force scan reuse"
             );
-            let mut raised = BTreeSet::new();
-            ctx.wake_from_shell(radius, None, |g| {
-                raised.insert(g);
-            });
+
+            // A narrower query between the force scan and the wake.
+            assert_eq!(
+                visits(&mut ctx, pos, radius * 0.5),
+                half,
+                "{what}: before the wake"
+            );
             let old: BTreeSet<usize> = want.iter().map(|v| v.0).collect();
-            assert_eq!(raised, old, "{what}: wake");
+            let mut raised = BTreeSet::new();
+            assert!(!ctx.wake_from_shell(pos, radius, shell, None, |g| {
+                raised.insert(g);
+            }));
+            assert_eq!(raised, old, "{what}: wake in place");
+
+            let reach = max_step / 3f64.sqrt() * 0.999;
+            let target = pos + rng.point_in_cube(-reach, reach);
+            let moved = direct(view, target, radius);
+            if detect {
+                let mut raised = BTreeSet::new();
+                let served = ctx.wake_from_shell(pos, radius, shell, Some(target), |g| {
+                    raised.insert(g);
+                });
+                let same_box = view.grid.box_coordinates(target) == view.grid.box_coordinates(pos);
+                assert_eq!(served, same_box, "{what}: wake to {target:?}");
+                targets[usize::from(!same_box)] += 1;
+                if !served {
+                    raised.extend(moved.iter().map(|v| v.0));
+                }
+                let union: BTreeSet<usize> = old
+                    .iter()
+                    .copied()
+                    .chain(moved.iter().map(|v| v.0))
+                    .collect();
+                assert_eq!(raised, union, "{what}: wake to {target:?}");
+            }
 
             // A move restages, and so does the force scan back at `pos`.
-            let moved = pos + rng.point_in_cube(-0.5, 0.5);
-            let want_moved = direct(view, moved, radius);
             assert_eq!(
-                generic(global, moved, radius),
-                want_moved,
+                generic(global, target, radius),
+                moved,
                 "{what}: routes differ"
             );
-            assert_eq!(visits(&mut ctx, moved, radius), want_moved, "{what}: moved");
+            assert_eq!(visits(&mut ctx, target, radius), moved, "{what}: moved");
+            let reuses = ctx.exec.shell_reuses;
             assert_eq!(
-                mech(&mut ctx, pos),
+                mech(&mut ctx, pos, &what),
                 force(&want),
-                "{what}: force scan after a move"
+                "{what}: after a move"
             );
-            assert_eq!(
-                ctx.exec.shell_reuses,
-                reuses + 1,
-                "{what}: reused a moved list"
-            );
+            assert_eq!(ctx.exec.shell_reuses, reuses, "{what}: reused a moved list");
         }
-        exec.shell_reuses
+        targets
     }
 
-    /// `scene` with every even agent of the first `pairs` pairs copied bit
-    /// for bit onto the odd one: consecutive agents at one position, which
-    /// only the per-agent reset keeps from sharing a list.
-    fn with_twins(scene: Snapshot, pairs: usize) -> Snapshot {
-        let mut positions = scene.positions;
-        for k in 0..pairs {
-            positions[2 * k + 1] = positions[2 * k];
-        }
-        snapshot_with(positions, scene.diameters)
-    }
-
-    #[test]
-    fn staged_queries_and_unstaged_routes_agree_on_every_grid() {
-        let radius = 3.0;
-        let scene = with_twins(random_scene(11, 600, 24.0), 40);
-        let grid = scattered_grid(&scene, radius);
-        // Detection on: the shell reaches a step beyond the radius; off:
-        // the shell is the radius.
-        for (shell, what) in [((radius + 1.5) * (1.0 + 1e-9), "on"), (radius, "off")] {
-            let reuses =
-                assert_staging_agrees(&scene, &grid, &global_views(&grid), radius, shell, what);
-            assert_eq!(reuses, scene.len() as u64, "{what}");
+    /// Agent `global`'s view of the global grid.
+    fn global_view(grid: &UniformGridEnvironment, global: usize) -> GridView<'_> {
+        GridView {
+            grid,
+            self_index: global,
+            remap: None,
+            cache_key: u32::MAX,
         }
     }
 
-    #[test]
-    fn staged_queries_and_unstaged_routes_agree_on_shard_views() {
-        let radius = 3.0;
-        let scene = with_twins(random_scene(11, 600, 24.0), 40);
-        let grid = scattered_grid(&scene, radius);
-        let pool = bdm_numa::NumaThreadPool::new(bdm_numa::NumaTopology::single_domain(1));
-        let mut st = crate::sharded::ShardedState::new(2);
-        st.exchange(&scene, &pool, radius, 1, 1, 3);
-        st.build_grids(true, radius, scene.bounds, &pool);
-        let views = shard_views(&st, scene.len());
-        for (shell, what) in [
-            ((radius + 1.5) * (1.0 + 1e-9), "K = 2 on"),
-            (radius, "K = 2 off"),
-        ] {
-            assert_staging_agrees(&scene, &grid, &views, radius, shell, what);
-        }
+    fn global_views(grid: &UniformGridEnvironment) -> Vec<(usize, GridView<'_>)> {
+        (0..grid.slots().len())
+            .map(|global| (global, global_view(grid, global)))
+            .collect()
     }
 
     /// Every agent's view of its owner's windowed grid.
@@ -1285,6 +1105,165 @@ mod tests {
                 (global, view)
             })
             .collect()
+    }
+
+    fn random_scene(seed: u64, n: usize, extent: f64) -> Snapshot {
+        let mut rng = SimRng::new(seed);
+        let positions = (0..n).map(|_| rng.point_in_cube(0.0, extent)).collect();
+        let diameters = (0..n).map(|_| rng.uniform_in(1.0, 4.0)).collect();
+        snapshot_with(positions, diameters)
+    }
+
+    /// `scene` with every even agent of the first `pairs` pairs copied bit
+    /// for bit onto the odd one: consecutive agents at one position, which
+    /// only the per-agent reset keeps from sharing a list.
+    fn with_twins(scene: Snapshot, pairs: usize) -> Snapshot {
+        let mut positions = scene.positions;
+        for k in 0..pairs {
+            positions[2 * k + 1] = positions[2 * k];
+        }
+        snapshot_with(positions, scene.diameters)
+    }
+
+    #[test]
+    fn staged_queries_visit_what_the_grid_scan_visits() {
+        let radius = 3.0;
+        // Random: crowded boxes, every stencil clamp of the grid border,
+        // coincident twins.
+        let random = with_twins(random_scene(11, 600, 24.0), 40);
+        // Lattice: every agent on a box face, spacing the radius, so the
+        // `d² ≤ r²` ties sit exactly on the edge.
+        let mut at = Vec::new();
+        for i in 0..512 {
+            at.push(Real3::new(
+                (i % 8) as f64 * radius,
+                (i / 8 % 8) as f64 * radius,
+                (i / 64) as f64 * radius,
+            ));
+        }
+        let lattice = snapshot_with(at, (0..512).map(|i| 2.0 + (i % 3) as f64).collect());
+        // Coarsened: ~3·10⁵ radius-sized boxes for 60 agents, each of the
+        // first 20 with a companion inside the radius.
+        let mut sparse = random_scene(41, 40, 2000.0);
+        for k in 0..20 {
+            sparse
+                .positions
+                .push(sparse.positions[k] + Real3::splat(5.0));
+            sparse.diameters.push(2.0);
+        }
+        let sparse = snapshot_with(sparse.positions, sparse.diameters);
+        // The random scene split in two: each agent queries its owner's
+        // windowed grid with a shard-local self index and a remap.
+        let pool = bdm_numa::NumaThreadPool::new(bdm_numa::NumaTopology::single_domain(1));
+        let mut st = crate::sharded::ShardedState::new(2);
+        st.exchange(&random, &pool, radius, 1, 1, 3);
+        st.build_grids(true, radius, random.bounds, &pool);
+        let shards = shard_views(&st, random.len());
+        assert!(shards.iter().any(|(g, v)| v.self_index != *g));
+
+        for detect in [true, false] {
+            let scenes = [
+                (&random, radius, 1.5, "random"),
+                (&lattice, radius, 1.5, "lattice"),
+                (&sparse, 30.0, 15.0, "sparse"),
+            ];
+            for (snapshot, r, step, what) in scenes {
+                let grid = scattered_grid(snapshot, r);
+                let views = global_views(&grid);
+                let what = format!("{what}, detection {detect}");
+                let targets =
+                    assert_staged_route_agrees(snapshot, &grid, &views, r, step, detect, &what);
+                if what.starts_with("sparse") {
+                    assert!(grid.box_length() > r, "the lattice must coarsen");
+                    assert!(!detect || targets[0] > 0, "{what}: {targets:?}");
+                } else {
+                    assert!(
+                        !detect || targets.iter().all(|&t| t > 0),
+                        "{what}: {targets:?}"
+                    );
+                }
+            }
+            let grid = scattered_grid(&random, radius);
+            let what = format!("K = 2, detection {detect}");
+            let targets =
+                assert_staged_route_agrees(&random, &grid, &shards, radius, 1.5, detect, &what);
+            assert!(
+                !detect || targets.iter().all(|&t| t > 0),
+                "{what}: {targets:?}"
+            );
+        }
+    }
+
+    /// A behavior counting its neighbors within a fixed radius.
+    #[derive(Clone)]
+    struct CountWithin(f64);
+
+    impl crate::behavior::Behavior for CountWithin {
+        fn run(
+            &mut self,
+            agent: &mut dyn Agent,
+            ctx: &mut AgentContext<'_>,
+        ) -> crate::behavior::BehaviorControl {
+            ctx.count_neighbors(agent.position(), self.0, |_| true);
+            crate::behavior::BehaviorControl::Keep
+        }
+        fn clone_behavior(
+            &self,
+            mm: &MemoryManager,
+            domain: usize,
+        ) -> crate::behavior::BehaviorBox {
+            crate::behavior::clone_behavior_box(self, mm, domain)
+        }
+    }
+
+    #[test]
+    fn a_query_beyond_the_build_radius_panics_with_the_grid_message() {
+        for enable_mechanics in [false, true] {
+            let mut sim = crate::Simulation::new(crate::Param {
+                threads: Some(1),
+                numa_domains: Some(1),
+                interaction_radius: Some(5.0),
+                enable_mechanics,
+                ..crate::Param::default()
+            });
+            let mut rng = SimRng::new(3);
+            for _ in 0..50 {
+                let uid = sim.new_uid();
+                let mut cell = crate::agent::Cell::new(uid)
+                    .with_position(rng.point_in_cube(0.0, 40.0))
+                    .with_diameter(4.0);
+                let count =
+                    crate::behavior::new_behavior_box(CountWithin(50.0), sim.memory_manager(), 0);
+                cell.base_mut().add_behavior(count);
+                sim.add_agent(cell);
+            }
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.simulate(1)));
+            let payload = run.expect_err("a query at 10× the build radius must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("exceeds the radius"),
+                "mechanics {enable_mechanics}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pipeline_without_environment_update_runs() {
+        // The grid is never built, so its build radius does not cover the
+        // queries: an empty grid must visit nothing before checking it.
+        use biodynamo::models::{BenchmarkModel, Epidemiology};
+        let mut sim = Epidemiology::new(300).build(biodynamo::prelude::Param {
+            threads: Some(1),
+            numa_domains: Some(1),
+            ..Default::default()
+        });
+        assert!(sim.scheduler_mut().remove_op("environment_update"));
+        sim.simulate(3);
+        assert_eq!(sim.num_agents(), 300);
     }
 
     #[test]

@@ -159,9 +159,6 @@ pub(crate) fn run_mechanics(
     // Condition (iii): new agents announce their presence to their
     // neighborhood on their first mechanics pass.
     let is_first_pass = flags.created_iter > 0 && flags.created_iter + 1 == ctx.iteration;
-    // The behaviors are done: from here on only the force scan stages, and
-    // the fallback and wake queries take the direct route.
-    ctx.shell_radius = None;
 
     if cfg.detect_static {
         // Consume the violation flag set by neighbors during the previous
@@ -264,8 +261,13 @@ pub(crate) fn run_mechanics(
                 // new position lies in the scanned box (same stencil runs)
                 // one pass over it raises both neighborhoods.
                 let covered = moved && pos_new.distance_sq(&pos_now) <= cfg.max_step_sq();
-                let served =
-                    ctx.wake_from_shell(cfg.search_radius, covered.then_some(pos_new), raise);
+                let served = ctx.wake_from_shell(
+                    pos_now,
+                    cfg.search_radius,
+                    cfg.shell_radius(),
+                    covered.then_some(pos_new),
+                    raise,
+                );
                 ctx.exec.shell_wakes += u64::from(served);
                 served
             } else {

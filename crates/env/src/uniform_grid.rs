@@ -473,8 +473,10 @@ impl UniformGridEnvironment {
     /// radius (a coarsened lattice would happen to serve more, a dense one
     /// would silently miss neighbors), so fail loudly beyond it — models
     /// must declare their largest query via `Param::interaction_radius`.
+    /// Public so that a query served from a staged copy of the stencil
+    /// fails with the same message.
     #[inline]
-    fn assert_query_radius(&self, radius: f64) {
+    pub fn assert_query_radius(&self, radius: f64) {
         assert!(
             self.radius_within_build(radius),
             "query radius {radius} exceeds the radius the uniform grid was built with ({}); \

@@ -10,7 +10,8 @@
 //! environment, whose generic route wakes a mover with two plain queries
 //! (every agent in them feels at most two non-zero forces, so the
 //! summation order cannot change a bit); the route-for-route comparison on
-//! one grid is the unit test in `crates/core/src/context.rs`. These tests
+//! one grid — the staged shell against the grid's own scan — is the unit
+//! test in `crates/core/src/context.rs`. These tests
 //! also pin when the grid's conditional diameter scatter materializes:
 //! exactly when mechanics is enabled, whatever operations are registered.
 
@@ -136,22 +137,14 @@ fn on_brute(param: &Param) -> Param {
 #[test]
 fn grid_route_serves_every_scene_under_static_detection() {
     // Every force query on the grid takes the shell scan, and the scan
-    // serves wakes. Population turnover is not run-to-run reproducible
-    // above one thread, so the models that add agents run on one. Most
-    // models stand detection down after a few iterations; the settle/shake
-    // scene keeps waking after it re-engages.
+    // serves wakes. Most models stand detection down after a few
+    // iterations; the settle/shake scene keeps waking after it re-engages.
     let mut scenes = all_models(2000);
     scenes.push(Box::new(common::SparseScene { num_agents: 2000 }));
     scenes.push(Box::new(common::SettleScene));
     for model in &scenes {
-        let threads = match model.name() {
-            "oncology" | "neuroscience" | "cell_proliferation" | "sparse_two_clusters" => 1,
-            _ => 2,
-        };
         for shards in [1usize, 2] {
             let mut sim = model.build(Param {
-                threads: Some(threads),
-                numa_domains: Some(threads),
                 shards,
                 detect_static_agents: true,
                 ..param()

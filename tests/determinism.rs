@@ -1,9 +1,11 @@
 //! Integration: reproducibility guarantees (DESIGN.md §4 "Determinism").
 //!
-//! With one thread and a fixed seed, runs are bit-reproducible. Agent uids
-//! are derived from parent uids (not from scheduling), so population-level
-//! outcomes of neighbor-independent models are invariant under thread
-//! count, NUMA domains, sorting, and environment choice.
+//! With a fixed seed, runs are bit-reproducible, and within one NUMA domain
+//! count the bits do not depend on the thread count or the shard count —
+//! also for the models whose population turns over. Agent uids are derived
+//! from parent uids (not from scheduling), so population-level outcomes of
+//! neighbor-independent models are also invariant under NUMA domains,
+//! sorting, and environment choice.
 //!
 //! Tests that stay on the default uniform grid honor `BDM_TEST_SHARDS`
 //! (see [`test_shards`]): CI reruns this suite with the sharded engine and
@@ -11,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use biodynamo::core::testing::test_shards;
+use biodynamo::core::testing::{assert_identical, fingerprint, test_shards};
 use biodynamo::models::{all_models, BenchmarkModel};
 use biodynamo::prelude::*;
 
@@ -77,31 +79,46 @@ fn different_seeds_differ() {
     );
 }
 
+/// The three models whose population turns over — agents divide, die or
+/// grow neurites — run to the same bits over threads {1, 2, 4} × K {1, 2}
+/// within each domain count {1, 2}: a newborn's slot, and with it every
+/// later neighbour scan, follows the agent order, not the worker that ran
+/// its parent. Blocks of 64 agents spread each run over the workers.
 #[test]
 fn population_invariant_under_thread_count() {
-    // Proliferation divisions depend only on per-agent state; the final
-    // population and uid set must not depend on parallelism.
-    let model = biodynamo::models::CellProliferation::new(125);
-    let uids = |threads: usize, domains: usize| {
-        let sim = run(
-            &model,
-            Param {
+    for model in [
+        biodynamo::models::model_by_name("oncology", 2000),
+        biodynamo::models::model_by_name("neuroscience", 2000),
+        biodynamo::models::model_by_name("cell_proliferation", 2000),
+    ] {
+        let model = model.expect("a benchmark model");
+        let run = |threads: usize, domains: usize, shards: usize| {
+            let param = Param {
                 threads: Some(threads),
                 numa_domains: Some(domains),
-                shards: test_shards(),
+                shards,
+                seed: 4357,
+                iteration_block_size: 64,
                 ..Param::default()
-            },
-            12,
-        );
-        let mut v: Vec<u64> = Vec::new();
-        sim.for_each_agent(|_, a| v.push(a.uid().0));
-        v.sort_unstable();
-        v
-    };
-    let one = uids(1, 1);
-    assert_eq!(one, uids(2, 1), "2 threads");
-    assert_eq!(one, uids(2, 2), "2 threads / 2 domains");
-    assert_eq!(one, uids(4, 2), "oversubscribed");
+            };
+            fingerprint(&run(model.as_ref(), param, 10))
+        };
+        for domains in [1, 2] {
+            // Every domain needs a worker of its own.
+            let threads = [1, 2, 4].into_iter().filter(|&t| t >= domains);
+            let mut configs = threads.flat_map(|t| [(t, 1), (t, 2)]);
+            let (t0, k0) = configs.next().expect("a topology per domain count");
+            let reference = run(t0, domains, k0);
+            for (threads, shards) in configs {
+                let what = format!(
+                    "{}: {threads} threads, {domains} domains, K = {shards} \
+                     (reference: {t0} threads, K = {k0})",
+                    model.name()
+                );
+                assert_identical(&reference, &run(threads, domains, shards), &what);
+            }
+        }
+    }
 }
 
 #[test]
@@ -212,7 +229,7 @@ fn epidemiology_infections_are_seed_deterministic() {
 /// diverging agent index is reported.
 #[test]
 fn all_backends_agree_on_final_state() {
-    use biodynamo::core::testing::{fingerprint, first_divergence_within};
+    use biodynamo::core::testing::first_divergence_within;
 
     const TOL: f64 = 1e-6;
     for model in all_models(100) {
