@@ -1125,14 +1125,9 @@ mod tests {
         snapshot_with(positions, scene.diameters)
     }
 
-    #[test]
-    fn staged_queries_visit_what_the_grid_scan_visits() {
-        let radius = 3.0;
-        // Random: crowded boxes, every stencil clamp of the grid border,
-        // coincident twins.
-        let random = with_twins(random_scene(11, 600, 24.0), 40);
-        // Lattice: every agent on a box face, spacing the radius, so the
-        // `d² ≤ r²` ties sit exactly on the edge.
+    /// Every agent on a box face, spacing `radius`, so the `d² ≤ r²` ties
+    /// sit exactly on the edge.
+    fn lattice_scene(radius: f64) -> Snapshot {
         let mut at = Vec::new();
         for i in 0..512 {
             at.push(Real3::new(
@@ -1141,9 +1136,12 @@ mod tests {
                 (i / 64) as f64 * radius,
             ));
         }
-        let lattice = snapshot_with(at, (0..512).map(|i| 2.0 + (i % 3) as f64).collect());
-        // Coarsened: ~3·10⁵ radius-sized boxes for 60 agents, each of the
-        // first 20 with a companion inside the radius.
+        snapshot_with(at, (0..512).map(|i| 2.0 + (i % 3) as f64).collect())
+    }
+
+    /// ~3·10⁵ boxes of radius 30 for 60 agents, each of the first 20 with
+    /// a companion inside the radius.
+    fn sparse_scene() -> Snapshot {
         let mut sparse = random_scene(41, 40, 2000.0);
         for k in 0..20 {
             sparse
@@ -1151,47 +1149,87 @@ mod tests {
                 .push(sparse.positions[k] + Real3::splat(5.0));
             sparse.diameters.push(2.0);
         }
-        let sparse = snapshot_with(sparse.positions, sparse.diameters);
-        // The random scene split in two: each agent queries its owner's
-        // windowed grid with a shard-local self index and a remap.
+        snapshot_with(sparse.positions, sparse.diameters)
+    }
+
+    /// The staged route on the global grid of the random scene (crowded
+    /// boxes, every stencil clamp of the grid border, coincident twins),
+    /// the lattice and the coarsened sparse scene.
+    fn assert_staged_route_agrees_on_every_grid(detect: bool) {
+        let radius = 3.0;
+        let random = with_twins(random_scene(11, 600, 24.0), 40);
+        let lattice = lattice_scene(radius);
+        let sparse = sparse_scene();
+        let scenes = [
+            (&random, radius, 1.5, "random"),
+            (&lattice, radius, 1.5, "lattice"),
+            (&sparse, 30.0, 15.0, "sparse"),
+        ];
+        for (snapshot, r, step, what) in scenes {
+            let grid = scattered_grid(snapshot, r);
+            let views = global_views(&grid);
+            let what = format!("{what}, detection {detect}");
+            let targets =
+                assert_staged_route_agrees(snapshot, &grid, &views, r, step, detect, &what);
+            if what.starts_with("sparse") {
+                assert!(grid.box_length() > r, "the lattice must coarsen");
+                assert!(!detect || targets[0] > 0, "{what}: {targets:?}");
+            } else {
+                assert!(
+                    !detect || targets.iter().all(|&t| t > 0),
+                    "{what}: {targets:?}"
+                );
+            }
+        }
+    }
+
+    /// The staged route with the random scene split in two: each agent
+    /// queries its owner's windowed grid with a shard-local self index and
+    /// a remap.
+    fn assert_staged_route_agrees_on_shard_views(detect: bool) {
+        let radius = 3.0;
+        let random = with_twins(random_scene(11, 600, 24.0), 40);
         let pool = bdm_numa::NumaThreadPool::new(bdm_numa::NumaTopology::single_domain(1));
         let mut st = crate::sharded::ShardedState::new(2);
         st.exchange(&random, &pool, radius, 1, 1, 3);
         st.build_grids(true, radius, random.bounds, &pool);
         let shards = shard_views(&st, random.len());
         assert!(shards.iter().any(|(g, v)| v.self_index != *g));
+        let grid = scattered_grid(&random, radius);
+        let what = format!("K = 2, detection {detect}");
+        let targets =
+            assert_staged_route_agrees(&random, &grid, &shards, radius, 1.5, detect, &what);
+        assert!(
+            !detect || targets.iter().all(|&t| t > 0),
+            "{what}: {targets:?}"
+        );
+    }
 
-        for detect in [true, false] {
-            let scenes = [
-                (&random, radius, 1.5, "random"),
-                (&lattice, radius, 1.5, "lattice"),
-                (&sparse, 30.0, 15.0, "sparse"),
-            ];
-            for (snapshot, r, step, what) in scenes {
-                let grid = scattered_grid(snapshot, r);
-                let views = global_views(&grid);
-                let what = format!("{what}, detection {detect}");
-                let targets =
-                    assert_staged_route_agrees(snapshot, &grid, &views, r, step, detect, &what);
-                if what.starts_with("sparse") {
-                    assert!(grid.box_length() > r, "the lattice must coarsen");
-                    assert!(!detect || targets[0] > 0, "{what}: {targets:?}");
-                } else {
-                    assert!(
-                        !detect || targets.iter().all(|&t| t > 0),
-                        "{what}: {targets:?}"
-                    );
-                }
-            }
-            let grid = scattered_grid(&random, radius);
-            let what = format!("K = 2, detection {detect}");
-            let targets =
-                assert_staged_route_agrees(&random, &grid, &shards, radius, 1.5, detect, &what);
-            assert!(
-                !detect || targets.iter().all(|&t| t > 0),
-                "{what}: {targets:?}"
-            );
-        }
+    // With detection on, the shell reaches a step beyond the radius: the
+    // force scan widens what unhinted agents staged and the wake is served
+    // from the shell for same-box targets.
+
+    #[test]
+    fn shell_scan_and_generic_query_agree_on_every_grid() {
+        assert_staged_route_agrees_on_every_grid(true);
+    }
+
+    #[test]
+    fn shell_scan_and_generic_query_agree_on_shard_views() {
+        assert_staged_route_agrees_on_shard_views(true);
+    }
+
+    // With detection off, the shell is the radius: every force scan reuses
+    // the list its agent's query staged.
+
+    #[test]
+    fn staged_queries_and_unstaged_routes_agree_on_every_grid() {
+        assert_staged_route_agrees_on_every_grid(false);
+    }
+
+    #[test]
+    fn staged_queries_and_unstaged_routes_agree_on_shard_views() {
+        assert_staged_route_agrees_on_shard_views(false);
     }
 
     /// A behavior counting its neighbors within a fixed radius.
