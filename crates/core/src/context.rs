@@ -24,7 +24,7 @@
 
 use bdm_alloc::MemoryManager;
 use bdm_diffusion::{DiffusionGrid, Secretion};
-use bdm_env::{Environment, NeighborQueryScratch, PointCloud, StencilRuns, UniformGridEnvironment};
+use bdm_env::{Environment, NeighborQueryScratch, StencilRuns, UniformGridEnvironment};
 use bdm_util::{Real3, SimRng};
 
 use crate::agent::{new_agent_box, Agent, AgentBox, AgentHandle, AgentUid};
@@ -32,14 +32,14 @@ use crate::resource_manager::split_global;
 use crate::rng_stream;
 
 /// Immutable per-iteration snapshot of all agents (domain-major order, same
-/// indexing as the environment's point cloud), stored as a structure of
+/// indexing as the environment's positions), stored as a structure of
 /// arrays: the gather writes each array in one contiguous stream, and a
 /// neighbor read touches only the arrays whose accessor the kernel calls.
 #[derive(Debug, Default)]
 pub struct Snapshot {
-    /// Position of every agent at the start of the iteration. Doubles as
-    /// the environment rebuild's point cloud (24-byte stride, no virtual
-    /// call via [`bdm_env::PointCloud::positions_slice`]).
+    /// Position of every agent at the start of the iteration. This is the
+    /// slice `environment_update` indexes (24-byte stride, read as straight
+    /// memory).
     pub positions: Vec<Real3>,
     /// Diameter of every agent at the start of the iteration (parallel to
     /// `positions`).
@@ -53,7 +53,7 @@ pub struct Snapshot {
     pub max_diameter: f64,
     /// Axis-aligned bounds of all snapshot positions, computed during the
     /// gather. `environment_update` passes them to the index rebuild so the
-    /// grid skips its own bounding pass over the cloud.
+    /// grid skips its own bounding pass over the positions.
     pub bounds: Option<(Real3, Real3)>,
 }
 
@@ -87,28 +87,6 @@ impl Snapshot {
             + self.diameters.len() * std::mem::size_of::<f64>()
             + self.payloads.len() * std::mem::size_of::<u64>()
             + self.offsets.len() * std::mem::size_of::<usize>()
-    }
-}
-
-/// The snapshot viewed as a point cloud — what neighbor searches during the
-/// agent-operation phase read positions from.
-pub struct SnapshotCloud<'a>(pub &'a Snapshot);
-
-impl PointCloud for SnapshotCloud<'_> {
-    fn len(&self) -> usize {
-        self.0.positions.len()
-    }
-    fn position(&self, idx: usize) -> Real3 {
-        self.0.positions[idx]
-    }
-    fn positions_slice(&self) -> Option<&[Real3]> {
-        Some(&self.0.positions)
-    }
-    fn diameters(&self) -> Option<&[f64]> {
-        // Feeds the uniform grid's conditional diameter scatter: the grid
-        // copies these bitwise next to its box-sorted query slots when the
-        // engine's update hint requests it.
-        Some(&self.0.diameters)
     }
 }
 
@@ -468,7 +446,7 @@ impl<'a> AgentContext<'a> {
             });
         } else {
             self.env.for_each_neighbor(
-                &SnapshotCloud(snapshot),
+                &snapshot.positions,
                 pos,
                 Some(self.self_global),
                 radius,
@@ -847,10 +825,10 @@ mod tests {
         assert_eq!(ctx.new_agents.len(), 2);
     }
 
-    fn scatter_hint(snapshot: &Snapshot) -> bdm_env::UpdateHint<'static> {
+    fn scatter_hint(snapshot: &Snapshot) -> bdm_env::UpdateHint<'_> {
         bdm_env::UpdateHint {
             known_bounds: snapshot.bounds,
-            scatter_diameters: true,
+            diameters: Some(&snapshot.diameters),
             ..bdm_env::UpdateHint::default()
         }
     }
@@ -859,7 +837,7 @@ mod tests {
     /// mechanics on (diameters scattered).
     fn scattered_grid(snapshot: &Snapshot, radius: f64) -> UniformGridEnvironment {
         let mut grid = UniformGridEnvironment::new();
-        grid.update_with(&SnapshotCloud(snapshot), radius, scatter_hint(snapshot));
+        grid.update_with(&snapshot.positions, radius, scatter_hint(snapshot));
         grid
     }
 
@@ -1349,7 +1327,7 @@ mod tests {
         let view = Some(global_view(&grid, 0));
         let mut ctx = agent_ctx(&mut exec, &grid, &scene, &mm, view, 0, Some(shell));
         let before = visits(&mut ctx, pos, radius);
-        grid.update_with(&SnapshotCloud(&shifted), radius, scatter_hint(&shifted));
+        grid.update_with(&shifted.positions, radius, scatter_hint(&shifted));
         let view = Some(global_view(&grid, 0));
         let mut ctx = agent_ctx(&mut exec, &grid, &shifted, &mm, view, 0, Some(shell));
         let after = visits(&mut ctx, pos, radius);

@@ -15,11 +15,9 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use bdm_env::PointCloud;
 use bdm_numa::NumaThreadPool;
 use bdm_util::prefix_sum::prefix_sum_exclusive;
 use bdm_util::send_ptr::SendMut;
-use bdm_util::Real3;
 
 use crate::agent::{Agent, AgentBox, AgentHandle};
 use crate::context::ExecutionContext;
@@ -188,7 +186,8 @@ impl ResourceManager {
     /// Exclusive access to an agent. Counts as a structural change for
     /// [`ResourceManager::generation`]: the caller may move the agent, which
     /// invalidates index-addressed position snapshots taken earlier in the
-    /// iteration (the engine then re-reads live agents instead).
+    /// iteration (the engine then gathers the snapshot again before it
+    /// builds an index).
     pub fn agent_mut(&mut self, h: AgentHandle) -> &mut dyn Agent {
         self.generation += 1;
         &mut *self.domains[h.domain as usize].agents[h.index as usize]
@@ -549,34 +548,6 @@ fn append(
             store.flags.set_len(old_len + total);
             store.violations.set_len(old_len + total);
         }
-    }
-}
-
-/// The resource manager viewed as a point cloud — positions are read through
-/// the agent pointers exactly like the original engine does during the
-/// environment update.
-pub struct ResourceManagerCloud<'a> {
-    rm: &'a ResourceManager,
-    offsets: Vec<usize>,
-}
-
-impl<'a> ResourceManagerCloud<'a> {
-    /// Creates the view.
-    pub fn new(rm: &'a ResourceManager) -> ResourceManagerCloud<'a> {
-        ResourceManagerCloud {
-            offsets: rm.offsets(),
-            rm,
-        }
-    }
-}
-
-impl PointCloud for ResourceManagerCloud<'_> {
-    fn len(&self) -> usize {
-        *self.offsets.last().unwrap()
-    }
-    fn position(&self, idx: usize) -> Real3 {
-        let (d, i) = split_global(&self.offsets, idx);
-        self.rm.domains[d].agents[i].position()
     }
 }
 

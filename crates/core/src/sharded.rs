@@ -44,7 +44,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use bdm_env::{Environment, GridFrame, PointCloud, UniformGridEnvironment, UpdateHint};
+use bdm_env::{Environment, GridFrame, UniformGridEnvironment, UpdateHint};
 use bdm_numa::NumaThreadPool;
 use bdm_sfc::{
     cube_shard_mask, morton3_encode, shard_of, split_ranges, split_ranges_by, ShardRange,
@@ -84,21 +84,6 @@ pub(crate) struct ShardCloud {
     /// Member diameters, bitwise copies of the snapshot's (feeds the shard
     /// grid's conditional diameter scatter).
     pub diameters: Vec<f64>,
-}
-
-impl PointCloud for ShardCloud {
-    fn len(&self) -> usize {
-        self.positions.len()
-    }
-    fn position(&self, idx: usize) -> Real3 {
-        self.positions[idx]
-    }
-    fn positions_slice(&self) -> Option<&[Real3]> {
-        Some(&self.positions)
-    }
-    fn diameters(&self) -> Option<&[f64]> {
-        Some(&self.diameters)
-    }
 }
 
 /// Per-shard statistics of the last exchange/build cycle.
@@ -242,15 +227,6 @@ impl ShardedState {
             masks: Vec::new(),
             member_counts: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
         }
-    }
-
-    /// Drops out of sharded execution for the current iteration (stale
-    /// snapshot, degraded environment): the engine falls back to the
-    /// single-engine path until the next successful exchange.
-    pub fn deactivate(&mut self) {
-        self.active_iteration = 0;
-        // The next exchange must rebuild from scratch.
-        self.last_generation = None;
     }
 
     /// The halo exchange: (re)partitions the population by Morton-code
@@ -414,22 +390,23 @@ impl ShardedState {
     /// that of the single-engine grid, and runs on the engine's `pool`.
     pub fn build_grids(
         &mut self,
-        scatter_diameters: bool,
+        with_diameters: bool,
         radius: f64,
         bounds: Option<(Real3, Real3)>,
         pool: &NumaThreadPool,
     ) {
-        if self.grids_built_for == Some((self.exchange_stamp, scatter_diameters)) {
+        if self.grids_built_for == Some((self.exchange_stamp, with_diameters)) {
             return;
         }
         let frame = self.frame;
         for t in 0..self.shards {
             let timer = Timer::start();
+            let cloud = &self.clouds[t];
             match (self.windows[t], frame) {
                 (Some((lo, hi)), Some((anchor, global_dims, box_length))) => {
                     let hint = UpdateHint {
                         known_bounds: bounds,
-                        scatter_diameters,
+                        diameters: with_diameters.then_some(&cloud.diameters[..]),
                         grid_frame: Some(GridFrame {
                             anchor,
                             global_dims,
@@ -439,15 +416,15 @@ impl ShardedState {
                         }),
                         pool: Some(pool),
                     };
-                    self.grids[t].update_with(&self.clouds[t], radius, hint);
+                    self.grids[t].update_with(&cloud.positions, radius, hint);
                 }
                 // Empty shard: an empty-cloud update resets the grid to a
                 // zero-box state whose queries visit nothing.
-                _ => self.grids[t].update_with(&self.clouds[t], radius, UpdateHint::default()),
+                _ => self.grids[t].update_with(&cloud.positions, radius, UpdateHint::default()),
             }
             self.grid_build[t] = timer.elapsed();
         }
-        self.grids_built_for = Some((self.exchange_stamp, scatter_diameters));
+        self.grids_built_for = Some((self.exchange_stamp, with_diameters));
     }
 
     /// Aggregate report of the current sharded state.

@@ -28,14 +28,12 @@ use bdm_util::send_ptr::SendMut;
 use bdm_util::{Real3, TimeBuckets};
 
 use crate::agent::{new_agent_box, Agent, AgentHandle, AgentUid};
-use crate::context::{
-    agent_rng, AgentContext, ExecutionContext, GridView, Snapshot, SnapshotCloud,
-};
+use crate::context::{agent_rng, AgentContext, ExecutionContext, GridView, Snapshot};
 use crate::faults::{FaultKind, FaultPlan, FaultSite};
 use crate::force::InteractionForce;
 use crate::ops::{run_behaviors, run_mechanics, stays_engaged, MechanicsConfig, ViolationTable};
 use crate::param::Param;
-use crate::resource_manager::{split_global, CommitStats, ResourceManager, ResourceManagerCloud};
+use crate::resource_manager::{split_global, CommitStats, ResourceManager};
 use crate::scheduler::{
     builtin, AgentOp, DiffusionOp, EnvironmentOp, HaloExchangeOp, Scheduler, SnapshotOp, SortingOp,
     TeardownOp,
@@ -114,9 +112,8 @@ pub struct Simulation {
     /// read by `agent_sorting` (a changed population forces an index
     /// rebuild before sorting).
     step_commit: CommitStats,
-    /// Iteration whose agents the snapshot was gathered over; lets
-    /// `environment_update` reuse the snapshot's contiguous positions (and
-    /// bounds) instead of re-reading every agent through two virtual calls.
+    /// Iteration whose agents the snapshot was gathered over (see
+    /// [`Simulation::refresh_snapshot`]).
     snapshot_iteration: u64,
     /// Resource-manager generation at snapshot time: a custom operation
     /// that adds/removes/commits agents between `snapshot` and
@@ -489,8 +486,10 @@ impl Simulation {
 
     /// The per-iteration snapshot gathered by the `snapshot` operation —
     /// SoA arrays of every agent's position/diameter/payload at the start
-    /// of the current iteration (see [`Snapshot`]). Every gather fills all
-    /// three arrays, so a custom operation may read any of them.
+    /// of the current iteration (see [`Snapshot`]), gathered again by the
+    /// index build if a custom operation changed the population after it.
+    /// Every gather fills all three arrays, so a custom operation may read
+    /// any of them.
     pub fn snapshot(&self) -> &Snapshot {
         &self.snapshot
     }
@@ -747,18 +746,34 @@ impl Simulation {
             .unwrap_or_else(|| self.snapshot.max_diameter.max(1e-6));
     }
 
+    /// Re-runs the `snapshot` operation unless the snapshot was gathered
+    /// this iteration over the current population — the one freshness rule
+    /// of every index build. A pipeline without the `snapshot` operation,
+    /// or a custom operation that added, removed or moved agents after it,
+    /// makes the index readers see the agents as they are now. Returns
+    /// whether it gathered.
+    fn refresh_snapshot(&mut self) -> bool {
+        let stale = self.snapshot_iteration != self.iteration
+            || self.snapshot_generation != self.rm.generation()
+            || self.snapshot.len() != self.rm.num_agents();
+        if stale {
+            self.phase_snapshot();
+        }
+        stale
+    }
+
     /// The `halo_exchange` operation ([`Param::shards`] > 1): partitions
-    /// the snapshot by Morton-code range and rebuilds the per-shard member
-    /// clouds — owned agents plus read-only halo copies of every agent
-    /// within the halo width of the shard's SFC-range frontier. Runs
-    /// between `snapshot` and `environment_update`; skipped entirely (the
-    /// engine degrades to the single-engine path for the iteration) when
-    /// the snapshot is not fresh.
+    /// the snapshot (refreshed first, see
+    /// [`Simulation::refresh_snapshot`]) by Morton-code range and rebuilds
+    /// the per-shard member clouds — owned agents plus read-only halo
+    /// copies of every agent within the halo width of the shard's
+    /// SFC-range frontier. Runs between `snapshot` and
+    /// `environment_update`.
     pub(crate) fn phase_halo_exchange(&mut self) {
-        let n = self.rm.num_agents();
-        let snapshot_fresh = self.snapshot_iteration == self.iteration
-            && self.snapshot_generation == self.rm.generation()
-            && self.snapshot.len() == n;
+        if self.sharded.is_none() {
+            return;
+        }
+        self.refresh_snapshot();
         // Halo width in boxes (box length ≥ interaction radius; counting a
         // coarsened box as one radius only widens the halo):
         //   * ring 1 — the query stencil around the query center's box;
@@ -786,64 +801,55 @@ impl Simulation {
             self.iteration,
         );
         if let Some(st) = self.sharded.as_mut() {
-            if snapshot_fresh {
-                st.exchange(snapshot, pool, radius, generation, iteration, halo_width);
-            } else {
-                st.deactivate();
-            }
+            st.exchange(snapshot, pool, radius, generation, iteration, halo_width);
         }
     }
 
     /// The `environment_update` operation: rebuilds the neighbor index
-    /// (Algorithm 1 L3–5) — see [`Simulation::rebuild_index`]. Under sharded
-    /// execution with a completed halo exchange, the K per-shard windowed
-    /// grids are built instead of the global index.
+    /// (Algorithm 1 L3–5) over the snapshot, refreshed first (see
+    /// [`Simulation::refresh_snapshot`]; a refresh after this iteration's
+    /// halo exchange repeats the exchange) — see
+    /// [`Simulation::rebuild_index`]. Under sharded execution with a
+    /// completed halo exchange, the K per-shard windowed grids are built
+    /// instead of the global index.
     pub(crate) fn phase_environment(&mut self) {
         self.fire_grid_fault();
         if self.rm.num_agents() == 0 {
             return;
         }
-        let scatter = self.param.enable_mechanics;
-        let (radius, bounds, iteration) = (self.step_radius, self.snapshot.bounds, self.iteration);
-        if let Some(st) = self.sharded.as_mut() {
-            if st.active_iteration == iteration {
-                st.build_grids(scatter, radius, bounds, &self.pool);
-                return;
-            }
+        let refreshed = self.refresh_snapshot();
+        let iteration = self.iteration;
+        let exchanged = self
+            .sharded
+            .as_ref()
+            .is_some_and(|st| st.active_iteration == iteration);
+        if refreshed && exchanged {
+            self.phase_halo_exchange();
         }
-        let snapshot_fresh = self.snapshot_iteration == self.iteration
-            && self.snapshot_generation == self.rm.generation()
-            && self.snapshot.len() == self.rm.num_agents();
-        self.rebuild_index(snapshot_fresh);
+        let scatter = self.param.enable_mechanics;
+        let (radius, bounds) = (self.step_radius, self.snapshot.bounds);
+        match self.sharded.as_mut() {
+            Some(st) if exchanged => st.build_grids(scatter, radius, bounds, &self.pool),
+            _ => self.rebuild_index(),
+        }
     }
 
-    /// Rebuilds the global neighbor index. With `from_snapshot` it reads the
-    /// snapshot gathered this iteration (contiguous positions, bounds
-    /// already known, diameters scattered box-sorted next to the query slots
-    /// when mechanics is enabled — the force kernel's shell scan is their
-    /// only reader);
-    /// otherwise — a custom pipeline that dropped the snapshot op, or a
-    /// population the commit just changed — it reads the agents directly
-    /// (through pointers: no bounds, no diameter slice to scatter from, so
-    /// readers use the lazy per-index load).
-    fn rebuild_index(&mut self, from_snapshot: bool) {
-        if from_snapshot {
-            let hint = UpdateHint {
-                known_bounds: self.snapshot.bounds,
-                scatter_diameters: self.param.enable_mechanics,
-                grid_frame: None,
-                pool: Some(&self.pool),
-            };
-            let cloud = SnapshotCloud(&self.snapshot);
-            self.env.update_with(&cloud, self.step_radius, hint);
-        } else {
-            let cloud = ResourceManagerCloud::new(&self.rm);
-            let hint = UpdateHint {
-                pool: Some(&self.pool),
-                ..UpdateHint::default()
-            };
-            self.env.update_with(&cloud, self.step_radius, hint);
-        }
+    /// Rebuilds the global neighbor index over the snapshot: contiguous
+    /// positions, bounds already known, and — when mechanics is enabled —
+    /// diameters scattered box-sorted next to the query slots (the force
+    /// kernel's shell scan is their only reader).
+    fn rebuild_index(&mut self) {
+        let hint = UpdateHint {
+            known_bounds: self.snapshot.bounds,
+            diameters: self
+                .param
+                .enable_mechanics
+                .then_some(&self.snapshot.diameters[..]),
+            grid_frame: None,
+            pool: Some(&self.pool),
+        };
+        self.env
+            .update_with(&self.snapshot.positions, self.step_radius, hint);
     }
 
     /// The `agent_ops` operation: behaviors + mechanics for every agent in
@@ -922,7 +928,16 @@ impl Simulation {
         // binning of the current index set.
         if self.rm.num_agents() > 0 {
             if self.step_commit.added > 0 || self.step_commit.removed > 0 {
-                self.rebuild_index(false);
+                // Over the current positions, gathered into a buffer that is
+                // freed before the sort clones the agents; the snapshot
+                // stays the start-of-iteration state. Bounds and lattice
+                // come from these positions, and nobody reads diameters.
+                let positions = self.gather_positions();
+                let hint = UpdateHint {
+                    pool: Some(&self.pool),
+                    ..UpdateHint::default()
+                };
+                self.env.update_with(&positions, self.step_radius, hint);
             } else if self
                 .sharded
                 .as_ref()
@@ -936,7 +951,7 @@ impl Simulation {
                 // would have used, so the resulting box order (and therefore
                 // the sorted agent permutation) is bitwise that of the
                 // single-engine run.
-                self.rebuild_index(true);
+                self.rebuild_index();
             }
         }
         if let Some(grid) = self.env.as_uniform_grid() {
@@ -952,6 +967,29 @@ impl Simulation {
                 self.stats.sorts += 1;
             }
         }
+    }
+
+    /// Every agent's current position in global-index order, gathered on
+    /// the pool.
+    fn gather_positions(&self) -> Vec<Real3> {
+        let offsets = self.rm.offsets();
+        let mut positions = vec![Real3::ZERO; *offsets.last().unwrap()];
+        let out = SendMut::new(positions.as_mut_ptr());
+        let (rm, offsets) = (&self.rm, &offsets);
+        self.pool.numa_for(
+            &rm.domain_sizes(),
+            self.param.iteration_block_size,
+            &|_w, domain, range| {
+                for i in range {
+                    let position = rm.domains[domain].agents[i].position();
+                    // SAFETY: `numa_for` hands out every (domain, index)
+                    // once, so global slot offsets[domain] + i is written
+                    // exactly once.
+                    unsafe { out.write(offsets[domain] + i, position) };
+                }
+            },
+        );
+        positions
     }
 
     /// Builds the per-iteration snapshot — the SoA arrays (positions,

@@ -328,9 +328,9 @@ mod tests {
     use super::*;
     use crate::agent::{new_agent_box, Agent, AgentUid, Cell};
     use crate::context::ExecutionContext;
-    use crate::resource_manager::{ResourceManagerCloud, VIOL_CUR, VIOL_NEXT};
+    use crate::resource_manager::{VIOL_CUR, VIOL_NEXT};
     use bdm_alloc::PoolConfig;
-    use bdm_env::{Environment, SliceCloud};
+    use bdm_env::Environment;
     use bdm_util::prefix_sum::prefix_sum_exclusive;
     use bdm_util::{Real3, SimRng};
 
@@ -339,7 +339,7 @@ mod tests {
         let points: Vec<Real3> = (0..700).map(|_| rng.point_in_cube(0.0, 22.0)).collect();
         let n = points.len();
         let mut grid = UniformGridEnvironment::new();
-        grid.update(&SliceCloud(&points), 3.0);
+        grid.update(&points, 3.0);
         (grid, n)
     }
 
@@ -455,8 +455,14 @@ mod tests {
             store.violations[h.index as usize].store(violation(uid), Ordering::Relaxed);
         }
 
+        // Every agent's position in global-index order (domain-major).
+        let positions = |rm: &ResourceManager| {
+            let mut out = Vec::with_capacity(rm.num_agents());
+            rm.for_each_agent(|_, a| out.push(a.position()));
+            out
+        };
         let mut grid = UniformGridEnvironment::new();
-        grid.update(&ResourceManagerCloud::new(&rm), 2.5);
+        grid.update(&positions(&rm), 2.5);
         // Expected uid sequence: the oracle walk over the pre-sort indices.
         let offsets = rm.offsets();
         let mut uid_of = vec![0u64; rm.num_agents()];
@@ -472,7 +478,7 @@ mod tests {
         // reuses the box enumeration — must reproduce the first one's order.
         let mut sorter = AgentSorter::default();
         for _ in 0..2 {
-            grid.update(&ResourceManagerCloud::new(&rm), 2.5);
+            grid.update(&positions(&rm), 2.5);
             let moved =
                 sorter.sort_and_balance(&mut rm, &grid, &mm, &pool, &topology, use_extra_memory);
             assert_eq!(moved, expected.len());

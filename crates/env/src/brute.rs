@@ -7,7 +7,7 @@
 
 use bdm_util::Real3;
 
-use crate::{Environment, NeighborQueryScratch, PointCloud, UpdateHint};
+use crate::{Environment, NeighborQueryScratch, UpdateHint};
 
 /// Brute-force fixed-radius search over a cached copy of the positions.
 #[derive(Debug, Default)]
@@ -24,12 +24,9 @@ impl BruteForceEnvironment {
 }
 
 impl Environment for BruteForceEnvironment {
-    fn update_with(&mut self, cloud: &dyn PointCloud, _interaction_radius: f64, hint: UpdateHint) {
+    fn update_with(&mut self, positions: &[Real3], _interaction_radius: f64, hint: UpdateHint) {
         self.positions.clear();
-        self.positions.reserve(cloud.len());
-        for i in 0..cloud.len() {
-            self.positions.push(cloud.position(i));
-        }
+        self.positions.extend_from_slice(positions);
         self.bounds = match hint.known_bounds {
             Some(b) if !self.positions.is_empty() => Some(b),
             _ => self.positions.iter().fold(None, |acc, p| match acc {
@@ -41,7 +38,7 @@ impl Environment for BruteForceEnvironment {
 
     fn for_each_neighbor(
         &self,
-        _cloud: &dyn PointCloud,
+        _positions: &[Real3],
         pos: Real3,
         exclude: Option<usize>,
         radius: f64,

@@ -9,7 +9,7 @@
 
 use bdm_util::Real3;
 
-use crate::{Environment, NeighborQueryScratch, PointCloud, UpdateHint};
+use crate::{Environment, NeighborQueryScratch, UpdateHint};
 
 /// Default leaf bucket size (matches nanoflann's common default).
 pub const DEFAULT_LEAF_SIZE: usize = 10;
@@ -162,8 +162,8 @@ impl KdTreeEnvironment {
 }
 
 impl Environment for KdTreeEnvironment {
-    fn update_with(&mut self, cloud: &dyn PointCloud, _interaction_radius: f64, hint: UpdateHint) {
-        let n = cloud.len();
+    fn update_with(&mut self, positions: &[Real3], _interaction_radius: f64, hint: UpdateHint) {
+        let n = positions.len();
         self.nodes.clear();
         self.indices.clear();
         self.positions.clear();
@@ -172,10 +172,7 @@ impl Environment for KdTreeEnvironment {
         if n == 0 {
             return;
         }
-        self.positions.reserve(n);
-        for i in 0..n {
-            self.positions.push(cloud.position(i));
-        }
+        self.positions.extend_from_slice(positions);
         let (min, max) = hint.known_bounds.unwrap_or_else(|| {
             let (mut min, mut max) = (self.positions[0], self.positions[0]);
             for p in &self.positions[1..] {
@@ -193,7 +190,7 @@ impl Environment for KdTreeEnvironment {
 
     fn for_each_neighbor(
         &self,
-        _cloud: &dyn PointCloud,
+        _positions: &[Real3],
         pos: Real3,
         exclude: Option<usize>,
         radius: f64,

@@ -15,8 +15,10 @@
 //!   Behley et al. backend (serial build, bucket-size parameter).
 //! * [`BruteForceEnvironment`] — O(n²) reference used by tests.
 //!
-//! Environments index any [`PointCloud`]; the engine adapts its resource
-//! manager to this trait, and tests use plain position slices.
+//! Every environment indexes one position slice, `&[Real3]`: the engine
+//! hands over its snapshot's position array (or a slice it gathered), and
+//! tests pass plain vectors. Per-point diameters, when a reader needs them
+//! box-sorted, come as a parallel slice through [`UpdateHint::diameters`].
 //!
 //! Queries are **allocation-free**: every call to
 //! [`Environment::for_each_neighbor`] threads a caller-owned
@@ -31,6 +33,8 @@ pub mod kdtree;
 pub mod octree;
 pub mod uniform_grid;
 
+use std::ops::Deref;
+
 use bdm_numa::NumaThreadPool;
 use bdm_util::Real3;
 
@@ -39,60 +43,17 @@ pub use kdtree::KdTreeEnvironment;
 pub use octree::OctreeEnvironment;
 pub use uniform_grid::{SortedSlot, StencilRuns, UniformGridEnvironment};
 
-/// Read-only view of the agent positions an environment indexes.
-pub trait PointCloud: Sync {
-    /// Number of points.
-    fn len(&self) -> usize;
-    /// True if the cloud holds no points.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Position of point `idx` (`idx < len`).
-    fn position(&self, idx: usize) -> Real3;
-    /// The positions as one contiguous slice, if the cloud is backed by
-    /// one. Index rebuilds are O(#agents) sweeps over the positions; a
-    /// slice lets them read straight memory instead of a virtual call per
-    /// point (the engine hands the environment its snapshot's position
-    /// array, so the hot path always takes this route).
-    fn positions_slice(&self) -> Option<&[Real3]> {
-        None
-    }
-    /// Per-point diameters parallel to the positions, if the cloud carries
-    /// them (the engine's snapshot does; raw position clouds do not).
-    /// Consumed by the uniform grid's conditional diameter scatter when the
-    /// caller's [`UpdateHint::scatter_diameters`] requests it — in the
-    /// engine, whenever mechanics is enabled.
-    fn diameters(&self) -> Option<&[f64]> {
-        None
-    }
-}
-
-impl PointCloud for Vec<Real3> {
-    fn len(&self) -> usize {
-        <[Real3]>::len(self)
-    }
-    fn position(&self, idx: usize) -> Real3 {
-        self[idx]
-    }
-    fn positions_slice(&self) -> Option<&[Real3]> {
-        Some(self)
-    }
-}
-
-/// Borrowed position slice viewed as a [`PointCloud`] (used by tests,
-/// examples, the baseline engine, and the engine's snapshot positions).
+/// A borrowed position slice under a name. It dereferences to
+/// `[Real3]`, so `&SliceCloud` passes wherever an environment takes its
+/// `positions: &[Real3]`; kept for callers written against that name.
 #[derive(Debug, Clone, Copy)]
 pub struct SliceCloud<'a>(pub &'a [Real3]);
 
-impl PointCloud for SliceCloud<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn position(&self, idx: usize) -> Real3 {
-        self.0[idx]
-    }
-    fn positions_slice(&self) -> Option<&[Real3]> {
-        Some(self.0)
+impl Deref for SliceCloud<'_> {
+    type Target = [Real3];
+
+    fn deref(&self) -> &[Real3] {
+        self.0
     }
 }
 
@@ -184,27 +145,27 @@ impl EnvironmentKind {
 /// Engine-supplied context for one [`Environment::update_with`] call.
 ///
 /// The scheduler knows, before the index is rebuilt, which consumers will
-/// touch it this iteration and what it already learned about the cloud while
-/// gathering the iteration snapshot. The hint lets an index skip work that
-/// nobody will read:
+/// touch it this iteration and what it already learned about the positions
+/// while gathering the iteration snapshot. The hint lets an index skip work
+/// that nobody will read:
 ///
-/// * `known_bounds` — axis-aligned bounds of `cloud`, if the caller already
-///   computed them (the engine derives them during the snapshot gather, so
-///   the index build saves a full pass over the agents). Must enclose every
-///   point of the cloud exactly as tightly as the index's own reduction
+/// * `known_bounds` — axis-aligned bounds of the positions, if the caller
+///   already computed them (the engine derives them during the snapshot
+///   gather, so the index build saves a full pass over the agents). Must
+///   enclose every point exactly as tightly as the index's own reduction
 ///   would (the engine passes the min/max over the identical positions).
-/// * `scatter_diameters` — whether the force kernel will stream neighbor
-///   *diameters* this iteration (the engine sets it iff mechanics is
-///   enabled: the mechanics shell scan is the scatter's only reader). The
-///   uniform grid then scatters a
-///   box-sorted diameter array alongside its slots in the same pass — if
-///   the cloud carries diameters ([`PointCloud::diameters`]) — so the force
-///   kernel streams them with the positions instead of gathering
-///   `diameters[idx]` per accepted neighbor. Purely an optimization:
-///   readers fall back to the lazy per-index load when the scatter was
-///   skipped, and the scattered values are bitwise copies.
+/// * `diameters` — per-point diameters parallel to the positions, passed
+///   when the force kernel will stream neighbor diameters this iteration
+///   (the engine passes the snapshot's iff mechanics is enabled: the
+///   mechanics shell scan is the scatter's only reader). The uniform grid
+///   then scatters a box-sorted diameter array alongside its slots in the
+///   same pass, so the force kernel streams them with the positions
+///   instead of gathering `diameters[idx]` per accepted neighbor. Purely an
+///   optimization: readers fall back to the lazy per-index load when the
+///   scatter was skipped, and the scattered values are bitwise copies. The
+///   other environments ignore it.
 /// * `grid_frame` — pins the uniform grid's lattice instead of deriving it
-///   from the cloud (sharded execution).
+///   from the positions (sharded execution).
 /// * `pool` — the engine's worker pool. Above its parallel threshold the
 ///   uniform grid runs its bounds, count and scatter sweeps on these
 ///   workers, so every parallel loop of an iteration runs on the engine's
@@ -212,17 +173,19 @@ impl EnvironmentKind {
 ///   worker count.
 ///
 /// [`UpdateHint::default`] is the standalone contract: compute bounds and
-/// lattice from the cloud, no diameter scatter (plain position clouds carry
-/// no diameters and no reader requires it for correctness), build serially.
+/// lattice from the positions, no diameter scatter (no reader requires it
+/// for correctness), build serially.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpdateHint<'a> {
-    /// Precomputed tight bounds of the cloud, if the caller has them.
+    /// Precomputed tight bounds of the positions, if the caller has them.
     pub known_bounds: Option<(Real3, Real3)>,
-    /// Request the box-sorted diameter scatter (uniform grid only; requires
-    /// the cloud to implement [`PointCloud::diameters`]).
-    pub scatter_diameters: bool,
+    /// Diameters to scatter box-sorted next to the slots (uniform grid
+    /// only); must be exactly as long as the positions. `None` (the
+    /// default) skips the scatter.
+    pub diameters: Option<&'a [f64]>,
     /// Pin the uniform grid's geometry to an externally fixed frame instead
-    /// of deriving it from the cloud (sharded execution; see [`GridFrame`]).
+    /// of deriving it from the positions (sharded execution; see
+    /// [`GridFrame`]).
     /// `None` (the default) keeps the self-derived geometry.
     pub grid_frame: Option<GridFrame>,
     /// Workers to build on; `None` (the default) builds serially on the
@@ -233,11 +196,11 @@ pub struct UpdateHint<'a> {
 /// Externally pinned grid geometry for a [`UniformGridEnvironment`] build.
 ///
 /// The sharded engine gives every shard its own grid over a *subset* of the
-/// global point cloud (owned + halo agents), but bitwise shard-count
+/// global positions (owned + halo agents), but bitwise shard-count
 /// invariance requires each agent to land in **exactly** the box the
 /// single-engine global grid would assign — the box coordinate computation
 /// `((pos - anchor) * inv_box_length) as i64` is floating point, so the
-/// anchor must be the *global* anchor, not the shard cloud's own minimum,
+/// anchor must be the *global* anchor, not the shard's own minimum,
 /// and the box edge the *global* edge.
 ///
 /// A frame pins: the global anchor, the global lattice and its box edge
@@ -268,15 +231,17 @@ pub struct GridFrame {
     pub box_length: f64,
 }
 
-/// A rebuildable fixed-radius neighbor-search index.
+/// A rebuildable fixed-radius neighbor-search index over one position
+/// slice; the index stores positions in slice order, so a neighbor's index
+/// is its position's index in the slice.
 pub trait Environment: Send + Sync {
-    /// Rebuilds the index over `cloud` for fixed-radius queries up to
+    /// Rebuilds the index over `positions` for fixed-radius queries up to
     /// `interaction_radius` (known at the start of each iteration; paper
     /// Section 3.1 exploits exactly this). Equivalent to
     /// [`Environment::update_with`] under [`UpdateHint::default`] — bounds
-    /// are computed from the cloud.
-    fn update(&mut self, cloud: &dyn PointCloud, interaction_radius: f64) {
-        self.update_with(cloud, interaction_radius, UpdateHint::default());
+    /// are computed from the positions.
+    fn update(&mut self, positions: &[Real3], interaction_radius: f64) {
+        self.update_with(positions, interaction_radius, UpdateHint::default());
     }
 
     /// Rebuilds the index like [`Environment::update`], with an engine
@@ -284,7 +249,7 @@ pub trait Environment: Send + Sync {
     /// consumers actually need. Implementations may use the hint to skip
     /// work (the uniform grid's conditional diameter scatter) but must stay
     /// correct if they ignore it.
-    fn update_with(&mut self, cloud: &dyn PointCloud, interaction_radius: f64, hint: UpdateHint);
+    fn update_with(&mut self, positions: &[Real3], interaction_radius: f64, hint: UpdateHint);
 
     /// Visits every point within `radius` of `pos` (`radius` must not exceed
     /// the `interaction_radius` the index was built with). `exclude` skips
@@ -293,18 +258,17 @@ pub trait Environment: Send + Sync {
     /// neighbor's position it already loaded for the distance test, so
     /// consumers never pay a second (random-access) position load.
     ///
-    /// `cloud` must be the point cloud the index was built over: the index
-    /// stores agent *indices*, and implementations may either re-read
-    /// positions through `cloud` or stream them from a position copy cached
-    /// at [`Environment::update`] time (both are equivalent under the
-    /// contract that `cloud` is unchanged since the last update).
+    /// Every implementation streams positions from the copy it made at
+    /// [`Environment::update`] time, so `positions` is unused; it stays
+    /// because the repo benchmark (`perfbench/`) calls this signature. Pass
+    /// the slice the index was built over.
     ///
     /// `scratch` provides reusable traversal state so the query performs no
     /// allocation; pass the same scratch for consecutive queries on one
     /// thread to stay at its high-water mark.
     fn for_each_neighbor(
         &self,
-        cloud: &dyn PointCloud,
+        positions: &[Real3],
         pos: Real3,
         exclude: Option<usize>,
         radius: f64,
@@ -336,7 +300,7 @@ pub trait Environment: Send + Sync {
 /// Collects neighbor indices, sorted — convenience for tests and examples.
 pub fn neighbors_of(
     env: &dyn Environment,
-    cloud: &dyn PointCloud,
+    positions: &[Real3],
     pos: Real3,
     exclude: Option<usize>,
     radius: f64,
@@ -344,7 +308,7 @@ pub fn neighbors_of(
     let mut out = Vec::new();
     let mut scratch = NeighborQueryScratch::new();
     env.for_each_neighbor(
-        cloud,
+        positions,
         pos,
         exclude,
         radius,

@@ -9,7 +9,7 @@
 
 use bdm_util::Real3;
 
-use crate::{Environment, NeighborQueryScratch, PointCloud, UpdateHint};
+use crate::{Environment, NeighborQueryScratch, UpdateHint};
 
 /// Default leaf bucket size (Behley et al. use 32 for their experiments).
 pub const DEFAULT_BUCKET_SIZE: usize = 32;
@@ -195,8 +195,8 @@ fn cube_intersects_sphere(center: Real3, half: f64, pos: Real3, r2: f64) -> bool
 }
 
 impl Environment for OctreeEnvironment {
-    fn update_with(&mut self, cloud: &dyn PointCloud, _interaction_radius: f64, hint: UpdateHint) {
-        let n = cloud.len();
+    fn update_with(&mut self, positions: &[Real3], _interaction_radius: f64, hint: UpdateHint) {
+        let n = positions.len();
         self.nodes.clear();
         self.indices.clear();
         self.positions.clear();
@@ -205,10 +205,7 @@ impl Environment for OctreeEnvironment {
         if n == 0 {
             return;
         }
-        self.positions.reserve(n);
-        for i in 0..n {
-            self.positions.push(cloud.position(i));
-        }
+        self.positions.extend_from_slice(positions);
         let (min, max) = hint.known_bounds.unwrap_or_else(|| {
             let (mut min, mut max) = (self.positions[0], self.positions[0]);
             for p in &self.positions[1..] {
@@ -227,7 +224,7 @@ impl Environment for OctreeEnvironment {
 
     fn for_each_neighbor(
         &self,
-        _cloud: &dyn PointCloud,
+        _positions: &[Real3],
         pos: Real3,
         exclude: Option<usize>,
         radius: f64,

@@ -50,7 +50,7 @@ use bdm_numa::NumaThreadPool;
 use bdm_util::send_ptr::SendMut;
 use bdm_util::Real3;
 
-use crate::{Environment, NeighborQueryScratch, PointCloud, UpdateHint};
+use crate::{Environment, NeighborQueryScratch, UpdateHint};
 
 /// Below this point count the build runs serially even when the caller
 /// hands it a pool ([`UpdateHint::pool`]): the fork-join overhead of the
@@ -195,8 +195,8 @@ pub struct UniformGridEnvironment {
     /// `update()` time) — one contiguous array for the stencil scan.
     sorted_slots: Vec<SortedSlot>,
     /// Per-point diameters grouped by box, parallel to `sorted_slots`.
-    /// Scattered only when the caller's [`UpdateHint`] requested it and the
-    /// cloud carries diameters; only valid while `diameters_active`.
+    /// Scattered only when the caller's [`UpdateHint`] passed diameters;
+    /// only valid while `diameters_active`.
     sorted_diameters: Vec<f64>,
     /// Per-agent flat box index recorded during the fused build pass
     /// (scratch for the counting sort; the lattice budget guarantees the
@@ -407,9 +407,8 @@ impl UniformGridEnvironment {
 
     /// Box-sorted per-point diameters parallel to
     /// [`UniformGridEnvironment::slots`], or `None` when the last update did
-    /// not scatter them (the hint must request them via
-    /// [`UpdateHint::scatter_diameters`] **and** the cloud must carry them
-    /// via [`PointCloud::diameters`]).
+    /// not scatter them (the hint passes them via
+    /// [`UpdateHint::diameters`]).
     #[inline]
     pub fn scattered_diameters(&self) -> Option<&[f64]> {
         self.diameters_active.then_some(&self.sorted_diameters[..])
@@ -562,10 +561,11 @@ impl UniformGridEnvironment {
     /// that ONE shared row through relaxed atomic increments — they
     /// commute, so the row is the same whatever the schedule, and it costs
     /// neither a row per worker nor their merge.
-    fn count_boxes(&mut self, positions: Positions<'_>, n: usize, pool: Option<&NumaThreadPool>) {
+    fn count_boxes(&mut self, positions: &[Real3], pool: Option<&NumaThreadPool>) {
+        let n = positions.len();
         let Some(pool) = pool else {
-            for i in 0..n {
-                let flat = self.flat_index(self.box_coordinates(positions.get(i)));
+            for (i, &p) in positions.iter().enumerate() {
+                let flat = self.flat_index(self.box_coordinates(p));
                 self.agent_boxes[i] = flat as u32;
                 self.cell_offsets[flat + 1] += 1;
             }
@@ -583,7 +583,7 @@ impl UniformGridEnvironment {
         let grid = &*self;
         pool.parallel_for(n, per_worker(n, pool), &|_, range| {
             for i in range {
-                let flat = grid.flat_index(grid.box_coordinates(positions.get(i)));
+                let flat = grid.flat_index(grid.box_coordinates(positions[i]));
                 // SAFETY: slot `i` is written by exactly one task.
                 unsafe { agent_boxes_ptr.write(i, flat as u32) };
                 counts[flat + 1].fetch_add(1, Ordering::Relaxed);
@@ -630,12 +630,12 @@ impl UniformGridEnvironment {
     /// open DRAM pages.
     fn scatter_soa(
         &mut self,
-        positions: Positions<'_>,
+        positions: &[Real3],
         diameters: Option<&[f64]>,
-        n: usize,
         nboxes: usize,
         pool: Option<&NumaThreadPool>,
     ) {
+        let n = positions.len();
         self.sorted_slots.resize(
             n,
             SortedSlot {
@@ -683,7 +683,7 @@ impl UniformGridEnvironment {
                     slot_ptr.write(
                         w,
                         SortedSlot {
-                            position: positions.get(i),
+                            position: positions[i],
                             index: i as u32,
                         },
                     );
@@ -707,20 +707,20 @@ fn per_worker(n: usize, pool: &NumaThreadPool) -> usize {
 }
 
 impl Environment for UniformGridEnvironment {
-    fn update_with(&mut self, cloud: &dyn PointCloud, interaction_radius: f64, hint: UpdateHint) {
+    fn update_with(&mut self, positions: &[Real3], interaction_radius: f64, hint: UpdateHint) {
         assert!(
             interaction_radius > 0.0 && interaction_radius.is_finite(),
             "interaction radius must be positive and finite"
         );
-        let n = cloud.len();
+        let n = positions.len();
+        if let Some(diameters) = hint.diameters {
+            assert_eq!(
+                diameters.len(),
+                n,
+                "the diameters to scatter must parallel the positions"
+            );
+        }
         self.build_count += 1;
-        // Resolve the position accessor once: slice-backed clouds (the
-        // engine's snapshot) are read as straight memory in every pass
-        // below; everything else pays one virtual call per point.
-        let positions = match cloud.positions_slice() {
-            Some(s) => Positions::Slice(s),
-            None => Positions::Cloud(cloud),
-        };
         self.num_points = n;
         self.build_radius = interaction_radius;
         self.diameters_active = false;
@@ -741,7 +741,7 @@ impl Environment for UniformGridEnvironment {
         if let Some(frame) = hint.grid_frame {
             // Externally pinned geometry (sharded execution): the anchor,
             // the global lattice with its box edge, and the shard's window
-            // all come from the frame — never from this cloud — so box
+            // all come from the frame — never from these positions — so box
             // membership agrees bitwise with the global build. Bounds are
             // informational under a frame; the caller passes the window's
             // geometric bounds via the hint.
@@ -764,17 +764,16 @@ impl Environment for UniformGridEnvironment {
             }
         } else {
             // Bounding box: taken from the hint when the caller already
-            // swept the cloud (the engine's snapshot gather), otherwise one
+            // swept the positions (the engine's snapshot gather), otherwise one
             // reduction pass — on a pool, one partial per worker range,
             // merged under a lock (min and max are exact and commute, so
             // the merge order cannot change the result).
             let (min, max) = hint.known_bounds.unwrap_or_else(|| {
                 let neutral = (Real3::splat(f64::INFINITY), Real3::splat(f64::NEG_INFINITY));
                 let fold = |range: Range<usize>| {
-                    range.fold(neutral, |(lo, hi), i| {
-                        let p = positions.get(i);
-                        (lo.min(&p), hi.max(&p))
-                    })
+                    positions[range]
+                        .iter()
+                        .fold(neutral, |(lo, hi), p| (lo.min(p), hi.max(p)))
                 };
                 let Some(pool) = pool else {
                     return fold(0..n);
@@ -804,24 +803,18 @@ impl Environment for UniformGridEnvironment {
         }
         self.cell_offsets.clear();
         self.cell_offsets.resize(nboxes + 1, 0);
-        self.count_boxes(positions, n, pool);
+        self.count_boxes(positions, pool);
         self.merge_counts(nboxes, n);
         // Box-sorted diameters ride along in the same scatter pass, but
-        // only when this iteration's due kernels declared they read
-        // neighbor diameters (the hint) and the cloud carries them (the
-        // engine's snapshot does; raw position clouds do not).
-        let diameters = if hint.scatter_diameters {
-            cloud.diameters().filter(|d| d.len() == n)
-        } else {
-            None
-        };
-        self.scatter_soa(positions, diameters, n, nboxes, pool);
-        self.diameters_active = diameters.is_some();
+        // only when the caller passed them (the engine does iff mechanics,
+        // their only reader, runs this iteration).
+        self.scatter_soa(positions, hint.diameters, nboxes, pool);
+        self.diameters_active = hint.diameters.is_some();
     }
 
     fn for_each_neighbor(
         &self,
-        _cloud: &dyn PointCloud,
+        _positions: &[Real3],
         pos: Real3,
         exclude: Option<usize>,
         radius: f64,
@@ -873,26 +866,6 @@ impl Environment for UniformGridEnvironment {
     }
 }
 
-/// Position accessor resolved once per rebuild (see
-/// [`PointCloud::positions_slice`]): slice-backed clouds read straight
-/// memory in the O(#agents) sweeps, everything else goes through the
-/// virtual call.
-#[derive(Clone, Copy)]
-enum Positions<'a> {
-    Slice(&'a [Real3]),
-    Cloud(&'a dyn PointCloud),
-}
-
-impl Positions<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> Real3 {
-        match self {
-            Positions::Slice(s) => s[i],
-            Positions::Cloud(c) => c.position(i),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use bdm_numa::NumaTopology;
@@ -900,24 +873,6 @@ mod tests {
 
     use super::*;
     use crate::GridFrame;
-
-    /// Positions with diameters, so the build scatters both.
-    struct Cloud<'a>(&'a [Real3], &'a [f64]);
-
-    impl PointCloud for Cloud<'_> {
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn position(&self, idx: usize) -> Real3 {
-            self.0[idx]
-        }
-        fn positions_slice(&self) -> Option<&[Real3]> {
-            Some(self.0)
-        }
-        fn diameters(&self) -> Option<&[f64]> {
-            Some(self.1)
-        }
-    }
 
     /// The counting sort by definition, over the grid's own box mapping:
     /// `(offsets, slot order, occupancy bitmap)` with the offsets the
@@ -956,10 +911,10 @@ mod tests {
         let hint = UpdateHint {
             pool,
             grid_frame: frame,
-            scatter_diameters: true,
+            diameters: Some(&diameters),
             ..UpdateHint::default()
         };
-        grid.update_with(&Cloud(points, &diameters), 3.0, hint);
+        grid.update_with(points, 3.0, hint);
         let (offsets, order, occupancy) = reference(grid, points);
         assert_eq!(grid.cell_offsets, offsets, "{what}: offsets");
         let slots: Vec<u32> = grid.sorted_slots.iter().map(|s| s.index).collect();

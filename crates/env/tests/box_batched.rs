@@ -4,31 +4,14 @@
 //! a bitwise copy that only materializes on request, and both must behave
 //! across boundary boxes and on coarsened lattices.
 
-use bdm_env::{
-    BruteForceEnvironment, Environment, PointCloud, SliceCloud, UniformGridEnvironment, UpdateHint,
-};
+use bdm_env::{BruteForceEnvironment, Environment, UniformGridEnvironment, UpdateHint};
 use bdm_util::{Real3, SimRng};
 
-/// A position cloud that carries per-point diameters (as the engine's
-/// snapshot does).
+/// Positions with parallel per-point diameters (as the engine's snapshot
+/// carries them).
 struct DiamCloud {
     positions: Vec<Real3>,
     diameters: Vec<f64>,
-}
-
-impl PointCloud for DiamCloud {
-    fn len(&self) -> usize {
-        self.positions.len()
-    }
-    fn position(&self, idx: usize) -> Real3 {
-        self.positions[idx]
-    }
-    fn positions_slice(&self) -> Option<&[Real3]> {
-        Some(&self.positions)
-    }
-    fn diameters(&self) -> Option<&[f64]> {
-        Some(&self.diameters)
-    }
 }
 
 fn diam_cloud(seed: u64, n: usize, extent: f64) -> DiamCloud {
@@ -39,9 +22,10 @@ fn diam_cloud(seed: u64, n: usize, extent: f64) -> DiamCloud {
     }
 }
 
-fn scatter_hint() -> UpdateHint<'static> {
+/// Requests the diameter scatter of `cloud`'s diameters.
+fn scatter_hint(cloud: &DiamCloud) -> UpdateHint<'_> {
     UpdateHint {
-        scatter_diameters: true,
+        diameters: Some(&cloud.diameters),
         ..UpdateHint::default()
     }
 }
@@ -86,7 +70,7 @@ fn stencil_runs_reproduce_the_per_agent_visit_sequence() {
     }
     let radius = 3.0;
     let mut grid = UniformGridEnvironment::new();
-    grid.update_with(&cloud, radius, scatter_hint());
+    grid.update_with(&cloud.positions, radius, scatter_hint(&cloud));
 
     for (i, &p) in cloud.positions.iter().enumerate() {
         // Per-agent reference: the engine's scalar query, in order.
@@ -115,17 +99,16 @@ fn batched_queries_match_brute_force() {
     let cloud = diam_cloud(23, 500, 20.0);
     let radius = 2.5;
     let mut grid = UniformGridEnvironment::new();
-    grid.update_with(&cloud, radius, scatter_hint());
+    grid.update_with(&cloud.positions, radius, scatter_hint(&cloud));
     let mut brute = BruteForceEnvironment::new();
-    brute.update(&SliceCloud(&cloud.positions), radius);
+    brute.update(&cloud.positions, radius);
     for (i, &p) in cloud.positions.iter().enumerate() {
         let mut batched: Vec<usize> = batched_neighbors(&grid, p, i, radius)
             .into_iter()
             .map(|(idx, ..)| idx)
             .collect();
         batched.sort_unstable();
-        let expected =
-            bdm_env::neighbors_of(&brute, &SliceCloud(&cloud.positions), p, Some(i), radius);
+        let expected = bdm_env::neighbors_of(&brute, &cloud.positions, p, Some(i), radius);
         assert_eq!(batched, expected, "query {i}");
     }
 }
@@ -134,30 +117,43 @@ fn batched_queries_match_brute_force() {
 fn diameter_scatter_is_conditional() {
     let cloud = diam_cloud(31, 400, 18.0);
 
-    // Hint off → no scatter, even though the cloud carries diameters.
+    // No diameters in the hint → no scatter.
     let mut grid = UniformGridEnvironment::new();
-    grid.update(&cloud, 3.0);
+    grid.update(&cloud.positions, 3.0);
     assert!(grid.scattered_diameters().is_none());
     let without = grid.memory_bytes();
 
-    // Hint on → scattered, and the memory report reflects exactly the
-    // extra 8 bytes/point (the accounting-bugfix satellite).
-    grid.update_with(&cloud, 3.0, scatter_hint());
+    // Diameters in the hint → scattered, and the memory report reflects
+    // exactly the extra 8 bytes/point.
+    grid.update_with(&cloud.positions, 3.0, scatter_hint(&cloud));
     assert!(grid.scattered_diameters().is_some());
     assert_eq!(
         grid.memory_bytes(),
-        without + cloud.len() * std::mem::size_of::<f64>()
+        without + cloud.positions.len() * std::mem::size_of::<f64>()
     );
 
-    // Hint on but the cloud has no diameters → graceful skip.
-    grid.update_with(&SliceCloud(&cloud.positions), 3.0, scatter_hint());
-    assert!(grid.scattered_diameters().is_none());
-
     // A later scatter-free rebuild must deactivate a previous scatter.
-    grid.update_with(&cloud, 3.0, scatter_hint());
-    assert!(grid.scattered_diameters().is_some());
-    grid.update(&cloud, 3.0);
+    grid.update_with(
+        &cloud.positions,
+        3.0,
+        UpdateHint {
+            diameters: None,
+            ..UpdateHint::default()
+        },
+    );
     assert!(grid.scattered_diameters().is_none());
+}
+
+#[test]
+#[should_panic(expected = "the diameters to scatter must parallel the positions")]
+fn diameters_shorter_than_the_positions_are_refused() {
+    let cloud = diam_cloud(33, 50, 10.0);
+    let mut grid = UniformGridEnvironment::new();
+    let hint = UpdateHint {
+        diameters: Some(&cloud.diameters[1..]),
+        ..UpdateHint::default()
+    };
+    grid.update_with(&cloud.positions, 3.0, hint);
 }
 
 #[test]
@@ -178,7 +174,7 @@ fn coarsened_lattice_serves_the_batched_surface() {
     let mut grid = UniformGridEnvironment::new();
     let dense = diam_cloud(42, 600, 24.0);
     for (cloud, radius, coarsened) in [(&sparse, 30.0, true), (&dense, 3.0, false)] {
-        grid.update_with(cloud, radius, scatter_hint());
+        grid.update_with(&cloud.positions, radius, scatter_hint(cloud));
         assert_eq!(grid.box_length() > radius, coarsened);
         let mut visited = 0;
         for (i, &p) in cloud.positions.iter().enumerate() {
@@ -198,9 +194,9 @@ fn build_count_advances_every_rebuild() {
     let cloud = diam_cloud(51, 100, 10.0);
     let mut grid = UniformGridEnvironment::new();
     let c0 = grid.build_count();
-    grid.update_with(&cloud, 2.0, scatter_hint());
+    grid.update_with(&cloud.positions, 2.0, scatter_hint(&cloud));
     let c1 = grid.build_count();
     assert!(c1 > c0);
-    grid.update_with(&cloud, 2.0, scatter_hint());
+    grid.update_with(&cloud.positions, 2.0, scatter_hint(&cloud));
     assert!(grid.build_count() > c1, "cached stencils must invalidate");
 }

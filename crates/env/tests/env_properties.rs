@@ -5,7 +5,7 @@
 use bdm_env::uniform_grid::MAX_BOXES_PER_POINT;
 use bdm_env::{
     neighbors_of, BruteForceEnvironment, Environment, KdTreeEnvironment, OctreeEnvironment,
-    SliceCloud, UniformGridEnvironment, UpdateHint,
+    UniformGridEnvironment, UpdateHint,
 };
 use bdm_numa::{NumaThreadPool, NumaTopology};
 use bdm_util::{Real3, SimRng};
@@ -13,11 +13,6 @@ use proptest::prelude::*;
 
 mod common;
 use common::clumped_points;
-
-/// Views a position slice as a `PointCloud`.
-fn pc(points: &[Real3]) -> SliceCloud<'_> {
-    SliceCloud(points)
-}
 
 fn environments() -> Vec<Box<dyn Environment>> {
     vec![
@@ -35,12 +30,12 @@ fn random_points(seed: u64, n: usize, extent: f64) -> Vec<Real3> {
 /// Compares each environment against brute force for every point as a query.
 fn check_against_brute(points: &[Real3], radius: f64) {
     let mut brute = BruteForceEnvironment::new();
-    brute.update(&pc(points), radius);
+    brute.update(points, radius);
     for mut env in environments() {
-        env.update(&pc(points), radius);
+        env.update(points, radius);
         for (i, &p) in points.iter().enumerate() {
-            let expected = neighbors_of(&brute, &pc(points), p, Some(i), radius);
-            let got = neighbors_of(env.as_ref(), &pc(points), p, Some(i), radius);
+            let expected = neighbors_of(&brute, points, p, Some(i), radius);
+            let got = neighbors_of(env.as_ref(), points, p, Some(i), radius);
             assert_eq!(
                 got,
                 expected,
@@ -55,8 +50,8 @@ fn check_against_brute(points: &[Real3], radius: f64) {
 fn empty_cloud_yields_no_neighbors() {
     let points: Vec<Real3> = Vec::new();
     for mut env in environments() {
-        env.update(&pc(&points), 1.0);
-        let got = neighbors_of(env.as_ref(), &pc(&points), Real3::ZERO, None, 1.0);
+        env.update(&points, 1.0);
+        let got = neighbors_of(env.as_ref(), &points, Real3::ZERO, None, 1.0);
         assert!(got.is_empty(), "{}", env.name());
         assert_eq!(env.bounds(), None);
     }
@@ -66,18 +61,12 @@ fn empty_cloud_yields_no_neighbors() {
 fn single_point() {
     let points = vec![Real3::new(1.0, 2.0, 3.0)];
     for mut env in environments() {
-        env.update(&pc(&points), 2.0);
+        env.update(&points, 2.0);
         // Query at the point, excluding it.
-        let got = neighbors_of(env.as_ref(), &pc(&points), points[0], Some(0), 2.0);
+        let got = neighbors_of(env.as_ref(), &points, points[0], Some(0), 2.0);
         assert!(got.is_empty(), "{}", env.name());
         // Query nearby without exclusion.
-        let got = neighbors_of(
-            env.as_ref(),
-            &pc(&points),
-            Real3::new(1.5, 2.0, 3.0),
-            None,
-            2.0,
-        );
+        let got = neighbors_of(env.as_ref(), &points, Real3::new(1.5, 2.0, 3.0), None, 2.0);
         assert_eq!(got, vec![0], "{}", env.name());
     }
 }
@@ -129,11 +118,11 @@ fn grid_reuse_across_updates_does_not_leak_stale_agents() {
     // buffers must not resurface old indices.
     let mut grid = UniformGridEnvironment::new();
     let dense = random_points(21, 500, 50.0);
-    grid.update(&pc(&dense), 5.0);
+    grid.update(&dense, 5.0);
     let sparse = vec![Real3::splat(25.0), Real3::splat(26.0)];
-    grid.update(&pc(&sparse), 5.0);
+    grid.update(&sparse, 5.0);
     for (i, &p) in sparse.iter().enumerate() {
-        let got = neighbors_of(&grid, &pc(&sparse), p, Some(i), 5.0);
+        let got = neighbors_of(&grid, &sparse, p, Some(i), 5.0);
         let expected: Vec<usize> = (0..sparse.len()).filter(|&j| j != i).collect();
         assert_eq!(got, expected);
     }
@@ -144,14 +133,14 @@ fn grid_many_updates_stay_consistent() {
     let mut grid = UniformGridEnvironment::new();
     let points = random_points(3, 64, 20.0);
     let mut brute = BruteForceEnvironment::new();
-    brute.update(&pc(&points), 4.0);
+    brute.update(&points, 4.0);
     for _ in 0..100 {
-        grid.update(&pc(&points), 4.0);
+        grid.update(&points, 4.0);
     }
     for (i, &p) in points.iter().enumerate() {
         assert_eq!(
-            neighbors_of(&grid, &pc(&points), p, Some(i), 4.0),
-            neighbors_of(&brute, &pc(&points), p, Some(i), 4.0)
+            neighbors_of(&grid, &points, p, Some(i), 4.0),
+            neighbors_of(&brute, &points, p, Some(i), 4.0)
         );
     }
 }
@@ -160,7 +149,7 @@ fn grid_many_updates_stay_consistent() {
 fn grid_box_accessors_enumerate_all_agents() {
     let points = random_points(13, 200, 30.0);
     let mut grid = UniformGridEnvironment::new();
-    grid.update(&pc(&points), 3.0);
+    grid.update(&points, 3.0);
     let mut seen = vec![false; points.len()];
     for flat in 0..grid.num_boxes() {
         for slot in grid.box_slots(flat) {
@@ -200,12 +189,12 @@ fn interaction_radius_change_between_updates() {
     let mut grid = UniformGridEnvironment::new();
     let mut brute = BruteForceEnvironment::new();
     for radius in [2.0, 7.0, 0.5, 3.25] {
-        grid.update(&pc(&points), radius);
-        brute.update(&pc(&points), radius);
+        grid.update(&points, radius);
+        brute.update(&points, radius);
         for (i, &p) in points.iter().enumerate().step_by(13) {
             assert_eq!(
-                neighbors_of(&grid, &pc(&points), p, Some(i), radius),
-                neighbors_of(&brute, &pc(&points), p, Some(i), radius),
+                neighbors_of(&grid, &points, p, Some(i), radius),
+                neighbors_of(&brute, &points, p, Some(i), radius),
                 "radius {radius}, query {i}"
             );
         }
@@ -220,7 +209,7 @@ fn degenerate_all_points_in_one_box() {
     let mut rng = SimRng::new(77);
     let points: Vec<Real3> = (0..120).map(|_| rng.point_in_cube(10.0, 10.4)).collect();
     let mut grid = UniformGridEnvironment::new();
-    grid.update(&pc(&points), 1.0);
+    grid.update(&points, 1.0);
     assert_eq!(grid.dims(), [1, 1, 1]);
     check_against_brute(&points, 1.0);
 }
@@ -231,7 +220,7 @@ fn degenerate_all_points_in_one_box() {
 /// stencil runs stream candidates in exactly the per-agent query order.
 fn check_density(grid: &mut UniformGridEnvironment, points: &[Real3], radius: f64) {
     let n = points.len();
-    grid.update(&pc(points), radius);
+    grid.update(points, radius);
     assert!(grid.num_boxes() <= MAX_BOXES_PER_POINT * n);
     assert!(grid.box_length() >= radius);
     let (lo, hi) = grid.bounds().unwrap();
@@ -247,7 +236,7 @@ fn check_density(grid: &mut UniformGridEnvironment, points: &[Real3], radius: f6
     );
 
     let mut brute = BruteForceEnvironment::new();
-    brute.update(&pc(points), radius);
+    brute.update(points, radius);
     for (i, &p) in points.iter().enumerate() {
         let mut queried = Vec::new();
         grid.for_each_neighbor_soa(p, Some(i), radius, |idx, _, _| queried.push(idx));
@@ -262,7 +251,7 @@ fn check_density(grid: &mut UniformGridEnvironment, points: &[Real3], radius: f6
         }
         assert_eq!(streamed, queried, "run order != query order (query {i})");
         queried.sort_unstable();
-        let expected = neighbors_of(&brute, &pc(points), p, Some(i), radius);
+        let expected = neighbors_of(&brute, points, p, Some(i), radius);
         assert_eq!(queried, expected, "query {i} at box length {edge}");
     }
 }
@@ -317,13 +306,13 @@ fn grid_parallel_build_above_threshold_matches_brute() {
         pool: Some(&pool),
         ..UpdateHint::default()
     };
-    grid.update_with(&pc(&points), 4.0, hint);
+    grid.update_with(&points, 4.0, hint);
     let mut brute = BruteForceEnvironment::new();
-    brute.update(&pc(&points), 4.0);
+    brute.update(&points, 4.0);
     for (i, &p) in points.iter().enumerate().step_by(997) {
         assert_eq!(
-            neighbors_of(&grid, &pc(&points), p, Some(i), 4.0),
-            neighbors_of(&brute, &pc(&points), p, Some(i), 4.0),
+            neighbors_of(&grid, &points, p, Some(i), 4.0),
+            neighbors_of(&brute, &points, p, Some(i), 4.0),
             "parallel-build path, query {i}"
         );
     }
@@ -340,10 +329,10 @@ fn known_bounds_hint_matches_self_computed_bounds() {
         hi = hi.max(p);
     }
     let mut self_computed = UniformGridEnvironment::new();
-    self_computed.update(&pc(&points), 2.0);
+    self_computed.update(&points, 2.0);
     let mut hinted = UniformGridEnvironment::new();
     hinted.update_with(
-        &pc(&points),
+        &points,
         2.0,
         UpdateHint {
             known_bounds: Some((lo, hi)),
@@ -354,8 +343,8 @@ fn known_bounds_hint_matches_self_computed_bounds() {
     assert_eq!(hinted.bounds(), self_computed.bounds());
     for (i, &p) in points.iter().enumerate() {
         assert_eq!(
-            neighbors_of(&hinted, &pc(&points), p, Some(i), 2.0),
-            neighbors_of(&self_computed, &pc(&points), p, Some(i), 2.0),
+            neighbors_of(&hinted, &points, p, Some(i), 2.0),
+            neighbors_of(&self_computed, &points, p, Some(i), 2.0),
         );
     }
 }
@@ -364,7 +353,7 @@ fn known_bounds_hint_matches_self_computed_bounds() {
 fn grid_box_coordinates_clamp() {
     let points = vec![Real3::ZERO, Real3::splat(10.0)];
     let mut grid = UniformGridEnvironment::new();
-    grid.update(&pc(&points), 1.0);
+    grid.update(&points, 1.0);
     // Far outside queries clamp into the grid rather than panicking.
     let bc = grid.box_coordinates(Real3::splat(-100.0));
     assert_eq!(bc, [0, 0, 0]);
@@ -377,9 +366,9 @@ fn grid_box_coordinates_clamp() {
 fn clear_resets_environments() {
     let points = random_points(5, 100, 10.0);
     for mut env in environments() {
-        env.update(&pc(&points), 2.0);
+        env.update(&points, 2.0);
         env.clear();
-        let got = neighbors_of(env.as_ref(), &pc(&points), points[0], None, 2.0);
+        let got = neighbors_of(env.as_ref(), &points, points[0], None, 2.0);
         assert!(got.is_empty(), "{} after clear", env.name());
     }
 }
@@ -388,7 +377,7 @@ fn clear_resets_environments() {
 fn memory_bytes_reports_nonzero_after_update() {
     let points = random_points(11, 1000, 20.0);
     for mut env in environments() {
-        env.update(&pc(&points), 2.0);
+        env.update(&points, 2.0);
         assert!(env.memory_bytes() > 0, "{}", env.name());
     }
 }
@@ -397,21 +386,21 @@ fn memory_bytes_reports_nonzero_after_update() {
 fn octree_bucket_and_kdtree_leaf_parameters() {
     let points = random_points(17, 400, 15.0);
     let mut brute = BruteForceEnvironment::new();
-    brute.update(&pc(&points), 2.5);
+    brute.update(&points, 2.5);
     for bucket in [1, 4, 64, 1000] {
         let mut oct = OctreeEnvironment::with_bucket_size(bucket);
-        oct.update(&pc(&points), 2.5);
+        oct.update(&points, 2.5);
         let mut kd = KdTreeEnvironment::with_leaf_size(bucket);
-        kd.update(&pc(&points), 2.5);
+        kd.update(&points, 2.5);
         for (i, &p) in points.iter().enumerate().step_by(17) {
-            let expected = neighbors_of(&brute, &pc(&points), p, Some(i), 2.5);
+            let expected = neighbors_of(&brute, &points, p, Some(i), 2.5);
             assert_eq!(
-                neighbors_of(&oct, &pc(&points), p, Some(i), 2.5),
+                neighbors_of(&oct, &points, p, Some(i), 2.5),
                 expected.clone(),
                 "octree bucket={bucket}"
             );
             assert_eq!(
-                neighbors_of(&kd, &pc(&points), p, Some(i), 2.5),
+                neighbors_of(&kd, &points, p, Some(i), 2.5),
                 expected,
                 "kdtree leaf={bucket}"
             );
@@ -433,12 +422,12 @@ proptest! {
         // Radius scaled to the extent so both dense and sparse regimes occur.
         let radius = extent * radius_frac * 0.2 + 1e-3;
         let mut brute = BruteForceEnvironment::new();
-        brute.update(&pc(&points), radius);
+        brute.update(&points, radius);
         for mut env in environments() {
-            env.update(&pc(&points), radius);
+            env.update(&points, radius);
             for (i, &p) in points.iter().enumerate() {
-                let expected = neighbors_of(&brute, &pc(&points), p, Some(i), radius);
-                let got = neighbors_of(env.as_ref(), &pc(&points), p, Some(i), radius);
+                let expected = neighbors_of(&brute, &points, p, Some(i), radius);
+                let got = neighbors_of(env.as_ref(), &points, p, Some(i), radius);
                 prop_assert_eq!(got, expected, "{} seed={} i={}", env.name(), seed, i);
             }
         }
@@ -474,11 +463,11 @@ proptest! {
         let radius = 10.0;
         let q = Real3::new(qx, qy, qz);
         let mut brute = BruteForceEnvironment::new();
-        brute.update(&pc(&points), radius);
-        let expected = neighbors_of(&brute, &pc(&points), q, None, radius);
+        brute.update(&points, radius);
+        let expected = neighbors_of(&brute, &points, q, None, radius);
         for mut env in environments() {
-            env.update(&pc(&points), radius);
-            let got = neighbors_of(env.as_ref(), &pc(&points), q, None, radius);
+            env.update(&points, radius);
+            let got = neighbors_of(env.as_ref(), &points, q, None, radius);
             prop_assert_eq!(got, expected.clone(), "{}", env.name());
         }
     }

@@ -3,8 +3,7 @@
 //! workers passed through `UpdateHint::pool`.
 
 use bdm_env::{
-    neighbors_of, BruteForceEnvironment, Environment, SliceCloud, UniformGridEnvironment,
-    UpdateHint,
+    neighbors_of, BruteForceEnvironment, Environment, UniformGridEnvironment, UpdateHint,
 };
 use bdm_numa::{NumaThreadPool, NumaTopology};
 use bdm_util::{Real3, SimRng};
@@ -18,13 +17,12 @@ fn check_build(
     pool: &NumaThreadPool,
     what: &str,
 ) -> UniformGridEnvironment {
-    let cloud = SliceCloud(points);
     let mut grid = UniformGridEnvironment::new();
     let hint = UpdateHint {
         pool: Some(pool),
         ..UpdateHint::default()
     };
-    grid.update_with(&cloud, radius, hint);
+    grid.update_with(points, radius, hint);
     let mut total = 0usize;
     for flat in 0..grid.num_boxes() {
         let slots = grid.box_slots(flat);
@@ -36,11 +34,11 @@ fn check_build(
     }
     assert_eq!(total, points.len(), "{what}");
     let mut brute = BruteForceEnvironment::new();
-    brute.update(&cloud, radius);
+    brute.update(points, radius);
     for (i, &p) in points.iter().enumerate().step_by(6553) {
         assert_eq!(
-            neighbors_of(&grid, &cloud, p, Some(i), radius),
-            neighbors_of(&brute, &cloud, p, Some(i), radius),
+            neighbors_of(&grid, points, p, Some(i), radius),
+            neighbors_of(&brute, points, p, Some(i), radius),
             "{what}: query {i}"
         );
     }

@@ -4,8 +4,7 @@
 //! and on pools of 1, 2 and 4 workers over 1 and 2 domains.
 
 use bdm_env::{
-    neighbors_of, BruteForceEnvironment, Environment, SliceCloud, UniformGridEnvironment,
-    UpdateHint,
+    neighbors_of, BruteForceEnvironment, Environment, UniformGridEnvironment, UpdateHint,
 };
 use bdm_numa::{NumaThreadPool, NumaTopology};
 use bdm_util::Real3;
@@ -21,7 +20,7 @@ fn build(points: &[Real3], pool: Option<&NumaThreadPool>) -> UniformGridEnvironm
         pool,
         ..UpdateHint::default()
     };
-    grid.update_with(&SliceCloud(points), RADIUS, hint);
+    grid.update_with(points, RADIUS, hint);
     grid
 }
 
@@ -47,11 +46,11 @@ fn neighbour_sequence_is_identical_across_threads() {
         "scene left the benchmark's regime: {boxes_per_point} boxes/point"
     );
     let mut brute = BruteForceEnvironment::new();
-    brute.update(&SliceCloud(&points), RADIUS);
+    brute.update(&points, RADIUS);
     for (i, &p) in points.iter().enumerate().step_by(4099) {
         assert_eq!(
-            neighbors_of(&serial, &SliceCloud(&points), p, Some(i), RADIUS),
-            neighbors_of(&brute, &SliceCloud(&points), p, Some(i), RADIUS),
+            neighbors_of(&serial, &points, p, Some(i), RADIUS),
+            neighbors_of(&brute, &points, p, Some(i), RADIUS),
             "query {i}"
         );
     }

@@ -4,7 +4,7 @@
 
 use biodynamo::env::{
     neighbors_of, BruteForceEnvironment, Environment, EnvironmentKind, KdTreeEnvironment,
-    OctreeEnvironment, SliceCloud, UniformGridEnvironment,
+    OctreeEnvironment, UniformGridEnvironment,
 };
 use biodynamo::models::{all_models, BenchmarkModel};
 use biodynamo::prelude::*;
@@ -61,11 +61,10 @@ fn all_indexes_match_brute_force_through_common_interface() {
     // the per-crate property tests).
     let mut rng = SimRng::new(42);
     let positions: Vec<Real3> = (0..300).map(|_| rng.point_in_cube(0.0, 80.0)).collect();
-    let cloud = SliceCloud(&positions);
     let radius = 12.0;
 
     let mut reference = BruteForceEnvironment::new();
-    reference.update(&cloud, radius);
+    reference.update(&positions, radius);
 
     let mut envs: Vec<Box<dyn Environment>> = vec![
         Box::new(UniformGridEnvironment::new()),
@@ -73,10 +72,10 @@ fn all_indexes_match_brute_force_through_common_interface() {
         Box::new(OctreeEnvironment::new()),
     ];
     for env in &mut envs {
-        env.update(&cloud, radius);
+        env.update(&positions, radius);
         for (i, &p) in positions.iter().enumerate().step_by(7) {
-            let expected = neighbors_of(&reference, &cloud, p, Some(i), radius);
-            let got = neighbors_of(env.as_ref(), &cloud, p, Some(i), radius);
+            let expected = neighbors_of(&reference, &positions, p, Some(i), radius);
+            let got = neighbors_of(env.as_ref(), &positions, p, Some(i), radius);
             assert_eq!(got, expected, "{} @ query {i}", env.name());
         }
     }
@@ -93,14 +92,13 @@ fn uniform_grid_is_rebuildable_across_scale_changes() {
         let positions: Vec<Real3> = (0..100 + round * 50)
             .map(|_| rng.point_in_cube(0.0, extent))
             .collect();
-        let cloud = SliceCloud(&positions);
-        env.update(&cloud, 8.0);
+        env.update(&positions, 8.0);
         let mut reference = BruteForceEnvironment::new();
-        reference.update(&cloud, 8.0);
+        reference.update(&positions, 8.0);
         for (i, &p) in positions.iter().enumerate().step_by(13) {
             assert_eq!(
-                neighbors_of(&env, &cloud, p, Some(i), 8.0),
-                neighbors_of(&reference, &cloud, p, Some(i), 8.0),
+                neighbors_of(&env, &positions, p, Some(i), 8.0),
+                neighbors_of(&reference, &positions, p, Some(i), 8.0),
                 "round {round} query {i}"
             );
         }
@@ -130,11 +128,10 @@ fn interaction_radius_is_respected() {
         Real3::new(5.0, 0.0, 0.0),
         Real3::new(11.0, 0.0, 0.0), // outside radius 10 of the origin
     ];
-    let cloud = SliceCloud(&positions);
     for kind in KINDS {
         let mut env = kind.create();
-        env.update(&cloud, 10.0);
-        let n = neighbors_of(env.as_ref(), &cloud, positions[0], Some(0), 10.0);
+        env.update(&positions, 10.0);
+        let n = neighbors_of(env.as_ref(), &positions, positions[0], Some(0), 10.0);
         assert_eq!(n, vec![1], "{kind:?}");
     }
 }

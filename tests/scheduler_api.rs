@@ -51,10 +51,15 @@ fn threads(threads: usize) -> Param {
 }
 
 fn tiny_sim() -> Simulation {
-    let mut sim = Simulation::new(Param {
+    tiny_sim_with(Param {
         numa_domains: Some(2),
         ..threads(2)
-    });
+    })
+}
+
+/// 40 cells of diameter 8 in an 80-µm cube.
+fn tiny_sim_with(param: Param) -> Simulation {
+    let mut sim = Simulation::new(param);
     let mut rng = SimRng::new(3);
     for _ in 0..40 {
         let uid = sim.new_uid();
@@ -202,6 +207,45 @@ fn anchored_insertion_controls_exact_position() {
     sim.step();
     let order: Vec<String> = log.lock().unwrap().iter().map(|(n, _)| n.clone()).collect();
     assert_eq!(order, vec!["after_snapshot", "before_teardown"]);
+}
+
+#[test]
+fn an_agent_added_after_the_snapshot_joins_the_iteration() {
+    // A Pre operation between `snapshot` and `environment_update` adds a
+    // cell: the index build must gather the snapshot again, or the agent
+    // phase indexes a snapshot one agent short.
+    struct AddCell;
+    impl Operation for AddCell {
+        fn name(&self) -> &str {
+            "add_cell"
+        }
+        fn kind(&self) -> OpKind {
+            OpKind::Pre
+        }
+        fn run(&mut self, sim: &mut Simulation) {
+            let uid = sim.new_uid();
+            sim.add_agent(
+                Cell::new(uid)
+                    .with_position(Real3::splat(40.0))
+                    .with_diameter(8.0),
+            );
+        }
+    }
+    for shards in [1, 2] {
+        for enable_mechanics in [true, false] {
+            let mut sim = tiny_sim_with(Param {
+                numa_domains: Some(2),
+                shards,
+                enable_mechanics,
+                ..threads(2)
+            });
+            assert!(sim.scheduler_mut().add_op_after("snapshot", AddCell));
+            sim.simulate(3);
+            let what = format!("K={shards} mechanics={enable_mechanics}");
+            assert_eq!(sim.num_agents(), 43, "{what}");
+            assert_eq!(sim.snapshot().len(), 43, "{what}");
+        }
+    }
 }
 
 #[test]
