@@ -12,8 +12,9 @@
 //!   existing class's allocator takes no lock; from there an allocation
 //!   touches only its thread's slot — free list and statistics under one
 //!   uncontended mutex on the thread's own cache line.
-//! * [`PoolBox`] — the owning smart pointer the engine stores agents and
-//!   behaviors in; deallocation finds its allocator through the back-pointer
+//! * [`PoolBox`] — the owning smart pointer the engine stores agents in
+//!   (behaviors ride inside their agent's element unless they exceed 24
+//!   bytes); deallocation finds its allocator through the back-pointer
 //!   written at the start of every N-page-aligned segment.
 //!
 //! See DESIGN.md §3 for the deviations from the C++ original (segment-aligned

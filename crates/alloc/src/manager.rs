@@ -9,8 +9,8 @@
 //! The classes live in a fixed table indexed by `size class / 16`, each
 //! entry created on the first allocation of its class. Finding the
 //! allocator of an existing class is one load — the allocator exists to
-//! "minimize thread synchronization", and a sort clones every agent and
-//! behavior through this lookup from all workers at once.
+//! "minimize thread synchronization", and a sort clones every agent
+//! through this lookup from all workers at once.
 //!
 //! The benchmark harness also constructs managers with the pool disabled
 //! (`MemoryManager::system_only`) to reproduce the allocator comparison of
@@ -32,8 +32,13 @@ pub struct MemoryStats {
     pub pool_deallocations: u64,
     /// Allocations that fell back to the system allocator.
     pub system_allocations: u64,
-    /// Bytes reserved from the OS by all pool allocators.
+    /// Bytes reserved from the OS by all pool allocators. Blocks grow in
+    /// geometric steps, so this is address space more than memory.
     pub reserved_bytes: u64,
+    /// The part of `reserved_bytes` the allocators have carved into
+    /// elements, in use or free: the reserve minus the untouched rest of
+    /// each allocator's current segment and block.
+    pub touched_bytes: u64,
     /// Number of distinct (size class, domain) pool allocators.
     pub allocator_instances: u64,
 }
@@ -192,6 +197,7 @@ impl MemoryManager {
             s.pool_allocations += alloc;
             s.pool_deallocations += dealloc;
             s.reserved_bytes += a.reserved_bytes();
+            s.touched_bytes += a.touched_bytes();
             s.allocator_instances += 1;
         }
         s
@@ -252,6 +258,35 @@ mod tests {
         assert_eq!(s.pool_allocations, 1);
         assert_eq!(s.pool_deallocations, 1);
         assert_eq!(s.allocator_instances, 2); // one per domain for this class
+    }
+
+    #[test]
+    fn touched_bytes_follow_the_bump_region_not_the_reserve() {
+        let mm = MemoryManager::new(1, 1, PoolConfig::default());
+        assert_eq!(mm.stats().touched_bytes, 0);
+        let element = || crate::PoolBox::new_in([0u64; 8], &mm, 0);
+        let first = element();
+        assert!(first.is_pool_backed());
+        // The unregistered thread carves one chunk of 64-byte elements
+        // after the first segment's header; the rest of the first block is
+        // untouched.
+        let chunk = (crate::free_list::CHUNK_SIZE * 64) as u64;
+        let header = crate::config::SEGMENT_METADATA_SIZE as u64;
+        let s = mm.stats();
+        assert_eq!(s.touched_bytes, header + chunk);
+        assert!(s.reserved_bytes >= crate::config::segment_size() as u64);
+        assert!(s.touched_bytes < s.reserved_bytes);
+        // Freeing returns elements to the free lists, not to the bump
+        // region: the touched bytes stay.
+        drop(first);
+        assert_eq!(mm.stats().touched_bytes, header + chunk);
+        // Draining the chunk and one more element carves a second chunk.
+        let all: Vec<_> = (0..=crate::free_list::CHUNK_SIZE)
+            .map(|_| element())
+            .collect();
+        assert_eq!(mm.stats().touched_bytes, header + 2 * chunk);
+        drop(all);
+        assert_eq!(mm.outstanding(), 0);
     }
 
     #[test]

@@ -329,6 +329,20 @@ impl NumaPoolAllocator {
         self.central.lock().bump.reserved
     }
 
+    /// Bytes of the reserve the bump region has passed: the reserve minus
+    /// the untouched rest of the current segment and of the current block.
+    /// Carving writes a free-list node into every element, so these bytes
+    /// are written (and resident), whether their elements are in use or
+    /// free; the reserve grows in geometric steps and says neither.
+    pub fn touched_bytes(&self) -> u64 {
+        let central = self.central.lock();
+        let bump = &central.bump;
+        // Null before the first block: both differences are then zero.
+        let untouched = (bump.segment_end as usize - bump.cursor as usize)
+            + (bump.block_end as usize - bump.next_segment as usize);
+        bump.reserved - untouched as u64
+    }
+
     /// (allocations, deallocations, central deallocations, migrations),
     /// summed over the central part and every thread slot. Exact once the
     /// threads using the allocator are quiescent.

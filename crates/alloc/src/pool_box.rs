@@ -2,12 +2,16 @@
 //! [`MemoryManager`].
 //!
 //! This is the Rust analogue of BioDynaMo overriding `operator new/delete`
-//! for agents and behaviors: values are placed in pool memory of a chosen
-//! NUMA domain, and dropping the box returns the memory through the segment
-//! back-pointer without needing a reference to the manager.
+//! for agents: values are placed in pool memory of a chosen NUMA domain,
+//! and dropping the box returns the memory through the segment back-pointer
+//! without needing a reference to the manager.
 //!
 //! `PoolBox` supports unsizing to trait objects via [`PoolBox::unsize`], so
-//! the engine stores agents as `PoolBox<dyn Agent>`.
+//! the engine stores agents as `PoolBox<dyn Agent>`. Behaviors, which the
+//! paper's allocator serves as objects of their own (Section 4.3), here
+//! ride inside their agent's pool element; only a behavior larger than
+//! 24 bytes or aligned above 8 keeps a `PoolBox` of its own, held in the
+//! agent (`bdm_core::BehaviorBox`).
 
 use std::alloc::Layout;
 use std::ops::{Deref, DerefMut};

@@ -12,7 +12,7 @@ use std::any::Any;
 use bdm_alloc::{MemoryManager, PoolBox};
 use bdm_util::Real3;
 
-use crate::behavior::BehaviorBox;
+use crate::behavior::{BehaviorBox, BehaviorList};
 
 /// Stable unique identifier of an agent.
 ///
@@ -59,112 +59,9 @@ pub struct AgentBase {
 
 // Every concrete agent embeds the base, so a field added here moves every
 // agent type up a pool size class (16-byte steps): fail the build instead.
-const _: () = assert!(std::mem::size_of::<AgentBase>() == 88);
-
-/// An agent's behaviors, stored inside the agent for up to two and spilled
-/// to a `Vec` from the third on. Every model attaches at most two, so the
-/// common case costs no heap allocation of its own: the list moves with the
-/// agent through the sort's deep clone instead of leaving a 64-byte malloc
-/// chunk per agent and generation behind in the workers' arenas. A spilled
-/// list that shrinks back to two returns inline.
-#[derive(Default)]
-pub(crate) enum BehaviorList {
-    #[default]
-    Zero,
-    One([BehaviorBox; 1]),
-    Two([BehaviorBox; 2]),
-    Many(Vec<BehaviorBox>),
-}
-
-// The enum's tag fits in a niche of the boxes, so the inline list costs no
-// more than the two boxes it holds.
-const _: () = assert!(std::mem::size_of::<BehaviorList>() == 48);
-
-impl BehaviorList {
-    /// The behaviors in order.
-    pub(crate) fn as_slice(&self) -> &[BehaviorBox] {
-        match self {
-            BehaviorList::Zero => &[],
-            BehaviorList::One(b) => b,
-            BehaviorList::Two(b) => b,
-            BehaviorList::Many(v) => v,
-        }
-    }
-
-    /// The behaviors in order, mutably.
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [BehaviorBox] {
-        match self {
-            BehaviorList::Zero => &mut [],
-            BehaviorList::One(b) => b,
-            BehaviorList::Two(b) => b,
-            BehaviorList::Many(v) => v,
-        }
-    }
-
-    /// Number of behaviors.
-    pub(crate) fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Appends `new`; the third behavior spills the list to a `Vec`.
-    pub(crate) fn push(&mut self, new: BehaviorBox) {
-        *self = match std::mem::take(self) {
-            BehaviorList::Zero => BehaviorList::One([new]),
-            BehaviorList::One([a]) => BehaviorList::Two([a, new]),
-            BehaviorList::Two([a, b]) => BehaviorList::Many(vec![a, b, new]),
-            BehaviorList::Many(mut v) => {
-                v.push(new);
-                BehaviorList::Many(v)
-            }
-        };
-    }
-
-    /// Removes and returns the behavior at `i`; the last one takes its
-    /// place (`Vec::swap_remove`). A spilled list left with two or fewer
-    /// returns inline.
-    ///
-    /// # Panics
-    /// If `i` is out of bounds.
-    pub(crate) fn swap_remove(&mut self, i: usize) -> BehaviorBox {
-        let (removed, rest) = match (std::mem::take(self), i) {
-            (BehaviorList::One([a]), 0) => (a, BehaviorList::Zero),
-            (BehaviorList::Two([a, b]), 0) => (a, BehaviorList::One([b])),
-            (BehaviorList::Two([a, b]), 1) => (b, BehaviorList::One([a])),
-            (BehaviorList::Many(mut v), _) => {
-                let removed = v.swap_remove(i);
-                let rest = match v.len() {
-                    3.. => BehaviorList::Many(v),
-                    _ => v.into_iter().collect(),
-                };
-                (removed, rest)
-            }
-            (list, _) => panic!("behavior index {i} out of bounds (len {})", list.len()),
-        };
-        *self = rest;
-        removed
-    }
-
-    /// Appends every behavior of `other`, in order.
-    pub(crate) fn append(&mut self, other: BehaviorList) {
-        match other {
-            BehaviorList::Zero => {}
-            BehaviorList::One([a]) => self.push(a),
-            BehaviorList::Two([a, b]) => {
-                self.push(a);
-                self.push(b);
-            }
-            BehaviorList::Many(v) => v.into_iter().for_each(|b| self.push(b)),
-        }
-    }
-}
-
-impl FromIterator<BehaviorBox> for BehaviorList {
-    fn from_iter<I: IntoIterator<Item = BehaviorBox>>(iter: I) -> BehaviorList {
-        let mut list = BehaviorList::Zero;
-        iter.into_iter().for_each(|b| list.push(b));
-        list
-    }
-}
+// 40 bytes of state and the 64-byte behavior list that holds up to two
+// behaviors inline: `Cell` is one 128-byte element, behaviors included.
+const _: () = assert!(std::mem::size_of::<AgentBase>() == 104);
 
 impl std::fmt::Debug for AgentBase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -184,7 +81,7 @@ impl AgentBase {
             uid,
             position: Real3::ZERO,
             diameter: 10.0,
-            behaviors: BehaviorList::Zero,
+            behaviors: BehaviorList::default(),
         }
     }
 
@@ -375,7 +272,8 @@ where
     PoolBox::new_in(cloned, mm, domain).unsize(|p| p as *mut dyn Agent)
 }
 
-/// Deep clone with pool-allocated internals (behaviors).
+/// Deep clone with pool-allocated internals (behaviors too large to ride
+/// inline in the agent).
 pub trait CloneIn: Sized {
     /// Clones `self`, placing owned behaviors/sub-objects in pool memory of
     /// `domain`.
@@ -606,29 +504,29 @@ pub(crate) mod tests {
     fn behavior_list_spills_at_three_and_shrinks_back() {
         let mm = mm();
         let mut list = BehaviorList::default();
-        assert!(matches!(list, BehaviorList::Zero));
+        assert!(list.inline_len() == Some(0));
         list.push(tagged(1, &mm));
-        assert!(matches!(list, BehaviorList::One(_)));
+        assert!(list.inline_len() == Some(1));
         list.push(tagged(2, &mm));
-        assert!(matches!(list, BehaviorList::Two(_)));
+        assert!(list.inline_len() == Some(2));
         list.push(tagged(3, &mm));
-        assert!(matches!(list, BehaviorList::Many(_)));
+        assert!(list.inline_len().is_none());
         assert_eq!(ids(list.as_slice()), [1, 2, 3]);
 
         // Swap-remove moves the last behavior into the hole, and a list of
         // two returns inline.
         assert_eq!(ids(&[list.swap_remove(0)]), [1]);
-        assert!(matches!(list, BehaviorList::Two(_)));
+        assert!(list.inline_len() == Some(2));
         assert_eq!(ids(list.as_slice()), [3, 2]);
         assert_eq!(ids(&[list.swap_remove(1)]), [2]);
-        assert!(matches!(list, BehaviorList::One(_)));
+        assert!(list.inline_len() == Some(1));
         assert_eq!(ids(&[list.swap_remove(0)]), [3]);
-        assert!(matches!(list, BehaviorList::Zero));
+        assert!(list.inline_len() == Some(0));
 
         let mut list: BehaviorList = (1..=4).map(|id| tagged(id, &mm)).collect();
         assert_eq!(ids(list.as_slice()), [1, 2, 3, 4]);
         list.swap_remove(1);
-        assert!(matches!(list, BehaviorList::Many(_)));
+        assert!(list.inline_len().is_none());
         assert_eq!(ids(list.as_slice()), [1, 4, 3]);
         list.append((5..=6).map(|id| tagged(id, &mm)).collect());
         assert_eq!(ids(list.as_slice()), [1, 4, 3, 5, 6]);
@@ -657,14 +555,14 @@ pub(crate) mod tests {
         }
         let daughter = base.clone_for_daughter(AgentUid(2), &mm, 0);
         assert_eq!(ids(daughter.behaviors()), [1, 3, 4]);
-        assert!(matches!(daughter.behaviors, BehaviorList::Many(_)));
+        assert!(daughter.behaviors.inline_len().is_none());
         let clone = base.clone_in(&mm, 0);
         assert_eq!(ids(clone.behaviors()), [1, 2, 3, 4]);
         base.behaviors.swap_remove(0);
         base.behaviors.swap_remove(0);
         let second = base.clone_for_daughter(AgentUid(3), &mm, 0);
         assert_eq!(ids(second.behaviors()), [3]);
-        assert!(matches!(second.behaviors, BehaviorList::One(_)));
+        assert!(second.behaviors.inline_len() == Some(1));
         drop((base, daughter, second, clone));
         assert_eq!(mm.outstanding(), 0);
     }

@@ -919,6 +919,11 @@ impl Simulation {
     /// environment; its frequency comes from `Param::agent_sort_frequency`
     /// and can be re-timed via the scheduler.
     pub(crate) fn phase_sorting(&mut self) {
+        // Only the uniform grid is sorted: any other index rebuilt here
+        // would be thrown away by the next `environment_update`.
+        if self.env.as_uniform_grid().is_none() {
+            return;
+        }
         // If the commit of this iteration added or removed agents, the index
         // built at the start of the iteration no longer matches the
         // resource manager and must be rebuilt: the sort's memory safety
