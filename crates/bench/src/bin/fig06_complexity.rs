@@ -105,7 +105,7 @@ fn main() {
         let mut memory_points = Vec::new();
         for &agents in &points {
             let spec = RunSpec::new(&name, agents, iterations)
-                .with_opt(OptLevel::SortExtraMemory)
+                .with_opt(OptLevel::MemoryLayout)
                 .with_topology(args.threads, args.domains);
             let report = bdm_bench::measure_median(&spec, args.repeats, args.no_subprocess);
             table.row([

@@ -76,7 +76,7 @@ fn main() {
 
     // ---- Our measurement at host scale. ----
     let spec = RunSpec::new("cell_sorting", agents, iterations)
-        .with_opt(OptLevel::SortExtraMemory)
+        .with_opt(OptLevel::MemoryLayout)
         .with_topology(Some(threads), args.domains);
     let ours = bdm_bench::measure_median(&spec, args.repeats, args.no_subprocess);
     let our_rate = ours.final_agents as f64 / ours.per_iter_secs() / threads as f64;

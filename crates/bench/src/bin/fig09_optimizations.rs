@@ -9,6 +9,11 @@
 //! for neuroscience; parallel removal cuts oncology time by 31.7%; the
 //! optimizations cost a median 1.77% extra memory (55.6% with extra sorting
 //! memory).
+//!
+//! The ladder has no extra-memory rung: the sort permutes agents in place,
+//! which gives the extra-memory layout at one generation of agents, so
+//! `+memory_layout` already holds what the paper's extra-memory step buys
+//! (docs/ARCHITECTURE.md, "Sorting").
 
 use bdm_bench::{emit, fmt_secs, fmt_speedup, header, Args, RunSpec};
 use bdm_core::OptLevel;
@@ -42,7 +47,6 @@ fn main() {
     let mut full_speedups = Vec::new();
     let mut grid_step = Vec::new();
     let mut memlayout_step = Vec::new();
-    let mut extra_mem_step = Vec::new();
     let mut removal_note = None;
     let mut static_note = None;
     for name in args.selected_models() {
@@ -89,7 +93,6 @@ fn main() {
                     removal_note = Some(1.0 - per_iter / prev_secs);
                 }
                 OptLevel::MemoryLayout => memlayout_step.push(prev_secs / per_iter),
-                OptLevel::SortExtraMemory => extra_mem_step.push(prev_secs / per_iter),
                 OptLevel::StaticDetection => {
                     full_speedups.push(speedup);
                     if name == "neuroscience" {
@@ -107,12 +110,11 @@ fn main() {
     println!(
         "median full-ladder speedup:        {} (paper: 159x, range 33.1-524x)\n\
          median uniform-grid step:          {} (paper: 27.4x, up to 184x)\n\
-         median memory-layout step:         {} (paper: 2.96x, up to 5.30x)\n\
-         median extra-sort-memory step:     {} (paper: 1.09x, up to 2.07x)",
+         median memory-layout step:         {} (paper: 2.96x, up to 5.30x; its\n\
+                                            extra-sort-memory step: 1.09x, up to 2.07x)",
         fmt_med(&full_speedups),
         fmt_med(&grid_step),
         fmt_med(&memlayout_step),
-        fmt_med(&extra_mem_step),
     );
     if let Some(cut) = removal_note {
         println!(

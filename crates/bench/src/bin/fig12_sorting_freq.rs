@@ -83,7 +83,7 @@ fn main() {
         let mut baseline = None;
         for freq in [None, Some(20)] {
             let mut spec = RunSpec::new("neuroscience", agents, iterations)
-                .with_opt(OptLevel::SortExtraMemory) // ladder stops before static detection
+                .with_opt(OptLevel::MemoryLayout) // ladder stops before static detection
                 .with_topology(Some(threads), args.domains);
             spec.sort_freq = Some(freq);
             let report = bdm_bench::measure_median(&spec, args.repeats, args.no_subprocess);

@@ -6,8 +6,9 @@
 //! Substitution (DESIGN.md §3): glibc's allocator *is* ptmalloc2, so the
 //! system-allocator configuration is exact; jemalloc/tcmalloc are not
 //! redistributable here. We measure the same contrast the figure exists to
-//! show — pool allocator on/off for agents and behaviors — plus the
-//! epidemiology-only extra-sorting-memory interaction the paper calls out.
+//! show — pool allocator on/off for agents and behaviors. The paper's
+//! extra-sorting-memory configurations have no counterpart: the sort
+//! permutes agents in place on either allocator.
 //!
 //! Paper observations to reproduce in shape: the pool allocator is up to
 //! 1.52× faster than ptmalloc2 (median 1.19×) while consuming slightly
@@ -29,15 +30,7 @@ fn main() {
          cell_proliferation, neuroscience) stress the allocator most\n"
     );
 
-    // The four configurations per simulation (pool on/off × extra sorting
-    // memory on/off; the latter only matters for models that sort with the
-    // copy-keeping strategy, mirroring the paper's epidemiology remark).
-    let configs: [(&str, bool, bool); 4] = [
-        ("system allocator", false, false),
-        ("system + extra sort memory", false, true),
-        ("pool allocator", true, false),
-        ("pool + extra sort memory", true, true),
-    ];
+    let configs = [("system allocator", false), ("pool allocator", true)];
 
     let mut table = Table::new([
         "model",
@@ -51,12 +44,11 @@ fn main() {
     let mut memory_ratios = Vec::new();
     for name in args.selected_models() {
         let mut base: Option<(f64, u64)> = None;
-        for (label, use_pool, extra_mem) in configs {
+        for (label, use_pool) in configs {
             let mut spec = RunSpec::new(&name, agents, iterations)
                 .with_opt(OptLevel::StaticDetection)
                 .with_topology(args.threads, args.domains);
             spec.use_pool = Some(use_pool);
-            spec.extra_mem = Some(extra_mem);
             let report = bdm_bench::measure_median(&spec, args.repeats, args.no_subprocess);
             let per_iter = report.per_iter_secs();
             let (base_secs, base_mem) = *base.get_or_insert((per_iter, report.peak_rss_bytes));

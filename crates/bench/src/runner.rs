@@ -66,9 +66,6 @@ pub fn param_for(spec: &RunSpec) -> Param {
     if let Some(v) = spec.use_pool {
         param.use_pool_allocator = v;
     }
-    if let Some(v) = spec.extra_mem {
-        param.sort_use_extra_memory = v;
-    }
     if let Some(v) = spec.detect_static {
         param.detect_static_agents = v;
     }

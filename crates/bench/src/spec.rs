@@ -45,8 +45,6 @@ pub struct RunSpec {
     pub sort_freq: Option<Option<usize>>,
     /// Pool-allocator override (Figure 13).
     pub use_pool: Option<bool>,
-    /// Extra-memory-during-sorting override (Figures 9/13).
-    pub extra_mem: Option<bool>,
     /// Static-detection override (Figures 8/9).
     pub detect_static: Option<bool>,
     /// NUMA-aware-iteration override (Section 6.10).
@@ -75,7 +73,6 @@ impl RunSpec {
             env: None,
             sort_freq: None,
             use_pool: None,
-            extra_mem: None,
             detect_static: None,
             numa_aware: None,
             parallel_add_remove: None,
@@ -131,7 +128,6 @@ impl RunSpec {
         }
         for (key, value) in [
             ("use_pool", self.use_pool),
-            ("extra_mem", self.extra_mem),
             ("detect_static", self.detect_static),
             ("numa_aware", self.numa_aware),
             ("par_add_remove", self.parallel_add_remove),
@@ -206,7 +202,6 @@ impl RunSpec {
                 })
                 .transpose()?,
             use_pool: parse_bool("use_pool")?,
-            extra_mem: parse_bool("extra_mem")?,
             detect_static: parse_bool("detect_static")?,
             numa_aware: parse_bool("numa_aware")?,
             parallel_add_remove: parse_bool("par_add_remove")?,
@@ -453,7 +448,6 @@ mod tests {
         spec.env = Some(EnvironmentKind::Octree);
         spec.sort_freq = Some(Some(20));
         spec.use_pool = Some(false);
-        spec.extra_mem = Some(true);
         spec.detect_static = Some(true);
         spec.numa_aware = Some(false);
         spec.parallel_add_remove = Some(true);

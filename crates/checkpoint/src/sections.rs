@@ -36,7 +36,6 @@ pub fn write_param(p: &Param) -> Vec<u8> {
     w.put_u8(u8::from(p.enable_mechanics));
     w.put_u8(u8::from(p.detect_static_agents));
     opt_u64(&mut w, p.agent_sort_frequency.map(|f| f as u64));
-    w.put_u8(u8::from(p.sort_use_extra_memory));
     w.put_u8(u8::from(p.parallel_add_remove));
     w.put_u8(u8::from(p.numa_aware_iteration));
     w.put_u8(u8::from(p.use_pool_allocator));
@@ -85,7 +84,6 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
     let enable_mechanics = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let detect_static_agents = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let agent_sort_frequency = take_opt_u64(r, S_PARAM)?.map(|f| f as usize);
-    let sort_use_extra_memory = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let parallel_add_remove = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let numa_aware_iteration = r.take_u8().map_err(truncated(S_PARAM))? != 0;
     let use_pool_allocator = r.take_u8().map_err(truncated(S_PARAM))? != 0;
@@ -136,7 +134,6 @@ pub fn read_param(payload: &[u8]) -> Result<Param, CheckpointError> {
         enable_mechanics,
         detect_static_agents,
         agent_sort_frequency,
-        sort_use_extra_memory,
         parallel_add_remove,
         numa_aware_iteration,
         use_pool_allocator,

@@ -3,7 +3,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"BDMCKPT\0"
-//! 8       4     format version (u32 LE, currently 8)
+//! 8       4     format version (u32 LE, currently 9)
 //! 12      4     section count (u32 LE)
 //!         ...   sections, each:
 //!                 4   tag (ASCII fourcc: PARM FORC CNTR AGNT DIFF SCHD SHRD)
@@ -32,8 +32,9 @@ pub const MAGIC: [u8; 8] = *b"BDMCKPT\0";
 /// base file id, COUNTERS its change counters (agent generation, grid
 /// versions) and DIFF its per-grid version; v7 dropped the neighbor-access
 /// byte from PARAM; v8 shrank PARAM's health policy to one optional
-/// frequency. Older files are rejected rather than silently misread.
-pub const FORMAT_VERSION: u32 = 8;
+/// frequency; v9 dropped the sort's extra-memory byte from PARAM. Older
+/// files are rejected rather than silently misread.
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Section tags, in canonical file order.
 pub mod tag {

@@ -175,8 +175,8 @@ impl AgentBase {
         }
     }
 
-    /// Deep-clones the base including all behaviors (used by agent sorting,
-    /// which relocates agents into fresh pool memory).
+    /// Deep-clones the base including all behaviors (the base of
+    /// [`Agent::clone_box`]).
     pub fn clone_in(&self, mm: &MemoryManager, domain: usize) -> AgentBase {
         AgentBase {
             uid: self.uid,
@@ -192,6 +192,10 @@ impl AgentBase {
 }
 
 /// The agent trait (BioDynaMo's `Agent` class).
+///
+/// The agent sort moves an agent as its bytes into another pool element
+/// (`crate::sorting`), so an implementation must not hold a pointer into
+/// itself — which safe Rust cannot build anyway.
 pub trait Agent: Send + Sync {
     /// Common state accessor.
     fn base(&self) -> &AgentBase;
@@ -252,8 +256,9 @@ pub trait Agent: Send + Sync {
         let _ = out;
     }
 
-    /// Deep-clones the agent into fresh pool memory of `domain`
-    /// (used by agent sorting; paper Section 4.2, step G).
+    /// Deep-clones the agent into fresh pool memory of `domain`. The engine
+    /// does not call it: the sort (paper Section 4.2, step G) moves agents
+    /// as their bytes instead.
     fn clone_box(&self, mm: &MemoryManager, domain: usize) -> AgentBox;
 
     /// Downcast support.

@@ -67,12 +67,11 @@ pub struct Param {
     pub detect_static_agents: bool,
     /// Agent sorting frequency (paper Section 4.2 / Figure 12):
     /// `Some(f)` sorts every `f` iterations in Morton order, `None`
-    /// disables sorting.
+    /// disables sorting. A sort permutes the agents' bytes in place, so
+    /// memory order follows the curve with one generation of agents; the
+    /// paper's choice of keeping the old copies during the sort (its
+    /// "extra memory" mode, Figure 9) has nothing left to trade.
     pub agent_sort_frequency: Option<usize>,
-    /// Keep all old agent copies alive until the sorting step finished
-    /// (more memory, better layout; paper Section 4.2 last paragraph and the
-    /// "sorting uses extra memory" series of Figure 9).
-    pub sort_use_extra_memory: bool,
     /// Commit agent additions/removals with the parallel algorithms of
     /// Section 3.2 (off = serial commit, as in the standard implementation).
     pub parallel_add_remove: bool,
@@ -121,7 +120,6 @@ impl Default for Param {
             enable_mechanics: true,
             detect_static_agents: false,
             agent_sort_frequency: None,
-            sort_use_extra_memory: false,
             parallel_add_remove: true,
             numa_aware_iteration: true,
             use_pool_allocator: true,
@@ -147,10 +145,10 @@ pub enum OptLevel {
     /// + parallel addition/removal of agents (Section 3.2).
     ParallelAddRemove,
     /// + memory-layout optimizations: NUMA-aware iteration, agent sorting,
-    ///   pool allocator (Section 4).
+    ///   pool allocator (Section 4). The sort's layout is that of the
+    ///   paper's extra-memory step at one generation of agents, so the
+    ///   paper's "+ extra memory" rung has no counterpart here.
     MemoryLayout,
-    /// + extra memory during agent sorting (Section 4.2, step G).
-    SortExtraMemory,
     /// + static agent detection (Section 5), armed: it engages only while
     ///   enough agents end an iteration static — the full engine.
     StaticDetection,
@@ -158,12 +156,11 @@ pub enum OptLevel {
 
 impl OptLevel {
     /// All levels in ladder order.
-    pub const ALL: [OptLevel; 6] = [
+    pub const ALL: [OptLevel; 5] = [
         OptLevel::Standard,
         OptLevel::UniformGrid,
         OptLevel::ParallelAddRemove,
         OptLevel::MemoryLayout,
-        OptLevel::SortExtraMemory,
         OptLevel::StaticDetection,
     ];
 
@@ -174,7 +171,6 @@ impl OptLevel {
             OptLevel::UniformGrid => "+uniform_grid",
             OptLevel::ParallelAddRemove => "+parallel_add_remove",
             OptLevel::MemoryLayout => "+memory_layout",
-            OptLevel::SortExtraMemory => "+sort_extra_memory",
             OptLevel::StaticDetection => "+static_detection",
         }
     }
@@ -191,7 +187,6 @@ impl Param {
         self.parallel_add_remove = false;
         self.numa_aware_iteration = false;
         self.agent_sort_frequency = None;
-        self.sort_use_extra_memory = false;
         self.use_pool_allocator = false;
         self.detect_static_agents = false;
         // …then switch on cumulatively.
@@ -205,9 +200,6 @@ impl Param {
             self.numa_aware_iteration = true;
             self.agent_sort_frequency = Some(10);
             self.use_pool_allocator = true;
-        }
-        if level >= OptLevel::SortExtraMemory {
-            self.sort_use_extra_memory = true;
         }
         if level >= OptLevel::StaticDetection {
             self.detect_static_agents = true;
@@ -253,11 +245,10 @@ mod tests {
         assert!(mem.numa_aware_iteration);
         assert!(mem.use_pool_allocator);
         assert!(mem.agent_sort_frequency.is_some());
-        assert!(!mem.sort_use_extra_memory);
         assert!(!mem.detect_static_agents);
 
         let full = Param::default().apply_opt_level(OptLevel::StaticDetection);
-        assert!(full.sort_use_extra_memory);
+        assert_eq!(full.agent_sort_frequency, mem.agent_sort_frequency);
         assert!(full.detect_static_agents);
     }
 
@@ -266,7 +257,7 @@ mod tests {
         for w in OptLevel::ALL.windows(2) {
             assert!(w[0] < w[1]);
         }
-        assert_eq!(OptLevel::ALL.len(), 6);
+        assert_eq!(OptLevel::ALL.len(), 5);
         for l in OptLevel::ALL {
             assert!(!l.label().is_empty());
         }

@@ -934,7 +934,7 @@ impl Simulation {
         if self.rm.num_agents() > 0 {
             if self.step_commit.added > 0 || self.step_commit.removed > 0 {
                 // Over the current positions, gathered into a buffer that is
-                // freed before the sort clones the agents; the snapshot
+                // freed before the sort permutes the agents; the snapshot
                 // stays the start-of-iteration state. Bounds and lattice
                 // come from these positions, and nobody reads diameters.
                 let positions = self.gather_positions();
@@ -966,7 +966,6 @@ impl Simulation {
                 &self.mm,
                 &self.pool,
                 &self.topology,
-                self.param.sort_use_extra_memory,
             );
             if moved > 0 {
                 self.stats.sorts += 1;

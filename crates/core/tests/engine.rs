@@ -550,7 +550,7 @@ fn sorting_preserves_agents_and_orders_by_morton_code() {
     sim.simulate(2);
     assert!(sim.stats().sorts >= 2);
     let phases = sim.last_sort_phases().expect("a sort ran");
-    assert!(!phases.clone.is_zero() && phases.clone < sim.time_buckets().total());
+    assert!(!phases.permute.is_zero() && phases.permute < sim.time_buckets().total());
     // All agents survived the relocation.
     let got: std::collections::BTreeSet<u64> =
         surviving_uids(sim.resource_manager()).into_iter().collect();
@@ -650,23 +650,26 @@ fn sorting_preserves_agents_and_improves_locality() {
 }
 
 #[test]
-fn sorting_with_and_without_extra_memory_agree() {
-    let run = |extra: bool| -> Vec<u64> {
+fn sorted_run_keeps_the_unsorted_runs_agents() {
+    // Growth and division between the sorts: the permutation must neither
+    // lose, duplicate nor invent an agent while the population turns over.
+    let run = |sort: Option<usize>| -> Vec<u64> {
         let mut param = small_param(2);
-        param.agent_sort_frequency = Some(2);
-        param.sort_use_extra_memory = extra;
+        param.agent_sort_frequency = sort;
         let mut sim = Simulation::new(param);
         let mut rng = SimRng::new(5);
         for _ in 0..100 {
             let pos = rng.point_in_cube(0.0, 60.0);
             add_cell_with_behavior(&mut sim, pos, 9.0, GrowDivide);
         }
-        sim.simulate(10);
+        sim.simulate(20);
         let mut uids = surviving_uids(sim.resource_manager());
         uids.sort_unstable();
         uids
     };
-    assert_eq!(run(false), run(true));
+    let unsorted = run(None);
+    assert!(unsorted.len() > 100, "cells divided between the sorts");
+    assert_eq!(run(Some(2)), unsorted);
 }
 
 #[test]

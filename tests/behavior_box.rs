@@ -1,7 +1,8 @@
 //! Behaviours ride inside their agent's pool element: each is dropped
 //! exactly once whatever moves it (removal, `RemoveSelf`, the sort, a list
 //! returning inline), keeps its state through sorts and a checkpoint, and
-//! a sort allocates one pool element per agent.
+//! a sort of a balanced population allocates no pool element: it moves
+//! each agent, behaviours included, as its bytes.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -215,7 +216,7 @@ fn state_survives_two_sorts_and_a_checkpoint_round_trip() {
 }
 
 #[test]
-fn a_sort_makes_one_pool_allocation_per_agent() {
+fn a_balanced_sort_allocates_no_pool_element() {
     static LIVE: AtomicI64 = AtomicI64::new(0);
     const N: usize = 1000;
     let mut sim = Simulation::new(param(2));
@@ -238,9 +239,11 @@ fn a_sort_makes_one_pool_allocation_per_agent() {
     assert_eq!(allocations(&sim), before, "an iteration without a sort");
     sim.simulate(1);
     assert_eq!(sim.stats().sorts, 3);
+    assert_eq!(allocations(&sim), before, "the sort moves agents in place");
+    assert_eq!(sim.memory_manager().outstanding(), N as i64);
     assert_eq!(
-        allocations(&sim) - before,
-        N as u64,
-        "one element per agent"
+        LIVE.load(Ordering::Relaxed),
+        2 * N as i64,
+        "each behaviour alive once"
     );
 }

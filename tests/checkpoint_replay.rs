@@ -264,7 +264,7 @@ proptest! {
         model_idx in 0usize..6,
         pre in 1usize..5,
         backend in 0usize..4,
-        opt in 0usize..6,
+        opt in 0usize..OptLevel::ALL.len(),
     ) {
         let models = all_models(60);
         let model = &models[model_idx];

@@ -139,7 +139,7 @@ fn population_invariant_under_sorting_and_environment() {
         baseline,
         count(&|p| {
             p.agent_sort_frequency = Some(1);
-            p.sort_use_extra_memory = true;
+            p.use_pool_allocator = false;
         })
     );
     assert_eq!(

@@ -168,7 +168,6 @@ fn extreme_sort_frequency_is_safe() {
     let model = biodynamo::models::Oncology::new(120);
     let mut param = small_param();
     param.agent_sort_frequency = Some(1);
-    param.sort_use_extra_memory = true;
     let mut sim = model.build(param);
     sim.simulate(15);
     assert!(sim.num_agents() > 0);
@@ -186,13 +185,12 @@ fn extreme_sort_frequency_is_safe() {
 fn more_domains_than_needed_is_clamped_safely() {
     // 4 virtual domains on 4 threads with only 3 agents: some domains own
     // zero agents; iteration and sorting must handle empty domains.
-    let mut param = Param {
+    let param = Param {
         threads: Some(4),
         numa_domains: Some(4),
         agent_sort_frequency: Some(2),
         ..Param::default()
     };
-    param.sort_use_extra_memory = true;
     let mut sim = Simulation::new(param);
     for i in 0..3 {
         let uid = sim.new_uid();

@@ -168,7 +168,7 @@ fn characteristics_are_observable() {
         let c = model.characteristics();
         let sim = run_with(
             model.as_ref(),
-            OptLevel::SortExtraMemory,
+            OptLevel::MemoryLayout,
             model.default_iterations(),
         );
         let stats = sim.stats();

@@ -93,8 +93,8 @@ fn coarsened_lattice_is_bitwise_shard_count_invariant() {
 }
 
 /// Sharding must compose with the optimization ladder: sorting every
-/// iteration (population reordered under the shards), extra sort memory,
-/// and static-agent detection.
+/// iteration (population reordered under the shards) and static-agent
+/// detection.
 #[test]
 fn sharding_composes_with_sorting_and_static_detection() {
     for model in all_models(90) {
@@ -104,7 +104,6 @@ fn sharding_composes_with_sorting_and_static_detection() {
             seed: 31,
             shards,
             agent_sort_frequency: Some(1),
-            sort_use_extra_memory: true,
             detect_static_agents: true,
             ..Param::default()
         };
