@@ -1,4 +1,4 @@
-//! Process-wide allocator configuration and the worker-thread registry.
+//! Process-wide allocator geometry and the worker-thread registry.
 //!
 //! ## Segment geometry
 //!
@@ -6,9 +6,8 @@
 //! bytes store a back-pointer to the owning [`crate::NumaPoolAllocator`]
 //! (paper Figure 4A). Deallocation recovers that pointer by masking the
 //! element address with the segment size (Figure 4B), so the segment size
-//! must be a *process-wide* constant: it is fixed the first time it is read,
-//! from `BDM_MEM_ALIGNED_PAGES_SHIFT` (the paper's
-//! `mem_mgr_aligned_pages_shift` parameter) or the default.
+//! must be a process-wide constant. The paper's `mem_mgr_aligned_pages_shift`
+//! parameter is therefore fixed at compile time: [`ALIGNED_PAGES_SHIFT`].
 //!
 //! ## Thread registry
 //!
@@ -19,64 +18,34 @@
 //! threads of a foreign NUMA domain.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Base page size assumed for segment geometry.
 pub const PAGE_SIZE: usize = 4096;
 
-/// Default for `mem_mgr_aligned_pages_shift`: segments of 2^5 = 32 pages
-/// (128 KiB).
-pub const DEFAULT_ALIGNED_PAGES_SHIFT: u32 = 5;
+/// The paper's `mem_mgr_aligned_pages_shift`: segments of 2^5 = 32 pages.
+pub const ALIGNED_PAGES_SHIFT: u32 = 5;
+
+/// Segment size in bytes (`2^shift * PAGE_SIZE` = 128 KiB).
+pub const SEGMENT_SIZE: usize = PAGE_SIZE << ALIGNED_PAGES_SHIFT;
+
+/// Mask that maps an element address to its segment base address.
+pub const SEGMENT_MASK: usize = !(SEGMENT_SIZE - 1);
 
 /// Bytes reserved at the start of each aligned segment for the back-pointer.
 /// The pointer itself needs 8 bytes; we reserve 16 so that elements after the
-/// metadata keep 16-byte alignment (see DESIGN.md §3 for this deviation from
-/// the paper's 8-byte metadata).
+/// metadata keep 16-byte alignment (a deviation from the paper's 8-byte
+/// metadata, docs/ARCHITECTURE.md "Deviations from the paper").
 pub const SEGMENT_METADATA_SIZE: usize = 16;
 
 /// Maximum alignment the pool can serve. Larger alignments fall back to the
 /// system allocator.
 pub const MAX_POOL_ALIGN: usize = 16;
 
-static SEGMENT_SHIFT: AtomicUsize = AtomicUsize::new(0); // 0 = not yet fixed
-
-fn init_segment_shift() -> usize {
-    let shift = std::env::var("BDM_MEM_ALIGNED_PAGES_SHIFT")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|&s| (1..=12).contains(&s))
-        .unwrap_or(DEFAULT_ALIGNED_PAGES_SHIFT);
-    // Fix it exactly once; racing initializers agree because the env var is
-    // stable for the process lifetime.
-    let bytes_shift = (PAGE_SIZE.trailing_zeros() + shift) as usize;
-    match SEGMENT_SHIFT.compare_exchange(0, bytes_shift, Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => bytes_shift,
-        Err(prev) => prev,
-    }
-}
-
-/// Segment size in bytes (`2^shift * PAGE_SIZE`); constant per process.
-#[inline]
-pub fn segment_size() -> usize {
-    let s = SEGMENT_SHIFT.load(Ordering::Relaxed);
-    let s = if s == 0 { init_segment_shift() } else { s };
-    1usize << s
-}
-
-/// Mask that maps an element address to its segment base address.
-#[inline]
-pub fn segment_mask() -> usize {
-    !(segment_size() - 1)
-}
-
 /// Largest element size the pool serves; larger allocations use the system
 /// allocator (the paper: "the allocation size is limited by
 /// N*page_size − metadata_size" — we cap earlier so each segment holds many
 /// elements).
-#[inline]
-pub fn max_pool_element_size() -> usize {
-    (segment_size() - SEGMENT_METADATA_SIZE) / 8
-}
+pub const MAX_POOL_ELEMENT_SIZE: usize = (SEGMENT_SIZE - SEGMENT_METADATA_SIZE) / 8;
 
 thread_local! {
     static THREAD_SLOT: Cell<Option<(u32, u32)>> = const { Cell::new(None) };
@@ -105,17 +74,26 @@ mod tests {
 
     #[test]
     fn segment_size_is_power_of_two_and_stable() {
-        let s = segment_size();
-        assert!(s.is_power_of_two());
-        assert!(s >= PAGE_SIZE);
-        assert_eq!(segment_size(), s, "second read must agree");
-        assert_eq!(segment_mask(), !(s - 1));
+        assert_eq!(SEGMENT_SIZE.count_ones(), 1);
+        assert_eq!(SEGMENT_SIZE, 128 << 10);
+        assert_eq!(SEGMENT_MASK.trailing_zeros(), SEGMENT_SIZE.trailing_zeros());
+        assert_eq!(SEGMENT_MASK.count_zeros(), SEGMENT_SIZE.trailing_zeros());
     }
 
     #[test]
     fn max_pool_size_fits_many_elements_per_segment() {
-        assert!(max_pool_element_size() * 4 < segment_size());
-        assert!(max_pool_element_size() >= 256);
+        // The largest class the manager's table holds: eight elements share
+        // each segment.
+        let class = MAX_POOL_ELEMENT_SIZE / 16 * 16;
+        let a = crate::NumaPoolAllocator::new(class, 0, 1);
+        let ptrs: Vec<usize> = (0..8).map(|_| a.alloc(None) as usize).collect();
+        assert!(ptrs
+            .iter()
+            .all(|p| p & SEGMENT_MASK == ptrs[0] & SEGMENT_MASK));
+        for p in ptrs {
+            // SAFETY: each element came from `a.alloc` and is freed once.
+            unsafe { a.dealloc(p as *mut u8) };
+        }
     }
 
     #[test]

@@ -87,17 +87,21 @@ impl Default for Chunk {
     }
 }
 
-/// A thread-private free list: one open (partially filled) chunk plus a stack
-/// of full chunks. All bulk operations move whole chunks.
-pub struct LocalFreeList {
+/// A free list: one open (partially filled) chunk plus a stack of full
+/// chunks. Every thread-private slot of a `NumaPoolAllocator` holds one,
+/// and so does its central part; bulk operations move whole chunks.
+#[derive(Default)]
+pub struct FreeList {
     open: Chunk,
+    /// Only full chunks: [`FreeList::len`] counts them as [`CHUNK_SIZE`]
+    /// nodes each.
     full: Vec<Chunk>,
 }
 
-impl LocalFreeList {
+impl FreeList {
     /// Creates an empty list.
-    pub const fn new() -> LocalFreeList {
-        LocalFreeList {
+    pub const fn new() -> FreeList {
+        FreeList {
             open: Chunk::new(),
             full: Vec::new(),
         }
@@ -113,7 +117,12 @@ impl LocalFreeList {
         self.open.is_empty() && self.full.is_empty()
     }
 
-    /// Pushes one free element; see [`Chunk::push`] for the safety contract.
+    /// Number of full chunks currently held.
+    pub fn full_chunks(&self) -> usize {
+        self.full.len()
+    }
+
+    /// Pushes one free element; a chunk that fills up joins the full ones.
     ///
     /// # Safety
     /// Same as [`Chunk::push`].
@@ -125,34 +134,23 @@ impl LocalFreeList {
         }
     }
 
-    /// Pops one free element, if any.
+    /// Pops one free element. When the open chunk ran dry it is replaced by
+    /// a full chunk, or by `refill()` — a chunk from elsewhere or fresh
+    /// memory, full or not — when none is held.
     #[inline]
-    pub fn pop(&mut self) -> Option<*mut u8> {
-        if let Some(p) = self.open.pop() {
-            return Some(p);
+    pub fn pop_or_else(&mut self, refill: impl FnOnce() -> Chunk) -> *mut u8 {
+        if self.open.is_empty() {
+            self.open = self.full.pop().unwrap_or_else(refill);
         }
-        if let Some(chunk) = self.full.pop() {
-            self.open = chunk;
-            return self.open.pop();
-        }
-        None
+        self.open.pop().expect("refill produced an empty chunk")
     }
 
-    /// Accepts a whole chunk in O(1).
-    pub fn push_chunk(&mut self, chunk: Chunk) {
-        if chunk.is_empty() {
-            return;
-        }
-        if chunk.len() == CHUNK_SIZE {
-            self.full.push(chunk);
-        } else if self.open.is_empty() {
-            self.open = chunk;
-        } else {
-            // Rare path: splice a partial chunk node by node.
-            let mut c = chunk;
-            while let Some(p) = c.pop() {
-                // SAFETY: the node came from a valid chunk we now own.
-                unsafe { self.push(p) };
+    /// Accepts full chunks in O(chunks); empty ones are dropped.
+    pub fn push_chunks(&mut self, chunks: Vec<Chunk>) {
+        for chunk in chunks {
+            if !chunk.is_empty() {
+                debug_assert_eq!(chunk.len(), CHUNK_SIZE, "partial chunk filed as full");
+                self.full.push(chunk);
             }
         }
     }
@@ -162,80 +160,6 @@ impl LocalFreeList {
     pub fn take_full_chunks(&mut self, max_chunks: usize) -> Vec<Chunk> {
         let keep = self.full.len().saturating_sub(max_chunks);
         self.full.split_off(keep)
-    }
-
-    /// Number of full chunks currently held.
-    pub fn full_chunks(&self) -> usize {
-        self.full.len()
-    }
-}
-
-impl Default for LocalFreeList {
-    fn default() -> Self {
-        LocalFreeList::new()
-    }
-}
-
-/// The central free list shared by all threads of one `NumaPoolAllocator`
-/// (always accessed under the allocator's lock).
-pub struct CentralFreeList {
-    open: Chunk,
-    full: Vec<Chunk>,
-}
-
-impl CentralFreeList {
-    /// Creates an empty central list.
-    pub const fn new() -> CentralFreeList {
-        CentralFreeList {
-            open: Chunk::new(),
-            full: Vec::new(),
-        }
-    }
-
-    /// Total number of free nodes held.
-    pub fn len(&self) -> usize {
-        self.open.len() + self.full.len() * CHUNK_SIZE
-    }
-
-    /// Whether the list holds no free nodes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Pushes one free element (deallocation from a foreign thread).
-    ///
-    /// # Safety
-    /// Same as [`Chunk::push`].
-    #[inline]
-    pub unsafe fn push(&mut self, ptr: *mut u8) {
-        self.open.push(ptr);
-        if self.open.len() == CHUNK_SIZE {
-            self.full.push(std::mem::take(&mut self.open));
-        }
-    }
-
-    /// Pops one free element (allocation by a thread without a private
-    /// list). When the open chunk ran dry it is replaced by a full chunk,
-    /// or by `carve()` — fresh memory — when none is held; the pop that
-    /// follows keeps the open chunk below [`CHUNK_SIZE`].
-    #[inline]
-    pub fn pop_or_else(&mut self, carve: impl FnOnce() -> Chunk) -> *mut u8 {
-        if self.open.is_empty() {
-            self.open = self.full.pop().unwrap_or_else(carve);
-        }
-        self.open.pop().expect("carve produced an empty chunk")
-    }
-
-    /// Accepts full chunks in O(chunks); empty ones are dropped. `full`
-    /// holds only full chunks — [`CentralFreeList::len`] and the O(1)
-    /// [`LocalFreeList::push_chunk`] refill rely on it.
-    pub fn push_chunks(&mut self, chunks: Vec<Chunk>) {
-        for chunk in chunks {
-            if !chunk.is_empty() {
-                debug_assert_eq!(chunk.len(), CHUNK_SIZE, "partial chunk filed as full");
-                self.full.push(chunk);
-            }
-        }
     }
 
     /// Pops a whole chunk if available, else whatever partial content exists.
@@ -250,12 +174,6 @@ impl CentralFreeList {
     }
 }
 
-impl Default for CentralFreeList {
-    fn default() -> Self {
-        CentralFreeList::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,11 +185,27 @@ mod tests {
         (0..n).map(|_| Box::new([0u8; 16])).collect()
     }
 
+    /// A list holding every element of `store`.
+    fn listed(store: &mut [Box<[u8; 16]>]) -> FreeList {
+        let mut l = FreeList::new();
+        for b in store.iter_mut() {
+            // SAFETY: each arena element is 16 bytes, unused by anything
+            // else and pushed once.
+            unsafe { l.push(b.as_mut_ptr()) };
+        }
+        l
+    }
+
+    fn no_refill() -> Chunk {
+        unreachable!("the list still holds nodes")
+    }
+
     #[test]
     fn chunk_push_pop_lifo() {
         let mut store = arena(3);
         let mut c = Chunk::new();
         let ptrs: Vec<*mut u8> = store.iter_mut().map(|b| b.as_mut_ptr()).collect();
+        // SAFETY: three distinct 16-byte arena elements, pushed once each.
         unsafe {
             c.push(ptrs[0]);
             c.push(ptrs[1]);
@@ -289,17 +223,13 @@ mod tests {
     fn local_list_chunks_fill_and_drain() {
         let n = CHUNK_SIZE * 2 + 10;
         let mut store = arena(n);
-        let mut l = LocalFreeList::new();
-        for b in store.iter_mut() {
-            unsafe { l.push(b.as_mut_ptr()) };
-        }
+        let mut l = listed(&mut store);
         assert_eq!(l.len(), n);
         assert_eq!(l.full_chunks(), 2);
-        let mut popped = 0;
-        while l.pop().is_some() {
-            popped += 1;
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..n {
+            assert!(seen.insert(l.pop_or_else(no_refill)), "no duplicates");
         }
-        assert_eq!(popped, n);
         assert!(l.is_empty());
     }
 
@@ -307,31 +237,25 @@ mod tests {
     fn migration_moves_full_chunks_only() {
         let n = CHUNK_SIZE * 3 + 5;
         let mut store = arena(n);
-        let mut l = LocalFreeList::new();
-        for b in store.iter_mut() {
-            unsafe { l.push(b.as_mut_ptr()) };
-        }
+        let mut l = listed(&mut store);
         let moved = l.take_full_chunks(2);
         assert_eq!(moved.len(), 2);
         assert!(moved.iter().all(|c| c.len() == CHUNK_SIZE));
         assert_eq!(l.len(), CHUNK_SIZE + 5);
 
-        let mut central = CentralFreeList::new();
+        let mut central = FreeList::new();
         central.push_chunks(moved);
         assert_eq!(central.len(), 2 * CHUNK_SIZE);
         let back = central.pop_chunk().unwrap();
         assert_eq!(back.len(), CHUNK_SIZE);
-        l.push_chunk(back);
+        l.push_chunks(vec![back]);
         assert_eq!(l.len(), 2 * CHUNK_SIZE + 5);
     }
 
     #[test]
     fn central_partial_pop() {
         let mut store = arena(3);
-        let mut central = CentralFreeList::new();
-        for b in store.iter_mut() {
-            unsafe { central.push(b.as_mut_ptr()) };
-        }
+        let mut central = listed(&mut store);
         let c = central.pop_chunk().unwrap();
         assert_eq!(c.len(), 3);
         assert!(central.pop_chunk().is_none());
@@ -341,20 +265,17 @@ mod tests {
     fn central_pop_keeps_full_chunks_full() {
         let n = CHUNK_SIZE * 2 + 3;
         let mut store = arena(n + CHUNK_SIZE);
-        let (listed, fresh) = store.split_at_mut(n);
-        let mut central = CentralFreeList::new();
-        for b in listed.iter_mut() {
-            unsafe { central.push(b.as_mut_ptr()) };
-        }
-        let no_carve = || -> Chunk { unreachable!("the list still holds nodes") };
+        let (listed_part, fresh) = store.split_at_mut(n);
+        let mut central = listed(listed_part);
         for popped in 1..=n {
-            central.pop_or_else(no_carve);
+            central.pop_or_else(no_refill);
             assert_eq!(central.len(), n - popped);
             assert!(central.full.iter().all(|c| c.len() == CHUNK_SIZE));
         }
-        // Dry: the carve closure supplies the next open chunk.
+        // Dry: the refill closure supplies the next open chunk.
         let mut carved = Chunk::new();
         for b in fresh.iter_mut() {
+            // SAFETY: the arena elements after `n` are in no list yet.
             unsafe { carved.push(b.as_mut_ptr()) };
         }
         central.pop_or_else(|| carved);
@@ -363,31 +284,11 @@ mod tests {
     }
 
     #[test]
-    fn push_partial_chunk_into_nonempty_local() {
-        let mut store = arena(10);
-        let ptrs: Vec<*mut u8> = store.iter_mut().map(|b| b.as_mut_ptr()).collect();
-        let mut l = LocalFreeList::new();
-        unsafe { l.push(ptrs[0]) };
-        let mut partial = Chunk::new();
-        for p in &ptrs[1..5] {
-            unsafe { partial.push(*p) };
-        }
-        l.push_chunk(partial);
-        assert_eq!(l.len(), 5);
-        let mut seen = std::collections::HashSet::new();
-        while let Some(p) = l.pop() {
-            assert!(seen.insert(p), "no duplicates");
-        }
-        assert_eq!(seen.len(), 5);
-    }
-
-    #[test]
     fn empty_chunk_pushes_are_noops() {
-        let mut l = LocalFreeList::new();
-        l.push_chunk(Chunk::new());
+        let mut l = FreeList::new();
+        l.push_chunks(vec![Chunk::new(), Chunk::new()]);
         assert!(l.is_empty());
-        let mut central = CentralFreeList::new();
-        central.push_chunks(vec![Chunk::new(), Chunk::new()]);
-        assert_eq!(central.len(), 0);
+        assert_eq!(l.len(), 0);
+        assert!(l.pop_chunk().is_none());
     }
 }

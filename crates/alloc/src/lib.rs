@@ -17,8 +17,17 @@
 //!   bytes); deallocation finds its allocator through the back-pointer
 //!   written at the start of every N-page-aligned segment.
 //!
-//! See DESIGN.md §3 for the deviations from the C++ original (segment-aligned
-//! block allocation instead of `numa_alloc_onnode`, 16-byte segment headers).
+//! The paper's allocator parameters are fixed constants here: its
+//! `mem_mgr_aligned_pages_shift` is [`config::ALIGNED_PAGES_SHIFT`] (128 KiB
+//! segments), and the block growth rate, the migration threshold and the
+//! block-size cap are [`pool_allocator::GROWTH_RATE`],
+//! [`pool_allocator::MIGRATION_THRESHOLD`] and
+//! [`pool_allocator::MAX_BLOCK_BYTES`]. The other deviations from the C++
+//! original (segment-aligned block allocation instead of
+//! `numa_alloc_onnode`, 16-byte segment headers) are listed in
+//! docs/ARCHITECTURE.md, "Deviations from the paper".
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod config;
 pub mod free_list;
@@ -26,7 +35,7 @@ pub mod manager;
 pub mod pool_allocator;
 pub mod pool_box;
 
-pub use config::{register_thread, segment_size, unregister_thread, PAGE_SIZE};
+pub use config::{register_thread, unregister_thread, PAGE_SIZE, SEGMENT_SIZE};
 pub use manager::{MemoryManager, MemoryStats};
 pub use pool_allocator::{NumaPoolAllocator, PoolConfig};
 pub use pool_box::PoolBox;

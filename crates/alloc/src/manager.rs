@@ -9,8 +9,8 @@
 //! The classes live in a fixed table indexed by `size class / 16`, each
 //! entry created on the first allocation of its class. Finding the
 //! allocator of an existing class is one load — the allocator exists to
-//! "minimize thread synchronization", and a sort clones every agent
-//! through this lookup from all workers at once.
+//! "minimize thread synchronization", and the agent phase allocates its
+//! newborns through this lookup from all workers at once.
 //!
 //! The benchmark harness also constructs managers with the pool disabled
 //! (`MemoryManager::system_only`) to reproduce the allocator comparison of
@@ -20,7 +20,7 @@ use std::alloc::Layout;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use crate::config::{current_thread_slot, max_pool_element_size, MAX_POOL_ALIGN};
+use crate::config::{current_thread_slot, MAX_POOL_ALIGN, MAX_POOL_ELEMENT_SIZE};
 use crate::pool_allocator::{NumaPoolAllocator, PoolConfig};
 
 /// Aggregate allocator statistics (used by the Figure 13 harness).
@@ -45,7 +45,6 @@ pub struct MemoryStats {
 
 /// Owner of all pool allocators of one simulation.
 pub struct MemoryManager {
-    config: PoolConfig,
     num_domains: usize,
     thread_slots: usize,
     use_pool: bool,
@@ -64,15 +63,16 @@ pub struct MemoryManager {
 struct SystemCounter(AtomicU64);
 
 impl MemoryManager {
-    /// Creates a manager with pooling enabled.
-    pub fn new(num_domains: usize, thread_slots: usize, config: PoolConfig) -> MemoryManager {
+    /// Creates a manager with pooling enabled. [`PoolConfig`] carries no
+    /// setting; the argument stays only because the repository benchmark
+    /// (`perfbench/src/probes.rs`) calls this three-argument form.
+    pub fn new(num_domains: usize, thread_slots: usize, _config: PoolConfig) -> MemoryManager {
         assert!(num_domains > 0 && thread_slots > 0);
         MemoryManager {
-            config,
             num_domains,
             thread_slots,
             use_pool: true,
-            classes: (0..max_pool_element_size() / 16)
+            classes: (0..MAX_POOL_ELEMENT_SIZE / 16)
                 .map(|_| OnceLock::new())
                 .collect(),
             system_allocations: (0..=thread_slots)
@@ -112,7 +112,7 @@ impl MemoryManager {
     pub fn pool_eligible(layout: Layout) -> bool {
         layout.size() > 0
             && layout.align() <= MAX_POOL_ALIGN
-            && Self::size_class(layout.size()) <= max_pool_element_size()
+            && Self::size_class(layout.size()) <= MAX_POOL_ELEMENT_SIZE
     }
 
     /// Allocates memory for `layout` on `domain`.
@@ -126,7 +126,7 @@ impl MemoryManager {
             // `pool_eligible` bounds the class, so the index is in the table.
             let allocators = self.classes[class / 16 - 1].get_or_init(|| {
                 (0..self.num_domains)
-                    .map(|d| NumaPoolAllocator::new(class, d, self.thread_slots, self.config))
+                    .map(|d| NumaPoolAllocator::new(class, d, self.thread_slots))
                     .collect()
             });
             (self.alloc_from(&allocators[domain], domain), true)
@@ -193,7 +193,7 @@ impl MemoryManager {
             ..MemoryStats::default()
         };
         for a in self.allocators() {
-            let (alloc, dealloc, _, _) = a.counters();
+            let (alloc, dealloc) = a.counters();
             s.pool_allocations += alloc;
             s.pool_deallocations += dealloc;
             s.reserved_bytes += a.reserved_bytes();
@@ -239,7 +239,7 @@ mod tests {
         assert!(!MemoryManager::pool_eligible(Layout::new::<()>()));
         let over_aligned = Layout::from_size_align(64, 64).unwrap();
         assert!(!MemoryManager::pool_eligible(over_aligned));
-        let huge = Layout::from_size_align(max_pool_element_size() + 16, 8).unwrap();
+        let huge = Layout::from_size_align(MAX_POOL_ELEMENT_SIZE + 16, 8).unwrap();
         assert!(!MemoryManager::pool_eligible(huge));
     }
 
@@ -249,6 +249,7 @@ mod tests {
         let layout = Layout::from_size_align(40, 8).unwrap();
         let (p, from_pool) = mm.alloc(layout, 1);
         assert!(from_pool);
+        // SAFETY: a live 40-byte element of `mm`, freed once with its layout.
         unsafe {
             std::ptr::write_bytes(p, 0xAB, 40);
             MemoryManager::dealloc(p, layout, true);
@@ -274,7 +275,7 @@ mod tests {
         let header = crate::config::SEGMENT_METADATA_SIZE as u64;
         let s = mm.stats();
         assert_eq!(s.touched_bytes, header + chunk);
-        assert!(s.reserved_bytes >= crate::config::segment_size() as u64);
+        assert!(s.reserved_bytes >= crate::config::SEGMENT_SIZE as u64);
         assert!(s.touched_bytes < s.reserved_bytes);
         // Freeing returns elements to the free lists, not to the bump
         // region: the touched bytes stay.
@@ -295,6 +296,7 @@ mod tests {
         let layout = Layout::from_size_align(40, 8).unwrap();
         let (p, from_pool) = mm.alloc(layout, 0);
         assert!(!from_pool);
+        // SAFETY: `p` came from `mm.alloc(layout, _)` with `from_pool` false.
         unsafe { MemoryManager::dealloc(p, layout, false) };
         assert_eq!(mm.stats().system_allocations, 1);
         assert_eq!(mm.stats().pool_allocations, 0);
@@ -307,6 +309,7 @@ mod tests {
         let l2 = Layout::from_size_align(64, 8).unwrap();
         let (p1, _) = mm.alloc(l1, 0);
         let (p2, _) = mm.alloc(l2, 0);
+        // SAFETY: `p1` and `p2` are live pool elements of `mm`, freed once.
         unsafe {
             let a1 = NumaPoolAllocator::allocator_of(p1);
             let a2 = NumaPoolAllocator::allocator_of(p2);
@@ -325,16 +328,18 @@ mod tests {
         let (p, from_pool) = mm.alloc(layout, 0);
         assert!(!from_pool);
         assert!(!p.is_null());
+        // SAFETY: `p` came from `mm.alloc(layout, _)` with `from_pool` false.
         unsafe { MemoryManager::dealloc(p, layout, false) };
     }
 
     #[test]
     fn oversized_falls_back_to_system() {
         let mm = MemoryManager::new(1, 1, PoolConfig::default());
-        let size = max_pool_element_size() + 64;
+        let size = MAX_POOL_ELEMENT_SIZE + 64;
         let layout = Layout::from_size_align(size, 16).unwrap();
         let (p, from_pool) = mm.alloc(layout, 0);
         assert!(!from_pool);
+        // SAFETY: a live system allocation of `size` bytes, freed once.
         unsafe {
             std::ptr::write_bytes(p, 1, size);
             MemoryManager::dealloc(p, layout, false);
@@ -345,12 +350,13 @@ mod tests {
     fn last_table_class_pools_and_the_next_falls_back() {
         let mm = MemoryManager::new(1, 1, PoolConfig::default());
         let last = mm.classes.len() * 16;
-        assert!(last <= max_pool_element_size() && last + 16 > max_pool_element_size());
+        assert!(last <= MAX_POOL_ELEMENT_SIZE && last + 16 > MAX_POOL_ELEMENT_SIZE);
         for (size, pooled) in [(last - 15, true), (last, true), (last + 1, false)] {
             let layout = Layout::from_size_align(size, 16).unwrap();
             assert_eq!(MemoryManager::pool_eligible(layout), pooled, "size {size}");
             let (p, from_pool) = mm.alloc(layout, 0);
             assert_eq!(from_pool, pooled, "size {size}");
+            // SAFETY: a live allocation of `size` bytes, freed once with its flag.
             unsafe {
                 std::ptr::write_bytes(p, 0x5A, size);
                 if pooled {
@@ -382,6 +388,7 @@ mod tests {
                         start.wait();
                         let (p, from_pool) = mm.alloc(layout, t % DOMAINS);
                         assert!(from_pool);
+                        // SAFETY: a fresh 200-byte element, this thread's alone.
                         unsafe { std::ptr::write_bytes(p, t as u8, 200) };
                         crate::config::unregister_thread();
                         p as usize
@@ -396,6 +403,7 @@ mod tests {
         let distinct: std::collections::HashSet<usize> = ptrs.iter().copied().collect();
         assert_eq!(distinct.len(), THREADS, "no element handed out twice");
         for (t, &p) in ptrs.iter().enumerate() {
+            // SAFETY: each pointer is a live pool element of `mm`, freed once.
             unsafe {
                 let owner = &*NumaPoolAllocator::allocator_of(p as *mut u8);
                 assert_eq!((owner.element_size(), owner.numa_id()), (208, t % DOMAINS));
@@ -420,6 +428,7 @@ mod tests {
                     }
                     for _ in 0..100 {
                         let (p, from_pool) = mm.alloc(layout, 0);
+                        // SAFETY: `p` came from `mm.alloc(layout, 0)` with this flag, freed once.
                         unsafe { MemoryManager::dealloc(p, layout, from_pool) };
                     }
                     crate::config::unregister_thread();
@@ -445,6 +454,7 @@ mod tests {
                         ptrs.push((p, layout, pool));
                     }
                     for (p, layout, pool) in ptrs {
+                        // SAFETY: `p` came from `mm.alloc(layout, 0)` with this flag, freed once.
                         unsafe { MemoryManager::dealloc(p, layout, pool) };
                     }
                     crate::config::unregister_thread();

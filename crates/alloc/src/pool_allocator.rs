@@ -2,16 +2,18 @@
 //!
 //! A `NumaPoolAllocator` hands out equal-sized elements from large memory
 //! blocks. Blocks are allocated with exponentially increasing sizes
-//! (BioDynaMo's memory-manager growth rate) and divided into N-page-aligned **segments**; the
-//! first bytes of each segment store a back-pointer to the owning allocator,
-//! so deallocation recovers the allocator from the element address in
-//! constant time (Figure 4B) without any per-element metadata.
+//! ([`GROWTH_RATE`], BioDynaMo's memory-manager growth rate, fixed here) and
+//! divided into N-page-aligned **segments**; the first bytes of each segment
+//! store a back-pointer to the owning allocator, so deallocation recovers the
+//! allocator from the element address in constant time (Figure 4B) without
+//! any per-element metadata.
 //!
 //! Unlike `numa_alloc_onnode`, Rust's allocator API lets us request
 //! segment-aligned blocks directly, so the paper's wasted regions at the
-//! block boundaries disappear (documented deviation, DESIGN.md §3); the waste
-//! from elements that do not fit at the end of a segment and from the
-//! metadata itself remains and is reported by [`NumaPoolAllocator::reserved_bytes`].
+//! block boundaries disappear (docs/ARCHITECTURE.md, "Deviations from the
+//! paper"); the waste from elements that do not fit at the end of a segment
+//! and from the metadata itself remains and is reported by
+//! [`NumaPoolAllocator::reserved_bytes`].
 //!
 //! Block *initialization* (free-node generation) is on-demand in small steps:
 //! a refill carves at most one chunk's worth of elements from the current
@@ -22,35 +24,35 @@ use std::alloc::Layout;
 
 use parking_lot::Mutex;
 
-use crate::config::{current_thread_slot, segment_mask, segment_size, SEGMENT_METADATA_SIZE};
-use crate::free_list::{CentralFreeList, Chunk, LocalFreeList, CHUNK_SIZE};
+use crate::config::{
+    current_thread_slot, MAX_POOL_ELEMENT_SIZE, SEGMENT_MASK, SEGMENT_METADATA_SIZE, SEGMENT_SIZE,
+};
+use crate::free_list::{Chunk, FreeList, CHUNK_SIZE};
 
-/// Tuning knobs of the pool allocator (paper parameters).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoolConfig {
-    /// Factor by which consecutive memory blocks grow
-    /// (BioDynaMo's memory-manager growth rate). Must be > 1.
-    pub growth_rate: f64,
-    /// Migrate full chunks to the central list once a thread-private list
-    /// holds more than this many full chunks ("specific memory threshold").
-    pub migration_threshold: usize,
-    /// Upper bound for a single memory block, in bytes.
-    pub max_block_bytes: usize,
-}
+/// Factor by which consecutive memory blocks grow (BioDynaMo's
+/// memory-manager growth rate). 4 showed no win over 2 and doubles the
+/// worst-case over-reservation.
+pub const GROWTH_RATE: usize = 2;
 
-impl Default for PoolConfig {
-    fn default() -> Self {
-        // migration_threshold 8 rather than 4: full chunks stay
-        // thread-private longer, so removal-heavy commits make fewer
-        // central-list lock round-trips. growth_rate 4.0 showed no win over
-        // 2.0 and doubles worst-case over-reservation, so 2.0 stays.
-        PoolConfig {
-            growth_rate: 2.0,
-            migration_threshold: 8,
-            max_block_bytes: 64 << 20,
-        }
-    }
-}
+/// Full chunks a thread-private list holds before it migrates some to the
+/// central list (the paper's "specific memory threshold"). 8 rather than 4:
+/// full chunks stay thread-private longer, so removal-heavy commits make
+/// fewer central-list lock round-trips.
+pub const MIGRATION_THRESHOLD: usize = 8;
+
+/// Upper bound for a single memory block, in bytes. Blocks start at one
+/// segment and grow by [`GROWTH_RATE`] up to this bound, so every block is a
+/// whole number of segments.
+pub const MAX_BLOCK_BYTES: usize = 64 << 20;
+
+const _: () = assert!(MAX_BLOCK_BYTES.is_multiple_of(SEGMENT_SIZE));
+
+/// The pool allocator's settings, which have none: its parameters are the
+/// constants of this module and of [`crate::config`]. The type stays only
+/// because the repository benchmark (`perfbench/src/probes.rs`) builds a
+/// [`crate::MemoryManager`] with `PoolConfig::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolConfig {}
 
 /// One owned memory block.
 struct Block {
@@ -85,11 +87,10 @@ unsafe impl Send for BumpState {}
 /// Central, lock-protected part of the allocator. The counters cover the
 /// traffic of threads without a private list.
 struct Central {
-    free: CentralFreeList,
+    free: FreeList,
     bump: BumpState,
     allocations: u64,
     deallocations: u64,
-    migrations: u64,
 }
 
 /// One thread's private free list with that thread's share of the
@@ -98,7 +99,7 @@ struct Central {
 /// the alignment keeps neighbouring slots off each other's line too.
 #[repr(align(64))]
 struct Local {
-    free: LocalFreeList,
+    free: FreeList,
     allocations: u64,
     deallocations: u64,
 }
@@ -108,7 +109,6 @@ struct Local {
 pub struct NumaPoolAllocator {
     element_size: usize,
     numa_id: usize,
-    config: PoolConfig,
     central: Mutex<Central>,
     locals: Box<[Mutex<Local>]>,
 }
@@ -116,28 +116,23 @@ pub struct NumaPoolAllocator {
 // SAFETY: all interior mutability is behind mutexes/atomics; raw pointers are
 // managed memory owned by this allocator.
 unsafe impl Send for NumaPoolAllocator {}
+// SAFETY: as for `Send`; shared access goes through the mutexes.
 unsafe impl Sync for NumaPoolAllocator {}
 
 impl NumaPoolAllocator {
     /// Creates an allocator for elements of exactly `element_size` bytes
     /// (must be a multiple of 16 and at least 16 — the size-class rounding is
     /// done by the `MemoryManager`).
-    pub fn new(
-        element_size: usize,
-        numa_id: usize,
-        thread_slots: usize,
-        config: PoolConfig,
-    ) -> NumaPoolAllocator {
+    pub fn new(element_size: usize, numa_id: usize, thread_slots: usize) -> NumaPoolAllocator {
         assert!(element_size >= 16 && element_size.is_multiple_of(16));
         assert!(
-            element_size <= crate::config::max_pool_element_size(),
+            element_size <= MAX_POOL_ELEMENT_SIZE,
             "element size {element_size} exceeds pool maximum"
         );
-        assert!(config.growth_rate > 1.0, "growth rate must exceed 1");
         let locals = (0..thread_slots.max(1))
             .map(|_| {
                 Mutex::new(Local {
-                    free: LocalFreeList::new(),
+                    free: FreeList::new(),
                     allocations: 0,
                     deallocations: 0,
                 })
@@ -146,21 +141,19 @@ impl NumaPoolAllocator {
         NumaPoolAllocator {
             element_size,
             numa_id,
-            config,
             central: Mutex::new(Central {
-                free: CentralFreeList::new(),
+                free: FreeList::new(),
                 bump: BumpState {
                     cursor: std::ptr::null_mut(),
                     segment_end: std::ptr::null_mut(),
                     next_segment: std::ptr::null_mut(),
                     block_end: std::ptr::null_mut(),
-                    next_block_bytes: segment_size(),
+                    next_block_bytes: SEGMENT_SIZE,
                     blocks: Vec::new(),
                     reserved: 0,
                 },
                 allocations: 0,
                 deallocations: 0,
-                migrations: 0,
             }),
             locals,
         }
@@ -182,16 +175,8 @@ impl NumaPoolAllocator {
         if let Some(slot) = thread_slot {
             let mut local = self.locals[slot].lock();
             local.allocations += 1;
-            if let Some(p) = local.free.pop() {
-                return p;
-            }
-            // Refill from the central list or fresh memory, then retry.
-            let chunk = self.acquire_chunk();
-            local.free.push_chunk(chunk);
-            return local
-                .free
-                .pop()
-                .expect("refill produced at least one element");
+            // A dry list refills from the central list or fresh memory.
+            return local.free.pop_or_else(|| self.acquire_chunk());
         }
         // Central path for unregistered/foreign threads — the whole model
         // build runs here: one element straight off the central open chunk.
@@ -215,14 +200,10 @@ impl NumaPoolAllocator {
                 let mut local = self.locals[slot].lock();
                 local.deallocations += 1;
                 local.free.push(ptr);
-                if local.free.full_chunks() > self.config.migration_threshold {
-                    let moved = local
-                        .free
-                        .take_full_chunks(self.config.migration_threshold / 2 + 1);
+                if local.free.full_chunks() > MIGRATION_THRESHOLD {
+                    let moved = local.free.take_full_chunks(MIGRATION_THRESHOLD / 2 + 1);
                     drop(local);
-                    let mut central = self.central.lock();
-                    central.migrations += 1;
-                    central.free.push_chunks(moved);
+                    self.central.lock().free.push_chunks(moved);
                 }
                 return;
             }
@@ -274,12 +255,10 @@ impl NumaPoolAllocator {
     /// the current one is exhausted. Writes the allocator back-pointer into
     /// the segment header. Returns false only on block allocation failure.
     fn next_segment(&self, bump: &mut BumpState) -> bool {
-        let seg_size = segment_size();
         if bump.next_segment.is_null() || bump.next_segment == bump.block_end {
             // Allocate a new block, segment-aligned, sized in whole segments.
-            let bytes = bump.next_block_bytes.max(seg_size);
-            let bytes = bytes.div_ceil(seg_size) * seg_size;
-            let layout = Layout::from_size_align(bytes, seg_size).expect("valid block layout");
+            let bytes = bump.next_block_bytes;
+            let layout = Layout::from_size_align(bytes, SEGMENT_SIZE).expect("valid block layout");
             // SAFETY: non-zero, power-of-two-aligned layout.
             let ptr = unsafe { std::alloc::alloc(layout) };
             if ptr.is_null() {
@@ -288,20 +267,19 @@ impl NumaPoolAllocator {
             bump.reserved += bytes as u64;
             bump.blocks.push(Block { ptr, layout });
             bump.next_segment = ptr;
-            // SAFETY: bytes is a multiple of seg_size.
+            // SAFETY: bytes is a multiple of SEGMENT_SIZE.
             bump.block_end = unsafe { ptr.add(bytes) };
-            let grown = (bytes as f64 * self.config.growth_rate) as usize;
-            bump.next_block_bytes = grown.min(self.config.max_block_bytes);
+            bump.next_block_bytes = (bytes * GROWTH_RATE).min(MAX_BLOCK_BYTES);
         }
         let seg = bump.next_segment;
         // SAFETY: seg is a segment-aligned address inside an owned block with
-        // at least seg_size bytes available.
+        // at least SEGMENT_SIZE bytes available.
         unsafe {
             // Paper Figure 4A: segment header stores the allocator pointer.
             (seg as *mut *const NumaPoolAllocator).write(self as *const NumaPoolAllocator);
             bump.cursor = seg.add(SEGMENT_METADATA_SIZE);
-            bump.segment_end = seg.add(seg_size);
-            bump.next_segment = seg.add(seg_size);
+            bump.segment_end = seg.add(SEGMENT_SIZE);
+            bump.next_segment = seg.add(SEGMENT_SIZE);
         }
         true
     }
@@ -314,13 +292,13 @@ impl NumaPoolAllocator {
     /// allocator is still alive.
     #[inline]
     pub unsafe fn allocator_of(ptr: *mut u8) -> *const NumaPoolAllocator {
-        let base = (ptr as usize) & segment_mask();
+        let base = (ptr as usize) & SEGMENT_MASK;
         *(base as *const *const NumaPoolAllocator)
     }
 
     /// Number of allocations minus deallocations.
     pub fn outstanding(&self) -> i64 {
-        let (allocations, deallocations, _, _) = self.counters();
+        let (allocations, deallocations) = self.counters();
         allocations as i64 - deallocations as i64
     }
 
@@ -343,25 +321,19 @@ impl NumaPoolAllocator {
         bump.reserved - untouched as u64
     }
 
-    /// (allocations, deallocations, central deallocations, migrations),
-    /// summed over the central part and every thread slot. Exact once the
-    /// threads using the allocator are quiescent.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        let (mut allocations, mut deallocations, central_deallocs, migrations) = {
+    /// (allocations, deallocations), summed over the central part and every
+    /// thread slot. Exact once the threads using the allocator are quiescent.
+    pub fn counters(&self) -> (u64, u64) {
+        let (mut allocations, mut deallocations) = {
             let c = self.central.lock();
-            (
-                c.allocations,
-                c.deallocations,
-                c.deallocations,
-                c.migrations,
-            )
+            (c.allocations, c.deallocations)
         };
         for local in self.locals.iter() {
             let local = local.lock();
             allocations += local.allocations;
             deallocations += local.deallocations;
         }
-        (allocations, deallocations, central_deallocs, migrations)
+        (allocations, deallocations)
     }
 }
 
@@ -394,7 +366,7 @@ mod tests {
     use std::collections::HashSet;
 
     fn alloc(slots: usize) -> NumaPoolAllocator {
-        NumaPoolAllocator::new(64, 0, slots, PoolConfig::default())
+        NumaPoolAllocator::new(64, 0, slots)
     }
 
     #[test]
@@ -408,6 +380,7 @@ mod tests {
         }
         assert_eq!(a.outstanding(), 10_000);
         for p in seen {
+            // SAFETY: every pointer came from `a.alloc` and is freed once.
             unsafe { a.dealloc(p as *mut u8) };
         }
         assert_eq!(a.outstanding(), 0);
@@ -416,24 +389,28 @@ mod tests {
     #[test]
     fn elements_never_cross_segment_metadata() {
         let a = alloc(1);
-        let seg = segment_size();
         for _ in 0..50_000 {
             let p = a.alloc(Some(0)) as usize;
-            let offset = p & (seg - 1);
+            let offset = p & !SEGMENT_MASK;
             assert!(
                 offset >= SEGMENT_METADATA_SIZE,
                 "element at offset {offset} overlaps segment header"
             );
-            assert!(offset + 64 <= seg, "element crosses segment boundary");
+            assert!(
+                offset + 64 <= SEGMENT_SIZE,
+                "element crosses segment boundary"
+            );
         }
     }
 
     #[test]
     fn backpointer_recovers_allocator() {
         let a = alloc(1);
-        let b = NumaPoolAllocator::new(128, 1, 1, PoolConfig::default());
+        let b = NumaPoolAllocator::new(128, 1, 1);
         let pa = a.alloc(Some(0));
         let pb = b.alloc(Some(0));
+        // SAFETY: `pa` and `pb` are live elements of the live `a` and `b`,
+        // each freed once.
         unsafe {
             assert_eq!(NumaPoolAllocator::allocator_of(pa), &a as *const _);
             assert_eq!(NumaPoolAllocator::allocator_of(pb), &b as *const _);
@@ -447,9 +424,11 @@ mod tests {
         let a = alloc(1);
         crate::config::register_thread(0, 0);
         let p1 = a.alloc(Some(0));
+        // SAFETY: `p1` came from `a.alloc` and is freed once.
         unsafe { a.dealloc(p1) };
         let p2 = a.alloc(Some(0));
         assert_eq!(p1, p2, "LIFO recycling of the thread-private list");
+        // SAFETY: `p2` came from `a.alloc` and is freed once.
         unsafe { a.dealloc(p2) };
         crate::config::unregister_thread();
     }
@@ -459,29 +438,33 @@ mod tests {
         let a = alloc(2);
         crate::config::register_thread(0, 5); // wrong domain on purpose
         let p = a.alloc(Some(0));
+        // SAFETY: `p` came from `a.alloc` and is freed once.
         unsafe { a.dealloc(p) };
-        let (_, _, central, _) = a.counters();
-        assert_eq!(central, 1);
+        assert_eq!(a.central.lock().free.len(), 1);
         crate::config::unregister_thread();
     }
 
     #[test]
-    fn migration_threshold_triggers() {
-        let cfg = PoolConfig {
-            migration_threshold: 1,
-            ..PoolConfig::default()
-        };
-        let a = NumaPoolAllocator::new(32, 0, 1, cfg);
+    fn full_chunks_migrate_past_the_threshold() {
+        let a = NumaPoolAllocator::new(32, 0, 1);
         crate::config::register_thread(0, 0);
-        let ptrs: Vec<*mut u8> = (0..CHUNK_SIZE * 4).map(|_| a.alloc(Some(0))).collect();
-        for p in ptrs {
+        let n = CHUNK_SIZE * (MIGRATION_THRESHOLD + 4);
+        let ptrs: Vec<*mut u8> = (0..n).map(|_| a.alloc(Some(0))).collect();
+        assert!(a.central.lock().free.is_empty());
+        // Up to the threshold, every full chunk stays thread-private.
+        for (k, p) in ptrs.into_iter().enumerate() {
+            // SAFETY: every pointer came from `a.alloc` and is freed once.
             unsafe { a.dealloc(p) };
+            if k < CHUNK_SIZE * (MIGRATION_THRESHOLD + 1) - 1 {
+                assert!(a.central.lock().free.is_empty(), "free {k}");
+            }
         }
-        let (_, _, _, migrations) = a.counters();
-        assert!(
-            migrations > 0,
-            "bulk migration to the central list happened"
-        );
+        // Past it, whole chunks moved to the central list in bulk.
+        let (local, central) = (a.locals[0].lock(), a.central.lock());
+        assert_eq!(central.free.full_chunks(), MIGRATION_THRESHOLD / 2 + 1);
+        assert_eq!(central.free.len(), central.free.full_chunks() * CHUNK_SIZE);
+        assert_eq!(local.free.len() + central.free.len(), n);
+        drop((local, central));
         crate::config::unregister_thread();
     }
 
@@ -494,6 +477,7 @@ mod tests {
         // Growth rate 2.0 => the reserve is within a small factor of demand.
         assert!(a.reserved_bytes() < (n as u64) * 64 * 4);
         for p in ptrs {
+            // SAFETY: every pointer came from `a.alloc` and is freed once.
             unsafe { a.dealloc(p) };
         }
     }
@@ -503,6 +487,7 @@ mod tests {
         let a = alloc(1);
         let p = a.alloc(None);
         assert!(!p.is_null());
+        // SAFETY: `p` came from `a.alloc` and is freed once.
         unsafe { a.dealloc(p) };
         assert_eq!(a.outstanding(), 0);
     }
@@ -522,6 +507,7 @@ mod tests {
                 live.push(a.alloc(None));
             } else {
                 let p = live.swap_remove((state >> 40) as usize % live.len());
+                // SAFETY: `p` left `live`, so it is freed once.
                 unsafe { a.dealloc(p) };
             }
         }
@@ -542,7 +528,7 @@ mod tests {
 
     #[test]
     fn concurrent_alloc_dealloc_stress() {
-        let a = std::sync::Arc::new(NumaPoolAllocator::new(48, 0, 4, PoolConfig::default()));
+        let a = std::sync::Arc::new(NumaPoolAllocator::new(48, 0, 4));
         let mut handles = Vec::new();
         for slot in 0..4 {
             let a = std::sync::Arc::clone(&a);
@@ -555,15 +541,18 @@ mod tests {
                     if live.is_empty() || !state.is_multiple_of(3) {
                         let p = a.alloc(Some(slot));
                         // Write a pattern to catch overlapping elements.
+                        // SAFETY: a fresh 48-byte element, 16-byte aligned.
                         unsafe { (p as *mut u64).write(i as u64) };
                         live.push(p);
                     } else {
                         let idx = (state as usize / 4) % live.len();
                         let p = live.swap_remove(idx);
+                        // SAFETY: `p` left `live`, so it is freed once.
                         unsafe { a.dealloc(p) };
                     }
                 }
                 for p in live {
+                    // SAFETY: the elements still live, each freed once.
                     unsafe { a.dealloc(p) };
                 }
                 crate::config::unregister_thread();
@@ -580,17 +569,19 @@ mod tests {
         let a = alloc(1);
         let ptrs: Vec<*mut u8> = (0..1000).map(|_| a.alloc(Some(0))).collect();
         for (i, &p) in ptrs.iter().enumerate() {
-            unsafe {
-                std::ptr::write_bytes(p, (i % 251) as u8, 64);
-            }
+            // SAFETY: each element is 64 bytes and ours alone.
+            unsafe { std::ptr::write_bytes(p, (i % 251) as u8, 64) };
         }
         for (i, &p) in ptrs.iter().enumerate() {
             let expect = (i % 251) as u8;
             for off in 0..64 {
-                assert_eq!(unsafe { *p.add(off) }, expect, "element {i} byte {off}");
+                // SAFETY: `off` lies inside the element written above.
+                let byte = unsafe { *p.add(off) };
+                assert_eq!(byte, expect, "element {i} byte {off}");
             }
         }
         for p in ptrs {
+            // SAFETY: every pointer came from `a.alloc` and is freed once.
             unsafe { a.dealloc(p) };
         }
     }

@@ -146,6 +146,7 @@ impl<T: ?Sized> Drop for PoolBox<T> {
 
 // SAFETY: PoolBox owns its value exclusively, like Box.
 unsafe impl<T: ?Sized + Send> Send for PoolBox<T> {}
+// SAFETY: shared access only hands out `&T`, like Box.
 unsafe impl<T: ?Sized + Sync> Sync for PoolBox<T> {}
 
 impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for PoolBox<T> {

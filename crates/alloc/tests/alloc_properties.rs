@@ -138,7 +138,7 @@ fn cross_domain_allocations_are_isolated() {
     let layout = Layout::from_size_align(64, 8).unwrap();
     let a = mm.alloc(layout, 0).0;
     let b = mm.alloc(layout, 1).0;
-    let seg = bdm_alloc::segment_size();
+    let seg = bdm_alloc::SEGMENT_SIZE;
     assert_ne!(
         a as usize / seg,
         b as usize / seg,

@@ -2,9 +2,10 @@
 //!
 //! A deliberately straightforward **serial** agent-based engine, standing in
 //! for the single-threaded comparators of paper Section 6.6 (Cortex3D and
-//! NetLogo; see DESIGN.md §3 for the substitution rationale). Figure 8 uses
-//! these tools to quantify the parallel overhead of the optimized engine
-//! ("Scalability! But at what COST?").
+//! NetLogo; docs/ARCHITECTURE.md, "Deviations from the paper", gives the
+//! substitution rationale). Figure 8 uses these tools to quantify the
+//! parallel overhead of the optimized engine ("Scalability! But at what
+//! COST?").
 //!
 //! Characteristic (intentional) inefficiencies of the era of tools it
 //! represents:

@@ -88,7 +88,8 @@ Common flags:
   --agents N        agents per simulation (binary-specific default)
   --iterations N    iterations per measurement
   --threads N       worker threads (default: all available)
-  --domains N       virtual NUMA domains (default: detect; see DESIGN.md)
+  --domains N       virtual NUMA domains (default: detect; the topology
+                    is virtual, see docs/ARCHITECTURE.md)
   --shards K        in-process shard count (SFC partitioning + halo
                     exchange; default 1 = single engine)
   --models a,b,c    subset of: cell_proliferation, cell_clustering,

@@ -10,10 +10,11 @@
 //! epidemiology's wider environment), sorting 0.18–6.33%, setup/teardown
 //! ≤ 2.66%.
 //!
-//! Right panel substitution (DESIGN.md §3): VTune's "memory bound" pipeline
-//! slots are proprietary-hardware telemetry; `--proxy` instead reports a
-//! software memory-traffic estimate per iteration, the effective bandwidth
-//! through the agent-op phase, and ns per agent operation. The paper's claim
+//! Right panel substitution (docs/ARCHITECTURE.md, "Deviations from the
+//! paper"): VTune's "memory bound" pipeline slots are proprietary-hardware
+//! telemetry; `--proxy` instead reports a software memory-traffic estimate
+//! per iteration, the effective bandwidth through the agent-op phase, and
+//! ns per agent operation. The paper's claim
 //! that the workload is memory-bound shows up as high effective traffic and
 //! low arithmetic per byte across all five models.
 
@@ -127,7 +128,7 @@ fn main() {
     );
 
     if args.proxy {
-        println!("\nmicroarchitecture proxy (substitution for VTune, DESIGN.md §3):");
+        println!("\nmicroarchitecture proxy (software stand-in for VTune):");
         let mut proxy = Table::new([
             "model",
             "est. bytes/iteration",

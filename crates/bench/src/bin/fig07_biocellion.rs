@@ -1,8 +1,9 @@
 //! **Figure 7** — comparison with Biocellion (Kang et al. 2014).
 //!
 //! Biocellion is proprietary; like the paper, we compare against its
-//! **published** numbers (DESIGN.md §3). Three published benchmarks anchor
-//! the comparison (all cell-sorting iterations):
+//! **published** numbers (docs/ARCHITECTURE.md, "Deviations from the
+//! paper"). Three published benchmarks anchor the comparison (all
+//! cell-sorting iterations):
 //!
 //! | benchmark | agents | cores | s/iter | agents/s/core |
 //! |---|---|---|---|---|

@@ -2,9 +2,9 @@
 //! optimizations progressively switched on.
 //!
 //! Cortex3D and NetLogo are serial Java tools; `bdm-baseline` is their
-//! stand-in (DESIGN.md §3): a correct but deliberately straightforward
-//! serial engine with boxed AoS agents and materialized per-agent neighbor
-//! lists. Four small-scale benchmarks run **single-threaded** (the
+//! stand-in (docs/ARCHITECTURE.md, "Deviations from the paper"): a correct
+//! but deliberately straightforward serial engine with boxed AoS agents and
+//! materialized per-agent neighbor lists. Four small-scale benchmarks run **single-threaded** (the
 //! comparators are not parallelized, exactly as in the paper), and the
 //! medium-scale epidemiology benchmark uses all threads.
 //!

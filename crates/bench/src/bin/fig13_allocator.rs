@@ -3,9 +3,9 @@
 //!
 //! The paper compares the BioDynaMo pool allocator against ptmalloc2 and
 //! jemalloc (tcmalloc deadlocked) in four configurations per simulation.
-//! Substitution (DESIGN.md §3): glibc's allocator *is* ptmalloc2, so the
-//! system-allocator configuration is exact; jemalloc/tcmalloc are not
-//! redistributable here. We measure the same contrast the figure exists to
+//! Substitution (docs/ARCHITECTURE.md, "Deviations from the paper"):
+//! glibc's allocator *is* ptmalloc2, so the system-allocator configuration
+//! is exact; jemalloc/tcmalloc are not redistributable here. We measure the same contrast the figure exists to
 //! show — pool allocator on/off for agents and behaviors. The paper's
 //! extra-sorting-memory configurations have no counterpart: the sort
 //! permutes agents in place on either allocator.

@@ -4,7 +4,7 @@
 //! introspects the *actual* host (CPU model, cores, memory, NUMA nodes, OS)
 //! and prints it alongside the paper's systems, plus the **virtual NUMA
 //! topology** the engine will use (the substitution documented in
-//! DESIGN.md §3).
+//! docs/ARCHITECTURE.md, "Deviations from the paper").
 
 use bdm_bench::{emit, header, Args};
 use bdm_numa::NumaTopology;

@@ -1,8 +1,9 @@
 //! # bdm-bench
 //!
 //! The benchmark harness: regenerates **every table and figure** of the
-//! paper's evaluation (Section 6). One binary per experiment — see
-//! DESIGN.md §5 for the full per-experiment index:
+//! paper's evaluation (Section 6). One binary per experiment
+//! (docs/PERFORMANCE.md, "Reading the figure binaries", says how to read
+//! the main ones):
 //!
 //! | binary | reproduces |
 //! |---|---|

@@ -5,7 +5,7 @@
 //! `Agent*` vectors in the `ResourceManager`. Concrete agents embed an
 //! [`AgentBase`] carrying the common state (uid, position, diameter,
 //! behaviors) and implement the small amount of glue the engine cannot
-//! provide generically (`clone_box`, `as_any`).
+//! provide generically (`base`, `as_any`).
 
 use std::any::Any;
 
@@ -174,21 +174,6 @@ impl AgentBase {
                 .collect(),
         }
     }
-
-    /// Deep-clones the base including all behaviors (the base of
-    /// [`Agent::clone_box`]).
-    pub fn clone_in(&self, mm: &MemoryManager, domain: usize) -> AgentBase {
-        AgentBase {
-            uid: self.uid,
-            position: self.position,
-            diameter: self.diameter,
-            behaviors: self
-                .behaviors()
-                .iter()
-                .map(|b| b.clone_behavior(mm, domain))
-                .collect(),
-        }
-    }
 }
 
 /// The agent trait (BioDynaMo's `Agent` class).
@@ -256,33 +241,10 @@ pub trait Agent: Send + Sync {
         let _ = out;
     }
 
-    /// Deep-clones the agent into fresh pool memory of `domain`. The engine
-    /// does not call it: the sort (paper Section 4.2, step G) moves agents
-    /// as their bytes instead.
-    fn clone_box(&self, mm: &MemoryManager, domain: usize) -> AgentBox;
-
     /// Downcast support.
     fn as_any(&self) -> &dyn Any;
     /// Downcast support (mutable).
     fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// Helper for implementing [`Agent::clone_box`] in one line:
-/// `fn clone_box(&self, mm, d) -> AgentBox { clone_agent_box(self, mm, d) }`.
-pub fn clone_agent_box<A>(agent: &A, mm: &MemoryManager, domain: usize) -> AgentBox
-where
-    A: Agent + CloneIn + 'static,
-{
-    let cloned = agent.clone_in(mm, domain);
-    PoolBox::new_in(cloned, mm, domain).unsize(|p| p as *mut dyn Agent)
-}
-
-/// Deep clone with pool-allocated internals (behaviors too large to ride
-/// inline in the agent).
-pub trait CloneIn: Sized {
-    /// Clones `self`, placing owned behaviors/sub-objects in pool memory of
-    /// `domain`.
-    fn clone_in(&self, mm: &MemoryManager, domain: usize) -> Self;
 }
 
 /// Allocates a concrete agent in pool memory and type-erases it.
@@ -398,17 +360,6 @@ impl Cell {
     }
 }
 
-impl CloneIn for Cell {
-    fn clone_in(&self, mm: &MemoryManager, domain: usize) -> Cell {
-        Cell {
-            base: self.base.clone_in(mm, domain),
-            cell_type: self.cell_type,
-            growth_rate: self.growth_rate,
-            division_threshold: self.division_threshold,
-        }
-    }
-}
-
 impl Agent for Cell {
     fn base(&self) -> &AgentBase {
         &self.base
@@ -426,9 +377,6 @@ impl Agent for Cell {
         out.put_u64(self.cell_type);
         out.put_f64(self.growth_rate);
         out.put_f64(self.division_threshold);
-    }
-    fn clone_box(&self, mm: &MemoryManager, domain: usize) -> AgentBox {
-        clone_agent_box(self, mm, domain)
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -561,14 +509,13 @@ pub(crate) mod tests {
         let daughter = base.clone_for_daughter(AgentUid(2), &mm, 0);
         assert_eq!(ids(daughter.behaviors()), [1, 3, 4]);
         assert!(daughter.behaviors.inline_len().is_none());
-        let clone = base.clone_in(&mm, 0);
-        assert_eq!(ids(clone.behaviors()), [1, 2, 3, 4]);
+        assert_eq!(ids(base.behaviors()), [1, 2, 3, 4], "the mother keeps all");
         base.behaviors.swap_remove(0);
         base.behaviors.swap_remove(0);
         let second = base.clone_for_daughter(AgentUid(3), &mm, 0);
         assert_eq!(ids(second.behaviors()), [3]);
         assert!(second.behaviors.inline_len() == Some(1));
-        drop((base, daughter, second, clone));
+        drop((base, daughter, second));
         assert_eq!(mm.outstanding(), 0);
     }
 
@@ -623,24 +570,6 @@ pub(crate) mod tests {
         let cell_ref = boxed.as_any().downcast_ref::<Cell>().unwrap();
         assert_eq!(cell_ref.cell_type(), 5);
         drop(boxed);
-        assert_eq!(mm.outstanding(), 0);
-    }
-
-    #[test]
-    fn clone_box_deep_clones() {
-        let mm = mm();
-        let cell = Cell::new(AgentUid(3)).with_diameter(8.0);
-        let boxed: AgentBox = new_agent_box(cell, &mm, 0);
-        let cloned = boxed.clone_box(&mm, 0);
-        assert_eq!(cloned.uid(), boxed.uid());
-        assert_eq!(cloned.diameter(), 8.0);
-        assert_ne!(
-            cloned.as_ptr() as *const u8 as usize,
-            boxed.as_ptr() as *const u8 as usize,
-            "clone lives in fresh memory"
-        );
-        drop(boxed);
-        drop(cloned);
         assert_eq!(mm.outstanding(), 0);
     }
 

@@ -6,10 +6,11 @@
 //! simulation: agents and behaviors" (Section 4.3). Here a behavior of up to
 //! 24 bytes, aligned to at most 8, instead rides inside its agent's pool
 //! element: a [`BehaviorBox`] is a type-erasing shim pointer plus three
-//! words that hold the behavior itself, and the agent's [`BehaviorList`]
-//! keeps two such boxes inline. A sort, a division or a checkpoint restore
-//! then makes one pool allocation per agent, and the agent's behaviors share
-//! its cache lines. A larger or over-aligned behavior keeps a pool element
+//! words that hold the behavior itself, and the agent's `BehaviorList`
+//! keeps two such boxes inline. A division or a checkpoint restore then
+//! makes one pool allocation per agent, a sort moves each agent with its
+//! behaviors as one run of bytes, and the agent's behaviors share its cache
+//! lines. A larger or over-aligned behavior keeps a pool element
 //! of its own: the box holds a [`PoolBox`] to it behind a delegating
 //! wrapper, in pool memory of the domain it was created for. This is a
 //! stated deviation from Section 4.3 (ARCHITECTURE.md, "Behaviours live

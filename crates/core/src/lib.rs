@@ -48,10 +48,7 @@ pub(crate) mod sorting;
 pub mod supervisor;
 pub mod testing;
 
-pub use agent::{
-    clone_agent_box, new_agent_box, Agent, AgentBase, AgentBox, AgentHandle, AgentUid, Cell,
-    CloneIn,
-};
+pub use agent::{new_agent_box, Agent, AgentBase, AgentBox, AgentHandle, AgentUid, Cell};
 pub use behavior::{clone_behavior_box, new_behavior_box, Behavior, BehaviorBox, BehaviorControl};
 pub use context::{AgentContext, ExecutionContext, Neighbor, Snapshot};
 pub use faults::{FaultKind, FaultPlan, FaultSite, PlannedFault};

@@ -32,9 +32,11 @@
 //! every Rust value guarantees: an agent can be moved as its bytes, so it
 //! holds no pointer into itself (docs/ARCHITECTURE.md, "Sorting").
 //!
-//! Steps 2 and 3 run on the engine's pool, except one serial walk that
-//! lists the cycles in move order and cuts them into segments, which then
-//! move in parallel.
+//! Steps 2 and 3 run on the engine's pool, except two serial walks: one
+//! buckets the elements by group, one lists the cycles in move order and
+//! cuts them into segments, which then move in parallel. A group's task
+//! runs on a worker of the group's domain where the pool allows, so its
+//! fresh and surplus elements go through that worker's private free list.
 
 use std::alloc::Layout;
 use std::mem::MaybeUninit;
@@ -46,6 +48,7 @@ use bdm_alloc::{MemoryManager, NumaPoolAllocator};
 use bdm_env::UniformGridEnvironment;
 use bdm_numa::{NumaThreadPool, NumaTopology};
 use bdm_sfc::GapOffsets;
+use bdm_util::prefix_sum::prefix_sum_exclusive;
 use bdm_util::send_ptr::SendMut;
 use bdm_util::Timer;
 
@@ -230,8 +233,6 @@ struct GroupMoves {
     fresh: Vec<(SendMut<u8>, u32)>,
     /// Elements no agent moves into, highest address first.
     surplus: Vec<SendMut<u8>>,
-    /// The group's class (for the release of the surplus).
-    class: Option<Class>,
 }
 
 /// Step 3: the domain stores of `old` rewritten in `new_order`, domain `d`
@@ -278,6 +279,7 @@ fn permute(
     let mut classes = found.into_inner().unwrap();
     classes.sort_by_key(|c| (c.layout.size(), c.layout.align(), c.from_pool));
     let classes = &classes;
+    let num_groups = classes.len() * num_domains;
     let mut group: Vec<u32> = Vec::with_capacity(total);
     let group_ptr = SendMut::new(group.as_mut_ptr());
     pool.numa_for(&old_sizes, PERMUTE_BLOCK, &|_w, d, range| {
@@ -294,6 +296,28 @@ fn permute(
     // SAFETY: every old agent's entry was written above.
     unsafe { group.set_len(total) };
     let group = &group;
+    // Each group's elements with their addresses, bucketed in one pass over
+    // `group`; each group's task sorts its own slice in place.
+    let mut group_starts = vec![0usize; num_groups + 1];
+    for &g in group {
+        group_starts[g as usize] += 1;
+    }
+    prefix_sum_exclusive(&mut group_starts);
+    let mut listed = vec![(0usize, 0u32); total];
+    let mut next = group_starts.clone();
+    for (e, &g) in group.iter().enumerate() {
+        listed[next[g as usize]] = (boxes.data(e) as usize, e as u32);
+        next[g as usize] += 1;
+    }
+    let mut rest = listed.as_mut_slice();
+    let lists: Vec<Mutex<&mut [(usize, u32)]>> = group_starts
+        .windows(2)
+        .map(|w| {
+            let (list, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+            rest = tail;
+            Mutex::new(list)
+        })
+        .collect();
 
     // Per group: its elements by address against its agents by new order.
     // `from[e]` is the old agent that moves into the element of old agent
@@ -314,12 +338,14 @@ fn permute(
         .collect();
     let mut from = vec![NONE; total];
     let from_ptr = SendMut::new(from.as_mut_ptr());
-    let num_groups = classes.len() * num_domains;
     let mut moves: Vec<GroupMoves> = (0..num_groups).map(|_| GroupMoves::default()).collect();
     let moves_ptr = SendMut::new(moves.as_mut_ptr());
-    pool.parallel_for(num_groups, 1, &|_w, range| {
-        for g in range {
-            let (c, domain) = (g / num_domains, g % num_domains);
+    // Domain d's groups run on d's workers first, so the fresh elements of
+    // a rebalance come from their thread-private lists.
+    let groups_per_domain = vec![classes.len(); num_domains];
+    pool.numa_for(&groups_per_domain, 1, &|_w, domain, range| {
+        for c in range {
+            let g = c * num_domains + domain;
             let class = classes[c];
             // A pool group takes its domain's share; system memory has no
             // domain, so its one group takes every share.
@@ -331,39 +357,39 @@ fn permute(
             let targets =
                 share.filter(|&j| group[new_order[j] as usize] as usize / num_domains == c);
             let wanted = targets.clone().count();
-            let mut elements: Vec<(usize, u32)> = (0..total)
-                .filter(|&e| group[e] as usize == g)
-                .map(|e| (boxes.data(e) as usize, e as u32))
+            let mut owned = lists[g].lock().expect("no task panics holding a list");
+            owned.sort_unstable_by_key(|&(addr, _)| addr);
+            let mut fresh: Vec<(usize, *mut u8)> = (owned.len()..wanted)
+                .map(|_| {
+                    let (p, from_pool) = mm.alloc(class.layout, domain);
+                    assert!(from_pool, "a pool group's fresh element came from the pool");
+                    (p as usize, p)
+                })
                 .collect();
-            let owned = elements.len();
-            let mut fresh: Vec<*mut u8> = Vec::new();
-            for k in owned..wanted {
-                let (p, from_pool) = mm.alloc(class.layout, domain);
-                assert!(from_pool, "a pool group's fresh element came from the pool");
-                elements.push((p as usize, (total + k - owned) as u32));
-                fresh.push(p);
-            }
-            if elements.is_empty() {
-                continue;
-            }
-            elements.sort_by_key(|&(addr, _)| addr);
+            fresh.sort_unstable_by_key(|&(addr, _)| addr);
             // SAFETY: entry g is this task's alone.
             let out = unsafe { moves_ptr.get_mut(g) };
-            out.class = Some(class);
-            for (j, &(_, e)) in targets.zip(&elements) {
+            // The targets take the owned and the fresh elements merged in
+            // address order.
+            let (mut next_owned, mut next_fresh) = (0, 0);
+            for j in targets {
                 let agent = new_order[j];
-                let e = e as usize;
-                let data = match e.checked_sub(total) {
-                    Some(k) => {
-                        out.fresh.push((SendMut::new(fresh[k]), agent));
-                        fresh[k]
-                    }
-                    None => {
-                        // SAFETY: element e is the target of this agent
-                        // alone, so this task is its only writer.
-                        unsafe { from_ptr.write(e, agent) };
-                        boxes.data(e)
-                    }
+                let take_owned = match (owned.get(next_owned), fresh.get(next_fresh)) {
+                    (Some(&(addr, _)), Some(&(fresh_addr, _))) => addr < fresh_addr,
+                    (next, _) => next.is_some(),
+                };
+                let data = if take_owned {
+                    let e = owned[next_owned].1 as usize;
+                    next_owned += 1;
+                    // SAFETY: element e is the target of this agent alone,
+                    // so this task is its only writer.
+                    unsafe { from_ptr.write(e, agent) };
+                    boxes.data(e)
+                } else {
+                    let p = fresh[next_fresh].1;
+                    next_fresh += 1;
+                    out.fresh.push((SendMut::new(p), agent));
+                    p
                 };
                 let fat = with_data(boxes.get(agent as usize).as_ptr(), data);
                 let (d, k) = split_global(bounds, j);
@@ -373,13 +399,16 @@ fn permute(
                 // moves.
                 unsafe { agent_ptrs[d].write(k, AgentBox::from_raw_parts(fat, class.from_pool)) };
             }
-            out.surplus = elements[wanted..]
+            out.surplus = owned[next_owned..]
                 .iter()
                 .rev()
                 .map(|&(_, e)| SendMut::new(boxes.data(e as usize)))
                 .collect();
         }
     });
+    // Freed before the moves allocate their chains.
+    drop(lists);
+    drop(listed);
 
     let fresh: Vec<(SendMut<u8>, u32)> =
         moves.iter().flat_map(|m| m.fresh.iter().copied()).collect();
@@ -390,14 +419,19 @@ fn permute(
     };
     let data = |e: u32| boxes.data(e as usize);
     move_agents(from, &fresh, &data, &size, MOVE_SEGMENT, pool);
-    for m in &moves {
-        for p in &m.surplus {
-            let class = m.class.expect("a group with surplus has elements");
-            // SAFETY: a surplus element's agent has moved out, no box points
-            // to it any more, and it was allocated with this class.
-            unsafe { MemoryManager::dealloc(p.ptr_at(0), class.layout, class.from_pool) };
+    // On the domain's workers, the surplus returns to their private lists.
+    let moves = &moves;
+    pool.numa_for(&groups_per_domain, 1, &|_w, domain, range| {
+        for c in range {
+            let class = classes[c];
+            for p in &moves[c * num_domains + domain].surplus {
+                // SAFETY: a surplus element's agent has moved out, no box
+                // points to it any more, and it was allocated with this
+                // class.
+                unsafe { MemoryManager::dealloc(p.ptr_at(0), class.layout, class.from_pool) };
+            }
         }
-    }
+    });
 
     // The sidecars follow their agents.
     let sizes: Vec<usize> = (0..num_domains)
@@ -699,12 +733,11 @@ mod tests {
     use std::any::Any;
     use std::sync::atomic::AtomicUsize;
 
-    use crate::agent::{new_agent_box, AgentBase, AgentUid, Cell, CloneIn};
+    use crate::agent::{new_agent_box, AgentBase, AgentUid, Cell};
     use crate::context::ExecutionContext;
     use crate::resource_manager::{VIOL_CUR, VIOL_NEXT};
     use bdm_alloc::PoolConfig;
     use bdm_env::Environment;
-    use bdm_util::prefix_sum::prefix_sum_exclusive;
     use bdm_util::{Real3, SimRng};
 
     fn dense_grid() -> (UniformGridEnvironment, usize) {
@@ -813,25 +846,17 @@ mod tests {
         }
     }
 
-    /// `Drop` and `clone_box` calls on the [`Tracked`] agents of one
-    /// population.
-    #[derive(Default)]
-    struct Calls {
-        drops: AtomicUsize,
-        clones: AtomicUsize,
-    }
-
-    /// A cell of another layout that counts its drops and clones: the sort
-    /// must do neither.
+    /// A cell of another layout that counts its drops in `drops`: the sort
+    /// must drop nothing.
     struct Tracked {
         cell: Cell,
-        calls: &'static Calls,
+        drops: &'static AtomicUsize,
         _wider: [u64; 3],
     }
 
     impl Drop for Tracked {
         fn drop(&mut self) {
-            self.calls.drops.fetch_add(1, Ordering::Relaxed);
+            self.drops.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -841,14 +866,6 @@ mod tests {
         }
         fn base_mut(&mut self) -> &mut AgentBase {
             self.cell.base_mut()
-        }
-        fn clone_box(&self, mm: &MemoryManager, domain: usize) -> AgentBox {
-            self.calls.clones.fetch_add(1, Ordering::Relaxed);
-            let clone = Tracked {
-                cell: self.cell.clone_in(mm, domain),
-                ..*self
-            };
-            new_agent_box(clone, mm, domain)
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -908,7 +925,7 @@ mod tests {
             true => MemoryManager::new(domains, threads, PoolConfig::default()),
             false => MemoryManager::system_only(domains, threads),
         };
-        let calls: &'static Calls = Box::leak(Box::default());
+        let drops: &'static AtomicUsize = Box::leak(Box::default());
         let mut rm = ResourceManager::new(domains);
         let mut rng = SimRng::new(77);
         let mut agent = |uid: u64, domain: usize| {
@@ -918,7 +935,7 @@ mod tests {
                 0 => new_agent_box(
                     Tracked {
                         cell,
-                        calls,
+                        drops,
                         _wider: [uid; 3],
                     },
                     &mm,
@@ -984,7 +1001,7 @@ mod tests {
         // Twice: positions do not change, so the second sort — the one that
         // reuses the box enumeration — must reproduce the first one's order.
         let mut sorter = AgentSorter::default();
-        let drops = calls.drops.load(Ordering::Relaxed);
+        let dropped = drops.load(Ordering::Relaxed);
         for _ in 0..2 {
             grid.update(&positions(&rm), 2.5);
             let moved = sorter.sort_and_balance(&mut rm, &grid, &mm, &pool, &topology);
@@ -995,14 +1012,9 @@ mod tests {
             }
         }
         assert_eq!(
-            calls.drops.load(Ordering::Relaxed),
-            drops,
+            drops.load(Ordering::Relaxed),
+            dropped,
             "the sort drops nothing"
-        );
-        assert_eq!(
-            calls.clones.load(Ordering::Relaxed),
-            0,
-            "the sort clones nothing"
         );
         let mut out = Sorted {
             uids: Vec::new(),
@@ -1037,8 +1049,8 @@ mod tests {
         drop(rm);
         assert_eq!(mm.outstanding(), 0, "every element was released once");
         assert_eq!(
-            calls.drops.load(Ordering::Relaxed),
-            drops + tracked,
+            drops.load(Ordering::Relaxed),
+            dropped + tracked,
             "one drop each"
         );
         (out, expected)

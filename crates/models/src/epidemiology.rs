@@ -5,9 +5,8 @@
 use std::any::Any;
 
 use bdm_core::{
-    clone_agent_box, clone_behavior_box, new_behavior_box, Agent, AgentBase, AgentBox,
-    AgentContext, AgentUid, Behavior, BehaviorBox, BehaviorControl, CloneIn, MemoryManager, Param,
-    Simulation,
+    clone_behavior_box, new_behavior_box, Agent, AgentBase, AgentContext, AgentUid, Behavior,
+    BehaviorBox, BehaviorControl, MemoryManager, Param, Simulation,
 };
 
 use crate::behaviors::RandomWalk;
@@ -96,16 +95,6 @@ impl Person {
     }
 }
 
-impl CloneIn for Person {
-    fn clone_in(&self, mm: &MemoryManager, domain: usize) -> Person {
-        Person {
-            base: self.base.clone_in(mm, domain),
-            state: self.state,
-            infected_since: self.infected_since,
-        }
-    }
-}
-
 impl Agent for Person {
     fn base(&self) -> &AgentBase {
         &self.base
@@ -125,9 +114,6 @@ impl Agent for Person {
     fn checkpoint_write(&self, out: &mut bdm_util::ByteWriter) {
         out.put_u8(self.state.payload() as u8);
         out.put_u64(self.infected_since);
-    }
-    fn clone_box(&self, mm: &MemoryManager, domain: usize) -> AgentBox {
-        clone_agent_box(self, mm, domain)
     }
     fn as_any(&self) -> &dyn Any {
         self

@@ -21,8 +21,8 @@
 use std::any::Any;
 
 use bdm_core::{
-    clone_agent_box, clone_behavior_box, Agent, AgentBase, AgentBox, AgentContext, AgentUid,
-    Behavior, BehaviorBox, BehaviorControl, CloneIn, MemoryManager, Real3,
+    clone_behavior_box, Agent, AgentBase, AgentContext, AgentUid, Behavior, BehaviorBox,
+    BehaviorControl, MemoryManager, Real3,
 };
 
 /// Payload tag for somas (readable by neighbors via the snapshot).
@@ -75,14 +75,6 @@ impl NeuronSoma {
     }
 }
 
-impl CloneIn for NeuronSoma {
-    fn clone_in(&self, mm: &MemoryManager, domain: usize) -> NeuronSoma {
-        NeuronSoma {
-            base: self.base.clone_in(mm, domain),
-        }
-    }
-}
-
 impl Agent for NeuronSoma {
     fn base(&self) -> &AgentBase {
         &self.base
@@ -95,9 +87,6 @@ impl Agent for NeuronSoma {
     }
     fn checkpoint_tag(&self) -> &'static str {
         "neuro.NeuronSoma"
-    }
-    fn clone_box(&self, mm: &MemoryManager, domain: usize) -> AgentBox {
-        clone_agent_box(self, mm, domain)
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -199,19 +188,6 @@ impl NeuriteElement {
     }
 }
 
-impl CloneIn for NeuriteElement {
-    fn clone_in(&self, mm: &MemoryManager, domain: usize) -> NeuriteElement {
-        NeuriteElement {
-            base: self.base.clone_in(mm, domain),
-            proximal: self.proximal,
-            soma: self.soma,
-            parent: self.parent,
-            terminal: self.terminal,
-            branch_order: self.branch_order,
-        }
-    }
-}
-
 impl Agent for NeuriteElement {
     fn base(&self) -> &AgentBase {
         &self.base
@@ -240,9 +216,6 @@ impl Agent for NeuriteElement {
         }
         out.put_u8(u8::from(self.terminal));
         out.put_u32(self.branch_order);
-    }
-    fn clone_box(&self, mm: &MemoryManager, domain: usize) -> AgentBox {
-        clone_agent_box(self, mm, domain)
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -391,7 +364,7 @@ impl Behavior for GrowthCone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdm_core::{new_agent_box, Param, Simulation};
+    use bdm_core::{Param, Simulation};
 
     fn param() -> Param {
         Param {
@@ -586,28 +559,5 @@ mod tests {
             tips
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn clone_box_preserves_neurite_state() {
-        let mm = MemoryManager::new(1, 1, bdm_core::PoolConfig::default());
-        let mut e = NeuriteElement::new(
-            AgentUid(5),
-            AgentUid(1),
-            Some(AgentUid(4)),
-            Real3::ZERO,
-            Real3::new(0.0, 0.0, 3.0),
-            2.0,
-        );
-        e.terminal = false;
-        e.branch_order = 2;
-        let boxed = new_agent_box(e, &mm, 0);
-        let cloned = boxed.clone_box(&mm, 0);
-        let c = cloned.as_any().downcast_ref::<NeuriteElement>().unwrap();
-        assert_eq!(c.uid(), AgentUid(5));
-        assert_eq!(c.parent(), Some(AgentUid(4)));
-        assert!(!c.is_terminal());
-        assert_eq!(c.branch_order(), 2);
-        assert!((c.length() - 3.0).abs() < 1e-12);
     }
 }

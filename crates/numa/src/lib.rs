@@ -5,10 +5,10 @@
 //!
 //! The original engine uses libnuma + OpenMP thread pinning on multi-socket
 //! servers. Containerized and laptop environments expose no NUMA hardware, so
-//! this crate models the topology *virtually* (see DESIGN.md §3): all
-//! scheduling, partitioning, and two-level work-stealing behaviour of the
-//! paper is exercised identically; only the physical remote-DRAM latency is
-//! absent.
+//! this crate models the topology *virtually* (docs/ARCHITECTURE.md,
+//! "Deviations from the paper"): all scheduling, partitioning, and
+//! two-level work-stealing behaviour of the paper is exercised identically;
+//! only the physical remote-DRAM latency is absent.
 
 pub mod pool;
 pub mod topology;

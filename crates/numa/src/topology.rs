@@ -8,7 +8,7 @@
 //! the paper (per-domain agent vectors, domain-matched block scheduling,
 //! two-level work stealing, domain-balanced sorting) runs unchanged against
 //! the virtual topology; only the physical DRAM-latency asymmetry is absent
-//! (see DESIGN.md §3).
+//! (docs/ARCHITECTURE.md, "Deviations from the paper").
 //!
 //! Environment overrides (useful for the benchmark harness):
 //! * `BDM_THREADS` — total worker threads (default: available parallelism).

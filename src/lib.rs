@@ -95,11 +95,11 @@ pub mod prelude {
         CheckpointRing, RecoveryPolicy, RecoveryReport, RingPolicy, SupervisedRunner,
     };
     pub use bdm_core::{
-        clone_agent_box, clone_behavior_box, new_agent_box, new_behavior_box, Agent, AgentBase,
-        AgentBox, AgentContext, AgentHandle, AgentUid, Behavior, BehaviorBox, BehaviorControl,
-        BoundaryCondition, Cell, CloneIn, DiffusionGrid, EnvironmentKind, FaultKind, FaultPlan,
-        FaultSite, HealthViolation, HealthViolationKind, InteractionForce, MemoryManager, Neighbor,
-        OpInfo, OpKind, Operation, OptLevel, Param, Real3, Scheduler, SimRng, SimStats, Simulation,
+        clone_behavior_box, new_agent_box, new_behavior_box, Agent, AgentBase, AgentBox,
+        AgentContext, AgentHandle, AgentUid, Behavior, BehaviorBox, BehaviorControl,
+        BoundaryCondition, Cell, DiffusionGrid, EnvironmentKind, FaultKind, FaultPlan, FaultSite,
+        HealthViolation, HealthViolationKind, InteractionForce, MemoryManager, Neighbor, OpInfo,
+        OpKind, Operation, OptLevel, Param, Real3, Scheduler, SimRng, SimStats, Simulation,
         Snapshot,
     };
     pub use bdm_models::BenchmarkModel;

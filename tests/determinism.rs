@@ -1,4 +1,4 @@
-//! Integration: reproducibility guarantees (DESIGN.md §4 "Determinism").
+//! Integration: reproducibility guarantees.
 //!
 //! With a fixed seed, runs are bit-reproducible, and within one NUMA domain
 //! count the bits do not depend on the thread count or the shard count —
